@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -91,8 +90,6 @@ def sample_path(spec: GaussianSpec, length: int, count: int, seed: int) -> np.nd
             break
         except np.linalg.LinAlgError:
             continue
-        except Exception:
-            continue
     if L is None:
         raise ValueError("autocovariance is not positive definite (factorization failed)")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -115,9 +112,6 @@ class McReport:
             "formula_value": self.formula_value, "z_score": self.z_score,
             "samples": self.samples, "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _correlated_pairs(r: float, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:

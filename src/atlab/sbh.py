@@ -13,7 +13,6 @@ families, which no finite computation decides.  What we can do honestly:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -225,9 +224,6 @@ class SbhReport:
             "verdict": self.verdict,
             "note": self.note,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=1)
 
 
 def certify(t: FourierTable, k: int = 4, window: int = 8,

@@ -97,6 +97,19 @@ def test_certify_undecided_exit_4(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "UNDECIDED"
 
 
+@pytest.mark.parametrize("text", [
+    '{"half_width": 2, "tail_bound": NaN, "coeffs": [[0, 1.0, 0.0]]}',
+    '{"half_width": 1e9, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}',
+], ids=["nan-tail", "huge-half-width"])
+def test_certify_bad_measure_exit_2(tmp_path, capsys, text):
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(text)
+    code, out, err = run(["certify", "--in", str(mfile)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_subsample_scan(tmp_path, capsys):
     mfile = tmp_path / "g.json"
     from atlab import gaussian

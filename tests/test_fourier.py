@@ -51,6 +51,20 @@ def test_invariant_tail_bound_sign():
         fourier.FourierTable.from_nonneg(np.array([1.0 + 0j]), tail_bound=-0.1)
 
 
+@pytest.mark.parametrize("tail", [math.nan, math.inf])
+def test_invariant_tail_bound_finite(tail):
+    with pytest.raises(fourier.InvariantViolation, match="tail_bound"):
+        fourier.FourierTable.from_nonneg(np.array([1.0 + 0j]), tail_bound=tail)
+    obj = {"half_width": 2, "tail_bound": tail, "coeffs": [[0, 1.0, 0.0]]}
+    with pytest.raises(fourier.InvariantViolation, match="tail_bound"):
+        fourier.table_from_json_obj(obj)
+
+
+def test_invariant_finite_coeffs():
+    with pytest.raises(fourier.InvariantViolation, match="finite"):
+        fourier.FourierTable.from_nonneg(np.array([1.0, math.nan]))
+
+
 def test_from_nonneg_symmetry():
     nn = np.array([1.0, 0.2 + 0.3j, 0.1], dtype=complex)
     t = fourier.FourierTable.from_nonneg(nn)
@@ -298,6 +312,14 @@ def test_json_reader_rejects_negative_index(tmp_path):
                     ' "coeffs": [[-1, 0.1, 0.0]]}')
     with pytest.raises(fourier.InvariantViolation, match="n >= 0"):
         fourier.read_measure(path)
+
+
+@pytest.mark.parametrize("N", [1e9, fourier.MAX_HALF_WIDTH + 1, -3, math.inf])
+def test_json_reader_rejects_half_width_out_of_range(N):
+    # checked before the coefficient array is allocated
+    obj = {"half_width": N, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}
+    with pytest.raises(fourier.InvariantViolation, match="half_width|infinity"):
+        fourier.table_from_json_obj(obj)
 
 
 def test_json_reader_rejects_malformed(tmp_path):

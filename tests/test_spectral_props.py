@@ -1,0 +1,130 @@
+"""Property tests of the spectral kernels against direct and mpmath references.
+
+Every property runs under one deterministic hypothesis profile, so the suite
+draws the same examples on every run.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh, toeplitz
+
+from atlab import fourier
+
+PROPS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+_EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def tables(draw):
+    """Random Hermitian tables with |c(n)| < 1 and c(0) = 1."""
+    N = draw(st.integers(0, 40))
+    part = st.floats(-0.7, 0.7)
+    re = draw(st.lists(part, min_size=N, max_size=N))
+    im = draw(st.lists(part, min_size=N, max_size=N))
+    nn = np.concatenate([[1.0], np.array(re) + 1j * np.array(im)])
+    return fourier.FourierTable.from_nonneg(nn, label="prop")
+
+
+def _direct(t, thetas):
+    # any thetas other than the exact uniform grid take the direct sum, so the
+    # reversed grid gives the reference values
+    return t.density(thetas[::-1])[::-1]
+
+
+@PROPS
+@given(data=st.data())
+def test_grid_density_matches_direct_sum(data):
+    t = data.draw(tables())
+    N = t.half_width
+    G = data.draw(st.one_of(st.integers(1, 2 * N + 1), st.integers(2 * N + 1, 4 * N + 8),
+                            st.just(8196)))  # 8196 = 4 * 3 * 683
+    grid = np.arange(G) / G
+    # the direct sum loses up to about 4 pi N eps |c(n)| per term to phase rounding
+    tol = 64 * (N + 1) * _EPS * float(np.sum(np.abs(t.coeffs)))
+    assert np.max(np.abs(t.density(grid) - _direct(t, grid))) <= tol
+
+
+def _geometric(N, r, x0):
+    n = np.arange(N + 1)
+    return fourier.FourierTable.from_nonneg(r**n * np.exp(2j * np.pi * n * x0),
+                                            label="geometric")
+
+
+FIXED_TABLES = [
+    fourier.sqrt_template(0.3, 256),
+    fourier.riesz_product([0.9, 0.7, 0.5], [1, 5, 17], 64),
+    _geometric(100, 0.97, 0.123456),
+    fourier.dirac_table(64),
+]
+
+
+def _mp_density(t, G, points):
+    """d(j/G) for j in ``points`` at 40 digits, phases reduced exactly as nj mod G."""
+    nn = t.nonneg()
+    N = t.half_width
+    a = [mpmath.mpf(float(x.real)) for x in nn]
+    b = [mpmath.mpf(float(x.imag)) for x in nn]
+    cos = [mpmath.cospi(mpmath.mpf(2 * k) / G) for k in range(G)]
+    sin = [mpmath.sinpi(mpmath.mpf(2 * k) / G) for k in range(G)]
+    out = []
+    for j in points:
+        ks = [(n * j) % G for n in range(1, N + 1)]
+        s = mpmath.fdot(a[1:], [cos[k] for k in ks]) - mpmath.fdot(b[1:], [sin[k] for k in ks])
+        out.append(a[0] + 2 * s)
+    return out
+
+
+@pytest.mark.parametrize("t", FIXED_TABLES, ids=lambda t: t.label.split("(")[0])
+def test_grid_density_error_far_below_stated_bound(t):
+    G = 4 * t.half_width + 4
+    vals = t.density(np.arange(G) / G)
+    with mpmath.workdps(40):
+        ref = _mp_density(t, G, range(G))
+        err = max(abs(mpmath.mpf(float(v)) - r) for v, r in zip(vals, ref))
+    assert float(err) <= fourier._fft_rounding(t, G) / 100
+
+
+@pytest.mark.parametrize("t", [t for t in FIXED_TABLES if t.half_width <= 100],
+                         ids=lambda t: t.label.split("(")[0])
+def test_certified_upper_covers_fine_grid_maximum(t):
+    G = max(4 * t.half_width + 4, 64)
+    rep = fourier.density_sup(t, G)
+    with mpmath.workdps(40):
+        fine_max = max(_mp_density(t, 8 * G, range(8 * G)))
+        assert rep.certified_upper >= fine_max
+
+
+def _hermitian_lam_min(t, k):
+    col = t.nonneg()[:k].astype(complex)
+    return float(eigvalsh(toeplitz(col, col.conj()))[0])
+
+
+@PROPS
+@given(data=st.data())
+def test_real_psd_path_matches_hermitian(data):
+    # uniform c(n) shrunk towards 0 by a random scale: PSD and non-PSD alike
+    N = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nn = np.concatenate([[1.0], data.draw(st.floats(0.1, 0.5)) * rng.uniform(-0.7, 0.7, N)])
+    t = fourier.FourierTable.from_nonneg(nn)
+    k = data.draw(st.integers(N // 2 + 1, N + 1))
+    ok, lam = fourier.is_positive_definite(t, k)
+    ref = _hermitian_lam_min(t, k)
+    assert lam == pytest.approx(ref, abs=1e-12)
+    assert ok == (ref >= fourier.PSD_TOL)
+
+
+@PROPS
+@given(data=st.data())
+def test_power_subsample_matches_pointwise_loop(data):
+    t = data.draw(tables())
+    t = fourier.FourierTable.from_nonneg(t.nonneg(), tail_bound=0.25, label="p")
+    m = data.draw(st.integers(1, t.half_width + 2))
+    sub = fourier.power_subsample(t, m)
+    nn = [t.at(m * n) for n in range(t.half_width // m + 1)]
+    assert np.array_equal(sub.coeffs, fourier.FourierTable.from_nonneg(nn).coeffs)
+    assert sub.tail_bound == t.tail_bound
