@@ -72,7 +72,10 @@ def _parse_alpha(s: str) -> float:
     named = {"sqrt2-1": systems.SQRT2_M1, "golden": systems.GOLDEN_M1}
     if s in named:
         return named[s]
-    return float(s)
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"alpha must be finite, got {s}")
+    return x
 
 
 def correlation_csv(rows) -> str:
@@ -200,15 +203,11 @@ def cmd_system(args) -> int:
                 err = systems.square_wave_coeffs(args.M).truncation_error if n else 0.0
                 rows.append((n, v, "exact" if v == 0 else "series", err))
         elif name == "rotation":
+            err = systems.square_wave_coeffs(args.M).truncation_error
             for n in range(args.nmax + 1):
-                if n == 0:
-                    rows.append((0, 1.0, "exact", 0.0))
-                    continue
                 v = systems.rotation_ac_cocycle_correlation(
-                    alpha, args.delta, args.delta0, n, args.M, args.quad_points)
-                rows.append((n, v, "quadrature",
-                             systems.square_wave_coeffs(args.M).truncation_error))
-            # quadrature non-convergence surfaces as QuadratureError below
+                    alpha, args.delta, args.delta0, n, args.M)
+                rows.append((n, v, "quadrature", err) if n else (0, v, "exact", 0.0))
         elif name == "distal":
             for n in range(args.nmax + 1):
                 rows.append((n, systems.distal_integral(n, args.m_scale), "exact", 0.0))
@@ -219,7 +218,7 @@ def cmd_system(args) -> int:
                              "exact", 0.0))
         else:
             return _fail(f"unknown system {name!r}")
-    except (ValueError, systems.QuadratureError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     _emit(correlation_csv(rows), args)
     if args.names:
@@ -292,6 +291,20 @@ def cmd_funny(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; keeps its options by dest for --config defaults."""
+
+    def __init__(self, **kwargs):
+        self.options = {}
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.default is not argparse.SUPPRESS:
+            self.options[action.dest] = action
+        return action
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
@@ -301,9 +314,10 @@ def _add_common(p):
     p.add_argument("--config", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     ap = argparse.ArgumentParser(prog="atlab")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
 
     m = sub.add_parser("measure", help="build or transform circle-measure tables")
     m.add_argument("kind", choices=["lebesgue", "dirac", "riesz", "sqrt",
@@ -339,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--delta", type=float, default=0.1)
     s.add_argument("--delta0", type=float, default=0.5)
     s.add_argument("--M", type=int, default=201)
-    s.add_argument("--quad-points", type=int, default=1024)
     s.add_argument("--m-scale", type=int, default=1)
     s.add_argument("--phi", default="0,1")
     s.add_argument("--log2-length", type=int, default=20)
@@ -383,43 +396,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(f)
     f.set_defaults(func=cmd_funny)
 
-    return ap
+    return ap, list(sub.choices.values())
 
 
-def _config_defaults(argv) -> dict:
-    """Pull key=value defaults from a --config file, overridden by flags."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if not path:
-        return {}
-    out = {}
+def _config_value(key: str, action: argparse.Action, text: str):
+    try:
+        if isinstance(action.default, bool):  # store_true flags
+            return {"true": True, "false": False}[text]
+        return action.type(text) if action.type else text
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {key!r}: bad value {text!r}") from None
+
+
+def _apply_config(path: str, commands: list[_CommandParser]) -> None:
+    """Make each key = value line of a --config file the default of that
+    option on every subcommand that has it; explicit flags still win."""
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+            key, _, text = line.partition("=")
+            key, text = key.strip().replace("-", "_"), text.strip()
+            owners = [p for p in commands if key in p.options]
+            if not owners:
+                raise ValueError(f"config key {key!r}: no subcommand has this option")
+            for p in owners:
+                p.set_defaults(**{key: _config_value(key, p.options[key], text)})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    cfg = _config_defaults(argv)
-    if cfg:
-        for action in ap._subparsers._group_actions[0].choices.values():
-            known = {a.dest: a for a in action._actions}
-            for key, val in cfg.items():
-                if key in known and known[key].type is not None:
-                    action.set_defaults(**{key: known[key].type(val)})
-                elif key in known:
-                    action.set_defaults(**{key: val})
+    ap, commands = build_parser()
     args = ap.parse_args(argv)
+    if args.config:
+        try:
+            _apply_config(args.config, commands)
+        except (ValueError, OSError) as exc:
+            return _fail(str(exc))
+        args = ap.parse_args(argv)
     return args.func(args)
 
 

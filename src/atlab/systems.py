@@ -1,7 +1,7 @@
 """Concrete measure-preserving systems with sign-symmetric two-set partitions.
 
 Each system provides sampled {0,1} itineraries (P-names) for the empirical
-harness, and, where the structure allows it, exact or quadrature-based
+harness, and, where the structure allows it, exact or truncated-series
 correlation values <F o T^n, F> for F = chi_{P0} - chi_{P1}.
 """
 
@@ -18,6 +18,13 @@ from .fourier import FourierTable
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 GOLDEN_M1 = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _require_finite(**params: float) -> None:
+    for name, x in params.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
 
 # ---------------------------------------------------------------------------
 # Rudin-Shapiro substitution
@@ -132,40 +139,19 @@ def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
 # Absolutely continuous cocycle over an irrational rotation
 
 
-class QuadratureError(RuntimeError):
-    pass
-
-
-def _midpoint_doubling(phase_fn, ms, quad_points: int, tol: float = 1e-8,
-                       cap: int = 2**22) -> np.ndarray:
-    """mean over [0,1) of e^{2 pi i m * phase(x)} for every m in ms.
-
-    Composite midpoint with node doubling; accepts when two consecutive
-    resolutions agree to ``tol`` for every m.
-    """
-    ms = np.asarray(ms)
-    P = max(int(quad_points), 8)
-    prev = None
-    while P <= cap:
-        x = (np.arange(P) + 0.5) / P
-        ph = phase_fn(x)
-        vals = np.exp(2j * np.pi * np.outer(ms, ph)).mean(axis=1)
-        if prev is not None and np.max(np.abs(vals - prev)) < tol:
-            return vals
-        prev = vals
-        P *= 2
-    raise QuadratureError("midpoint rule failed to converge within the node cap")
-
-
 def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
-                                    n: int, M: int = 21,
-                                    quad_points: int = 1024) -> complex:
+                                    n: int, M: int = 21) -> complex:
     """sigma_F-hat(n) for the circle extension by e^{2 pi i (x + g(x))},
     g(x) = (delta / 2 pi) sin(2 pi x), over the rotation by alpha.
 
-    Sums |f-hat(m)|^2-weighted oscillatory integrals over odd |m| <= M; each
-    integral uses midpoint quadrature with a doubling self-check.
+    Sums |f-hat(m)|^2-weighted oscillatory integrals over odd |m| <= M.  With
+    S = sum_{j<n} e^{2 pi i j alpha} = |S| e^{i psi}, g^(n)(x) = (delta/2pi)
+    |S| sin(2 pi x + psi), so by Jacobi-Anger each integral is the Bessel term
+    e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
     """
+    # scipy.special takes ~50 ms to import; keep it off the CLI start-up path
+    from scipy.special import jv
+    _require_finite(alpha=alpha)
     if not 0.0 < delta0 < 1.0:
         raise ValueError("need 0 < delta0 < 1")
     if not 0.0 <= delta < 1.0 - delta0:
@@ -174,17 +160,11 @@ def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
         return 1.0 + 0.0j
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms
-    w = sw.weights
-    # g^(n)(x) = (delta/2pi) Im(e^{2 pi i x} sum_{j<n} e^{2 pi i j alpha})
     S = np.sum(np.exp(2j * np.pi * alpha * np.arange(abs(n))))
     const = n * (n - 1) * alpha / 2.0
-
-    def phase(x):
-        return n * x + const + (delta / (2.0 * math.pi)) * np.imag(
-            np.exp(2j * np.pi * x) * S)
-
-    integrals = _midpoint_doubling(phase, ms, quad_points)
-    return complex(np.sum(w * integrals))
+    integrals = (np.exp(2j * np.pi * ms * const) * jv(-ms * n, ms * delta * abs(S))
+                 * np.exp(-1j * ms * n * np.angle(S)))
+    return complex(np.sum(sw.weights * integrals))
 
 
 def ac_cocycle_analytic_constant(delta: float, delta0: float, M: int = 10**4) -> float:
@@ -197,17 +177,18 @@ def ac_cocycle_analytic_constant(delta: float, delta0: float, M: int = 10**4) ->
 
 
 def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
-                     M: int = 21, quad_points: int = 1024) -> FourierTable:
+                     M: int = 21) -> FourierTable:
     """Correlation table of the AC-cocycle extension for |n| <= N.
 
-    The tail bound uses |int e^{i(2 pi m n x + z sin(2 pi x + psi))} dx|
+    Values (``rotation_ac_cocycle_correlation``) and tail bound both come
+    from Bessel coefficients: |int e^{i(2 pi m n x + z sin(2 pi x + psi))} dx|
     <= (z/2)^{|mn|} / |mn|!  with z <= m * delta / |sin(pi alpha)| (the
     standard bound on Bessel coefficients), which decays superexponentially.
     """
     nn = np.empty(N + 1, dtype=complex)
     nn[0] = 1.0
     for n in range(1, N + 1):
-        nn[n] = rotation_ac_cocycle_correlation(alpha, delta, delta0, n, M, quad_points)
+        nn[n] = rotation_ac_cocycle_correlation(alpha, delta, delta0, n, M)
     amp = abs(delta) / abs(math.sin(math.pi * (alpha % 1.0)))
 
     def bessel_bound(m: int, n: int) -> float:
@@ -246,6 +227,7 @@ def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
 def _reject_rational(x: float, name: str, max_den: int = 4) -> None:
     # small denominators collapse the breakpoint structure; larger rational
     # approximations are harmless for the integral formulas below
+    _require_finite(**{name: x})
     fr = Fraction(x).limit_denominator(max_den)
     if abs(x - float(fr)) < 1e-12:
         raise ValueError(f"{name} is rational to within 1e-12 ({fr})")
@@ -267,6 +249,7 @@ def nil_rotation_correlation(alpha: float, beta: float, gamma: float,
     """
     _reject_rational(beta, "beta")
     _reject_rational(alpha, "alpha")
+    _require_finite(gamma=gamma)
     if not 0.0 < beta < 1.0:
         raise ValueError("need 0 < beta < 1")
     if n < 0:
@@ -357,6 +340,7 @@ class RotationCocycleSource(NameSource):
 
     def __init__(self, alpha: float = SQRT2_M1, delta: float = 0.0,
                  delta0: float = 0.5, M: int = 21):
+        _require_finite(alpha=alpha, delta=delta)
         self.alpha = alpha
         self.delta = delta
         self.delta0 = delta0
@@ -380,8 +364,6 @@ class RotationCocycleSource(NameSource):
     def exact_correlation(self, n):
         if n == 0:
             return 1.0
-        if self.delta == 0.0:
-            return 0.0  # pure Lebesgue spectral measure on the fiber part
         return complex(rotation_ac_cocycle_correlation(
             self.alpha, self.delta, self.delta0, n, self.M)).real
 
@@ -392,6 +374,7 @@ class NilRotationSource(NameSource):
     def __init__(self, alpha: float = SQRT2_M1, beta: float = 0.7,
                  gamma: float = 0.0, M: int = 201):
         _reject_rational(beta, "beta")
+        _require_finite(alpha=alpha, gamma=gamma)
         self.alpha = alpha
         self.beta = beta
         self.gamma = gamma

@@ -161,6 +161,24 @@ def test_system_bad_parameters_exit_2(capsys):
     assert "rational" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["system", "rotation", "--alpha", "nan"],
+    ["system", "nil", "--alpha", "inf"],
+    ["system", "nil", "--beta", "inf"],
+    ["system", "nil", "--gamma", "nan"],
+    ["funny", "--system", "rotation", "--alpha", "nan"],
+    ["funny", "--system", "rotation", "--delta", "nan"],
+    ["funny", "--system", "nil", "--gamma", "nan"],
+], ids=lambda argv: "-".join(tok.lstrip("-") for tok in argv))
+def test_non_finite_system_parameter_exit_2(capsys, argv):
+    if argv[0] == "funny":
+        argv = argv + ["--k", "4", "--horizon", "16", "--samples", "100"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gaussian_orthant_json(capsys):
     code, out, _ = run(["gaussian", "orthant", "--r", "0.5",
                         "--samples", "100000", "--seed", "3"], capsys)
@@ -213,6 +231,28 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out, _ = run(["measure", "lebesgue", "--config", str(cfg),
                         "--N", "5"], capsys)
     assert json.loads(out)["half_width"] == 5
+
+
+@pytest.mark.parametrize("text", [None, "N = abc\n", "N 3\n", "Nn = 3\n", "stdout = no\n"],
+                         ids=["missing-file", "bad-value", "no-equals", "unknown-key", "bad-flag"])
+def test_config_file_errors_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run(["measure", "lebesgue", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_config_file_store_true_flag(tmp_path, capsys, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"stdout = {flag}\n")
+    code, out, _ = run(["measure", "lebesgue", "--N", "2", "--config", str(cfg),
+                        "--out", str(tmp_path / "m.json")], capsys)
+    assert code == 0
+    assert (out != "") == (flag == "true")
 
 
 def test_float_17_digit_round_trip():

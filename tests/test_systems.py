@@ -119,15 +119,30 @@ def test_rotation_cocycle_parameter_checks():
         systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.6, 0.5, 1)
     with pytest.raises(ValueError):
         systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.1, 1.5, 1)
+    with pytest.raises(ValueError):
+        systems.rotation_ac_cocycle_correlation(math.nan, 0.1, 0.5, 1)
 
 
-def test_rotation_cocycle_quadrature_self_check():
-    # doubling the initial resolution must not move the converged value
-    a = systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.1, 0.5, 3,
-                                                quad_points=256)
-    b = systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.1, 0.5, 3,
-                                                quad_points=2048)
-    assert abs(a - b) < 1e-7
+def _midpoint_rotation_correlation(alpha, delta, n, M, P=4096):
+    """Reference: each m-integral of the cocycle phase by the P-node midpoint
+    rule, with g^(n)(x) summed term by term as sum_{j<n} g(x + j alpha)."""
+    sw = systems.square_wave_coeffs(M)
+    x = (np.arange(P) + 0.5) / P
+    g_n = sum(delta / (2.0 * np.pi) * np.sin(2.0 * np.pi * (x + j * alpha))
+              for j in range(n))
+    phase = n * x + n * (n - 1) * alpha / 2.0 + g_n
+    integrals = np.exp(2j * np.pi * np.outer(sw.odd_ms, phase)).mean(axis=1)
+    return complex(np.sum(sw.weights * integrals))
+
+
+def test_rotation_cocycle_midpoint_reference():
+    # the Jacobi-Anger sum against a fixed-resolution quadrature for n > 1 too
+    for alpha in (systems.SQRT2_M1, systems.GOLDEN_M1):
+        for delta in (0.1, 0.3):
+            for n in range(1, 13):
+                got = systems.rotation_ac_cocycle_correlation(alpha, delta, 0.5, n, 21)
+                ref = _midpoint_rotation_correlation(alpha, delta, n, 21)
+                assert abs(got - ref) < 1e-7, (alpha, delta, n)
 
 
 def test_rotation_cocycle_bessel_oracle():
