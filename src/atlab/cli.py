@@ -2,6 +2,8 @@
 
 Exit codes: 0 success (certify: CERTIFIED_SBH), 2 invalid parameters,
 3 certify CERTIFIED_NOT_SBH, 4 certify UNDECIDED.
+`system` and `funny` share one table of systems, `_SYSTEMS`: adding a system
+takes one entry there.
 """
 
 from __future__ import annotations
@@ -52,15 +54,13 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def _emit(payload: str, args) -> None:
+    if not payload.endswith("\n"):
+        payload += "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
     if args.stdout or not args.out:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _fail(msg: str) -> int:
@@ -114,8 +114,6 @@ def cmd_measure(args) -> int:
                 t = fourier.arcsine_fourth_transform(t0)
             else:
                 t = fourier.power_subsample(t0, args.m)
-        else:
-            return _fail(f"unknown measure kind {kind!r}")
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
     payload = render_json(fourier.table_to_json_obj(t))
@@ -164,66 +162,67 @@ def cmd_certify(args) -> int:
     return _EXITCODE[rep.verdict]
 
 
-def _make_source(name: str, args) -> systems.NameSource:
-    alpha = _parse_alpha(args.alpha)
-    if name == "rudin-shapiro":
-        return systems.RudinShapiroSource(log2_length=args.log2_length)
-    if name == "rotation":
-        return systems.RotationCocycleSource(alpha=alpha, delta=args.delta,
-                                             delta0=args.delta0, M=args.M)
-    if name == "nil":
-        return systems.NilRotationSource(alpha=alpha, beta=args.beta,
-                                         gamma=args.gamma, M=args.M)
-    if name == "distal":
-        return systems.DistalSource(alpha=alpha)
-    if name == "odometer":
-        phi = [int(x) for x in args.phi.split(",")]
-        return systems.OdometerExtensionSource(phi)
-    if name == "coin":
-        return systems.CoinSource(p0=args.p0)
-    if name == "constant":
-        return systems.ConstantSource()
-    raise ValueError(f"unknown system {name!r}")
+def _rudin_shapiro_rows(args):
+    table = systems.empirical_correlation(systems.rudin_shapiro_names(args.L), args.nmax)
+    err = 5.0 / math.sqrt(args.L)
+    return [(n, table.at(n), "empirical", err) for n in range(args.nmax + 1)]
+
+
+def _nil_rows(args):
+    rows = []
+    for n in range(args.nmax + 1):
+        v = systems.nil_rotation_correlation(args.alpha, args.beta, args.gamma, n, args.M)
+        err = systems.square_wave_coeffs(args.M).truncation_error if n else 0.0
+        rows.append((n, v, "exact" if v == 0 else "series", err))
+    return rows
+
+
+def _rotation_rows(args):
+    err = systems.square_wave_coeffs(args.M).truncation_error
+    vs = [systems.rotation_ac_cocycle_correlation(args.alpha, args.delta, args.delta0, n,
+                                                  args.M) for n in range(args.nmax + 1)]
+    return [(n, v, "quadrature", err) if n else (0, v, "exact", 0.0) for n, v in enumerate(vs)]
+
+
+# name -> builders of (`system` CSV rows or None, NameSource) from the parsed args;
+# they look up systems.* when called, so a rebound (e.g. traced) attribute runs
+_SYSTEMS = {
+    "rudin-shapiro": (_rudin_shapiro_rows,
+                      lambda a: systems.RudinShapiroSource(log2_length=a.log2_length)),
+    "nil": (_nil_rows, lambda a: systems.NilRotationSource(alpha=a.alpha, beta=a.beta,
+                                                           gamma=a.gamma, M=a.M)),
+    "rotation": (_rotation_rows, lambda a: systems.RotationCocycleSource(
+        alpha=a.alpha, delta=a.delta, delta0=a.delta0, M=a.M)),
+    "distal": (lambda a: [(n, systems.distal_integral(n, a.m_scale), "exact", 0.0)
+                          for n in range(a.nmax + 1)],
+               lambda a: systems.DistalSource(alpha=a.alpha)),
+    "odometer": (lambda a: [(n, systems.two_point_extension_correlation(a.phi, n),
+                             "exact", 0.0) for n in range(a.nmax + 1)],
+                 lambda a: systems.OdometerExtensionSource(a.phi)),
+    "coin": (None, lambda a: systems.CoinSource(p0=a.p0)),
+    "constant": (None, lambda a: systems.ConstantSource()),
+}
+
+
+def _system(args):
+    """The _SYSTEMS entry of args.system, with --alpha and --phi parsed in place."""
+    args.alpha = _parse_alpha(args.alpha)
+    args.phi = [int(x) for x in args.phi.split(",")]
+    return _SYSTEMS[args.system]
 
 
 def cmd_system(args) -> int:
-    name = args.system
     try:
-        alpha = _parse_alpha(args.alpha)
-        rows = []
-        if name == "rudin-shapiro":
-            signs = systems.rudin_shapiro_names(args.L)
-            table = systems.empirical_correlation(signs, args.nmax)
-            err = 5.0 / math.sqrt(args.L)
-            rows = [(n, table.at(n), "empirical", err) for n in range(args.nmax + 1)]
-        elif name == "nil":
-            for n in range(args.nmax + 1):
-                v = systems.nil_rotation_correlation(alpha, args.beta, args.gamma,
-                                                     n, args.M)
-                err = systems.square_wave_coeffs(args.M).truncation_error if n else 0.0
-                rows.append((n, v, "exact" if v == 0 else "series", err))
-        elif name == "rotation":
-            err = systems.square_wave_coeffs(args.M).truncation_error
-            for n in range(args.nmax + 1):
-                v = systems.rotation_ac_cocycle_correlation(
-                    alpha, args.delta, args.delta0, n, args.M)
-                rows.append((n, v, "quadrature", err) if n else (0, v, "exact", 0.0))
-        elif name == "distal":
-            for n in range(args.nmax + 1):
-                rows.append((n, systems.distal_integral(n, args.m_scale), "exact", 0.0))
-        elif name == "odometer":
-            phi = [int(x) for x in args.phi.split(",")]
-            for n in range(args.nmax + 1):
-                rows.append((n, systems.two_point_extension_correlation(phi, n),
-                             "exact", 0.0))
-        else:
-            return _fail(f"unknown system {name!r}")
+        rows, source = _system(args)
+        if args.nmax < 0 or args.names < 0 or args.length < 1:
+            raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
+        csv = correlation_csv(rows(args))
+        bits = (source(args).sample_names(args.names, args.length, args.seed)
+                if args.names else None)
     except ValueError as exc:
         return _fail(str(exc))
-    _emit(correlation_csv(rows), args)
-    if args.names:
-        src = _make_source(name, args)
-        bits = src.sample_names(args.names, args.length, args.seed)
+    _emit(csv, args)
+    if bits is not None:
         systems.write_names(bits, args.names_out or "names.bin")
     return 0
 
@@ -239,42 +238,37 @@ def cmd_gaussian(args) -> int:
             if args.spec:
                 spec = gaussian.GaussianSpec.from_fourier_table(
                     fourier.read_measure(args.spec))
-                n = args.n
             else:
                 r = np.zeros(max(args.n, 1) + 1)
                 r[0] = 1.0
                 r[args.n] = args.r
                 spec = gaussian.GaussianSpec(r)
-                n = args.n
             if sub == "orthant":
-                rep = gaussian.sign_orthant_mc(spec, n, args.samples, args.seed)
+                rep = gaussian.sign_orthant_mc(spec, args.n, args.samples, args.seed)
             else:
-                rep = gaussian.product_orthant_mc(spec, n, args.level,
+                rep = gaussian.product_orthant_mc(spec, args.n, args.level,
                                                   args.samples, args.seed)
             _emit(render_json(rep.to_json_obj()), args)
             return 0
-        if sub == "cocycle":
-            if args.spec:
-                spec = gaussian.GaussianSpec.from_fourier_table(
-                    fourier.read_measure(args.spec))
-            else:
-                spec = gaussian.white_noise_spec(args.nmax)
-            t = gaussian.cocycle_correlation_table(spec, args.M, args.nmax)
-            _emit(render_json(fourier.table_to_json_obj(t)), args)
-            return 0
+        # cocycle
+        if args.spec:
+            spec = gaussian.GaussianSpec.from_fourier_table(fourier.read_measure(args.spec))
+        else:
+            spec = gaussian.white_noise_spec(args.nmax)
+        t = gaussian.cocycle_correlation_table(spec, args.M, args.nmax)
+        _emit(render_json(fourier.table_to_json_obj(t)), args)
+        return 0
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
-    return _fail(f"unknown gaussian mode {sub!r}")
 
 
 def cmd_funny(args) -> int:
     try:
-        src = _make_source(args.system, args)
+        src = _system(args)[1](args)
+        fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
+        rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
     except ValueError as exc:
         return _fail(str(exc))
-    fam = funny.LambdaFamily(k=args.k, horizon=args.horizon,
-                             n_random=args.n_random)
-    rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
     lines = []
     for row in rep.rows:
         obj = row.to_json_obj()
@@ -307,11 +301,21 @@ class _CommandParser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker-count hint; results are worker-independent")
     p.add_argument("--out", default=None)
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--config", default=None)
+
+
+def _add_system_params(p, delta: float):
+    """The parameters of the systems in _SYSTEMS, shared by system and funny."""
+    p.add_argument("--alpha", default="sqrt2-1")
+    p.add_argument("--beta", type=float, default=0.7)
+    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--delta", type=float, default=delta)
+    p.add_argument("--delta0", type=float, default=0.5)
+    p.add_argument("--M", type=int, default=201)
+    p.add_argument("--phi", default="0,1")
+    p.add_argument("--log2-length", type=int, default=20)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
@@ -343,23 +347,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("system", help="correlation tables and name batches")
-    s.add_argument("system", choices=["rudin-shapiro", "nil", "rotation",
-                                      "distal", "odometer"])
+    s.add_argument("system", choices=[name for name, (rows, _) in _SYSTEMS.items() if rows])
     s.add_argument("--L", type=int, default=2**20)
     s.add_argument("--nmax", type=int, default=16)
-    s.add_argument("--alpha", default="sqrt2-1")
-    s.add_argument("--beta", type=float, default=0.7)
-    s.add_argument("--gamma", type=float, default=0.0)
-    s.add_argument("--delta", type=float, default=0.1)
-    s.add_argument("--delta0", type=float, default=0.5)
-    s.add_argument("--M", type=int, default=201)
     s.add_argument("--m-scale", type=int, default=1)
-    s.add_argument("--phi", default="0,1")
-    s.add_argument("--log2-length", type=int, default=20)
     s.add_argument("--names", type=int, default=0)
     s.add_argument("--length", type=int, default=256)
     s.add_argument("--names-out", default=None)
-    s.add_argument("--p0", type=float, default=0.5)
+    _add_system_params(s, delta=0.1)
     _add_common(s)
     s.set_defaults(func=cmd_system)
 
@@ -376,23 +371,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     g.set_defaults(func=cmd_gaussian)
 
     f = sub.add_parser("funny", help="funny-word probe of the non-AT bound")
-    f.add_argument("--system", required=True,
-                   choices=["rudin-shapiro", "nil", "rotation", "distal",
-                            "odometer", "coin", "constant"])
+    f.add_argument("--system", required=True, choices=list(_SYSTEMS))
     f.add_argument("--k", type=int, default=32)
     f.add_argument("--eps", type=float, default=0.1)
     f.add_argument("--samples", type=int, default=10**4)
     f.add_argument("--horizon", type=int, default=256)
     f.add_argument("--n-random", type=int, default=8)
-    f.add_argument("--alpha", default="sqrt2-1")
-    f.add_argument("--beta", type=float, default=0.7)
-    f.add_argument("--gamma", type=float, default=0.0)
-    f.add_argument("--delta", type=float, default=0.0)
-    f.add_argument("--delta0", type=float, default=0.5)
-    f.add_argument("--M", type=int, default=201)
-    f.add_argument("--phi", default="0,1")
-    f.add_argument("--log2-length", type=int, default=20)
     f.add_argument("--p0", type=float, default=0.5)
+    _add_system_params(f, delta=0.0)
     _add_common(f)
     f.set_defaults(func=cmd_funny)
 

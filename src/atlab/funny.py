@@ -163,6 +163,10 @@ class LambdaFamily:
     offsets_per_step: int = 3
     n_random: int = 8
 
+    def __post_init__(self):
+        if not 1 <= self.k <= self.horizon:
+            raise ValueError("need 1 <= k <= horizon")
+
     def candidates(self, rng) -> list[tuple[int, ...]]:
         out = []
         seen = set()
@@ -223,6 +227,8 @@ def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
     the word by coordinatewise majority on a training half and estimate
     mu{dbar < eps} on the held-out half; the score is |Lambda| * mass."""
     bound = non_at_bound(epsilon)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
     names = src.sample_names(2 * samples, family.horizon, seed)

@@ -52,6 +52,8 @@ def rudin_shapiro_names(L: int) -> np.ndarray:
 def empirical_correlation(signs: np.ndarray, n_max: int,
                           label: str = "empirical") -> FourierTable:
     """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n} as a table."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     s = np.asarray(signs, dtype=float)
     L = s.size
     if L < 4 * n_max:
@@ -148,6 +150,7 @@ def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
     S = sum_{j<n} e^{2 pi i j alpha} = |S| e^{i psi}, g^(n)(x) = (delta/2pi)
     |S| sin(2 pi x + psi), so by Jacobi-Anger each integral is the Bessel term
     e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
+    Negative lags follow the Hermitian convention c(-n) = conj(c(n)).
     """
     # scipy.special takes ~50 ms to import; keep it off the CLI start-up path
     from scipy.special import jv
@@ -158,9 +161,11 @@ def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
         raise ValueError("need 0 <= delta < 1 - delta0")
     if n == 0:
         return 1.0 + 0.0j
+    if n < 0:
+        return rotation_ac_cocycle_correlation(alpha, delta, delta0, -n, M).conjugate()
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms
-    S = np.sum(np.exp(2j * np.pi * alpha * np.arange(abs(n))))
+    S = np.sum(np.exp(2j * np.pi * alpha * np.arange(n)))
     const = n * (n - 1) * alpha / 2.0
     integrals = (np.exp(2j * np.pi * ms * const) * jv(-ms * n, ms * delta * abs(S))
                  * np.exp(-1j * ms * n * np.angle(S)))
@@ -458,6 +463,8 @@ class RudinShapiroSource(NameSource):
         self.signs = rudin_shapiro_names(2 ** log2_length)
 
     def sample_names(self, count, length, seed):
+        if length >= self.signs.size:
+            raise ValueError(f"names of length {length} need 2^log2_length > {length}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         starts = rng.integers(0, self.signs.size - length, size=count)
         idx = starts[:, None] + np.arange(length)[None, :]

@@ -11,7 +11,7 @@ _CRITERIA = {
     "test_criterion_08_gaussian_cocycle": "Gaussian cocycle: Var >= n; white-noise table certifies",
     "test_criterion_09_constant_chain": "constant chain margin > 0; fourth-power pipeline certifies",
     "test_criterion_10_funny_word_bound": "funny-word bound respected; degenerate fixture flagged",
-    "test_criterion_11_determinism": "byte-identical reports across worker counts",
+    "test_criterion_11_determinism": "byte-identical reports for identical seeds",
 }
 
 

@@ -144,12 +144,19 @@ def test_system_nil_even_rows_zero(capsys):
             assert float(re) == 0.0 and float(im) == 0.0
 
 
-def test_system_odometer_names_batch(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["rudin-shapiro", "--L", "1024", "--log2-length", "10"],
+    ["nil"],
+    ["rotation", "--M", "21"],
+    ["distal"],
+    ["odometer", "--phi", "0,1"],
+], ids=lambda argv: argv[0])
+def test_system_names_batch(tmp_path, capsys, argv):
     out_bin = tmp_path / "names.bin"
-    code, out, _ = run(["system", "odometer", "--phi", "0,1", "--nmax", "4",
-                        "--names", "16", "--length", "32",
+    code, out, _ = run(["system", *argv, "--nmax", "4", "--names", "16", "--length", "32",
                         "--names-out", str(out_bin)], capsys)
     assert code == 0
+    assert len(out.splitlines()) == 6
     from atlab import systems
     bits = systems.read_names(out_bin)
     assert bits.shape == (16, 32)
@@ -173,6 +180,27 @@ def test_system_bad_parameters_exit_2(capsys):
 def test_non_finite_system_parameter_exit_2(capsys, argv):
     if argv[0] == "funny":
         argv = argv + ["--k", "4", "--horizon", "16", "--samples", "100"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["system", "rudin-shapiro", "--names", "4", "--log2-length", "3", "--length", "256"],
+    ["funny", "--system", "rudin-shapiro", "--log2-length", "3"],
+    ["system", "nil", "--names", "-1"],
+    ["system", "nil", "--names", "2", "--length", "-3"],
+    ["system", "rudin-shapiro", "--nmax", "-1", "--L", "64"],
+    ["system", "distal", "--nmax", "-1"],
+    ["funny", "--system", "coin", "--samples", "0"],
+    ["funny", "--system", "coin", "--samples", "-5"],
+    ["funny", "--system", "coin", "--k", "0"],
+    ["funny", "--system", "coin", "--k", "300"],
+    ["funny", "--system", "coin", "--horizon", "0"],
+    ["funny", "--system", "coin", "--eps", "nan"],
+], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
+def test_bad_size_exit_2(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -221,6 +249,21 @@ def test_funny_coin_respects_bound(capsys):
     assert "bound exceeded" not in err
 
 
+@pytest.mark.parametrize("system", ["rudin-shapiro", "nil", "rotation", "distal",
+                                    "odometer", "coin", "constant"])
+def test_funny_every_system(capsys, system):
+    argv = ["funny", "--system", system, "--samples", "500", "--k", "8", "--horizon", "64",
+            "--n-random", "2"]
+    if system == "rudin-shapiro":
+        argv += ["--log2-length", "10"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    # 3 offsets for each of the 5 steps (spans 7..56 < 64), plus 2 random sets
+    lambdas = {tuple(json.loads(line)["lambda"]) for line in out.splitlines()}
+    assert len(lambdas) == len(out.splitlines()) == 17
+    assert all(len(lam) == 8 and lam[-1] < 64 for lam in lambdas)
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N = 3\nseed = 9\n")
@@ -258,18 +301,6 @@ def test_config_file_store_true_flag(tmp_path, capsys, flag):
 def test_float_17_digit_round_trip():
     for x in [1.0 / 3.0, 2.1685067667181943e-09, 0.1065397273290956, -1e-300]:
         assert float(cli._fmt_float(x)) == x
-
-
-def test_workers_flag_does_not_change_output(tmp_path, capsys):
-    outs = []
-    for workers in ("1", "4"):
-        f = tmp_path / f"w{workers}.json"
-        code, _, _ = run(["gaussian", "orthant", "--r", "0.5",
-                          "--samples", "20000", "--seed", "7",
-                          "--workers", workers, "--out", str(f)], capsys)
-        assert code == 0
-        outs.append(f.read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_console_script_installed(tmp_path):

@@ -201,6 +201,16 @@ def test_nil_symmetry_in_n():
     assert v1 == v2
 
 
+@pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1],
+                         ids=["sqrt2-1", "golden"])
+def test_rotation_cocycle_hermitian_in_n(alpha):
+    src = systems.RotationCocycleSource(alpha=alpha, delta=0.3, delta0=0.5, M=21)
+    for n in range(1, 9):
+        c = systems.rotation_ac_cocycle_correlation(alpha, 0.3, 0.5, n, M=21)
+        assert systems.rotation_ac_cocycle_correlation(alpha, 0.3, 0.5, -n, M=21) == c.conjugate()
+        assert src.exact_correlation(-n) == src.exact_correlation(n)
+
+
 def test_nil_beta_near_one_small():
     small = abs(systems.nil_rotation_correlation(systems.SQRT2_M1, 0.99, 0.0, 1))
     large = abs(systems.nil_rotation_correlation(systems.SQRT2_M1, 0.6, 0.0, 1))
