@@ -1,7 +1,7 @@
 """Command-line front end: reproducible experiments with machine-readable output.
 
-Exit codes: 0 success (certify: CERTIFIED_SBH), 2 invalid parameters,
-3 certify CERTIFIED_NOT_SBH, 4 certify UNDECIDED.
+Exit codes: 0 success (certify: CERTIFIED_SBH), 2 invalid parameters or an
+unreadable or unwritable file, 3 certify CERTIFIED_NOT_SBH, 4 certify UNDECIDED.
 `system` and `funny` share one table of systems, `_SYSTEMS`: adding a system
 takes one entry there.
 """
@@ -114,7 +114,7 @@ def cmd_measure(args) -> int:
                 t = fourier.arcsine_fourth_transform(t0)
             else:
                 t = fourier.power_subsample(t0, args.m)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     payload = render_json(fourier.table_to_json_obj(t))
     _emit(payload, args)
@@ -135,7 +135,7 @@ _EXITCODE = {"CERTIFIED_SBH": 0, "CERTIFIED_NOT_SBH": 3, "UNDECIDED": 4}
 def cmd_certify(args) -> int:
     try:
         t = fourier.read_measure(args.infile)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     if args.subsample_scan:
         try:
@@ -163,9 +163,9 @@ def cmd_certify(args) -> int:
 
 
 def _rudin_shapiro_rows(args):
-    table = systems.empirical_correlation(systems.rudin_shapiro_names(args.L), args.nmax)
+    c = systems.empirical_correlation(systems.rudin_shapiro_names(args.L), args.nmax)
     err = 5.0 / math.sqrt(args.L)
-    return [(n, table.at(n), "empirical", err) for n in range(args.nmax + 1)]
+    return [(n, v, "empirical", err) for n, v in enumerate(c)]
 
 
 def _nil_rows(args):
@@ -235,11 +235,13 @@ def cmd_gaussian(args) -> int:
             _emit(render_json(rep.to_json_obj()), args)
             return 0
         if sub in ("orthant", "product"):
+            if args.n < 1:
+                raise ValueError(f"need --n >= 1, got {args.n}")
             if args.spec:
                 spec = gaussian.GaussianSpec.from_fourier_table(
                     fourier.read_measure(args.spec))
             else:
-                r = np.zeros(max(args.n, 1) + 1)
+                r = np.zeros(args.n + 1)
                 r[0] = 1.0
                 r[args.n] = args.r
                 spec = gaussian.GaussianSpec(r)
@@ -258,7 +260,7 @@ def cmd_gaussian(args) -> int:
         t = gaussian.cocycle_correlation_table(spec, args.M, args.nmax)
         _emit(render_json(fourier.table_to_json_obj(t)), args)
         return 0
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
 
 
@@ -421,7 +423,10 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             return _fail(str(exc))
         args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # unreadable input or unwritable output
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -10,16 +10,20 @@ the uniform grid theta_j = j/G by one inverse FFT of length G (coefficients
 folded to n mod G, so any G is exact); at other points it is a direct sum.
 :func:`density_sup` turns the grid maximum into a certified bound by adding
 the tail, a Bernstein derivative margin and a stated FFT rounding term.
+
+:meth:`FourierTable.gram` gathers the Gram matrix [c(n_i - n_j)] of any
+index family; the SBH forms, the Toeplitz PSD check and Gaussian sampling
+all read their matrices from it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, toeplitz
 
 # minimal Toeplitz eigenvalue may dip this far below 0 and still count as PSD
 PSD_TOL = -1e-8
@@ -82,6 +86,24 @@ class FourierTable:
         if abs(n) > self.half_width:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.half_width])
+
+    @functools.cached_property
+    def _gram_coeffs(self) -> np.ndarray:
+        # real coefficients gather into float64 matrices; decided once per table
+        return self.coeffs.real if not np.any(self.coeffs.imag) else self.coeffs
+
+    def gram(self, idx) -> np.ndarray:
+        """Gram matrices [c(n_i - n_j)] of the rows of an integer array: (..., k) -> (..., k, k).
+
+        Entries with |n_i - n_j| > N are 0 (covered by tail_bound); float64 for a real table.
+        """
+        idx = np.asarray(idx)
+        diffs = idx[..., :, None] - idx[..., None, :]
+        N = self.half_width
+        out = np.zeros(diffs.shape, dtype=self._gram_coeffs.dtype)
+        inside = np.abs(diffs) <= N
+        out[inside] = self._gram_coeffs[diffs[inside] + N]
+        return out
 
     def nonneg(self) -> np.ndarray:
         """The c(0..N) half of the table (read-only view)."""
@@ -292,14 +314,13 @@ def sqrt_template(c: float, N: int) -> FourierTable:
 def is_positive_definite(t: FourierTable, k: int) -> tuple[bool, float]:
     """PSD check of the k x k Toeplitz matrix [c(i-j)]; returns (pass, min eig).
 
-    Real coefficients give a real symmetric matrix, whose eigenvalues come
-    several times faster than those of the equal complex Hermitian one.
+    A real table gives a real symmetric matrix (see :meth:`FourierTable.gram`),
+    whose eigenvalues come several times faster than those of the equal
+    complex Hermitian one.
     """
     if k < 1 or k > t.half_width + 1:
         raise ValueError("need 1 <= k <= half_width + 1")
-    col = t.nonneg()[:k]
-    T = toeplitz(col.real) if not np.any(col.imag) else toeplitz(col, col.conj())
-    lam_min = float(eigvalsh(T)[0])
+    lam_min = float(np.linalg.eigvalsh(t.gram(np.arange(k)))[0])
     return lam_min >= PSD_TOL, lam_min
 
 

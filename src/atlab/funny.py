@@ -7,9 +7,8 @@ transitivity.  Every search report carries that caveat.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,9 +215,6 @@ class SearchReport:
     def violations(self, slack_sigmas: float = 4.0) -> list[SearchRow]:
         return [r for r in self.rows
                 if r.k_times_mass > r.bound + slack_sigmas * len(r.indices) * r.stderr]
-
-    def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(r.to_json_obj()) for r in self.rows)
 
 
 def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,

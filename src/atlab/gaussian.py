@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 from .fourier import FourierTable, is_positive_definite
 from .systems import square_wave_coeffs
@@ -82,11 +81,11 @@ def sample_path(spec: GaussianSpec, length: int, count: int, seed: int) -> np.nd
     autocovariance, via Toeplitz Cholesky with escalating diagonal jitter."""
     if not 1 <= length <= spec.half_width + 1:
         raise ValueError("need 1 <= length <= autocov range + 1")
-    C = toeplitz(spec.autocov[:length])
+    C = spec.to_fourier_table().gram(np.arange(length))
     L = None
     for jit in _JITTERS:
         try:
-            L = cholesky(C + jit * np.eye(length), lower=True)
+            L = np.linalg.cholesky(C + jit * np.eye(length))
             break
         except np.linalg.LinAlgError:
             continue

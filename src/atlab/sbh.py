@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -59,20 +59,11 @@ def _check_indices(indices) -> np.ndarray:
     return idx
 
 
-def _gram(t: FourierTable, idx: np.ndarray) -> np.ndarray:
-    diffs = idx[:, None] - idx[None, :]
-    N = t.half_width
-    out = np.zeros(diffs.shape, dtype=complex)
-    inside = np.abs(diffs) <= N
-    out[inside] = t.coeffs[diffs[inside] + N]
-    return out
-
-
 def blum_hanson_average(t: FourierTable, indices) -> float:
     """(1/k^2) sum_{i,j} c(n_i - n_j): squared norm of the averaged exponentials."""
     idx = _check_indices(indices)
     k = idx.size
-    return float(np.real(np.sum(_gram(t, idx)))) / (k * k)
+    return float(np.real(np.sum(t.gram(idx)))) / (k * k)
 
 
 def sbh_form(t: FourierTable, indices, signs) -> float:
@@ -82,8 +73,7 @@ def sbh_form(t: FourierTable, indices, signs) -> float:
     if eta.shape != idx.shape:
         raise ValueError("indices and signs must have equal length")
     s = np.where(eta % 2 == 0, 1.0, -1.0)
-    G = _gram(t, idx)
-    return float(np.real(s @ G @ s)) / idx.size
+    return float(s @ np.real(t.gram(idx)) @ s) / idx.size
 
 
 def _sign_matrix(k: int) -> np.ndarray:
@@ -110,12 +100,7 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int,
         raise ValueError("exhaustive search budget exceeded")
     S = _sign_matrix(k)
     subsets = np.array(list(combinations(range(window), k)), dtype=int)
-    N = t.half_width
-    diffs = subsets[:, :, None] - subsets[:, None, :]
-    G = np.zeros(diffs.shape, dtype=complex)
-    inside = np.abs(diffs) <= N
-    G[inside] = t.coeffs[diffs[inside] + N]
-    Gr = np.real(G)
+    Gr = np.real(t.gram(subsets))
     # vals[a, s] = S[a] . Gr[s] . S[a] / k
     vals = np.einsum("ai,sij,aj->as", S, Gr, S) / k
     a_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
@@ -134,17 +119,9 @@ def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
     if k < 1 or window < k:
         raise ValueError("need 1 <= k <= window")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    N = t.half_width
-
-    def coef(d):
-        return float(t.coeffs[d + N].real) if abs(d) <= N else 0.0
 
     def value(idx, s):
-        tot = 0.0
-        for i in range(len(idx)):
-            for j in range(len(idx)):
-                tot += s[i] * s[j] * coef(idx[i] - idx[j])
-        return tot / len(idx)
+        return float(np.asarray(s) @ np.real(t.gram(idx)) @ s) / len(idx)
 
     # greedy: grow the index set one element at a time, trying both signs
     idx, s = [0], [1.0]

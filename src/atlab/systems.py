@@ -49,20 +49,19 @@ def rudin_shapiro_names(L: int) -> np.ndarray:
     return _RS_SIGN[word[:L]].astype(np.int8)
 
 
-def empirical_correlation(signs: np.ndarray, n_max: int,
-                          label: str = "empirical") -> FourierTable:
-    """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n} as a table."""
+def empirical_correlation(signs: np.ndarray, n_max: int) -> np.ndarray:
+    """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n}, n = 0..n_max (no tail bound)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     s = np.asarray(signs, dtype=float)
     L = s.size
     if L < 4 * n_max:
         raise ValueError("sequence too short: need length >= 4 * n_max")
-    nn = np.empty(n_max + 1, dtype=complex)
-    nn[0] = 1.0
+    c = np.empty(n_max + 1)
+    c[0] = 1.0
     for n in range(1, n_max + 1):
-        nn[n] = float(s[:L - n] @ s[n:]) / (L - n)
-    return FourierTable.from_nonneg(nn, tail_bound=0.0, label=label)
+        c[n] = s[:L - n] @ s[n:] / (L - n)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,10 @@ def test_criterion_03_rudin_shapiro():
     t0 = time.perf_counter()
     L = 2**20
     signs = systems.rudin_shapiro_names(L)
-    table = systems.empirical_correlation(signs, 64)
+    c = systems.empirical_correlation(signs, 64)
     tol = 5.0 / math.sqrt(L)
     for n in range(1, 65):
-        assert abs(table.at(n)) <= tol, (n, table.at(n))
+        assert abs(c[n]) <= tol, (n, c[n])
     # independent binary-counting oracle: r_n = (-1)^{count of '11' pairs}
     ns = np.arange(2**16, dtype=np.uint64)
     pairs = np.zeros(2**16, dtype=np.int64)

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line harness: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,42 @@ def test_bad_size_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "lebesgue", "--N", "2", "--out", "{bad}/x.json"],
+    ["measure", "lebesgue", "--N", "2", "--density-csv", "{bad}/d.csv"],
+    ["system", "nil", "--names", "2", "--length", "4", "--names-out", "{bad}/x.bin"],
+    ["funny", "--system", "coin", "--k", "4", "--horizon", "16", "--samples", "100",
+     "--out", "{bad}/f"],
+], ids=["measure-out", "density-csv", "names-out", "funny-out"])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    bad = tmp_path / "missing-dir"
+    code, _, err = run([tok.format(bad=bad) for tok in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", ["orthant", "product"])
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_gaussian_nonpositive_lag_exit_2(capsys, mode, n):
+    code, out, err = run(["gaussian", mode, "--n", n, "--samples", "100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--n" in err and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is only imported lazily, for the rotation cocycle's Bessel values."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, atlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_gaussian_orthant_json(capsys):
     code, out, _ = run(["gaussian", "orthant", "--r", "0.5",
                         "--samples", "100000", "--seed", "3"], capsys)
@@ -259,8 +299,11 @@ def test_funny_every_system(capsys, system):
     code, out, _ = run(argv, capsys)
     assert code == 0
     # 3 offsets for each of the 5 steps (spans 7..56 < 64), plus 2 random sets
-    lambdas = {tuple(json.loads(line)["lambda"]) for line in out.splitlines()}
-    assert len(lambdas) == len(out.splitlines()) == 17
+    rows = [json.loads(line) for line in out.splitlines()]
+    lambdas = {tuple(row["lambda"]) for row in rows}
+    assert len(lambdas) == len(rows) == 17
+    assert all(set(row) == {"lambda", "word", "mass_below", "k_times_mass", "bound",
+                            "stderr", "caveat"} for row in rows)
     assert all(len(lam) == 8 and lam[-1] < 64 for lam in lambdas)
 
 
@@ -307,11 +350,7 @@ def test_console_script_installed(tmp_path):
     """Run the `atlab` console script: the installed executable if one is on
     PATH, else the wrapper an installer writes for the entry point that
     pyproject.toml declares, run from `src` in a child process."""
-    import os
     import shutil
-    import subprocess
-    import sys
-    from pathlib import Path
     args = ["measure", "lebesgue", "--N", "2"]
     exe = shutil.which("atlab")
     if exe is not None:

@@ -1,11 +1,12 @@
 """Tests for the funny-word machinery and the empirical non-AT probe."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from atlab import fourier, funny, sbh, systems
+from atlab import cli, fourier, funny, sbh, systems
 
 
 def test_hamming_basics():
@@ -183,18 +184,24 @@ def test_funny_word_search_deterministic():
     fam = funny.LambdaFamily(k=8, horizon=32, n_random=4)
     a = funny.funny_word_search(src, fam, epsilon=0.1, samples=1000, seed=14)
     b = funny.funny_word_search(src, fam, epsilon=0.1, samples=1000, seed=14)
-    assert a.to_json_lines() == b.to_json_lines()
+    assert [r.to_json_obj() for r in a.rows] == [r.to_json_obj() for r in b.rows]
     assert a.best.indices == b.best.indices
     assert a.best.word == b.best.word
 
 
-def test_search_report_json_lines():
+def test_search_report_json_lines(capsys):
+    code = cli.main(["funny", "--system", "coin", "--k", "4", "--horizon", "16",
+                     "--n-random", "2", "--eps", "0.1", "--samples", "500", "--seed", "15"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
     src = systems.CoinSource()
     fam = funny.LambdaFamily(k=4, horizon=16, n_random=2)
     rep = funny.funny_word_search(src, fam, epsilon=0.1, samples=500, seed=15)
-    import json
-    for line in rep.to_json_lines().splitlines():
+    assert len(lines) == len(rep.rows)
+    for line, row in zip(lines, rep.rows):
         obj = json.loads(line)
         for key in ("lambda", "word", "mass_below", "k_times_mass",
                     "bound", "stderr"):
             assert key in obj
+        assert obj["lambda"] == list(row.indices)
+        assert obj["word"] == list(row.word)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh, toeplitz
 
-from atlab import fourier
+from atlab import fourier, sbh
 
 PROPS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -116,6 +116,49 @@ def test_real_psd_path_matches_hermitian(data):
     ref = _hermitian_lam_min(t, k)
     assert lam == pytest.approx(ref, abs=1e-12)
     assert ok == (ref >= fourier.PSD_TOL)
+
+
+@st.composite
+def real_tables(draw):
+    """Random real symmetric tables with |c(n)| < 1 and c(0) = 1."""
+    N = draw(st.integers(0, 40))
+    re = draw(st.lists(st.floats(-0.7, 0.7), min_size=N, max_size=N))
+    return fourier.FourierTable.from_nonneg(np.concatenate([[1.0], re]), label="real")
+
+
+@PROPS
+@given(data=st.data())
+def test_gram_matches_pointwise_loop(data):
+    t = data.draw(st.one_of(tables(), real_tables()))
+    N = t.half_width
+    # indices up to 2N + 8 apart reach differences inside and outside the support
+    shape = data.draw(st.one_of(st.tuples(st.integers(1, 6)),
+                                st.tuples(st.integers(1, 3), st.integers(1, 6))))
+    flat = data.draw(st.lists(st.integers(-N - 4, N + 4), min_size=int(np.prod(shape)),
+                              max_size=int(np.prod(shape))))
+    idx = np.array(flat, dtype=int).reshape(shape)
+    rows = idx.reshape(-1, shape[-1])
+    ref = np.array([[[t.at(int(a - b)) for b in row] for a in row] for row in rows])
+    G = t.gram(idx)
+    assert G.shape == shape + shape[-1:]
+    assert np.array_equal(G.reshape(ref.shape), ref)
+    assert (G.dtype == np.float64) == (not np.any(t.coeffs.imag))
+
+
+@PROPS
+@given(data=st.data())
+def test_witness_forms_below_certificates(data):
+    # s^T G s / k = (1/k) int |sum_j s_j e(n_j theta)|^2 d_N <= sup d_N, and <= the l1 bound
+    t = data.draw(real_tables())
+    k = data.draw(st.integers(1, 4))
+    window = data.draw(st.integers(k, 8))
+    rep = sbh.certify(t, k=k, window=window, heuristic_budget=data.draw(st.integers(1, 60)),
+                      seed=data.draw(st.integers(0, 2**16)))
+    bound = min(rep.l1_certificate, rep.density_certificate) + 1e-9
+    for val, wit in ((rep.exhaustive_sup, rep.exhaustive_witness),
+                     (rep.heuristic_sup, rep.heuristic_witness)):
+        assert val <= bound
+        assert sbh.sbh_form(t, wit["indices"], wit["signs"]) <= bound
 
 
 @PROPS
