@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (certify: CERTIFIED_SBH), 2 invalid parameters or an
 unreadable or unwritable file, 3 certify CERTIFIED_NOT_SBH, 4 certify UNDECIDED.
-`system` and `funny` share one table of systems, `_SYSTEMS`: adding a system
-takes one entry there.
+`main` alone maps errors to exit 2: the `cmd_*` functions raise ValueError on
+bad input, and `main` turns it, or an OSError, into one `error:` line.
+`measure` picks its kind from `_MEASURES`, and `system` and `funny` share one
+table of systems, `_SYSTEMS`: adding a kind or a system takes one entry there.
 """
 
 from __future__ import annotations
@@ -88,36 +90,33 @@ def correlation_csv(rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: straight-line code that raises ValueError on bad input
+
+
+def _read_in(args):
+    """The table read from --in, which the transform kinds of `measure` need."""
+    if not args.infile:
+        raise ValueError(f"measure {args.kind} needs --in")
+    return fourier.read_measure(args.infile)
+
+
+# kind -> builder of the table from the parsed args; like _SYSTEMS, the builders
+# look up fourier.* when called, so a rebound (e.g. traced) attribute runs
+_MEASURES = {
+    "lebesgue": lambda a: fourier.lebesgue_table(a.N),
+    "dirac": lambda a: fourier.dirac_table(a.N),
+    "riesz": lambda a: fourier.riesz_product([float(x) for x in a.a.split(",")],
+                                             [int(x) for x in a.freq.split(",")], a.N),
+    "sqrt": lambda a: fourier.sqrt_template(a.c, a.N),
+    "arcsine": lambda a: fourier.arcsine_transform(_read_in(a)),
+    "arcsine4": lambda a: fourier.arcsine_fourth_transform(_read_in(a)),
+    "subsample": lambda a: fourier.power_subsample(_read_in(a), a.m),
+}
 
 
 def cmd_measure(args) -> int:
-    kind = args.kind
-    try:
-        if kind == "lebesgue":
-            t = fourier.lebesgue_table(args.N)
-        elif kind == "dirac":
-            t = fourier.dirac_table(args.N)
-        elif kind == "riesz":
-            amps = [float(x) for x in args.a.split(",")]
-            freqs = [int(x) for x in args.freq.split(",")]
-            t = fourier.riesz_product(amps, freqs, args.N)
-        elif kind == "sqrt":
-            t = fourier.sqrt_template(args.c, args.N)
-        elif kind in ("arcsine", "arcsine4", "subsample"):
-            if not args.infile:
-                return _fail(f"measure {kind} needs --in")
-            t0 = fourier.read_measure(args.infile)
-            if kind == "arcsine":
-                t = fourier.arcsine_transform(t0)
-            elif kind == "arcsine4":
-                t = fourier.arcsine_fourth_transform(t0)
-            else:
-                t = fourier.power_subsample(t0, args.m)
-    except ValueError as exc:
-        return _fail(str(exc))
-    payload = render_json(fourier.table_to_json_obj(t))
-    _emit(payload, args)
+    t = _MEASURES[args.kind](args)
+    _emit(render_json(fourier.table_to_json_obj(t)), args)
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
         thetas = np.arange(grid) / grid
@@ -133,33 +132,26 @@ _EXITCODE = {"CERTIFIED_SBH": 0, "CERTIFIED_NOT_SBH": 3, "UNDECIDED": 4}
 
 
 def cmd_certify(args) -> int:
-    try:
-        t = fourier.read_measure(args.infile)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if args.subsample_scan:
-        try:
-            lo, hi = (int(x) for x in args.subsample_scan.split(".."))
-        except ValueError:
-            return _fail("--subsample-scan expects LO..HI")
-        found = None
-        reports = []
-        for m in range(lo, hi + 1):
-            rep = sbh.certify(fourier.power_subsample(t, m), k=args.k,
-                              window=args.window, seed=args.seed)
-            reports.append({"m": m, "report": rep.to_json_obj()})
-            if rep.verdict == "CERTIFIED_SBH" and found is None:
-                found = m
-        payload = render_json({"first_certified_m": found, "scan": reports})
-        _emit(payload, args)
-        return 0 if found is not None else 4
-    try:
+    t = fourier.read_measure(args.infile)
+    if not args.subsample_scan:
         rep = sbh.certify(t, k=args.k, window=args.window, seed=args.seed,
                           heuristic_budget=args.budget)
-    except ValueError as exc:
-        return _fail(str(exc))
-    _emit(render_json(rep.to_json_obj()), args)
-    return _EXITCODE[rep.verdict]
+        _emit(render_json(rep.to_json_obj()), args)
+        return _EXITCODE[rep.verdict]
+    try:
+        lo, hi = (int(x) for x in args.subsample_scan.split(".."))
+    except ValueError:
+        raise ValueError("--subsample-scan expects LO..HI") from None
+    if lo > hi:
+        raise ValueError(f"--subsample-scan range {lo}..{hi} is empty")
+    reports = []
+    for m in range(lo, hi + 1):
+        rep = sbh.certify(fourier.power_subsample(t, m), k=args.k, window=args.window,
+                          seed=args.seed, heuristic_budget=args.budget)
+        reports.append({"m": m, "report": rep.to_json_obj()})
+    found = next((r["m"] for r in reports if r["report"]["verdict"] == "CERTIFIED_SBH"), None)
+    _emit(render_json({"first_certified_m": found, "scan": reports}), args)
+    return 0 if found is not None else 4
 
 
 def _rudin_shapiro_rows(args):
@@ -212,15 +204,11 @@ def _system(args):
 
 
 def cmd_system(args) -> int:
-    try:
-        rows, source = _system(args)
-        if args.nmax < 0 or args.names < 0 or args.length < 1:
-            raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
-        csv = correlation_csv(rows(args))
-        bits = (source(args).sample_names(args.names, args.length, args.seed)
-                if args.names else None)
-    except ValueError as exc:
-        return _fail(str(exc))
+    rows, source = _system(args)
+    if args.nmax < 0 or args.names < 0 or args.length < 1:
+        raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
+    csv = correlation_csv(rows(args))
+    bits = source(args).sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args)
     if bits is not None:
         systems.write_names(bits, args.names_out or "names.bin")
@@ -228,56 +216,43 @@ def cmd_system(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    sub = args.mode
-    try:
-        if sub == "constants":
-            rep = gaussian.gnoat_constant_check()
-            _emit(render_json(rep.to_json_obj()), args)
-            return 0
-        if sub in ("orthant", "product"):
-            if args.n < 1:
-                raise ValueError(f"need --n >= 1, got {args.n}")
-            if args.spec:
-                spec = gaussian.GaussianSpec.from_fourier_table(
-                    fourier.read_measure(args.spec))
-            else:
-                r = np.zeros(args.n + 1)
-                r[0] = 1.0
-                r[args.n] = args.r
-                spec = gaussian.GaussianSpec(r)
-            if sub == "orthant":
-                rep = gaussian.sign_orthant_mc(spec, args.n, args.samples, args.seed)
-            else:
-                rep = gaussian.product_orthant_mc(spec, args.n, args.level,
-                                                  args.samples, args.seed)
-            _emit(render_json(rep.to_json_obj()), args)
-            return 0
-        # cocycle
-        if args.spec:
-            spec = gaussian.GaussianSpec.from_fourier_table(fourier.read_measure(args.spec))
-        else:
-            spec = gaussian.white_noise_spec(args.nmax)
-        t = gaussian.cocycle_correlation_table(spec, args.M, args.nmax)
-        _emit(render_json(fourier.table_to_json_obj(t)), args)
+    mode = args.mode
+    if mode == "constants":
+        _emit(render_json(gaussian.gnoat_constant_check().to_json_obj()), args)
         return 0
-    except ValueError as exc:
-        return _fail(str(exc))
+    if mode != "cocycle" and args.n < 1:
+        raise ValueError(f"need --n >= 1, got {args.n}")
+    if args.spec:
+        spec = gaussian.GaussianSpec.from_fourier_table(fourier.read_measure(args.spec))
+    elif mode == "cocycle":
+        spec = gaussian.white_noise_spec(args.nmax)
+    else:
+        r = np.zeros(args.n + 1)
+        r[0] = 1.0
+        r[args.n] = args.r
+        spec = gaussian.GaussianSpec(r)
+    if mode == "cocycle":
+        obj = fourier.table_to_json_obj(gaussian.cocycle_correlation_table(spec, args.M,
+                                                                           args.nmax))
+    elif mode == "orthant":
+        obj = gaussian.sign_orthant_mc(spec, args.n, args.samples, args.seed).to_json_obj()
+    else:
+        obj = gaussian.product_orthant_mc(spec, args.n, args.level, args.samples,
+                                          args.seed).to_json_obj()
+    _emit(render_json(obj), args)
+    return 0
 
 
 def cmd_funny(args) -> int:
-    try:
-        src = _system(args)[1](args)
-        fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
-        rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
+    src = _system(args)[1](args)
+    fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
+    rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
     lines = []
     for row in rep.rows:
         obj = row.to_json_obj()
         obj["caveat"] = rep.caveat
         lines.append(render_json(obj).replace("\n", " ").replace("  ", " "))
-    payload = "\n".join(lines) + "\n"
-    _emit(payload, args)
+    _emit("\n".join(lines) + "\n", args)
     if rep.violations():
         print("note: bound exceeded by at least one candidate (degenerate dynamics?)",
               file=sys.stderr)
@@ -326,8 +301,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
                             parser_class=_CommandParser)
 
     m = sub.add_parser("measure", help="build or transform circle-measure tables")
-    m.add_argument("kind", choices=["lebesgue", "dirac", "riesz", "sqrt",
-                                    "arcsine", "arcsine4", "subsample"])
+    m.add_argument("kind", choices=list(_MEASURES))
     m.add_argument("--N", type=int, default=64)
     m.add_argument("--a", default="1")
     m.add_argument("--freq", default="1")
@@ -417,15 +391,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap, commands = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        try:
-            _apply_config(args.config, commands)
-        except (ValueError, OSError) as exc:
-            return _fail(str(exc))
-        args = ap.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(args.config, commands)
+            args = ap.parse_args(argv)
         return args.func(args)
-    except OSError as exc:  # unreadable input or unwritable output
+    except (ValueError, OSError) as exc:  # bad input, unreadable or unwritable file
         return _fail(str(exc))
 
 

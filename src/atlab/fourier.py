@@ -349,10 +349,13 @@ def table_from_json_obj(obj: dict) -> FourierTable:
         raise InvariantViolation(f"malformed measure object: {exc}") from exc
     if not 0 <= N <= MAX_HALF_WIDTH:
         raise InvariantViolation(f"half_width must lie in [0, {MAX_HALF_WIDTH}], got {N}")
+    try:
+        entries = [(int(n), float(re), float(im)) for n, re, im in rows]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantViolation(f"malformed coefficient row: {exc}") from exc
     nn = np.zeros(N + 1, dtype=complex)
     last = -1
-    for row in rows:
-        n, re, im = int(row[0]), float(row[1]), float(row[2])
+    for n, re, im in entries:
         if n < 0:
             raise InvariantViolation("coefficients must be listed for n >= 0 only")
         if n <= last:

@@ -84,8 +84,7 @@ def theta_l2_empirical(src: NameSource, w: FunnyWord, samples: int,
 def non_at_bound(epsilon: float) -> float:
     """(1 + eps0) / (2 (1 - 2 eps)^2): the Tchebychev mass bound times k.
 
-    The numerator follows the (1 + eps0) inequality chain; reports surface
-    the eps-numerator variant alongside for comparison.
+    The numerator follows the (1 + eps0) inequality chain.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("need 0 < epsilon < 1/2")
@@ -114,10 +113,10 @@ class ThetaReport:
 
 
 def theta_report(src: NameSource, w: FunnyWord, samples: int, seed: int,
-                 table: FourierTable | None = None, bins: int = 41) -> ThetaReport:
+                 table: FourierTable | None = None) -> ThetaReport:
     names = src.sample_names(samples, w.indices[-1] + 1, seed)
     th = _thetas(names, w)
-    hist, edges = np.histogram(th, bins=bins, range=(-1.0, 1.0), density=False)
+    hist, edges = np.histogram(th, bins=41, range=(-1.0, 1.0), density=False)
     exact = theta_l2_exact(table, w) if table is not None else None
     est = float(np.mean(th**2))
     se = float(np.std(th**2, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -151,6 +150,11 @@ def theta_symmetry_check(src: NameSource, w: FunnyWord, samples: int,
 # Funny-word search: the empirical probe of the necessary AT condition
 
 
+# progression steps d of LambdaFamily, and the offsets a tried for each
+_STEPS = (1, 2, 3, 5, 8)
+_OFFSETS_PER_STEP = 3
+
+
 @dataclass(frozen=True)
 class LambdaFamily:
     """Candidate index sets: arithmetic progressions a, a+d, ..., of length k
@@ -158,8 +162,6 @@ class LambdaFamily:
 
     k: int
     horizon: int
-    steps: tuple[int, ...] = (1, 2, 3, 5, 8)
-    offsets_per_step: int = 3
     n_random: int = 8
 
     def __post_init__(self):
@@ -169,12 +171,12 @@ class LambdaFamily:
     def candidates(self, rng) -> list[tuple[int, ...]]:
         out = []
         seen = set()
-        for d in self.steps:
+        for d in _STEPS:
             span = (self.k - 1) * d
             if span >= self.horizon:
                 continue
             max_a = self.horizon - span - 1
-            n_off = min(self.offsets_per_step, max_a + 1)
+            n_off = min(_OFFSETS_PER_STEP, max_a + 1)
             for a in np.linspace(0, max_a, n_off).astype(int):
                 lam = tuple(int(a) + j * d for j in range(self.k))
                 if lam not in seen:

@@ -18,13 +18,14 @@ class GaussianSpec:
     """Real autocovariance r(0..N) of a unit-variance stationary process."""
 
     autocov: np.ndarray
-    psd_checked: bool = False
 
     def __post_init__(self):
         r = np.asarray(self.autocov, dtype=float)
         object.__setattr__(self, "autocov", r)
         if r.ndim != 1 or r.size == 0:
             raise ValueError("autocov must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("autocov must be finite")
         if abs(r[0] - 1.0) > 1e-12:
             raise ValueError("need r(0) = 1")
         if np.any(np.abs(r) > 1.0 + 1e-12):
@@ -40,40 +41,39 @@ class GaussianSpec:
             raise ValueError("lag outside the stored autocovariance range")
         return float(self.autocov[abs(n)])
 
-    def to_fourier_table(self, label: str = "gaussian-spec") -> FourierTable:
-        return FourierTable.from_nonneg(self.autocov.astype(complex), label=label)
+    def to_fourier_table(self) -> FourierTable:
+        return FourierTable.from_nonneg(self.autocov.astype(complex), label="gaussian-spec")
 
     @classmethod
-    def from_fourier_table(cls, t: FourierTable, check_psd: bool = True) -> "GaussianSpec":
+    def from_fourier_table(cls, t: FourierTable) -> "GaussianSpec":
+        """The spec of a real table whose Toeplitz matrix T_{N+1} is PSD."""
         nn = t.nonneg()
         if np.any(np.abs(nn.imag) > 1e-12):
             raise ValueError("a Gaussian spec needs real coefficients")
-        spec = cls(nn.real.copy(), psd_checked=False)
-        if check_psd:
-            ok, _ = is_positive_definite(t, t.half_width + 1)
-            if not ok:
-                raise ValueError("coefficient table is not positive semidefinite")
-            object.__setattr__(spec, "psd_checked", True)
-        return spec
+        if not is_positive_definite(t, t.half_width + 1)[0]:
+            raise ValueError("coefficient table is not positive semidefinite")
+        return cls(nn.real.copy())
 
 
 def white_noise_spec(N: int) -> GaussianSpec:
+    if N < 0:
+        raise ValueError(f"need N >= 0, got {N}")
     r = np.zeros(N + 1)
     r[0] = 1.0
-    return GaussianSpec(r, psd_checked=True)
+    return GaussianSpec(r)
 
 
 def exponential_spec(rho: float, N: int) -> GaussianSpec:
     """r(n) = rho^|n|; PSD for |rho| < 1."""
     if not -1.0 < rho < 1.0:
         raise ValueError("need |rho| < 1")
-    return GaussianSpec(rho ** np.arange(N + 1, dtype=float), psd_checked=True)
+    return GaussianSpec(rho ** np.arange(N + 1, dtype=float))
 
 
 def triangular_spec(width: int, N: int) -> GaussianSpec:
     """Fejer-type r(n) = max(0, 1 - |n|/width); PSD, nonnegative."""
     ns = np.arange(N + 1, dtype=float)
-    return GaussianSpec(np.maximum(0.0, 1.0 - ns / width), psd_checked=True)
+    return GaussianSpec(np.maximum(0.0, 1.0 - ns / width))
 
 
 def sample_path(spec: GaussianSpec, length: int, count: int, seed: int) -> np.ndarray:
@@ -127,11 +127,19 @@ def _mc_report(hits: np.ndarray, formula: float, samples: int, seed: int) -> McR
                     z_score=z, samples=samples, seed=seed)
 
 
-def sign_orthant_mc(spec: GaussianSpec, n: int, samples: int, seed: int) -> McReport:
-    """Monte Carlo for mu{X_0 > 0, X_n > 0}; closed form 1/4 + arcsin(r)/(2 pi)."""
+def _mc_lag(spec: GaussianSpec, n: int, samples: int) -> float:
+    """r(n) for a Monte Carlo run of ``samples`` draws: |r(n)| < 1 and samples >= 1."""
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     r = spec.r(n)
     if abs(r) >= 1.0:
         raise ValueError("need |r(n)| < 1")
+    return r
+
+
+def sign_orthant_mc(spec: GaussianSpec, n: int, samples: int, seed: int) -> McReport:
+    """Monte Carlo for mu{X_0 > 0, X_n > 0}; closed form 1/4 + arcsin(r)/(2 pi)."""
+    r = _mc_lag(spec, n, samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x0, xn = _correlated_pairs(r, samples, rng)
     formula = 0.25 + math.asin(r) / (2.0 * math.pi)
@@ -147,9 +155,7 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     """
     if level not in (2, 4):
         raise ValueError("level must be 2 or 4")
-    r = spec.r(n)
-    if abs(r) >= 1.0:
-        raise ValueError("need |r(n)| < 1")
+    r = _mc_lag(spec, n, samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     y0 = np.ones(samples)
     yn = np.ones(samples)
@@ -182,8 +188,8 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     """
     if np.any(spec.autocov < 0.0):
         raise ValueError("cocycle correlation table requires r(k) >= 0 for all k")
-    if n_max > spec.half_width + 1:
-        raise ValueError("n_max exceeds the autocovariance range")
+    if not 0 <= n_max <= spec.half_width + 1:
+        raise ValueError(f"need 0 <= n_max <= autocov range + 1, got {n_max}")
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms.astype(float)
     w = sw.weights
@@ -216,7 +222,7 @@ class ConstantChainReport:
             "series_tail_bound", "zeta_bound", "budget", "chain_ok", "margin")}
 
 
-def gnoat_constant_check(c: float | None = None, k_cut: int = 10**6) -> ConstantChainReport:
+def gnoat_constant_check(c: float | None = None) -> ConstantChainReport:
     """Verify the constant chain behind the 4-fold Gaussian construction.
 
     With c = pi^{1/2} ((1+eps0)/86)^{1/4} by default, checks that
@@ -231,6 +237,7 @@ def gnoat_constant_check(c: float | None = None, k_cut: int = 10**6) -> Constant
     xs = np.linspace(0.0, min(c / math.log(2.0), 1.0 - 1e-12), 20001)
     dom = np.arcsin(xs) <= 2.0 * xs + 1e-15
     dom_margin = float(np.min(2.0 * xs[1:] - np.arcsin(xs[1:])))
+    k_cut = 10**6
     ks = np.arange(1, k_cut + 1, dtype=float)
     series = float(np.sum((32.0 / math.pi**4) * np.arcsin(np.minimum(c / np.sqrt(ks), 1.0)) ** 4))
     # integral-test tail: terms <= (512 c^4 / pi^4) / k^2 once arcsin x <= 2x applies

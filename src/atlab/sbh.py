@@ -204,14 +204,14 @@ class SbhReport:
 
 
 def certify(t: FourierTable, k: int = 4, window: int = 8,
-            grid_size: int | None = None,
             heuristic_budget: int = 0, seed: int = 0) -> SbhReport:
-    """Assemble SBH certificates and a verdict for a Fourier table."""
+    """Assemble SBH certificates and a verdict for a Fourier table.
+
+    The density certificate reads a grid of max(4N + 4, 64) points.
+    """
     eps = epsilon0()
     l1_cert = 1.0 + l1_tail(t)
-    if grid_size is None:
-        grid_size = max(4 * t.half_width + 4, 64)
-    dens_cert = density_sup(t, grid_size).certified_upper
+    dens_cert = density_sup(t, max(4 * t.half_width + 4, 64)).certified_upper
     exh = exh_witness = None
     params = None
     if k >= 1:

@@ -228,11 +228,11 @@ def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
 # Nil-rotation (Heisenberg quotient) as a skew product over the 2-torus
 
 
-def _reject_rational(x: float, name: str, max_den: int = 4) -> None:
+def _reject_rational(x: float, name: str) -> None:
     # small denominators collapse the breakpoint structure; larger rational
     # approximations are harmless for the integral formulas below
     _require_finite(**{name: x})
-    fr = Fraction(x).limit_denominator(max_den)
+    fr = Fraction(x).limit_denominator(4)
     if abs(x - float(fr)) < 1e-12:
         raise ValueError(f"{name} is rational to within 1e-12 ({fr})")
 

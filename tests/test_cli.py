@@ -101,10 +101,16 @@ def test_certify_undecided_exit_4(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "UNDECIDED"
 
 
-@pytest.mark.parametrize("text", [
-    '{"half_width": 2, "tail_bound": NaN, "coeffs": [[0, 1.0, 0.0]]}',
-    '{"half_width": 1e9, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}',
-], ids=["nan-tail", "huge-half-width"])
+_BAD_MEASURES = {
+    "nan-tail": '{"half_width": 2, "tail_bound": NaN, "coeffs": [[0, 1.0, 0.0]]}',
+    "huge-half-width": '{"half_width": 1e9, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}',
+    "short-row": '{"half_width": 2, "tail_bound": 0.0, "coeffs": [[0, 1]]}',
+    "scalar-coeffs": '{"half_width": 2, "tail_bound": 0.0, "coeffs": 5}',
+    "null-row": '{"half_width": 2, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0], null]}',
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_MEASURES.values()), ids=list(_BAD_MEASURES))
 def test_certify_bad_measure_exit_2(tmp_path, capsys, text):
     mfile = tmp_path / "bad.json"
     mfile.write_text(text)
@@ -112,6 +118,19 @@ def test_certify_bad_measure_exit_2(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["short-row", "scalar-coeffs", "null-row"])
+@pytest.mark.parametrize("argv", [["measure", "arcsine", "--in"],
+                                  ["gaussian", "cocycle", "--spec"]],
+                         ids=["measure-arcsine", "gaussian-spec"])
+def test_bad_measure_file_exit_2(tmp_path, capsys, argv, key):
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(_BAD_MEASURES[key])
+    code, out, err = run([*argv, str(mfile)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed coefficient row") and err.count("\n") == 1
 
 
 def test_certify_subsample_scan(tmp_path, capsys):
@@ -125,6 +144,33 @@ def test_certify_subsample_scan(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["first_certified_m"] == 1
     assert len(obj["scan"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["--subsample-scan", "0..2"],
+    ["--k", "12", "--window", "24", "--subsample-scan", "1..2"],
+    ["--subsample-scan", "5..1"],
+    ["--subsample-scan", "1-2"],
+    ["--budget", "50", "--subsample-scan", "1..2"],
+], ids=["m-zero", "exhaustive-too-big", "empty-range", "no-dots", "budget"])
+def test_certify_subsample_scan_arguments(tmp_path, capsys, argv):
+    mfile = tmp_path / "g.json"
+    from atlab import gaussian
+    t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(16), 201, 16)
+    fourier.write_measure(t, mfile)
+    code, out, err = run(["certify", "--in", str(mfile), *argv], capsys)
+    if "--budget" not in argv:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    # the scan runs the heuristic search with --budget, as a single certify does
+    assert code == 0
+    scan = json.loads(out)["scan"]
+    assert [entry["m"] for entry in scan] == [1, 2]
+    assert all(entry["report"]["heuristic_sup"] is not None for entry in scan)
+    _, single, _ = run(["certify", "--in", str(mfile), "--budget", "50"], capsys)
+    assert scan[0]["report"] == json.loads(single)
 
 
 def test_system_distal_csv(capsys):
@@ -180,6 +226,8 @@ def test_system_bad_parameters_exit_2(capsys):
     ["funny", "--system", "rotation", "--alpha", "nan"],
     ["funny", "--system", "rotation", "--delta", "nan"],
     ["funny", "--system", "nil", "--gamma", "nan"],
+    ["gaussian", "orthant", "--r", "nan"],
+    ["gaussian", "product", "--r", "nan"],
 ], ids=lambda argv: "-".join(tok.lstrip("-") for tok in argv))
 def test_non_finite_system_parameter_exit_2(capsys, argv):
     if argv[0] == "funny":
@@ -203,6 +251,9 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["funny", "--system", "coin", "--k", "300"],
     ["funny", "--system", "coin", "--horizon", "0"],
     ["funny", "--system", "coin", "--eps", "nan"],
+    ["gaussian", "cocycle", "--nmax", "-1"],
+    ["gaussian", "orthant", "--samples", "0"],
+    ["gaussian", "product", "--samples", "0"],
 ], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
 def test_bad_size_exit_2(capsys, argv):
     code, out, err = run(argv, capsys)

@@ -25,7 +25,13 @@ def test_spec_fourier_round_trip():
     t = spec.to_fourier_table()
     back = gaussian.GaussianSpec.from_fourier_table(t)
     assert np.allclose(back.autocov, spec.autocov)
-    assert back.psd_checked
+
+
+def test_spec_from_table_rejects_non_psd():
+    # real, |c| <= 1 and c(0) = 1, but s = (1, -1, 1) gives s^T T s = 3 - 5.4 < 0
+    t = fourier.FourierTable.from_nonneg(np.array([1.0, 0.9, -0.9], dtype=complex))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        gaussian.GaussianSpec.from_fourier_table(t)
 
 
 def test_spec_from_table_rejects_complex():
@@ -156,6 +162,11 @@ def test_cocycle_table_rejects_negative_autocov():
     with pytest.raises(ValueError):
         gaussian.cocycle_correlation_table(
             gaussian.exponential_spec(-0.5, 8), 21, 4)
+
+
+def test_cocycle_table_rejects_negative_nmax():
+    with pytest.raises(ValueError, match="n_max"):
+        gaussian.cocycle_correlation_table(gaussian.white_noise_spec(8), 21, -1)
 
 
 def test_cocycle_table_subsample_certifies():
