@@ -11,6 +11,8 @@ table of systems, `_SYSTEMS`: adding a kind or a system takes one entry there.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import sys
 
@@ -20,39 +22,13 @@ from . import fourier, funny, gaussian, sbh, systems
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization: every float printed with 17 significant digits
+# serialization: the standard library's json and repr print each float in its
+# shortest round-trip form; allow_nan=False turns a non-finite value into a
+# ValueError (exit 2), never a NaN certificate
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(x, ".17g")
-
-
-def render_json(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [render_json(x, indent) for x in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, dict):
-        inner = ",\n".join(
-            f'{pad} {render_json(str(k))}: {render_json(v, indent + 1)}'
-            for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def render_json(obj) -> str:
+    return json.dumps(obj, allow_nan=False)
 
 
 def _emit(payload: str, args) -> None:
@@ -85,7 +61,7 @@ def correlation_csv(rows) -> str:
     out = ["n,re,im,method,error_bar"]
     for n, v, method, err in rows:
         v = complex(v)
-        out.append(f"{n},{_fmt_float(v.real)},{_fmt_float(v.imag)},{method},{_fmt_float(err)}")
+        out.append(f"{n},{v.real!r},{v.imag!r},{method},{float(err)!r}")
     return "\n".join(out) + "\n"
 
 
@@ -115,14 +91,19 @@ _MEASURES = {
 
 
 def cmd_measure(args) -> int:
+    # a wider table could not be read back by --in or certify
+    if not 0 <= args.N <= fourier.MAX_HALF_WIDTH:
+        raise ValueError(f"need 0 <= --N <= {fourier.MAX_HALF_WIDTH}, got {args.N}")
+    if args.density_grid is not None and args.density_grid < 1:
+        raise ValueError(f"need --density-grid >= 1, got {args.density_grid}")
     t = _MEASURES[args.kind](args)
     _emit(render_json(fourier.table_to_json_obj(t)), args)
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
         thetas = np.arange(grid) / grid
-        vals = t.density(thetas)
-        lines = ["theta,density"]
-        lines += [f"{_fmt_float(th)},{_fmt_float(v)}" for th, v in zip(thetas, vals)]
+        # tolist() gives Python floats, whose repr is the shortest round-trip form
+        rows = zip(thetas.tolist(), t.density(thetas).tolist())
+        lines = ["theta,density"] + [f"{th!r},{v!r}" for th, v in rows]
         with open(args.density_csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
@@ -136,7 +117,7 @@ def cmd_certify(args) -> int:
     if not args.subsample_scan:
         rep = sbh.certify(t, k=args.k, window=args.window, seed=args.seed,
                           heuristic_budget=args.budget)
-        _emit(render_json(rep.to_json_obj()), args)
+        _emit(render_json(dataclasses.asdict(rep)), args)
         return _EXITCODE[rep.verdict]
     try:
         lo, hi = (int(x) for x in args.subsample_scan.split(".."))
@@ -148,7 +129,7 @@ def cmd_certify(args) -> int:
     for m in range(lo, hi + 1):
         rep = sbh.certify(fourier.power_subsample(t, m), k=args.k, window=args.window,
                           seed=args.seed, heuristic_budget=args.budget)
-        reports.append({"m": m, "report": rep.to_json_obj()})
+        reports.append({"m": m, "report": dataclasses.asdict(rep)})
     found = next((r["m"] for r in reports if r["report"]["verdict"] == "CERTIFIED_SBH"), None)
     _emit(render_json({"first_certified_m": found, "scan": reports}), args)
     return 0 if found is not None else 4
@@ -218,7 +199,7 @@ def cmd_system(args) -> int:
 def cmd_gaussian(args) -> int:
     mode = args.mode
     if mode == "constants":
-        _emit(render_json(gaussian.gnoat_constant_check().to_json_obj()), args)
+        _emit(render_json(dataclasses.asdict(gaussian.gnoat_constant_check())), args)
         return 0
     if mode != "cocycle" and args.n < 1:
         raise ValueError(f"need --n >= 1, got {args.n}")
@@ -235,10 +216,11 @@ def cmd_gaussian(args) -> int:
         obj = fourier.table_to_json_obj(gaussian.cocycle_correlation_table(spec, args.M,
                                                                            args.nmax))
     elif mode == "orthant":
-        obj = gaussian.sign_orthant_mc(spec, args.n, args.samples, args.seed).to_json_obj()
+        obj = dataclasses.asdict(gaussian.sign_orthant_mc(spec, args.n, args.samples,
+                                                          args.seed))
     else:
-        obj = gaussian.product_orthant_mc(spec, args.n, args.level, args.samples,
-                                          args.seed).to_json_obj()
+        obj = dataclasses.asdict(gaussian.product_orthant_mc(spec, args.n, args.level,
+                                                             args.samples, args.seed))
     _emit(render_json(obj), args)
     return 0
 
@@ -247,12 +229,8 @@ def cmd_funny(args) -> int:
     src = _system(args)[1](args)
     fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
     rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
-    lines = []
-    for row in rep.rows:
-        obj = row.to_json_obj()
-        obj["caveat"] = rep.caveat
-        lines.append(render_json(obj).replace("\n", " ").replace("  ", " "))
-    _emit("\n".join(lines) + "\n", args)
+    _emit("".join(render_json({**row.to_json_obj(), "caveat": rep.caveat}) + "\n"
+                  for row in rep.rows), args)
     if rep.violations():
         print("note: bound exceeded by at least one candidate (degenerate dynamics?)",
               file=sys.stderr)

@@ -341,21 +341,25 @@ def table_to_json_obj(t: FourierTable) -> dict:
 
 def table_from_json_obj(obj: dict) -> FourierTable:
     try:
-        N = int(obj["half_width"])
+        N = obj["half_width"]
         tail = float(obj["tail_bound"])
         rows = obj["coeffs"]
         label = str(obj.get("label", ""))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvariantViolation(f"malformed measure object: {exc}") from exc
-    if not 0 <= N <= MAX_HALF_WIDTH:
-        raise InvariantViolation(f"half_width must lie in [0, {MAX_HALF_WIDTH}], got {N}")
+    # JSON integers only (`type(x) is int`): int() would read 1.9 as 1 and true as 1
+    if type(N) is not int or not 0 <= N <= MAX_HALF_WIDTH:
+        raise InvariantViolation(
+            f"half_width must be an integer in [0, {MAX_HALF_WIDTH}], got {N!r}")
     try:
-        entries = [(int(n), float(re), float(im)) for n, re, im in rows]
+        entries = [(n, float(re), float(im)) for n, re, im in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvariantViolation(f"malformed coefficient row: {exc}") from exc
     nn = np.zeros(N + 1, dtype=complex)
     last = -1
     for n, re, im in entries:
+        if type(n) is not int:
+            raise InvariantViolation(f"coefficient index must be an integer, got {n!r}")
         if n < 0:
             raise InvariantViolation("coefficients must be listed for n >= 0 only")
         if n <= last:
@@ -363,15 +367,15 @@ def table_from_json_obj(obj: dict) -> FourierTable:
         if n > N:
             raise InvariantViolation("coefficient index exceeds half_width")
         last = n
-        nn[n] = re + 1j * im
+        nn[n] = complex(re, im)  # re + 1j * im would turn re = -0.0 into 0.0
     # the FourierTable constructor re-checks c(0)=1, |c|<=1, tail_bound >= 0
     return FourierTable.from_nonneg(nn, tail_bound=tail, label=label)
 
 
 def write_measure(t: FourierTable, path) -> None:
+    """Write ``t`` in the bytes that ``atlab measure --out`` writes."""
     with open(path, "w") as fh:
-        json.dump(table_to_json_obj(t), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(table_to_json_obj(t), allow_nan=False) + "\n")
 
 
 def read_measure(path) -> FourierTable:

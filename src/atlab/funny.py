@@ -138,8 +138,10 @@ def theta_symmetry_check(src: NameSource, w: FunnyWord, samples: int,
     th = _thetas(names, w)
 
     def zscore(x):
+        # a constant x has se = 0: a point mass at 0 is symmetric, any other is not
+        m = abs(float(np.mean(x)))
         se = np.std(x, ddof=1) / math.sqrt(samples)
-        return abs(float(np.mean(x))) / se if se > 0 else math.inf * (np.mean(x) != 0)
+        return m / se if se > 0 else (math.inf if m else 0.0)
 
     stat = max(zscore(th), zscore(th**3))
     return {"statistic": float(stat), "threshold": 4.0,

@@ -105,13 +105,6 @@ class McReport:
     samples: int
     seed: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "estimate": self.estimate, "stderr": self.stderr,
-            "formula_value": self.formula_value, "z_score": self.z_score,
-            "samples": self.samples, "seed": self.seed,
-        }
-
 
 def _correlated_pairs(r: float, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     z1 = rng.standard_normal(samples)
@@ -215,11 +208,6 @@ class ConstantChainReport:
     budget: float
     chain_ok: bool
     margin: float
-
-    def to_json_obj(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "c", "arcsin_domain_ok", "arcsin_domain_margin", "series_value",
-            "series_tail_bound", "zeta_bound", "budget", "chain_ok", "margin")}
 
 
 def gnoat_constant_check(c: float | None = None) -> ConstantChainReport:

@@ -188,20 +188,6 @@ class SbhReport:
     heuristic_witness: dict | None = None
     note: str = ""
 
-    def to_json_obj(self) -> dict:
-        return {
-            "epsilon0": self.epsilon0,
-            "l1_certificate": self.l1_certificate,
-            "density_certificate": self.density_certificate,
-            "exhaustive_sup": self.exhaustive_sup,
-            "exhaustive_params": list(self.exhaustive_params) if self.exhaustive_params else None,
-            "exhaustive_witness": self.exhaustive_witness,
-            "heuristic_sup": self.heuristic_sup,
-            "heuristic_witness": self.heuristic_witness,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
-
 
 def certify(t: FourierTable, k: int = 4, window: int = 8,
             heuristic_budget: int = 0, seed: int = 0) -> SbhReport:

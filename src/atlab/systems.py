@@ -357,10 +357,10 @@ class RotationCocycleSource(NameSource):
         j = np.arange(length)[None, :]
         drift = j * x + j * (j - 1) / 2.0 * self.alpha
         if self.delta != 0.0:
-            # g^(j)(x) in amplitude-phase form
-            S = (np.exp(2j * np.pi * self.alpha * j) - 1.0) / (
-                np.exp(2j * np.pi * self.alpha) - 1.0)
-            S[0, 0] = 0.0
+            # g^(j)(x) = (delta/2pi) Im(e^{2 pi i x} S_j), S_j = sum_{i<j} e^{2 pi i alpha i};
+            # a cumulative sum, since the geometric-series quotient is 0/0 at alpha = 0
+            S = np.zeros(j.shape, dtype=complex)
+            S[:, 1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * j[:, :-1]), axis=1)
             drift = drift + (self.delta / (2.0 * math.pi)) * np.imag(
                 np.exp(2j * np.pi * x) * S)
         return _bit_from_frac(y + drift)

@@ -107,6 +107,12 @@ _BAD_MEASURES = {
     "short-row": '{"half_width": 2, "tail_bound": 0.0, "coeffs": [[0, 1]]}',
     "scalar-coeffs": '{"half_width": 2, "tail_bound": 0.0, "coeffs": 5}',
     "null-row": '{"half_width": 2, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0], null]}',
+    "fractional-index": '{"half_width": 2, "tail_bound": 0.0, '
+                        '"coeffs": [[0, 1.0, 0.0], [1.5, 0.5, 0.0]]}',
+    "fractional-half-width": '{"half_width": 1.9, "tail_bound": 0.0, '
+                             '"coeffs": [[0, 1.0, 0.0], [1, 0.9, 0.0]]}',
+    "bool-index": '{"half_width": 2, "tail_bound": 0.0, '
+                  '"coeffs": [[0, 1.0, 0.0], [true, 0.5, 0.0]]}',
 }
 
 
@@ -254,8 +260,13 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["gaussian", "cocycle", "--nmax", "-1"],
     ["gaussian", "orthant", "--samples", "0"],
     ["gaussian", "product", "--samples", "0"],
+    ["measure", "lebesgue", "--N", "2", "--density-grid", "-5", "--density-csv", "d.csv"],
+    ["measure", "lebesgue", "--N", "2", "--density-grid", "0", "--density-csv", "d.csv"],
+    ["measure", "lebesgue", "--N", "4194305"],
+    ["measure", "riesz", "--N", "-1"],
 ], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
-def test_bad_size_exit_2(capsys, argv):
+def test_bad_size_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -392,9 +403,16 @@ def test_config_file_store_true_flag(tmp_path, capsys, flag):
     assert (out != "") == (flag == "true")
 
 
-def test_float_17_digit_round_trip():
-    for x in [1.0 / 3.0, 2.1685067667181943e-09, 0.1065397273290956, -1e-300]:
-        assert float(cli._fmt_float(x)) == x
+def test_floats_round_trip_exactly():
+    xs = [1.0 / 3.0, 2.1685067667181943e-09, 0.1065397273290956, -1e-300]
+    assert json.loads(cli.render_json(xs)) == xs
+    # numpy scalars too, whose repr in numpy 2 is np.float64(...)
+    rows = [(n, np.complex128(x - 1j * x), "exact", np.float64(x)) for n, x in enumerate(xs)]
+    for x, line in zip(xs, cli.correlation_csv(rows).splitlines()[1:]):
+        _, re, im, _, err = line.split(",")
+        assert (float(re), float(im), float(err)) == (x, -x, x)
+    with pytest.raises(ValueError):  # main maps it to exit 2
+        cli.render_json({"sup": float("nan")})
 
 
 def test_console_script_installed(tmp_path):

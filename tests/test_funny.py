@@ -150,6 +150,14 @@ def test_theta_symmetry_detects_bias():
     assert not rep["symmetric"]
 
 
+def test_theta_symmetry_point_mass_at_zero():
+    # constant names against the word (0, 1) disagree in exactly one place: Theta = 0
+    w = funny.FunnyWord((0, 1), (0, 1))
+    rep = funny.theta_symmetry_check(systems.ConstantSource(), w, samples=100, seed=1)
+    assert rep["statistic"] == 0.0
+    assert rep["symmetric"]
+
+
 def test_lambda_family_candidates():
     fam = funny.LambdaFamily(k=8, horizon=64)
     rng = np.random.default_rng(11)

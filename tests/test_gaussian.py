@@ -1,5 +1,6 @@
 """Tests for Gaussian sampling, orthant laws, and cocycle correlation tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_gnoat_constant_chain_zero():
 
 def test_mc_report_serialization():
     rep = gaussian.sign_orthant_mc(gaussian.white_noise_spec(2), 1, 1000, seed=5)
-    obj = rep.to_json_obj()
+    obj = dataclasses.asdict(rep)
     for key in ("estimate", "stderr", "formula_value", "z_score",
                 "samples", "seed"):
         assert key in obj

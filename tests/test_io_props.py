@@ -1,5 +1,5 @@
 """Round-trip properties of the two file formats the CLI writes: measure JSON
-and packed name batches.
+(from the CLI and from `fourier.write_measure`) and packed name batches.
 
 Every property runs under one deterministic hypothesis profile, so the suite
 draws the same examples on every run.
@@ -37,6 +37,23 @@ def test_measure_json_round_trip(t):
     assert back.tail_bound == t.tail_bound
     assert back.label == t.label
     assert np.array_equal(back.coeffs, t.coeffs)
+
+
+@PROPS
+@given(t=tables())
+def test_write_measure_round_trip(tmp_path_factory, t):
+    """write_measure then read_measure gives the same table, exactly, and the
+    file holds the bytes that `atlab measure --out` writes for that table."""
+    d = tmp_path_factory.mktemp("measure")
+    fourier.write_measure(t, d / "t.json")
+    back = fourier.read_measure(d / "t.json")
+    assert (back.half_width, back.tail_bound, back.label) == (t.half_width, t.tail_bound, t.label)
+    assert np.array_equal(back.coeffs, t.coeffs)
+    # `measure subsample --m 1` writes the table it reads, relabelled
+    argv = ["measure", "subsample", "--m", "1", "--in", str(d / "t.json"), "--out", str(d / "cli.json")]
+    assert cli.main(argv) == 0
+    fourier.write_measure(fourier.power_subsample(t, 1), d / "sub.json")
+    assert (d / "sub.json").read_bytes() == (d / "cli.json").read_bytes()
 
 
 @PROPS

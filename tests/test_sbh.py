@@ -1,5 +1,6 @@
 """Tests for the SBH certificates, epsilon0, and the signed-form searches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,7 +198,7 @@ def test_certify_dirac_not_sbh():
 
 def test_certify_report_json_fields():
     rep = sbh.certify(fourier.lebesgue_table(8), heuristic_budget=100)
-    obj = rep.to_json_obj()
+    obj = dataclasses.asdict(rep)
     for key in ("epsilon0", "l1_certificate", "density_certificate",
                 "exhaustive_sup", "heuristic_sup", "verdict", "note"):
         assert key in obj

@@ -267,6 +267,23 @@ def test_delta_zero_rotation_pairwise_independent():
                 assert abs(freq - 0.25) <= 5.0 / math.sqrt(bits.shape[0])
 
 
+@pytest.mark.parametrize("alpha", [0.0, systems.SQRT2_M1], ids=["zero", "sqrt2-1"])
+def test_rotation_names_match_direct_iteration(alpha):
+    """The closed-form drift equals iterating x <- x + alpha, y <- y + x + g(x),
+    also at alpha = 0, where the geometric-series form of g^(j) is 0/0."""
+    delta, count, length, seed = 0.3, 200, 32, 4
+    src = systems.RotationCocycleSource(alpha=alpha, delta=delta)
+    bits = src.sample_names(count, length, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x, y = rng.random(count), rng.random(count)
+    ref = np.empty((count, length), dtype=np.uint8)
+    for j in range(length):
+        ref[:, j] = np.mod(y, 1.0) >= 0.5
+        y = y + x + delta / (2.0 * math.pi) * np.sin(2.0 * math.pi * x)
+        x = x + alpha
+    assert np.array_equal(bits, ref)
+
+
 def test_odometer_source_matches_exact_correlation():
     phi = [1, 0, 1, 1]
     src = systems.OdometerExtensionSource(phi)
