@@ -179,6 +179,9 @@ _SYSTEMS = {
 
 def _system(args):
     """The _SYSTEMS entry of args.system, with --alpha and --phi parsed in place."""
+    if not 0 <= args.log2_length <= systems.MAX_LOG2_LENGTH:
+        raise ValueError(f"need 0 <= --log2-length <= {systems.MAX_LOG2_LENGTH}, "
+                         f"got {args.log2_length}")
     args.alpha = _parse_alpha(args.alpha)
     args.phi = [int(x) for x in args.phi.split(",")]
     return _SYSTEMS[args.system]
@@ -188,6 +191,8 @@ def cmd_system(args) -> int:
     rows, source = _system(args)
     if args.nmax < 0 or args.names < 0 or args.length < 1:
         raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
+    if not 1 <= args.L <= 2**systems.MAX_LOG2_LENGTH:
+        raise ValueError(f"need 1 <= --L <= 2**{systems.MAX_LOG2_LENGTH}, got {args.L}")
     csv = correlation_csv(rows(args))
     bits = source(args).sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args)

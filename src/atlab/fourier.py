@@ -339,10 +339,17 @@ def table_to_json_obj(t: FourierTable) -> dict:
     }
 
 
+def _json_number(x) -> float:
+    # float() alone would also read the strings "1" and "nan" and the boolean true
+    if type(x) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {x!r}")
+    return float(x)
+
+
 def table_from_json_obj(obj: dict) -> FourierTable:
     try:
         N = obj["half_width"]
-        tail = float(obj["tail_bound"])
+        tail = _json_number(obj["tail_bound"])
         rows = obj["coeffs"]
         label = str(obj.get("label", ""))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -352,7 +359,7 @@ def table_from_json_obj(obj: dict) -> FourierTable:
         raise InvariantViolation(
             f"half_width must be an integer in [0, {MAX_HALF_WIDTH}], got {N!r}")
     try:
-        entries = [(n, float(re), float(im)) for n, re, im in rows]
+        entries = [(n, _json_number(re), _json_number(im)) for n, re, im in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvariantViolation(f"malformed coefficient row: {exc}") from exc
     nn = np.zeros(N + 1, dtype=complex)

@@ -30,6 +30,10 @@ def _require_finite(**params: float) -> None:
 # Rudin-Shapiro substitution
 
 
+# largest log2 of a Rudin-Shapiro prefix the CLI builds: 2^26 int8 signs are
+# 64 MiB, and the substitution holds a few arrays of that size at once
+MAX_LOG2_LENGTH = 26
+
 _RS_SUBST = np.array([[0, 1], [0, 2], [3, 1], [3, 2]], dtype=np.int8)
 _RS_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
 
@@ -50,18 +54,65 @@ def rudin_shapiro_names(L: int) -> np.ndarray:
 
 
 def empirical_correlation(signs: np.ndarray, n_max: int) -> np.ndarray:
-    """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n}, n = 0..n_max (no tail bound)."""
+    """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n}, n = 0..n_max (no tail bound).
+
+    ``signs`` must be a 1-D numeric sequence of +1 and -1 only; anything else
+    raises ValueError.  The result equals the exact integer lag sums
+    sum_{k < L-n} s_k s_{k+n} divided by L - n in float, i.e. the lag loop
+    ``s[:L-n] @ s[n:] / (L-n)``, bit for bit.
+
+    The lag sums come from a blocked Wiener-Khinchin correlation.  The signs
+    are cut into blocks x_a of B = max(4096, 2^ceil(log2(n_max + 1))) samples
+    and each block gets one rfft X_a of size G = 2B.  With y the
+    concatenation of blocks a and a+1, whose transform is
+    X_a + (-1)^f X_{a+1}, the irfft of conj(X_a) (X_a + (-1)^f X_{a+1}) is
+    the circular correlation sum_k x_a[k] y[k + n]; for n <= B it does not
+    wrap, so its first n_max + 1 entries are block a's share of every lag
+    sum, and the shares add up to the whole sum.
+
+    Each share is an integer.  Following the convention of
+    ``fourier._fft_rounding`` (Higham, Thm 24.2, eta = 8 eps), a computed
+    length-G transform has 2-norm error at most g = ceil(log2 G) 8 eps times
+    the exact one's.  The errors of X_a and of y's transform pass through
+    the product and the inverse as at most (1 + sqrt 2) g ||x||_2 ||y||_2,
+    the inverse adds g ||X_a Y||_2 / sqrt G <= g ||x||_1 ||y||_2, and the
+    sum and product roundings add under 2 eps ||x||_2 ||y||_2.  With
+    ||x||_2 <= ||x||_1 <= B and ||y||_2 <= sqrt G for signs, every share is
+    within E = (4 g + 2 eps) B sqrt G of its integer (3.4e-8 at B = 4096).
+    E < 1/2 is checked, so rounding each share recovers it exactly; the
+    shares are added in int64 and divided by L - n once.  Memory beyond the
+    input is O(B): one block at a time is converted to float.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    s = np.asarray(signs, dtype=float)
+    s = np.asarray(signs)
+    if s.ndim != 1 or s.dtype.kind not in "iuf":
+        raise ValueError("signs must be a 1-D numeric sequence of +1 and -1")
     L = s.size
-    if L < 4 * n_max:
-        raise ValueError("sequence too short: need length >= 4 * n_max")
-    c = np.empty(n_max + 1)
-    c[0] = 1.0
-    for n in range(1, n_max + 1):
-        c[n] = s[:L - n] @ s[n:] / (L - n)
-    return c
+    if L < max(1, 4 * n_max):
+        raise ValueError("sequence too short: need length >= max(1, 4 * n_max)")
+    B = max(4096, 1 << int(n_max).bit_length())
+    G = 2 * B
+    eps = float(np.finfo(float).eps)
+    if (4 * math.ceil(math.log2(G)) * 8.0 * eps + 2 * eps) * B * math.sqrt(G) >= 0.5:
+        raise ValueError(f"n_max = {n_max} is too large for exact FFT lag sums")
+
+    def spectrum(a):
+        x = s[a * B:(a + 1) * B].astype(float)
+        if not np.all(np.abs(x) == 1.0):
+            raise ValueError("signs must be +1 or -1")
+        return np.fft.rfft(x, G)  # numpy.fft loads on first use, not at import
+
+    flip = np.where(np.arange(B + 1) % 2 == 0, 1.0, -1.0)
+    blocks = -(-L // B)
+    total = np.zeros(n_max + 1, dtype=np.int64)
+    X = spectrum(0)
+    for a in range(blocks):
+        X_next = spectrum(a + 1) if a + 1 < blocks else 0.0
+        share = np.fft.irfft(np.conj(X) * (X + flip * X_next), G)[:n_max + 1]
+        total += np.rint(share).astype(np.int64)
+        X = X_next
+    return total / (L - np.arange(n_max + 1))
 
 
 # ---------------------------------------------------------------------------

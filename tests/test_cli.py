@@ -113,6 +113,8 @@ _BAD_MEASURES = {
                              '"coeffs": [[0, 1.0, 0.0], [1, 0.9, 0.0]]}',
     "bool-index": '{"half_width": 2, "tail_bound": 0.0, '
                   '"coeffs": [[0, 1.0, 0.0], [true, 0.5, 0.0]]}',
+    "string-and-bool-values": '{"half_width": 1, "tail_bound": true, '
+                              '"coeffs": [[0, "1", false], [1, "0.5", 0.0]]}',
 }
 
 
@@ -274,6 +276,23 @@ def test_bad_size_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["system", "rudin-shapiro", "--L", str(2**26 + 1)],
+    ["system", "rudin-shapiro", "--log2-length", "27"],
+    ["system", "rudin-shapiro", "--names", "4", "--log2-length", "-1"],
+    ["funny", "--system", "rudin-shapiro", "--log2-length", "27"],
+    ["funny", "--system", "rudin-shapiro", "--log2-length", "-1"],
+], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
+def test_sequence_size_cap_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # rejected before the Rudin-Shapiro prefix is allocated
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
     ["measure", "lebesgue", "--N", "2", "--out", "{bad}/x.json"],
     ["measure", "lebesgue", "--N", "2", "--density-csv", "{bad}/d.csv"],
     ["system", "nil", "--names", "2", "--length", "4", "--names-out", "{bad}/x.bin"],
@@ -297,12 +316,14 @@ def test_gaussian_nonpositive_lag_exit_2(capsys, mode, n):
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy is only imported lazily, for the rotation cocycle's Bessel values."""
+    """scipy (the rotation cocycle's Bessel values) and numpy.fft (about 0.1 s,
+    for grid densities and Rudin-Shapiro correlations) load on first use only."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     code = ("import sys, atlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.fft')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr

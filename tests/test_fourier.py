@@ -322,6 +322,17 @@ def test_json_reader_rejects_half_width_out_of_range(N):
         fourier.table_from_json_obj(obj)
 
 
+@pytest.mark.parametrize("tail, row", [
+    (True, [1, 0.5, 0.0]), ("0", [1, 0.5, 0.0]),
+    (0.0, [1, "0.5", 0.0]), (0.0, [1, 0.5, False]),
+], ids=["bool-tail", "string-tail", "string-re", "bool-im"])
+def test_json_reader_rejects_non_numbers(tail, row):
+    # float() would read "0.5" as 0.5 and true as 1.0
+    obj = {"half_width": 1, "tail_bound": tail, "coeffs": [[0, 1, 0], row]}
+    with pytest.raises(fourier.InvariantViolation, match="JSON number"):
+        fourier.table_from_json_obj(obj)
+
+
 def test_json_reader_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"half_width": 1}')

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from atlab import fourier, systems
+from atlab import cli, fourier, systems
 
 
 def rs_oracle(n_max):
@@ -53,6 +55,66 @@ def test_empirical_correlation_alternating():
 def test_empirical_correlation_length_check():
     with pytest.raises(ValueError):
         systems.empirical_correlation(np.ones(16), 8)
+
+
+def lag_loop(signs, n_max):
+    """Reference: each lag sum as one exact float dot product of +-1 entries."""
+    s = np.asarray(signs, dtype=float)
+    L = s.size
+    return np.array([s[:L - n] @ s[n:] / (L - n) for n in range(n_max + 1)])
+
+
+# the blocks hold B = max(4096, 2^ceil(log2(n_max + 1))) samples
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(n_max=st.one_of(st.integers(0, 300), st.integers(4096, 4300)),
+       extra=st.integers(0, 9000), dtype=st.sampled_from([np.int8, np.float64]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_max=0, extra=0, dtype=np.int8, seed=0)  # n_max = 0, L = 1
+@example(n_max=0, extra=5000, dtype=np.float64, seed=1)
+@example(n_max=100, extra=10, dtype=np.int8, seed=2)  # L below one block
+@example(n_max=1500, extra=0, dtype=np.float64, seed=3)  # L = 4 n_max, ragged
+@example(n_max=64, extra=3 * 4096 + 5 - 256, dtype=np.int8, seed=4)  # ragged last block
+@example(n_max=4096, extra=0, dtype=np.int8, seed=5)  # B grows to 8192, two blocks
+@example(n_max=4097, extra=123, dtype=np.float64, seed=6)
+def test_empirical_correlation_matches_lag_loop(n_max, extra, dtype, seed):
+    L = max(1, 4 * n_max) + extra
+    s = np.random.default_rng(seed).choice([-1, 1], size=L).astype(dtype)
+    assert np.array_equal(systems.empirical_correlation(s, n_max), lag_loop(s, n_max))
+
+
+@pytest.mark.parametrize("bad", [0, 2, 0.5, np.nan])
+@pytest.mark.parametrize("where", [0, 9000])
+def test_empirical_correlation_rejects_non_signs(bad, where):
+    s = np.ones(9001)
+    s[where] = bad
+    with pytest.raises(ValueError, match="[+]1 or -1"):
+        systems.empirical_correlation(s, 8)
+
+
+@pytest.mark.parametrize("signs", [np.ones((64, 2)), np.array(["1", "-1"] * 32)],
+                         ids=["2-d", "strings"])
+def test_empirical_correlation_rejects_non_sequences(signs):
+    with pytest.raises(ValueError, match="1-D numeric"):
+        systems.empirical_correlation(signs, 8)
+
+
+def test_empirical_correlation_rejects_inexact_lag_range():
+    # a broadcast view: 2^30 signs that occupy one byte
+    signs = np.broadcast_to(np.int8(1), 2**30)
+    with pytest.raises(ValueError, match="too large for exact"):
+        systems.empirical_correlation(signs, 2**28)
+
+
+def test_cli_rudin_shapiro_csv_matches_lag_loop(tmp_path):
+    L, n_max = 65536, 256
+    out = tmp_path / "rs.csv"
+    assert cli.main(["system", "rudin-shapiro", "--L", str(L), "--nmax", str(n_max),
+                     "--out", str(out)]) == 0
+    err = repr(5.0 / math.sqrt(L))
+    expected = "n,re,im,method,error_bar\n" + "".join(
+        f"{n},{float(v)!r},0.0,empirical,{err}\n"
+        for n, v in enumerate(lag_loop(systems.rudin_shapiro_names(L), n_max)))
+    assert out.read_text() == expected
 
 
 def test_two_point_phi_zero():
