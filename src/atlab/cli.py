@@ -169,8 +169,8 @@ _SYSTEMS = {
     "distal": (lambda a: [(n, systems.distal_integral(n, a.m_scale), "exact", 0.0)
                           for n in range(a.nmax + 1)],
                lambda a: systems.DistalSource(alpha=a.alpha)),
-    "odometer": (lambda a: [(n, systems.two_point_extension_correlation(a.phi, n),
-                             "exact", 0.0) for n in range(a.nmax + 1)],
+    "odometer": (lambda a: [(n, v, "exact", 0.0) for n, v in enumerate(
+                     systems.two_point_extension_correlations(a.phi, range(a.nmax + 1)))],
                  lambda a: systems.OdometerExtensionSource(a.phi)),
     "coin": (None, lambda a: systems.CoinSource(p0=a.p0)),
     "constant": (None, lambda a: systems.ConstantSource()),
@@ -193,6 +193,9 @@ def cmd_system(args) -> int:
         raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
     if not 1 <= args.L <= 2**systems.MAX_LOG2_LENGTH:
         raise ValueError(f"need 1 <= --L <= 2**{systems.MAX_LOG2_LENGTH}, got {args.L}")
+    if args.names * args.length > systems.MAX_NAME_BITS:
+        raise ValueError(f"need --names * --length <= {systems.MAX_NAME_BITS}, "
+                         f"got {args.names} * {args.length}")
     csv = correlation_csv(rows(args))
     bits = source(args).sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args)
@@ -208,6 +211,8 @@ def cmd_gaussian(args) -> int:
         return 0
     if mode != "cocycle" and args.n < 1:
         raise ValueError(f"need --n >= 1, got {args.n}")
+    if mode != "cocycle" and args.samples > gaussian.MAX_MC_SAMPLES:
+        raise ValueError(f"need --samples <= {gaussian.MAX_MC_SAMPLES}, got {args.samples}")
     if args.spec:
         spec = gaussian.GaussianSpec.from_fourier_table(fourier.read_measure(args.spec))
     elif mode == "cocycle":
@@ -233,6 +238,9 @@ def cmd_gaussian(args) -> int:
 def cmd_funny(args) -> int:
     src = _system(args)[1](args)
     fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
+    if 2 * args.samples * args.horizon > systems.MAX_NAME_BITS:
+        raise ValueError(f"need 2 * --samples * --horizon <= {systems.MAX_NAME_BITS}, "
+                         f"got 2 * {args.samples} * {args.horizon}")
     rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
     _emit("".join(render_json({**row.to_json_obj(), "caveat": rep.caveat}) + "\n"
                   for row in rep.rows), args)

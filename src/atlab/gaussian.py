@@ -12,6 +12,10 @@ from .systems import square_wave_coeffs
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
+# largest Monte Carlo run the CLI starts: a few float64 arrays of this length,
+# about 1 GiB at level 4
+MAX_MC_SAMPLES = 2**24
+
 
 @dataclass(frozen=True)
 class GaussianSpec:

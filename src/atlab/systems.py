@@ -127,22 +127,41 @@ def two_point_extension_correlation(phi_table, n: int) -> float:
     only pushes carries upward, phi(T^j x) depends on x mod 2^d alone and
     the correlation is an exact average over the 2^d cylinders.
     """
+    return float(two_point_extension_correlations(phi_table, [n])[0])
+
+
+def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
+    """``two_point_extension_correlation`` at each n in ``lags``, with one
+    set-up for all of them.
+
+    Only the parity of the cocycle sum S_n(v) = sum_{j<n} phi(v + j) matters.
+    With par the xor-prefix of phi's parities over two periods and
+    n = full m + rem, S_n(v) is odd iff par[v + rem] ^ par[v] ^ (full total)
+    is 1, so each lag is one xor of two length-m slices.  The value
+    (m - 2 odd) / m is exact, since m = 2^d.
+    """
     phi = np.asarray(phi_table, dtype=np.int64)
     m = phi.size
     if m & (m - 1) or m == 0:
         raise ValueError("phi_table length must be a power of two")
-    if n < 0:
+    lags = [int(n) for n in lags]
+    if any(n < 0 for n in lags):
         raise ValueError("n must be >= 0")
     if m > 2**26:
         raise ValueError("cylinder enumeration budget exceeded")
-    if n == 0:
-        return 1.0
-    total = int(phi.sum())
-    cs = np.concatenate([[0], np.cumsum(np.concatenate([phi, phi]))])
-    v = np.arange(m)
-    full, rem = divmod(n, m)
-    S = full * total + (cs[v + rem] - cs[v])
-    return float(np.mean(np.where(S % 2 == 0, 1.0, -1.0)))
+    odd_phi = (phi & 1).astype(np.int8)
+    par = np.zeros(2 * m + 1, dtype=np.int8)
+    np.bitwise_xor.accumulate(np.concatenate([odd_phi, odd_phi]), out=par[1:])
+    total = int(np.count_nonzero(odd_phi))
+    flips = np.empty(m, dtype=np.int8)
+    out = np.empty(len(lags))
+    for i, n in enumerate(lags):
+        full, rem = divmod(n, m)
+        odd = np.count_nonzero(np.bitwise_xor(par[rem:rem + m], par[:m], out=flips))
+        if full * total & 1:
+            odd = m - odd
+        out[i] = (m - 2 * odd) / m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +307,6 @@ def _reject_rational(x: float, name: str) -> None:
         raise ValueError(f"{name} is rational to within 1e-12 ({fr})")
 
 
-def _nil_phi(x, y, alpha, beta, gamma):
-    fx = np.mod(x, 1.0)
-    fy = np.mod(y, 1.0)
-    return alpha * fy - (fx + alpha) * np.floor(fy + beta) + gamma
-
-
 def nil_rotation_correlation(alpha: float, beta: float, gamma: float,
                              n: int, M: int = 201) -> complex:
     """<F o T^n, F> for the nil-rotation skew product, exactly.
@@ -373,9 +386,22 @@ def distal_integral(n: int, m_scale: int = 1) -> complex:
 # Name sources: sampled {0,1} P-names along orbits
 
 
-def _bit_from_frac(z: np.ndarray) -> np.ndarray:
-    """0 iff the circle coordinate falls in [0, 1/2)."""
-    return (np.mod(z, 1.0) >= 0.5).astype(np.uint8)
+# largest count x length of a name batch the CLI samples (`system --names
+# --length`, and funny's 2 samples x horizon): 64 MiB as uint8 bits; the
+# odometer and Rudin-Shapiro samplers also hold an int64 entry per bit
+MAX_NAME_BITS = 2**26
+
+# rows per block of the samplers that evaluate or draw a block of names at once:
+# their float and complex temporaries (up to 32 bytes an entry) hold
+# _ROW_BLOCK x length entries, under half the uint8 output from 20000 names up
+_ROW_BLOCK = 256
+
+
+def _frac(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- v - floor(v), the double np.mod(v, 1.0) gives for finite v (also
+    1.0 for a tiny negative v); ``out`` must not be ``v``."""
+    np.floor(v, out=out)
+    return np.subtract(v, out, out=out)
 
 
 class NameSource:
@@ -406,15 +432,29 @@ class RotationCocycleSource(NameSource):
         x = rng.random(count)[:, None]
         y = rng.random(count)[:, None]
         j = np.arange(length)[None, :]
-        drift = j * x + j * (j - 1) / 2.0 * self.alpha
+        shift = j * (j - 1) / 2.0 * self.alpha
         if self.delta != 0.0:
             # g^(j)(x) = (delta/2pi) Im(e^{2 pi i x} S_j), S_j = sum_{i<j} e^{2 pi i alpha i};
             # a cumulative sum, since the geometric-series quotient is 0/0 at alpha = 0
             S = np.zeros(j.shape, dtype=complex)
             S[:, 1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * j[:, :-1]), axis=1)
-            drift = drift + (self.delta / (2.0 * math.pi)) * np.imag(
-                np.exp(2j * np.pi * x) * S)
-        return _bit_from_frac(y + drift)
+            phase = np.exp(2j * np.pi * x)
+            wave = np.empty((min(count, _ROW_BLOCK), length), dtype=complex)
+        bits = np.empty((count, length), dtype=np.uint8)
+        v = np.empty((min(count, _ROW_BLOCK), length))
+        scratch = np.empty_like(v)
+        # the bits of y + j x + j (j - 1) alpha / 2 + g^(j)(x), one row block at a time
+        for r0 in range(0, count, _ROW_BLOCK):
+            rows = slice(r0, r0 + _ROW_BLOCK)
+            n = x[rows].shape[0]
+            drift = np.multiply(j, x[rows], out=v[:n])
+            drift += shift
+            if self.delta != 0.0:
+                w = np.multiply(phase[rows], S, out=wave[:n])
+                drift += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
+            drift += y[rows]
+            np.greater_equal(_frac(drift, scratch[:n]), 0.5, out=bits[rows].view(bool))
+        return bits
 
     def exact_correlation(self, n):
         if n == 0:
@@ -440,13 +480,28 @@ class NilRotationSource(NameSource):
         x = rng.random(count)
         y = rng.random(count)
         z = rng.random(count)
-        bits = np.empty((count, length), dtype=np.uint8)
-        for j in range(length):
-            bits[:, j] = _bit_from_frac(z)
-            z = np.mod(z + _nil_phi(x, y, self.alpha, self.beta, self.gamma), 1.0)
-            x = np.mod(x + self.alpha, 1.0)
-            y = np.mod(y + self.beta, 1.0)
-        return bits
+        # step j's bits are row j: one contiguous write per step, transposed on return
+        bits = np.empty((length, count), dtype=np.uint8)
+        fx, fy, t, u = (np.empty(count) for _ in range(4))
+        for flags in bits.view(bool):
+            np.greater_equal(_frac(z, t), 0.5, out=flags)
+            # z <- {z + alpha {y} - ({x} + alpha) floor({y} + beta) + gamma}
+            _frac(x, fx)
+            _frac(y, fy)
+            np.add(fy, self.beta, out=t)
+            np.floor(t, out=t)
+            np.add(fx, self.alpha, out=u)
+            np.multiply(u, t, out=u)
+            np.multiply(self.alpha, fy, out=t)
+            np.subtract(t, u, out=t)
+            np.add(t, self.gamma, out=t)
+            np.add(z, t, out=t)
+            _frac(t, z)
+            np.add(x, self.alpha, out=t)
+            _frac(t, x)
+            np.add(y, self.beta, out=t)
+            _frac(t, y)
+        return bits.T
 
     def exact_correlation(self, n):
         if n == 0:
@@ -467,13 +522,18 @@ class DistalSource(NameSource):
         x = rng.random(count)
         y = rng.random(count)
         z = rng.random(count)
-        bits = np.empty((count, length), dtype=np.uint8)
-        for j in range(length):
-            bits[:, j] = _bit_from_frac(z)
-            z = np.mod(z + y, 1.0)
-            y = np.mod(y + x, 1.0)
-            x = np.mod(x + self.alpha, 1.0)
-        return bits
+        # step j's bits are row j, as in NilRotationSource
+        bits = np.empty((length, count), dtype=np.uint8)
+        t = np.empty(count)
+        for flags in bits.view(bool):
+            np.greater_equal(_frac(z, t), 0.5, out=flags)
+            np.add(z, y, out=t)
+            _frac(t, z)
+            np.add(y, x, out=t)
+            _frac(t, y)
+            np.add(x, self.alpha, out=t)
+            _frac(t, x)
+        return bits.T
 
     def exact_correlation(self, n):
         return 1.0 if n == 0 else 0.0
@@ -531,7 +591,14 @@ class CoinSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return (rng.random((count, length)) >= self.p0).astype(np.uint8)
+        bits = np.empty((count, length), dtype=np.uint8)
+        flags = bits.view(bool)
+        # drawing row block after row block gives the stream of one (count, length) draw
+        u = np.empty((min(count, _ROW_BLOCK), length))
+        for r0 in range(0, count, _ROW_BLOCK):
+            block = flags[r0:r0 + _ROW_BLOCK]
+            np.greater_equal(rng.random(out=u[:block.shape[0]]), self.p0, out=block)
+        return bits
 
     def exact_correlation(self, n):
         if n == 0:
@@ -563,13 +630,26 @@ def names_to_signs(bits: np.ndarray) -> np.ndarray:
 _NAMES_MAGIC = b"ATNB"
 
 
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """np.packbits(bits, axis=1) of 0/1 bits; a transposed step-row batch is
+    packed eight steps at a time, since packbits is slow across its layout."""
+    if bits.flags.c_contiguous or not bits.flags.f_contiguous:
+        return np.packbits(bits, axis=1)
+    steps = bits.T
+    packed = np.zeros((-(-steps.shape[0] // 8), steps.shape[1]), dtype=np.uint8)
+    for b in range(8):
+        rows = steps[b::8]
+        packed[:rows.shape[0]] |= rows << (7 - b)
+    return packed.T
+
+
 def write_names(bits: np.ndarray, path) -> None:
     bits = np.asarray(bits, dtype=np.uint8)
     count, length = bits.shape
     with open(path, "wb") as fh:
         fh.write(_NAMES_MAGIC)
         fh.write(struct.pack("<QQ", count, length))
-        fh.write(np.packbits(bits, axis=1).tobytes())
+        fh.write(_pack_rows(bits).tobytes())
 
 
 def read_names(path) -> np.ndarray:

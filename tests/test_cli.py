@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atlab import cli, fourier
+from atlab import cli, fourier, gaussian, systems
 
 
 def run(argv, capsys):
@@ -290,6 +290,35 @@ def test_sequence_size_cap_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["funny", "--system", "coin", "--samples", str(10**12)], ["--samples", "--horizon"]),
+    (["funny", "--system", "nil", "--samples", "40000", "--horizon", "1024"],
+     ["--samples", "--horizon"]),
+    (["system", "nil", "--names", str(10**12), "--length", str(10**6)], ["--names", "--length"]),
+    (["system", "distal", "--names", "65537", "--length", "1024"], ["--names", "--length"]),
+    (["gaussian", "orthant", "--samples", str(10**12)], ["--samples"]),
+    (["gaussian", "product", "--samples", str(2**24 + 1)], ["--samples"]),
+], ids=["funny-samples-1e12", "funny-nil-horizon-1024", "system-nil-names-1e12",
+        "system-distal-names-65537", "gaussian-orthant-samples-1e12",
+        "gaussian-product-samples-2e24+1"])
+def test_sample_size_cap_exit_2(tmp_path, monkeypatch, capsys, argv, options):
+    # checked before anything is sampled or allocated
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(opt in err for opt in options)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sample_size_caps_admit_the_documented_sizes():
+    # the benchmark's name batches and coin search, and the Monte Carlo runs
+    assert 4096 * 1024 <= systems.MAX_NAME_BITS
+    assert 2 * 10**4 * 1024 <= systems.MAX_NAME_BITS
+    assert 4 * 10**6 <= gaussian.MAX_MC_SAMPLES
 
 
 @pytest.mark.parametrize("argv", [

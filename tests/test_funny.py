@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atlab import cli, fourier, funny, sbh, systems
 
@@ -195,6 +197,77 @@ def test_funny_word_search_deterministic():
     assert [r.to_json_obj() for r in a.rows] == [r.to_json_obj() for r in b.rows]
     assert a.best.indices == b.best.indices
     assert a.best.word == b.best.word
+
+
+def search_reference(src, family, epsilon, samples, seed):
+    """The per-candidate loop that funny_word_search replaced: a column gather,
+    np.mean majority and np.mean masses."""
+    bound = funny.non_at_bound(epsilon)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    candidates = family.candidates(rng)
+    names = src.sample_names(2 * samples, family.horizon, seed)
+    train, test = names[:samples], names[samples:]
+    rows = []
+    for lam in candidates:
+        idx = np.asarray(lam)
+        w_bits = tuple(int(x) for x in (np.mean(train[:, idx], axis=0) > 0.5))
+        dbar = np.mean(test[:, idx] != np.asarray(w_bits)[None, :], axis=1)
+        mass = float(np.mean(dbar < epsilon))
+        se = math.sqrt(max(mass * (1.0 - mass), 1.0 / samples) / samples)
+        rows.append(funny.SearchRow(indices=lam, word=w_bits, mass_below=mass,
+                                    k_times_mass=family.k * mass, bound=bound, stderr=se))
+    best = max(rows, key=lambda r: (r.k_times_mass, tuple(-i for i in r.indices)))
+    top = [r for r in rows if r.k_times_mass == best.k_times_mass]
+    best = min(top, key=lambda r: (r.indices, r.word))
+    return funny.SearchReport(epsilon=epsilon, rows=rows, best=best)
+
+
+class _TiedSource(systems.NameSource):
+    """Name i is all (i mod 2): every index of an even training half is an
+    exact majority tie, which goes to 0."""
+
+    def sample_names(self, count, length, seed):
+        return np.repeat((np.arange(count) % 2).astype(np.uint8)[:, None], length, axis=1)
+
+
+_SEARCH_SOURCES = {
+    "coin": systems.CoinSource(),
+    "coin-0.3": systems.CoinSource(p0=0.3),
+    "constant": systems.ConstantSource(),
+    "tied": _TiedSource(),
+    "nil": systems.NilRotationSource(),
+    "rotation": systems.RotationCocycleSource(delta=0.3),
+    "odometer": systems.OdometerExtensionSource([0, 1, 1, 0]),
+}
+
+
+# eps on a count/k boundary: 0.2 = 1/5 and 2/5 for k = 5, 3/7 for k = 7, 1/3 for k = 3
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(source=st.sampled_from(sorted(_SEARCH_SOURCES)), k=st.sampled_from([1, 3, 5, 7, 12]),
+       eps=st.sampled_from([0.2, 0.4, 3 / 7, 1 / 3, 0.1, 0.49]),
+       samples=st.integers(1, 80), extra=st.integers(0, 30),
+       n_random=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@example(source="coin", k=5, eps=0.2, samples=40, extra=10, n_random=4, seed=1)
+@example(source="tied", k=3, eps=1 / 3, samples=6, extra=5, n_random=2, seed=2)
+@example(source="constant", k=7, eps=3 / 7, samples=10, extra=0, n_random=3, seed=3)
+@example(source="coin", k=5, eps=0.4, samples=2, extra=3, n_random=6, seed=4)
+@example(source="coin", k=3, eps=1 / 3, samples=300, extra=20, n_random=2, seed=5)  # 600 names
+def test_funny_word_search_matches_per_candidate_loop(source, k, eps, samples, extra,
+                                                      n_random, seed):
+    src = _SEARCH_SOURCES[source]
+    fam = funny.LambdaFamily(k=k, horizon=k + extra, n_random=n_random)
+    got = funny.funny_word_search(src, fam, eps, samples, seed)
+    ref = search_reference(src, fam, eps, samples, seed)
+    assert [r.to_json_obj() for r in got.rows] == [r.to_json_obj() for r in ref.rows]
+    assert got.best.to_json_obj() == ref.best.to_json_obj()
+
+
+def test_funny_word_search_ties_go_to_zero():
+    fam = funny.LambdaFamily(k=3, horizon=8, n_random=2)
+    rep = funny.funny_word_search(_TiedSource(), fam, 1 / 3, samples=6, seed=2)
+    assert all(r.word == (0, 0, 0) for r in rep.rows)
+    # the test half is alternating names too: half sit at distance 0 from the word
+    assert all(r.mass_below == 0.5 for r in rep.rows)
 
 
 def test_search_report_json_lines(capsys):

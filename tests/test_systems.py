@@ -1,10 +1,11 @@
 """Tests for the concrete systems: substitutions, cocycles, nil-rotations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atlab import cli, fourier, systems
@@ -150,6 +151,39 @@ def test_two_point_brute_force_oracle():
 def test_two_point_rejects_bad_length():
     with pytest.raises(ValueError):
         systems.two_point_extension_correlation([0, 1, 0], 1)
+
+
+def two_point_reference(phi_table, n):
+    """The per-lag computation the parity prefix replaced: a doubled cumulative
+    sum of phi, rebuilt on every call."""
+    phi = np.asarray(phi_table, dtype=np.int64)
+    m = phi.size
+    if n == 0:
+        return 1.0
+    total = int(phi.sum())
+    cs = np.concatenate([[0], np.cumsum(np.concatenate([phi, phi]))])
+    v = np.arange(m)
+    full, rem = divmod(n, m)
+    S = full * total + (cs[v + rem] - cs[v])
+    return float(np.mean(np.where(S % 2 == 0, 1.0, -1.0)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(phi=st.integers(0, 7).flatmap(
+           lambda d: st.lists(st.integers(-5, 5), min_size=2**d, max_size=2**d)),
+       lags=st.lists(st.integers(0, 600), min_size=1, max_size=30))
+@example(phi=[1, 0, 0, 0], lags=[0, 1, 3, 4, 5, 8, 9, 13])  # odd total, n >= m
+@example(phi=[3], lags=[0, 1, 2, 7])  # m = 1: every lag is a whole number of periods
+@example(phi=[-1, 2, 0, 5, 1, 1, 0, -4], lags=[8, 16, 17, 23, 600])
+def test_two_point_correlations_match_per_lag_reference(phi, lags):
+    ref = [two_point_reference(phi, n) for n in lags]
+    assert systems.two_point_extension_correlations(phi, lags).tolist() == ref
+    assert [systems.two_point_extension_correlation(phi, n) for n in lags] == ref
+
+
+def test_two_point_correlations_reject_negative_lag():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        systems.two_point_extension_correlations([0, 1], [0, 3, -1])
 
 
 def test_square_wave_coeffs():
@@ -389,3 +423,177 @@ def test_names_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         systems.read_names(path)
+
+
+# ---------------------------------------------------------------------------
+# The per-step samplers that the step-row and row-block samplers replaced, kept
+# as references: the rewritten samplers must give the same bits for every input.
+
+
+def _bit_from_frac(z):
+    return (np.mod(z, 1.0) >= 0.5).astype(np.uint8)
+
+
+def _nil_phi(x, y, alpha, beta, gamma):
+    fx = np.mod(x, 1.0)
+    fy = np.mod(y, 1.0)
+    return alpha * fy - (fx + alpha) * np.floor(fy + beta) + gamma
+
+
+def nil_names_reference(src, count, length, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = rng.random(count)
+    y = rng.random(count)
+    z = rng.random(count)
+    bits = np.empty((count, length), dtype=np.uint8)
+    for j in range(length):
+        bits[:, j] = _bit_from_frac(z)
+        z = np.mod(z + _nil_phi(x, y, src.alpha, src.beta, src.gamma), 1.0)
+        x = np.mod(x + src.alpha, 1.0)
+        y = np.mod(y + src.beta, 1.0)
+    return bits
+
+
+def distal_names_reference(src, count, length, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = rng.random(count)
+    y = rng.random(count)
+    z = rng.random(count)
+    bits = np.empty((count, length), dtype=np.uint8)
+    for j in range(length):
+        bits[:, j] = _bit_from_frac(z)
+        z = np.mod(z + y, 1.0)
+        y = np.mod(y + x, 1.0)
+        x = np.mod(x + src.alpha, 1.0)
+    return bits
+
+
+def rotation_names_reference(src, count, length, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = rng.random(count)[:, None]
+    y = rng.random(count)[:, None]
+    j = np.arange(length)[None, :]
+    drift = j * x + j * (j - 1) / 2.0 * src.alpha
+    if src.delta != 0.0:
+        S = np.zeros(j.shape, dtype=complex)
+        S[:, 1:] = np.cumsum(np.exp(2j * np.pi * src.alpha * j[:, :-1]), axis=1)
+        drift = drift + (src.delta / (2.0 * math.pi)) * np.imag(
+            np.exp(2j * np.pi * x) * S)
+    return _bit_from_frac(y + drift)
+
+
+def coin_names_reference(src, count, length, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return (rng.random((count, length)) >= src.p0).astype(np.uint8)
+
+
+_BLOCK = systems._ROW_BLOCK
+# count 1, small counts, and counts around one and two row blocks
+_COUNTS = st.one_of(st.integers(1, 40), st.integers(_BLOCK - 2, 2 * _BLOCK + 3))
+_LENGTHS = st.integers(1, 40)
+_ALPHAS = st.one_of(st.floats(-3.0, 3.0),
+                    st.sampled_from([0.0, systems.SQRT2_M1, -systems.GOLDEN_M1, 1.25]))
+_SEEDS = st.integers(0, 2**32 - 1)
+_SAMPLER_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+
+def assert_same_names(got, ref):
+    assert got.shape == ref.shape and got.dtype == np.uint8
+    assert np.array_equal(got, ref)
+
+
+@_SAMPLER_SETTINGS
+@given(alpha=_ALPHAS, delta=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+       count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
+@example(alpha=0.0, delta=0.3, count=1, length=1, seed=0)
+@example(alpha=-0.4, delta=0.3, count=_BLOCK + 1, length=17, seed=1)
+@example(alpha=2.7, delta=-0.6, count=2 * _BLOCK + 3, length=3, seed=2)
+@example(alpha=systems.SQRT2_M1, delta=0.0, count=_BLOCK, length=40, seed=3)
+def test_rotation_names_match_reference(alpha, delta, count, length, seed):
+    src = systems.RotationCocycleSource(alpha=alpha, delta=delta)
+    assert_same_names(src.sample_names(count, length, seed),
+                      rotation_names_reference(src, count, length, seed))
+
+
+@_SAMPLER_SETTINGS
+@given(alpha=_ALPHAS, beta=st.floats(-2.5, 2.5), gamma=st.floats(-2.0, 2.0),
+       count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
+@example(alpha=systems.SQRT2_M1, beta=0.7, gamma=0.0, count=1, length=1, seed=0)
+@example(alpha=-1.3, beta=0.3001, gamma=-0.25, count=_BLOCK + 3, length=29, seed=1)
+def test_nil_names_match_reference(alpha, beta, gamma, count, length, seed):
+    try:
+        src = systems.NilRotationSource(alpha=alpha, beta=beta, gamma=gamma)
+    except ValueError:  # beta too close to a small-denominator rational
+        assume(False)
+    assert_same_names(src.sample_names(count, length, seed),
+                      nil_names_reference(src, count, length, seed))
+
+
+@_SAMPLER_SETTINGS
+@given(alpha=_ALPHAS, count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
+@example(alpha=systems.SQRT2_M1, count=1, length=1, seed=0)
+@example(alpha=-2.2, count=2 * _BLOCK + 1, length=11, seed=1)
+def test_distal_names_match_reference(alpha, count, length, seed):
+    src = systems.DistalSource(alpha=alpha)
+    assert_same_names(src.sample_names(count, length, seed),
+                      distal_names_reference(src, count, length, seed))
+
+
+@_SAMPLER_SETTINGS
+@given(p0=st.floats(0.01, 0.99), count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
+@example(p0=0.5, count=1, length=1, seed=0)
+@example(p0=0.3, count=_BLOCK + 1, length=7, seed=1)
+@example(p0=0.7, count=2 * _BLOCK + 3, length=5, seed=2)
+def test_coin_names_match_reference(p0, count, length, seed):
+    src = systems.CoinSource(p0=p0)
+    assert_same_names(src.sample_names(count, length, seed),
+                      coin_names_reference(src, count, length, seed))
+
+
+@pytest.mark.parametrize("make, reference", [
+    (lambda alpha: systems.NilRotationSource(alpha=alpha), nil_names_reference),
+    (lambda alpha: systems.DistalSource(alpha=alpha), distal_names_reference),
+], ids=["nil", "distal"])
+def test_orbit_names_keep_a_coordinate_that_wraps_to_one(make, reference):
+    # x0 + alpha = -2^-54, which np.mod(., 1.0) rounds up to exactly 1.0: the next
+    # x is 1.0, not 0.0, and the samplers must carry that double as the reference does
+    seed = next(s for s in range(100)
+                if 0.25 <= np.random.default_rng(np.random.SeedSequence(s)).random() < 0.5)
+    x0 = np.random.default_rng(np.random.SeedSequence(seed)).random(1)[0]
+    alpha = -(x0 + 2.0**-54)
+    assert np.mod(x0 + alpha, 1.0) == 1.0
+    src = make(alpha)
+    assert_same_names(src.sample_names(1, 64, seed), reference(src, 1, 64, seed))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example([-1e-20, -2.0**-54, -2.0**-53, -5e-324, -0.0, 0.0, 3.0, -3.0, 0.5, -2.5,
+          1e300, -1e300, 2.0**53 + 2.0, 0.9999999999999999])
+def test_frac_is_np_mod_bit_for_bit(values):
+    v = np.array(values)
+    got = systems._frac(v, np.empty_like(v))
+    assert np.array_equal(got.view(np.int64), np.mod(v, 1.0).view(np.int64))
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 13, 64])
+def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
+    bits = systems.NilRotationSource().sample_names(37, length, seed=3)
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    systems.write_names(bits, a)
+    systems.write_names(np.ascontiguousarray(bits), b)
+    assert a.read_bytes() == b.read_bytes()
+    assert np.array_equal(systems.read_names(a), bits)
+
+
+@pytest.mark.parametrize("src", [systems.CoinSource(), systems.RotationCocycleSource(delta=0.3)],
+                         ids=["coin", "rotation-0.3"])
+def test_sampler_peak_memory_below_twice_output(src):
+    # the row-block samplers hold no count x length float or complex temporary
+    tracemalloc.start()
+    try:
+        bits = src.sample_names(20000, 1024, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bits.nbytes
