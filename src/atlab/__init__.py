@@ -43,7 +43,7 @@ from .systems import (
     rotation_ac_cocycle_correlation,
     rudin_shapiro_names,
     square_wave_coeffs,
-    two_point_extension_correlation,
+    two_point_extension_correlations,
 )
 from .gaussian import (
     GaussianSpec,

@@ -4,14 +4,18 @@ Exit codes: 0 success (certify: CERTIFIED_SBH), 2 invalid parameters or an
 unreadable or unwritable file, 3 certify CERTIFIED_NOT_SBH, 4 certify UNDECIDED.
 `main` alone maps errors to exit 2: the `cmd_*` functions raise ValueError on
 bad input, and `main` turns it, or an OSError, into one `error:` line.
-`measure` picks its kind from `_MEASURES`, and `system` and `funny` share one
-table of systems, `_SYSTEMS`: adding a kind or a system takes one entry there.
+`measure` picks its kind from `_MEASURES`: adding a kind takes one entry there.
+`system` and `funny` share one table of systems, `_SYSTEMS`: adding a system
+takes one `NameSource` subclass and one `_SYSTEMS` entry.  `system` prints the
+source's `rows` and samples its names; `funny` samples names from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import json
 import math
 import sys
@@ -76,8 +80,8 @@ def _read_in(args):
     return fourier.read_measure(args.infile)
 
 
-# kind -> builder of the table from the parsed args; like _SYSTEMS, the builders
-# look up fourier.* when called, so a rebound (e.g. traced) attribute runs
+# kind -> builder of the table from the parsed args; the builders look up
+# fourier.* when called, so a rebound (e.g. traced) attribute runs
 _MEASURES = {
     "lebesgue": lambda a: fourier.lebesgue_table(a.N),
     "dirac": lambda a: fourier.dirac_table(a.N),
@@ -135,60 +139,36 @@ def cmd_certify(args) -> int:
     return 0 if found is not None else 4
 
 
-def _rudin_shapiro_rows(args):
-    c = systems.empirical_correlation(systems.rudin_shapiro_names(args.L), args.nmax)
-    err = 5.0 / math.sqrt(args.L)
-    return [(n, v, "empirical", err) for n, v in enumerate(c)]
-
-
-def _nil_rows(args):
-    rows = []
-    for n in range(args.nmax + 1):
-        v = systems.nil_rotation_correlation(args.alpha, args.beta, args.gamma, n, args.M)
-        err = systems.square_wave_coeffs(args.M).truncation_error if n else 0.0
-        rows.append((n, v, "exact" if v == 0 else "series", err))
-    return rows
-
-
-def _rotation_rows(args):
-    err = systems.square_wave_coeffs(args.M).truncation_error
-    vs = [systems.rotation_ac_cocycle_correlation(args.alpha, args.delta, args.delta0, n,
-                                                  args.M) for n in range(args.nmax + 1)]
-    return [(n, v, "quadrature", err) if n else (0, v, "exact", 0.0) for n, v in enumerate(vs)]
-
-
-# name -> builders of (`system` CSV rows or None, NameSource) from the parsed args;
-# they look up systems.* when called, so a rebound (e.g. traced) attribute runs
+# name -> NameSource subclass; `system` offers the ones that define `rows`.  The
+# row methods call the systems.* functions as module globals, so a rebound (e.g.
+# traced) function runs
 _SYSTEMS = {
-    "rudin-shapiro": (_rudin_shapiro_rows,
-                      lambda a: systems.RudinShapiroSource(log2_length=a.log2_length)),
-    "nil": (_nil_rows, lambda a: systems.NilRotationSource(alpha=a.alpha, beta=a.beta,
-                                                           gamma=a.gamma, M=a.M)),
-    "rotation": (_rotation_rows, lambda a: systems.RotationCocycleSource(
-        alpha=a.alpha, delta=a.delta, delta0=a.delta0, M=a.M)),
-    "distal": (lambda a: [(n, systems.distal_integral(n, a.m_scale), "exact", 0.0)
-                          for n in range(a.nmax + 1)],
-               lambda a: systems.DistalSource(alpha=a.alpha)),
-    "odometer": (lambda a: [(n, v, "exact", 0.0) for n, v in enumerate(
-                     systems.two_point_extension_correlations(a.phi, range(a.nmax + 1)))],
-                 lambda a: systems.OdometerExtensionSource(a.phi)),
-    "coin": (None, lambda a: systems.CoinSource(p0=a.p0)),
-    "constant": (None, lambda a: systems.ConstantSource()),
+    "rudin-shapiro": systems.RudinShapiroSource,
+    "nil": systems.NilRotationSource,
+    "rotation": systems.RotationCocycleSource,
+    "distal": systems.DistalSource,
+    "odometer": systems.OdometerExtensionSource,
+    "coin": systems.CoinSource,
+    "constant": systems.ConstantSource,
 }
 
 
 def _system(args):
-    """The _SYSTEMS entry of args.system, with --alpha and --phi parsed in place."""
+    """A builder of args.system's source, with --alpha and --phi parsed in place: it
+    gets each option named like a constructor parameter (`funny` has no --L or
+    --m-scale, which shape only the rows, so there they keep their defaults)."""
     if not 0 <= args.log2_length <= systems.MAX_LOG2_LENGTH:
         raise ValueError(f"need 0 <= --log2-length <= {systems.MAX_LOG2_LENGTH}, "
                          f"got {args.log2_length}")
     args.alpha = _parse_alpha(args.alpha)
     args.phi = [int(x) for x in args.phi.split(",")]
-    return _SYSTEMS[args.system]
+    cls = _SYSTEMS[args.system]
+    return functools.partial(cls, **{p: getattr(args, p) for p in
+                                     inspect.signature(cls).parameters if hasattr(args, p)})
 
 
 def cmd_system(args) -> int:
-    rows, source = _system(args)
+    make_source = _system(args)
     if args.nmax < 0 or args.names < 0 or args.length < 1:
         raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
     if not 1 <= args.L <= 2**systems.MAX_LOG2_LENGTH:
@@ -196,8 +176,9 @@ def cmd_system(args) -> int:
     if args.names * args.length > systems.MAX_NAME_BITS:
         raise ValueError(f"need --names * --length <= {systems.MAX_NAME_BITS}, "
                          f"got {args.names} * {args.length}")
-    csv = correlation_csv(rows(args))
-    bits = source(args).sample_names(args.names, args.length, args.seed) if args.names else None
+    source = make_source()
+    csv = correlation_csv(source.rows(args.nmax))
+    bits = source.sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args)
     if bits is not None:
         systems.write_names(bits, args.names_out or "names.bin")
@@ -236,7 +217,7 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_funny(args) -> int:
-    src = _system(args)[1](args)
+    src = _system(args)()
     fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
     if 2 * args.samples * args.horizon > systems.MAX_NAME_BITS:
         raise ValueError(f"need 2 * --samples * --horizon <= {systems.MAX_NAME_BITS}, "
@@ -314,7 +295,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("system", help="correlation tables and name batches")
-    s.add_argument("system", choices=[name for name, (rows, _) in _SYSTEMS.items() if rows])
+    s.add_argument("system", choices=[name for name, cls in _SYSTEMS.items()
+                                      if hasattr(cls, "rows")])
     s.add_argument("--L", type=int, default=2**20)
     s.add_argument("--nmax", type=int, default=16)
     s.add_argument("--m-scale", type=int, default=1)

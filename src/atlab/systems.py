@@ -7,6 +7,7 @@ correlation values <F o T^n, F> for F = chi_{P0} - chi_{P1}.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -119,20 +120,22 @@ def empirical_correlation(signs: np.ndarray, n_max: int) -> np.ndarray:
 # Two-point extensions of the dyadic odometer
 
 
-def two_point_extension_correlation(phi_table, n: int) -> float:
-    """<V^n 1, 1> for the Z/2 extension of the dyadic odometer by phi.
+def _parity_prefix(phi: np.ndarray) -> np.ndarray:
+    """par[i] = parity of phi[0] + ... + phi[i - 1] over two periods of phi, as uint8."""
+    odd = (phi & 1).astype(np.uint8)
+    par = np.zeros(2 * phi.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(np.concatenate([odd, odd]), out=par[1:])
+    return par
+
+
+def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
+    """<V^n 1, 1> at each n in ``lags`` for the Z/2 extension of the dyadic
+    odometer by phi, with one set-up for all lags.
 
     ``phi_table`` lists phi on the 2^d depth-d cylinders, indexed by the
     integer with those dyadic digits.  Since adding j to a dyadic integer
     only pushes carries upward, phi(T^j x) depends on x mod 2^d alone and
     the correlation is an exact average over the 2^d cylinders.
-    """
-    return float(two_point_extension_correlations(phi_table, [n])[0])
-
-
-def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
-    """``two_point_extension_correlation`` at each n in ``lags``, with one
-    set-up for all of them.
 
     Only the parity of the cocycle sum S_n(v) = sum_{j<n} phi(v + j) matters.
     With par the xor-prefix of phi's parities over two periods and
@@ -149,16 +152,13 @@ def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
         raise ValueError("n must be >= 0")
     if m > 2**26:
         raise ValueError("cylinder enumeration budget exceeded")
-    odd_phi = (phi & 1).astype(np.int8)
-    par = np.zeros(2 * m + 1, dtype=np.int8)
-    np.bitwise_xor.accumulate(np.concatenate([odd_phi, odd_phi]), out=par[1:])
-    total = int(np.count_nonzero(odd_phi))
-    flips = np.empty(m, dtype=np.int8)
+    par = _parity_prefix(phi)
+    flips = np.empty(m, dtype=np.uint8)
     out = np.empty(len(lags))
     for i, n in enumerate(lags):
         full, rem = divmod(n, m)
         odd = np.count_nonzero(np.bitwise_xor(par[rem:rem + m], par[:m], out=flips))
-        if full * total & 1:
+        if full & 1 and par[m]:  # full * total is odd; par[m] is the total's parity
             odd = m - odd
         out[i] = (m - 2 * odd) / m
     return out
@@ -387,8 +387,7 @@ def distal_integral(n: int, m_scale: int = 1) -> complex:
 
 
 # largest count x length of a name batch the CLI samples (`system --names
-# --length`, and funny's 2 samples x horizon): 64 MiB as uint8 bits; the
-# odometer and Rudin-Shapiro samplers also hold an int64 entry per bit
+# --length`, and funny's 2 samples x horizon): 64 MiB as uint8 bits
 MAX_NAME_BITS = 2**26
 
 # rows per block of the samplers that evaluate or draw a block of names at once:
@@ -405,14 +404,18 @@ def _frac(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class NameSource:
-    """Producer of P-name samples; subclasses fill in ``sample_names``."""
+    """Producer of P-name samples; subclasses fill in ``sample_names``.
+
+    Sources of systems with a correlation table also define ``rows(nmax)``:
+    the rows (n, value, method, error_bar), n = 0..nmax, that ``atlab system``
+    prints.  The value is c(n) = <F o T^n, F> to within error_bar, except the
+    distal row 0, which is the fiber integral, 0.  The rows check domains that
+    the constructors leave open (0 < beta < 1, 0 <= delta < 1 - delta0), so
+    names can be sampled where the rows raise.
+    """
 
     def sample_names(self, count: int, length: int, seed: int) -> np.ndarray:
         raise NotImplementedError
-
-    def exact_correlation(self, n: int):
-        """Exact <F o T^n, F>, or None when no closed form is implemented."""
-        return None
 
 
 class RotationCocycleSource(NameSource):
@@ -456,11 +459,12 @@ class RotationCocycleSource(NameSource):
             np.greater_equal(_frac(drift, scratch[:n]), 0.5, out=bits[rows].view(bool))
         return bits
 
-    def exact_correlation(self, n):
-        if n == 0:
-            return 1.0
-        return complex(rotation_ac_cocycle_correlation(
-            self.alpha, self.delta, self.delta0, n, self.M)).real
+    def rows(self, nmax):
+        err = square_wave_coeffs(self.M).truncation_error
+        vs = [rotation_ac_cocycle_correlation(self.alpha, self.delta, self.delta0, n, self.M)
+              for n in range(nmax + 1)]
+        return [(n, v, "quadrature", err) if n else (0, v, "exact", 0.0)
+                for n, v in enumerate(vs)]
 
 
 class NilRotationSource(NameSource):
@@ -503,19 +507,23 @@ class NilRotationSource(NameSource):
             _frac(t, y)
         return bits.T
 
-    def exact_correlation(self, n):
-        if n == 0:
-            return 1.0
-        return complex(nil_rotation_correlation(
-            self.alpha, self.beta, self.gamma, n, self.M)).real
+    def rows(self, nmax):
+        rows = []
+        for n in range(nmax + 1):
+            v = nil_rotation_correlation(self.alpha, self.beta, self.gamma, n, self.M)
+            err = square_wave_coeffs(self.M).truncation_error if n else 0.0
+            rows.append((n, v, "exact" if v == 0 else "series", err))
+        return rows
 
 
 class DistalSource(NameSource):
     """Two-step skew product (x, y, z) -> (x + alpha, y + x, z + y);
-    P0 = last coordinate in [0, 1/2).  Lebesgue fiber spectrum."""
+    P0 = last coordinate in [0, 1/2).  Lebesgue fiber spectrum; the rows are
+    the fiber integrals ``distal_integral(n, m_scale)``."""
 
-    def __init__(self, alpha: float = SQRT2_M1):
+    def __init__(self, alpha: float = SQRT2_M1, m_scale: int = 1):
         self.alpha = alpha
+        self.m_scale = m_scale
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -535,15 +543,15 @@ class DistalSource(NameSource):
             _frac(t, x)
         return bits.T
 
-    def exact_correlation(self, n):
-        return 1.0 if n == 0 else 0.0
+    def rows(self, nmax):
+        return [(n, distal_integral(n, self.m_scale), "exact", 0.0) for n in range(nmax + 1)]
 
 
 class OdometerExtensionSource(NameSource):
     """Z/2 extension of the dyadic odometer; bit = group coordinate."""
 
-    def __init__(self, phi_table):
-        self.phi = np.asarray(phi_table, dtype=np.int64)
+    def __init__(self, phi):
+        self.phi = np.asarray(phi, dtype=np.int64)
         m = self.phi.size
         if m == 0 or m & (m - 1):
             raise ValueError("phi_table length must be a power of two")
@@ -552,33 +560,50 @@ class OdometerExtensionSource(NameSource):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         m = self.phi.size
         v0 = rng.integers(0, m, size=count)
-        g0 = rng.integers(0, 2, size=count).astype(np.int64)
-        cs = np.concatenate([[0], np.cumsum(np.concatenate([self.phi, self.phi]))])
-        total = int(self.phi.sum())
-        j = np.arange(length)
-        full, rem = np.divmod(j, m)
-        # partial sums of phi along the orbit of each sampled cylinder
-        S = full[None, :] * total + (cs[v0[:, None] + rem[None, :]] - cs[v0][:, None])
-        return ((g0[:, None] + S) % 2).astype(np.uint8)
+        g0 = rng.integers(0, 2, size=count)
+        # bit j = the parity of g0 + S_j(v0), S_j the sum of phi along the orbit:
+        # g0 ^ par[v0] ^ par[v0 + rem] ^ (full total & 1) for j = full m + rem, as
+        # in two_point_extension_correlations; step j's bits are row j
+        par = _parity_prefix(self.phi)
+        start = g0.astype(np.uint8) ^ par[v0]
+        bits = np.empty((length, count), dtype=np.uint8)
+        for j, row in enumerate(bits):
+            full, rem = divmod(j, m)
+            np.take(par[rem:], v0, out=row, mode="clip")
+            row ^= start
+            if full & 1 and par[m]:
+                row ^= 1
+        return bits.T
 
-    def exact_correlation(self, n):
-        return two_point_extension_correlation(self.phi, abs(int(n)))
+    def rows(self, nmax):
+        return [(n, v, "exact", 0.0) for n, v in
+                enumerate(two_point_extension_correlations(self.phi, range(nmax + 1)))]
 
 
 class RudinShapiroSource(NameSource):
-    """Shift orbit of the Rudin-Shapiro fixed point, sampled at uniform
-    offsets into a long prefix (approximating the unique invariant measure)."""
+    """Shift orbit of the Rudin-Shapiro fixed point.  Names start at uniform
+    offsets into the first 2^log2_length signs (approximating the unique
+    invariant measure); the rows are Birkhoff averages over the first L."""
 
-    def __init__(self, log2_length: int = 21):
-        self.signs = rudin_shapiro_names(2 ** log2_length)
+    def __init__(self, log2_length: int = 21, L: int = 2**20):
+        self.log2_length = log2_length
+        self.L = L
+
+    @functools.cached_property
+    def _prefix_bits(self) -> np.ndarray:
+        # built on the first sample_names: rows alone never hold this prefix
+        return (rudin_shapiro_names(2 ** self.log2_length) < 0).view(np.uint8)
 
     def sample_names(self, count, length, seed):
-        if length >= self.signs.size:
+        if length >= 2 ** self.log2_length:
             raise ValueError(f"names of length {length} need 2^log2_length > {length}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        starts = rng.integers(0, self.signs.size - length, size=count)
-        idx = starts[:, None] + np.arange(length)[None, :]
-        return (self.signs[idx] < 0).astype(np.uint8)
+        starts = rng.integers(0, self._prefix_bits.size - length, size=count)
+        return np.lib.stride_tricks.sliding_window_view(self._prefix_bits, length)[starts]
+
+    def rows(self, nmax):
+        c = empirical_correlation(rudin_shapiro_names(self.L), nmax)
+        return [(n, v, "empirical", 5.0 / math.sqrt(self.L)) for n, v in enumerate(c)]
 
 
 class CoinSource(NameSource):
@@ -600,11 +625,6 @@ class CoinSource(NameSource):
             np.greater_equal(rng.random(out=u[:block.shape[0]]), self.p0, out=block)
         return bits
 
-    def exact_correlation(self, n):
-        if n == 0:
-            return 1.0
-        return (1.0 - 2.0 * self.p0) ** 2 if self.p0 != 0.5 else 0.0
-
 
 class ConstantSource(NameSource):
     """Degenerate fixture: each name is all-zeros or all-ones, equiprobably."""
@@ -613,9 +633,6 @@ class ConstantSource(NameSource):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b = rng.integers(0, 2, size=count).astype(np.uint8)
         return np.repeat(b[:, None], length, axis=1)
-
-    def exact_correlation(self, n):
-        return 1.0
 
 
 def names_to_signs(bits: np.ndarray) -> np.ndarray:

@@ -453,6 +453,34 @@ def test_config_file_store_true_flag(tmp_path, capsys, flag):
     assert (out != "") == (flag == "true")
 
 
+_COMMON = {"seed", "out", "stdout", "config"}
+_SYSTEM_PARAMS = {"alpha", "beta", "gamma", "delta", "delta0", "M", "phi", "log2_length"}
+# each subcommand's option dests: an option added or removed fails here first
+_OPTIONS = {
+    "measure": _COMMON | {"N", "a", "freq", "c", "m", "infile", "density_csv", "density_grid"},
+    "certify": _COMMON | {"infile", "k", "window", "budget", "subsample_scan"},
+    "system": _COMMON | _SYSTEM_PARAMS | {"L", "nmax", "m_scale", "names", "length",
+                                          "names_out"},
+    "gaussian": _COMMON | {"r", "n", "level", "samples", "spec", "M", "nmax"},
+    "funny": _COMMON | _SYSTEM_PARAMS | {"system", "k", "eps", "samples", "horizon",
+                                         "n_random", "p0"},
+}
+
+
+def test_subcommand_options_are_pinned():
+    _, commands = cli.build_parser()
+    assert {p.prog.split()[-1]: set(p.options) for p in commands} == _OPTIONS
+
+
+def test_system_choices_are_the_sources_with_rows():
+    ap, _ = cli.build_parser()
+    sub = next(a for a in ap._actions if a.dest == "command").choices
+    system = next(a for a in sub["system"]._actions if a.dest == "system")
+    funny = next(a for a in sub["funny"]._actions if a.dest == "system")
+    assert system.choices == ["rudin-shapiro", "nil", "rotation", "distal", "odometer"]
+    assert funny.choices == [*system.choices, "coin", "constant"]
+
+
 def test_floats_round_trip_exactly():
     xs = [1.0 / 3.0, 2.1685067667181943e-09, 0.1065397273290956, -1e-300]
     assert json.loads(cli.render_json(xs)) == xs

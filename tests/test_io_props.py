@@ -1,5 +1,7 @@
 """Round-trip properties of the two file formats the CLI writes: measure JSON
-(from the CLI and from `fourier.write_measure`) and packed name batches.
+(from the CLI and from `fourier.write_measure`) and packed name batches; and the
+invariants of the measure transforms (`arcsine`, `arcsine4`, `subsample`), whose
+results round-trip through `measure KIND --in` too.
 
 Every property runs under one deterministic hypothesis profile, so the suite
 draws the same examples on every run.
@@ -54,6 +56,57 @@ def test_write_measure_round_trip(tmp_path_factory, t):
     assert cli.main(argv) == 0
     fourier.write_measure(fourier.power_subsample(t, 1), d / "sub.json")
     assert (d / "sub.json").read_bytes() == (d / "cli.json").read_bytes()
+
+
+@st.composite
+def real_tables(draw):
+    """Real tables with |c(n)| < 1 off the origin, the input the arcsine kinds take."""
+    N = draw(st.integers(0, 30))
+    vals = draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                         min_size=N, max_size=N))
+    tail = draw(st.floats(0.0, 1e300))
+    return fourier.FourierTable.from_nonneg([1.0, *vals], tail_bound=tail,
+                                            label=draw(st.text(max_size=12)))
+
+
+_ARCSINE = {"arcsine": fourier.arcsine_transform, "arcsine4": fourier.arcsine_fourth_transform}
+
+
+@PROPS
+@given(t=real_tables(), kind=st.sampled_from(sorted(_ARCSINE)))
+def test_arcsine_transforms_keep_the_frame_and_shrink(t, kind):
+    out = _ARCSINE[kind](t)
+    assert out.at(0) == 1.0
+    assert (out.half_width, out.tail_bound) == (t.half_width, t.tail_bound)
+    assert np.all(np.abs(out.coeffs) <= np.abs(t.coeffs))
+
+
+@PROPS
+@given(t=real_tables(), m=st.integers(1, 40))
+def test_power_subsample_keeps_every_mth_coefficient(t, m):
+    out = fourier.power_subsample(t, m)
+    assert out.half_width == t.half_width // m
+    assert out.tail_bound == t.tail_bound
+    assert [out.at(n) for n in range(out.half_width + 1)] == [
+        t.at(m * n) for n in range(out.half_width + 1)]
+
+
+@PROPS
+@given(t=real_tables(), kind=st.sampled_from(["arcsine", "arcsine4", "subsample"]),
+       m=st.integers(1, 40))
+def test_transforms_round_trip_through_measure_in(tmp_path_factory, t, kind, m):
+    """`atlab measure KIND --in` writes the library's transform, and it reads
+    back to the same table, exactly."""
+    d = tmp_path_factory.mktemp("transform")
+    fourier.write_measure(t, d / "in.json")
+    argv = ["measure", kind, "--m", str(m), "--in", str(d / "in.json"),
+            "--out", str(d / "out.json")]
+    assert cli.main(argv) == 0
+    want = fourier.power_subsample(t, m) if kind == "subsample" else _ARCSINE[kind](t)
+    back = fourier.read_measure(d / "out.json")
+    assert (back.half_width, back.tail_bound, back.label) == (
+        want.half_width, want.tail_bound, want.label)
+    assert np.array_equal(back.coeffs, want.coeffs)
 
 
 @PROPS

@@ -119,20 +119,18 @@ def test_cli_rudin_shapiro_csv_matches_lag_loop(tmp_path):
 
 
 def test_two_point_phi_zero():
-    for n in range(6):
-        assert systems.two_point_extension_correlation([0, 0], n) == 1.0
+    assert systems.two_point_extension_correlations([0, 0], range(6)).tolist() == [1.0] * 6
 
 
 def test_two_point_phi_one():
-    for n in range(8):
-        v = systems.two_point_extension_correlation([1, 1], n)
+    for n, v in enumerate(systems.two_point_extension_correlations([1, 1], range(8))):
         assert v == (1.0 if n % 2 == 0 else -1.0)
 
 
 def test_two_point_morse_cocycle():
     # phi(x) = first dyadic digit: at n=1 the two depth-1 cylinders give
     # opposite signs, so the correlation vanishes
-    assert systems.two_point_extension_correlation([0, 1], 1) == pytest.approx(
+    assert systems.two_point_extension_correlations([0, 1], [1])[0] == pytest.approx(
         0.0, abs=1e-15)
 
 
@@ -144,13 +142,13 @@ def test_two_point_brute_force_oracle():
         for v in range(4):
             s = sum(phi[(v + j) % 4] for j in range(n))
             acc += (-1.0) ** (s % 2)
-        assert systems.two_point_extension_correlation(phi, n) == pytest.approx(
+        assert systems.two_point_extension_correlations(phi, [n])[0] == pytest.approx(
             acc / 4.0, abs=1e-15)
 
 
 def test_two_point_rejects_bad_length():
     with pytest.raises(ValueError):
-        systems.two_point_extension_correlation([0, 1, 0], 1)
+        systems.two_point_extension_correlations([0, 1, 0], [1])
 
 
 def two_point_reference(phi_table, n):
@@ -178,7 +176,6 @@ def two_point_reference(phi_table, n):
 def test_two_point_correlations_match_per_lag_reference(phi, lags):
     ref = [two_point_reference(phi, n) for n in lags]
     assert systems.two_point_extension_correlations(phi, lags).tolist() == ref
-    assert [systems.two_point_extension_correlation(phi, n) for n in lags] == ref
 
 
 def test_two_point_correlations_reject_negative_lag():
@@ -300,11 +297,11 @@ def test_nil_symmetry_in_n():
 @pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1],
                          ids=["sqrt2-1", "golden"])
 def test_rotation_cocycle_hermitian_in_n(alpha):
-    src = systems.RotationCocycleSource(alpha=alpha, delta=0.3, delta0=0.5, M=21)
+    rows = systems.RotationCocycleSource(alpha=alpha, delta=0.3, delta0=0.5, M=21).rows(8)
     for n in range(1, 9):
         c = systems.rotation_ac_cocycle_correlation(alpha, 0.3, 0.5, n, M=21)
         assert systems.rotation_ac_cocycle_correlation(alpha, 0.3, 0.5, -n, M=21) == c.conjugate()
-        assert src.exact_correlation(-n) == src.exact_correlation(n)
+        assert rows[n][1] == c
 
 
 def test_nil_beta_near_one_small():
@@ -380,25 +377,22 @@ def test_rotation_names_match_direct_iteration(alpha):
     assert np.array_equal(bits, ref)
 
 
-def test_odometer_source_matches_exact_correlation():
-    phi = [1, 0, 1, 1]
-    src = systems.OdometerExtensionSource(phi)
-    bits = src.sample_names(40000, 12, seed=23)
-    signs = systems.names_to_signs(bits)
-    for n in range(1, 6):
+@pytest.mark.parametrize("src", [
+    systems.RotationCocycleSource(delta=0.0, M=201),
+    systems.RotationCocycleSource(delta=0.3, M=201),
+    systems.NilRotationSource(beta=0.8),
+    systems.DistalSource(),
+    systems.OdometerExtensionSource([1, 0, 1, 1]),
+    systems.RudinShapiroSource(log2_length=16, L=2**16),
+], ids=["rotation-0", "rotation-0.3", "nil", "distal", "odometer", "rudin-shapiro"])
+def test_sampled_names_estimate_the_source_rows(src):
+    """The names a source samples and the rows it prints describe one system:
+    each lag's sign correlation is within 5 sigma plus the row's error bar."""
+    count, nmax = 40000, 7
+    signs = systems.names_to_signs(src.sample_names(count, nmax + 1, seed=23))
+    for n, value, _method, err in src.rows(nmax)[1:]:
         emp = float(np.mean(signs[:, :-n] * signs[:, n:]))
-        exact = src.exact_correlation(n)
-        assert abs(emp - exact) <= 5.0 / math.sqrt(signs.shape[0])
-
-
-def test_nil_source_matches_exact_correlation():
-    src = systems.NilRotationSource(beta=0.8)
-    bits = src.sample_names(20000, 10, seed=31)
-    signs = systems.names_to_signs(bits)
-    for n in range(1, 5):
-        emp = float(np.mean(signs[:, :-n] * signs[:, n:]))
-        exact = src.exact_correlation(n)
-        assert abs(emp - exact) <= 5.0 / math.sqrt(signs.shape[0])
+        assert abs(emp - value) <= 5.0 / math.sqrt(count) + err, n
 
 
 def test_rotation_source_delta_zero_correlations_vanish():
@@ -487,6 +481,25 @@ def coin_names_reference(src, count, length, seed):
     return (rng.random((count, length)) >= src.p0).astype(np.uint8)
 
 
+def odometer_names_reference(src, count, length, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    m = src.phi.size
+    v0 = rng.integers(0, m, size=count)
+    g0 = rng.integers(0, 2, size=count).astype(np.int64)
+    cs = np.concatenate([[0], np.cumsum(np.concatenate([src.phi, src.phi]))])
+    total = int(src.phi.sum())
+    full, rem = np.divmod(np.arange(length), m)
+    S = full[None, :] * total + (cs[v0[:, None] + rem[None, :]] - cs[v0][:, None])
+    return ((g0[:, None] + S) % 2).astype(np.uint8)
+
+
+def rudin_shapiro_names_reference(src, count, length, seed):
+    signs = systems.rudin_shapiro_names(2 ** src.log2_length)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    starts = rng.integers(0, signs.size - length, size=count)
+    return (signs[starts[:, None] + np.arange(length)[None, :]] < 0).astype(np.uint8)
+
+
 _BLOCK = systems._ROW_BLOCK
 # count 1, small counts, and counts around one and two row blocks
 _COUNTS = st.one_of(st.integers(1, 40), st.integers(_BLOCK - 2, 2 * _BLOCK + 3))
@@ -550,6 +563,30 @@ def test_coin_names_match_reference(p0, count, length, seed):
                       coin_names_reference(src, count, length, seed))
 
 
+@_SAMPLER_SETTINGS
+@given(phi=st.integers(0, 7).flatmap(
+           lambda d: st.lists(st.integers(-5, 5), min_size=2**d, max_size=2**d)),
+       count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
+@example(phi=[3], count=1, length=1, seed=0)  # m = 1: every step is a whole period
+@example(phi=[1, 0, 0, 0], count=5, length=40, seed=1)  # odd total, steps past m
+@example(phi=[2**62, 2**62, 2**62, 1], count=3, length=40, seed=2)  # sums wrap int64
+def test_odometer_names_match_reference(phi, count, length, seed):
+    src = systems.OdometerExtensionSource(phi)
+    assert_same_names(src.sample_names(count, length, seed),
+                      odometer_names_reference(src, count, length, seed))
+
+
+@_SAMPLER_SETTINGS
+@given(log2_length=st.integers(1, 12), count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
+@example(log2_length=1, count=1, length=1, seed=0)  # one possible start
+@example(log2_length=6, count=2 * _BLOCK + 3, length=40, seed=1)
+def test_rudin_shapiro_names_match_reference(log2_length, count, length, seed):
+    assume(length < 2**log2_length)
+    src = systems.RudinShapiroSource(log2_length=log2_length)
+    assert_same_names(src.sample_names(count, length, seed),
+                      rudin_shapiro_names_reference(src, count, length, seed))
+
+
 @pytest.mark.parametrize("make, reference", [
     (lambda alpha: systems.NilRotationSource(alpha=alpha), nil_names_reference),
     (lambda alpha: systems.DistalSource(alpha=alpha), distal_names_reference),
@@ -586,10 +623,13 @@ def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
     assert np.array_equal(systems.read_names(a), bits)
 
 
-@pytest.mark.parametrize("src", [systems.CoinSource(), systems.RotationCocycleSource(delta=0.3)],
-                         ids=["coin", "rotation-0.3"])
+@pytest.mark.parametrize("src", [systems.CoinSource(), systems.RotationCocycleSource(delta=0.3),
+                                 systems.OdometerExtensionSource([0, 1, 1, 0]),
+                                 systems.RudinShapiroSource()],
+                         ids=["coin", "rotation-0.3", "odometer", "rudin-shapiro"])
 def test_sampler_peak_memory_below_twice_output(src):
-    # the row-block samplers hold no count x length float or complex temporary
+    # no sampler holds a count x length float, complex or int64 temporary (the
+    # Rudin-Shapiro prefix, 2^21 bytes, is built inside the traced call)
     tracemalloc.start()
     try:
         bits = src.sample_names(20000, 1024, seed=5)
