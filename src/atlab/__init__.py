@@ -36,11 +36,14 @@ from .systems import (
     OdometerExtensionSource,
     RotationCocycleSource,
     RudinShapiroSource,
+    bessel_jv,
     distal_integral,
     empirical_correlation,
     nil_rotation_correlation,
+    nil_rotation_correlations,
     nil_rotation_n1_series,
     rotation_ac_cocycle_correlation,
+    rudin_shapiro_lag_sums,
     rudin_shapiro_names,
     square_wave_coeffs,
     two_point_extension_correlations,

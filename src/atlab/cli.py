@@ -162,6 +162,9 @@ def _system(args):
                          f"got {args.log2_length}")
     args.alpha = _parse_alpha(args.alpha)
     args.phi = [int(x) for x in args.phi.split(",")]
+    bad = [p for p in args.phi if not -2**63 <= p < 2**63]
+    if bad:
+        raise ValueError(f"need every --phi value in [-2**63, 2**63), got {bad[0]}")
     cls = _SYSTEMS[args.system]
     return functools.partial(cls, **{p: getattr(args, p) for p in
                                      inspect.signature(cls).parameters if hasattr(args, p)})
@@ -169,10 +172,10 @@ def _system(args):
 
 def cmd_system(args) -> int:
     make_source = _system(args)
-    if args.nmax < 0 or args.names < 0 or args.length < 1:
-        raise ValueError("need --nmax >= 0, --names >= 0 and --length >= 1")
-    if not 1 <= args.L <= 2**systems.MAX_LOG2_LENGTH:
-        raise ValueError(f"need 1 <= --L <= 2**{systems.MAX_LOG2_LENGTH}, got {args.L}")
+    if not 0 <= args.nmax <= systems.MAX_LAG or args.names < 0 or args.length < 1:
+        raise ValueError("need 0 <= --nmax <= 2**24, --names >= 0 and --length >= 1")
+    if not 1 <= args.L <= systems.MAX_LENGTH:
+        raise ValueError(f"need 1 <= --L <= 2**62, got {args.L}")
     if args.names * args.length > systems.MAX_NAME_BITS:
         raise ValueError(f"need --names * --length <= {systems.MAX_NAME_BITS}, "
                          f"got {args.names} * {args.length}")

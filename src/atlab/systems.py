@@ -7,8 +7,10 @@ correlation values <F o T^n, F> for F = chi_{P0} - chi_{P1}.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +33,15 @@ def _require_finite(**params: float) -> None:
 # Rudin-Shapiro substitution
 
 
-# largest log2 of a Rudin-Shapiro prefix the CLI builds: 2^26 int8 signs are
-# 64 MiB, and the substitution holds a few arrays of that size at once
+# largest log2 of a Rudin-Shapiro prefix the CLI builds (names only): 2^26 int8
+# signs are 64 MiB, and the substitution holds a few arrays of that size at once
 MAX_LOG2_LENGTH = 26
+# largest L of the Rudin-Shapiro lag sums, so that L - n stays an int64, and
+# largest lag of any correlation table: 2^24, the largest lag a 2^26-sign prefix
+# allowed, keeps the transforms of _lag_sums no larger than they were for that
+# prefix, and every table to 2^24 + 1 rows
+MAX_LENGTH = 2**62
+MAX_LAG = 2**24
 
 _RS_SUBST = np.array([[0, 1], [0, 2], [3, 1], [3, 2]], dtype=np.int8)
 _RS_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
@@ -54,35 +62,65 @@ def rudin_shapiro_names(L: int) -> np.ndarray:
     return _RS_SIGN[word[:L]].astype(np.int8)
 
 
+def _lag_sums(x: np.ndarray, y: np.ndarray, n_max: int) -> np.ndarray:
+    """The exact lag sums sum_j x[j] y[j + n], n = 0..n_max, of two 1-D sequences
+    of +1 and -1 (any other entry raises ValueError), as int64.
+
+    A blocked Wiener-Khinchin correlation.  x and y are cut into blocks x_a,
+    y_a of B = max(4096, 2^ceil(log2(n_max + 1))) samples and each block gets
+    one rfft of size G = 2B.  With w the concatenation of y_a and y_{a+1},
+    whose transform is Y_a + (-1)^f Y_{a+1}, the irfft of
+    conj(X_a) (Y_a + (-1)^f Y_{a+1}) is the circular correlation
+    sum_k x_a[k] w[k + n]; for n <= B it does not wrap, so its first n_max + 1
+    entries are block a's share of every lag sum, and the shares add up to
+    the whole sum.  When y is x, X_a is Y_a and each block is transformed once.
+
+    Each share is an integer.  Following the convention of
+    ``fourier._fft_rounding`` (Higham, Thm 24.2, eta = 8 eps), a computed
+    length-G transform has 2-norm error at most g = ceil(log2 G) 8 eps times
+    the exact one's.  The errors of X_a and of w's transform pass through
+    the product and the inverse as at most (1 + sqrt 2) g ||x_a||_2 ||w||_2,
+    the inverse adds g ||X_a W||_2 / sqrt G <= g ||x_a||_1 ||w||_2, and the
+    sum and product roundings add under 2 eps ||x_a||_2 ||w||_2.  With
+    ||x_a||_2 <= ||x_a||_1 <= B and ||w||_2 <= sqrt G for signs, every share
+    is within E = (4 g + 2 eps) B sqrt G of its integer (3.4e-8 at B = 4096).
+    E < 1/2 is checked, so rounding each share recovers it exactly; the
+    shares are added in int64.  Memory beyond the input is O(B): one block
+    at a time is converted to float.
+    """
+    B = max(4096, 1 << int(n_max).bit_length())
+    G = 2 * B
+    eps = float(np.finfo(float).eps)
+    if (4 * math.ceil(math.log2(G)) * 8.0 * eps + 2 * eps) * B * math.sqrt(G) >= 0.5:
+        raise ValueError(f"n_max = {n_max} is too large for exact FFT lag sums")
+
+    def spectrum(v, a):
+        if a * B >= v.size:
+            return 0.0
+        block = v[a * B:(a + 1) * B].astype(float)
+        if not np.all(np.abs(block) == 1.0):
+            raise ValueError("signs must be +1 or -1")
+        return np.fft.rfft(block, G)  # numpy.fft loads on first use, not at import
+
+    flip = np.where(np.arange(B + 1) % 2 == 0, 1.0, -1.0)
+    total = np.zeros(n_max + 1, dtype=np.int64)
+    Y = spectrum(y, 0)
+    for a in range(-(-x.size // B)):
+        X = Y if x is y else spectrum(x, a)
+        Y_next = spectrum(y, a + 1)
+        share = np.fft.irfft(np.conj(X) * (Y + flip * Y_next), G)[:n_max + 1]
+        total += np.rint(share).astype(np.int64)
+        Y = Y_next
+    return total
+
+
 def empirical_correlation(signs: np.ndarray, n_max: int) -> np.ndarray:
     """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n}, n = 0..n_max (no tail bound).
 
     ``signs`` must be a 1-D numeric sequence of +1 and -1 only; anything else
     raises ValueError.  The result equals the exact integer lag sums
-    sum_{k < L-n} s_k s_{k+n} divided by L - n in float, i.e. the lag loop
-    ``s[:L-n] @ s[n:] / (L-n)``, bit for bit.
-
-    The lag sums come from a blocked Wiener-Khinchin correlation.  The signs
-    are cut into blocks x_a of B = max(4096, 2^ceil(log2(n_max + 1))) samples
-    and each block gets one rfft X_a of size G = 2B.  With y the
-    concatenation of blocks a and a+1, whose transform is
-    X_a + (-1)^f X_{a+1}, the irfft of conj(X_a) (X_a + (-1)^f X_{a+1}) is
-    the circular correlation sum_k x_a[k] y[k + n]; for n <= B it does not
-    wrap, so its first n_max + 1 entries are block a's share of every lag
-    sum, and the shares add up to the whole sum.
-
-    Each share is an integer.  Following the convention of
-    ``fourier._fft_rounding`` (Higham, Thm 24.2, eta = 8 eps), a computed
-    length-G transform has 2-norm error at most g = ceil(log2 G) 8 eps times
-    the exact one's.  The errors of X_a and of y's transform pass through
-    the product and the inverse as at most (1 + sqrt 2) g ||x||_2 ||y||_2,
-    the inverse adds g ||X_a Y||_2 / sqrt G <= g ||x||_1 ||y||_2, and the
-    sum and product roundings add under 2 eps ||x||_2 ||y||_2.  With
-    ||x||_2 <= ||x||_1 <= B and ||y||_2 <= sqrt G for signs, every share is
-    within E = (4 g + 2 eps) B sqrt G of its integer (3.4e-8 at B = 4096).
-    E < 1/2 is checked, so rounding each share recovers it exactly; the
-    shares are added in int64 and divided by L - n once.  Memory beyond the
-    input is O(B): one block at a time is converted to float.
+    sum_{k < L-n} s_k s_{k+n} (``_lag_sums``) divided by L - n in float, i.e.
+    the lag loop ``s[:L-n] @ s[n:] / (L-n)``, bit for bit.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -92,28 +130,88 @@ def empirical_correlation(signs: np.ndarray, n_max: int) -> np.ndarray:
     L = s.size
     if L < max(1, 4 * n_max):
         raise ValueError("sequence too short: need length >= max(1, 4 * n_max)")
-    B = max(4096, 1 << int(n_max).bit_length())
-    G = 2 * B
-    eps = float(np.finfo(float).eps)
-    if (4 * math.ceil(math.log2(G)) * 8.0 * eps + 2 * eps) * B * math.sqrt(G) >= 0.5:
-        raise ValueError(f"n_max = {n_max} is too large for exact FFT lag sums")
+    return _lag_sums(s, s, n_max) / (L - np.arange(n_max + 1))
 
-    def spectrum(a):
-        x = s[a * B:(a + 1) * B].astype(float)
-        if not np.all(np.abs(x) == 1.0):
-            raise ValueError("signs must be +1 or -1")
-        return np.fft.rfft(x, G)  # numpy.fft loads on first use, not at import
 
-    flip = np.where(np.arange(B + 1) % 2 == 0, 1.0, -1.0)
-    blocks = -(-L // B)
-    total = np.zeros(n_max + 1, dtype=np.int64)
-    X = spectrum(0)
-    for a in range(blocks):
-        X_next = spectrum(a + 1) if a + 1 < blocks else 0.0
-        share = np.fft.irfft(np.conj(X) * (X + flip * X_next), G)[:n_max + 1]
-        total += np.rint(share).astype(np.int64)
-        X = X_next
-    return total / (L - np.arange(n_max + 1))
+def _rudin_shapiro_sign(j: int) -> int:
+    """r_j = (-1)^(number of '11' pairs in the binary digits of j)."""
+    return -1 if bin(j & (j >> 1)).count("1") & 1 else 1
+
+
+def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
+    """The exact lag sums sum_{k < L-n} r_k r_{k+n}, n = 0..nmax, of the first L
+    Rudin-Shapiro signs r, as int64, for L up to 2^62.
+
+    All lag sums come from ``_lag_sums``, exact under its rounding bound.  With
+    B its block for lags 0..nmax, a prefix of at most 4 B signs is built and
+    handed to it whole: that takes at most eight transforms of 2B points,
+    about the fixed cost of the recursion below.  A longer one is never
+    built.  The level-k blocks sigma^k(a) of the substitution are P_k, Q_k,
+    -Q_k and -P_k for a = 0, 1, 2, 3, where P_{k+1} = P_k Q_k and
+    Q_{k+1} = P_k (-Q_k) (the Golay-Rudin-Shapiro pair).  The fixed point is sigma^k of itself, so its
+    level-k block at index j (the signs jB'..(j+1)B' - 1, B' = 2^k) is
+    r_j P_k for even j and r_j Q_k for odd j.  The prefix is therefore one
+    block r_i P_k, i = floor(L / 2^(k+1)), per 1-bit k of L with 2^k >= B,
+    then the first L mod B signs of the level-log2(B) block at index
+    floor(L / B).
+
+    A part is kept as its lag sums and its first and last nmax signs.  The
+    lag sums of a concatenation UV are U's plus V's plus the cross term of
+    the pairs that straddle the cut, which join U's last and V's first nmax
+    signs.  P and Q start at level K = log2(B), longer than nmax, and the
+    prefix is joined from its last part back, so each join puts a block
+    +-P_k in front.  Every head is then P_K's, Q_K's or the last part's, and
+    every tail +-P_K's or +-Q_K's, since the tail of P_{k+1} is Q_k's and
+    that of Q_{k+1} is -Q_k's.  So only a handful of cross terms differ up to
+    sign; the last few, normalized by sign, are cached.
+    """
+    L, nmax = operator.index(L), operator.index(nmax)
+    if L < 1 or nmax < 0:
+        raise ValueError("need L >= 1 and nmax >= 0")
+    if L > MAX_LENGTH or nmax > MAX_LAG:
+        raise ValueError(f"need L <= 2**62 and nmax <= 2**24, got L = {L}, nmax = {nmax}")
+    B = max(4096, 1 << nmax.bit_length())  # _lag_sums' block for lags 0..nmax
+    if L <= 4 * B:
+        s = rudin_shapiro_names(L)
+        return _lag_sums(s, s, nmax)
+
+    def part(s):  # (lag sums, head, tail)
+        return _lag_sums(s, s, nmax), s[:nmax], s[s.size - nmax:]
+
+    @functools.lru_cache(maxsize=4)
+    def normalized_cross(tail_bytes, head_bytes):
+        tail = np.frombuffer(tail_bytes, dtype=np.int8)
+        head = np.frombuffer(head_bytes, dtype=np.int8)
+        # a pair at distance n = 1..nmax joins head[j] and tail[j + nmax - n]
+        out = np.zeros(nmax + 1, dtype=np.int64)
+        out[1:] = _lag_sums(head, tail, nmax - 1)[::-1]
+        return out
+
+    def join(u, v):  # u is a block longer than nmax
+        sums, head, tail = v
+        sums = sums + u[0]
+        if nmax:
+            sign = int(u[2][0]) * int(head[0])
+            sums += sign * normalized_cross((u[2] * u[2][0]).tobytes(),
+                                            (head * head[0]).tobytes())
+        return sums, u[1], np.concatenate([u[2], tail])[tail.size:]
+
+    def signed(sign, u):
+        return u if sign > 0 else (u[0], -u[1], -u[2])
+
+    K = B.bit_length() - 1
+    signs = rudin_shapiro_names(2 * B)
+    P, Q = signs[:B], signs[B:]
+    low = L % B
+    j = L >> K
+    suffix = part(_rudin_shapiro_sign(j) * (Q if j & 1 else P)[:low]) if low else None
+    p, q = part(P), part(Q)
+    for k in range(K, L.bit_length()):
+        if L >> k & 1:
+            block = signed(_rudin_shapiro_sign(L >> (k + 1)), p)
+            suffix = block if suffix is None else join(block, suffix)
+        p, q = join(p, q), join(p, signed(-1, q))
+    return suffix[0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +308,92 @@ def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
 # Absolutely continuous cocycle over an irrational rotation
 
 
+# each Bessel value the trapezoid rule below drops or aliases is below this
+_BESSEL_SLACK = 2.0**-60
+# entries of one block of trapezoid phases (64 MiB of float64)
+_BESSEL_BLOCK = 2**23
+
+
+def _log_kapteyn(k, z) -> np.ndarray:
+    """log of Kapteyn's bound |J_k(z)| <= (r e^w / (1 + w))^k, r = |z|/k and
+    w = sqrt(1 - r^2), for integer k > |z| (Watson, Bessel Functions, 8.7);
+    0 where k <= |z|, as |J_k| <= 1."""
+    k = np.asarray(k, dtype=float)
+    z = np.abs(z)
+    above = k > z
+    r = np.where(above, z / np.where(above, k, 1.0), 1.0)
+    w = np.sqrt(1.0 - r * r)
+    with np.errstate(divide="ignore"):
+        return np.where(above, k * (np.log(r) + w - np.log1p(w)), 0.0)
+
+
+def _alias_margin(z: float) -> int:
+    """The least N > |z| with 2 sum_{k >= N} |J_k(z)| < _BESSEL_SLACK by
+    ``_log_kapteyn``.  Above |z| the log bound F(k) decreases and is concave
+    (F'(k) = log(r / (1 + w)) falls as k grows), so the ratios of successive
+    bounds fall too and the tail from N is at most b_N / (1 - b_{N+1} / b_N)."""
+    if z == 0.0:
+        return 1  # J_k(0) = 0 for every k >= 1
+    lo, width = int(abs(z)) + 1, 64
+    while True:
+        f = _log_kapteyn(np.arange(lo, lo + width + 1), z)
+        with np.errstate(divide="ignore"):
+            tail = f[:-1] - np.log(-np.expm1(f[1:] - f[:-1]))
+        ok = np.flatnonzero(tail < math.log(_BESSEL_SLACK / 2.0))
+        if ok.size:
+            return lo + int(ok[0])
+        lo, width = lo + width, 2 * width
+
+
+def _sin_turns(P: int) -> np.ndarray:
+    """sin(2 pi j / P) for j = 0..P-1 and P a multiple of 8, each taken by the
+    quarter-turn symmetries from a sine or cosine of an argument in [0, pi/4],
+    where rounding the argument moves the value least."""
+    Q, E = P // 4, P // 8
+    t = 2.0 * math.pi * np.arange(E + 1) / P
+    quarter = np.concatenate([np.sin(t), np.cos(t)[E - 1::-1]])  # j = 0..Q
+    half = np.concatenate([quarter, quarter[Q - 1::-1]])  # j = 0..2Q
+    return np.concatenate([half, -half[1:2 * Q]])
+
+
+def bessel_jv(nu, z) -> np.ndarray:
+    """J_nu(z) for integer orders nu and real z (broadcast together).
+
+    J_nu(z) = (1/2 pi) int_0^{2 pi} cos(nu t - z sin t) dt for integer nu, and
+    its P-point trapezoid rule mean_j cos(nu t_j - z sin t_j), t_j = 2 pi j / P,
+    is exactly sum_l J_{nu + lP}(z), since e^{-iz sin t} = sum_k J_k(z) e^{-ikt}
+    (Jacobi-Anger).  Its aliasing error sum_{l != 0} J_{nu + lP}(z) is at most
+    2 sum_{k >= P - |nu|} |J_k(z)|, and Kapteyn's inequality
+    (``_log_kapteyn``) bounds each |J_k(z)|.  An order whose bound is below
+    s = 2^-60 is set to 0, and P is chosen so that the aliasing bound is
+    below s for every order kept (``_alias_margin``); so each value is within
+    s of J_nu(z) before rounding.  The phase nu t_j is reduced exactly, as
+    2 pi ((nu j) mod P) / P, sin t_j comes from an argument in [0, pi/4]
+    (``_sin_turns``), and z sin t_j is off by about |z| eps; the rounding of
+    a value, a mean of P such cosines, was at most 3e-15 in the samples
+    checked against 40-digit mpmath (|nu| <= 5000, |z| <= 600).  Memory is
+    bounded: the phases are built a block of orders at a time.
+    """
+    nu, z = np.broadcast_arrays(np.asarray(nu, dtype=np.int64), np.asarray(z, dtype=float))
+    out = np.zeros(nu.shape)
+    keep = np.flatnonzero(_log_kapteyn(np.abs(nu), z).ravel() >= math.log(_BESSEL_SLACK))
+    if keep.size == 0:
+        return out
+    nu_kept, z_kept = nu.ravel()[keep], z.ravel()[keep]
+    P = 8 * -(-(int(np.abs(nu_kept).max()) + _alias_margin(np.abs(z_kept).max())) // 8)
+    j = np.arange(P)
+    sin_t = _sin_turns(P)
+    values = np.empty(keep.size)
+    rows = max(1, _BESSEL_BLOCK // P)
+    for r0 in range(0, keep.size, rows):
+        r = slice(r0, r0 + rows)
+        phase = (2.0 * math.pi / P) * (np.outer(nu_kept[r], j) % P)
+        phase -= np.outer(z_kept[r], sin_t)
+        values[r] = np.mean(np.cos(phase), axis=1)
+    out.reshape(-1)[keep] = values
+    return out
+
+
 def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
                                     n: int, M: int = 21) -> complex:
     """sigma_F-hat(n) for the circle extension by e^{2 pi i (x + g(x))},
@@ -221,8 +405,6 @@ def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
     e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
     Negative lags follow the Hermitian convention c(-n) = conj(c(n)).
     """
-    # scipy.special takes ~50 ms to import; keep it off the CLI start-up path
-    from scipy.special import jv
     _require_finite(alpha=alpha)
     if not 0.0 < delta0 < 1.0:
         raise ValueError("need 0 < delta0 < 1")
@@ -236,7 +418,7 @@ def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
     ms = sw.odd_ms
     S = np.sum(np.exp(2j * np.pi * alpha * np.arange(n)))
     const = n * (n - 1) * alpha / 2.0
-    integrals = (np.exp(2j * np.pi * ms * const) * jv(-ms * n, ms * delta * abs(S))
+    integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
                  * np.exp(-1j * ms * n * np.angle(S)))
     return complex(np.sum(sw.weights * integrals))
 
@@ -299,56 +481,91 @@ def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
 
 
 def _reject_rational(x: float, name: str) -> None:
-    # small denominators collapse the breakpoint structure; larger rational
-    # approximations are harmless for the integral formulas below
+    # the base rotation must be far from a rational one of small denominator;
+    # larger rational approximations are harmless for the integral formulas below
     _require_finite(**{name: x})
     fr = Fraction(x).limit_denominator(4)
     if abs(x - float(fr)) < 1e-12:
         raise ValueError(f"{name} is rational to within 1e-12 ({fr})")
 
 
-def nil_rotation_correlation(alpha: float, beta: float, gamma: float,
-                             n: int, M: int = 201) -> complex:
-    """<F o T^n, F> for the nil-rotation skew product, exactly.
-
-    The x-average kills every m-term unless the integer coefficient
-    sum_{j<n} floor({y + j beta} + beta) vanishes; on that set the phase is
-    piecewise linear in y, so each piece integrates in closed form.
-    """
+def _check_nil(alpha: float, beta: float, gamma: float) -> None:
     _reject_rational(beta, "beta")
     _reject_rational(alpha, "alpha")
     _require_finite(gamma=gamma)
     if not 0.0 < beta < 1.0:
         raise ValueError("need 0 < beta < 1")
-    if n < 0:
-        n = -n  # correlation is real-symmetric
-    if n == 0:
-        return 1.0 + 0.0j
-    js = np.arange(n)
-    # breakpoints of y -> (floor({y+j b}+b))_j and of the frac parts
-    brk = np.concatenate([np.mod(-js * beta, 1.0),
-                          np.mod(1.0 - beta - js * beta, 1.0), [0.0, 1.0]])
-    brk = np.unique(np.clip(brk, 0.0, 1.0))
+
+
+def _nil_pieces(beta: float):
+    """For n = 1, 2, ... in turn, the y-intervals [a, b) on which lag n's
+    x-average survives, with the constant C of each, as three float arrays;
+    stops at the first lag with none, after which every lag is exactly 0.
+
+    The x-average kills every m-term unless no {y + j beta}, j < n, lies in
+    [1 - beta, 1), i.e. unless y avoids every arc [q_j - beta, q_j) with
+    q_j = {-j beta}.  Sorting the q, that leaves [q_(i), q_(i+1) - beta) for
+    each gap longer than beta (q_(n) = 1), and there
+    sum_j {y + j beta} = n y + C with C = #{j : q_j > q_(i)} - sum_j q_j.
+    beta is the double P / 2^e, so q_j = ((-jP) mod 2^e) / 2^e and the gaps
+    are compared in exact integers: a lag reported empty is 0 for the stored
+    beta, not by a float comparison.  Gaps only split as n grows, so the
+    first empty lag ends the support; by the three-distance theorem the gaps
+    take at most three lengths, and for beta > 1/2 none is left at n = 2.
+    """
+    P, D = float(beta).as_integer_ratio()
+    qs = [0]  # the sorted numerators of q_0, ..., q_{n-1}
+    long_gaps = {0: D}  # lo -> hi of the gaps longer than beta
+    q_sum = q = 0
+    n = 1
+    while long_gaps:
+        los = sorted(long_gaps)
+        yield (np.array([lo / D for lo in los]),
+               np.array([(long_gaps[lo] - P) / D for lo in los]),
+               np.array([((n - bisect.bisect(qs, lo)) * D - q_sum) / D for lo in los]))
+        q = (q - P) % D
+        i = bisect.bisect(qs, q)
+        lo, hi = qs[i - 1], (qs[i] if i < n else D)
+        qs.insert(i, q)
+        q_sum += q
+        long_gaps.pop(lo, None)
+        for a, b in ((lo, q), (q, hi)):
+            if b - a > P:
+                long_gaps[a] = b
+        n += 1
+
+
+def _nil_value(alpha: float, gamma: float, n: int, M: int, pieces) -> complex:
+    """sum_m |f-hat(m)|^2 sum over the pieces [a, b) of lag n of
+    int_a^b e^{2 pi i m (alpha (n y + C) + n gamma)} dy, in closed form."""
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms
-    w = sw.weights
-    total = np.zeros(ms.size, dtype=complex)
-    found = False
-    for a, b in zip(brk[:-1], brk[1:]):
-        ymid = 0.5 * (a + b)
-        fr = np.mod(ymid + js * beta, 1.0)
-        if np.any(fr >= 1.0 - beta):
-            continue  # an indicator term is 1: the x-integral vanishes
-        found = True
-        # on this piece sum_j {y + j beta} = n y + C with constant C
-        C = float(np.sum(fr - ymid))
-        rate = 2j * np.pi * ms * alpha * n
-        seg = np.exp(2j * np.pi * ms * (alpha * C + n * gamma)) * (
-            np.exp(rate * b) - np.exp(rate * a)) / rate
-        total += seg
-    if not found:
-        return 0.0 + 0.0j
-    return complex(np.sum(w * total))
+    a, b, C = (v[:, None] for v in pieces)
+    rate = 2j * np.pi * ms * alpha * n
+    seg = np.exp(2j * np.pi * ms * (alpha * C + n * gamma)) * (
+        np.exp(rate * b) - np.exp(rate * a)) / rate
+    return complex(np.sum(sw.weights * seg.sum(axis=0)))
+
+
+def nil_rotation_correlation(alpha: float, beta: float, gamma: float,
+                             n: int, M: int = 201) -> complex:
+    """<F o T^n, F> for the nil-rotation skew product, exactly up to the
+    square wave's cut at M: lag |n| of ``nil_rotation_correlations`` (the
+    correlation is real-symmetric)."""
+    n = abs(n)
+    return complex(nil_rotation_correlations(alpha, beta, gamma, n, M)[n])
+
+
+def nil_rotation_correlations(alpha: float, beta: float, gamma: float,
+                              nmax: int, M: int = 201) -> np.ndarray:
+    """<F o T^n, F> for n = 0..nmax: lag n from one pass of ``_nil_pieces``
+    and ``_nil_value``, and exactly 0 past the first lag with no piece."""
+    _check_nil(alpha, beta, gamma)
+    out = np.zeros(nmax + 1, dtype=complex)
+    out[0] = 1.0
+    for n, pieces in zip(range(1, nmax + 1), _nil_pieces(beta)):
+        out[n] = _nil_value(alpha, gamma, n, M, pieces)
+    return out
 
 
 def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
@@ -368,18 +585,13 @@ def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
 
 
 def distal_integral(n: int, m_scale: int = 1) -> complex:
-    """int_0^1 e^{i pi chi_[0,1/2)(m n y mod 1)} dy by exact piecewise summation.
+    """int_0^1 e^{i pi chi_[0,1/2)(m n y mod 1)} dy, which is exactly 0.
 
-    For K = m*n != 0 the circle splits into 2|K| intervals on which the
-    integrand alternates between -1 and +1; at n = 0 the integrand is the
-    mean-zero square wave itself.
+    For K = m*n != 0 the circle splits into 2|K| intervals of length 1/(2|K|)
+    on which the integrand is -1 and +1 in turn, so they cancel in pairs; at
+    n = 0 the row is the mean of the square wave itself, also 0.
     """
-    K = abs(m_scale * n)
-    if K == 0:
-        return complex(0.5 * (-1.0) + 0.5 * (+1.0))
-    j = np.arange(2 * K)
-    piece = np.where(j % 2 == 0, -1.0, 1.0) / (2.0 * K)
-    return complex(np.sum(piece))
+    return 0.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +720,10 @@ class NilRotationSource(NameSource):
         return bits.T
 
     def rows(self, nmax):
-        rows = []
-        for n in range(nmax + 1):
-            v = nil_rotation_correlation(self.alpha, self.beta, self.gamma, n, self.M)
-            err = square_wave_coeffs(self.M).truncation_error if n else 0.0
-            rows.append((n, v, "exact" if v == 0 else "series", err))
-        return rows
+        err = square_wave_coeffs(self.M).truncation_error
+        vs = nil_rotation_correlations(self.alpha, self.beta, self.gamma, nmax, self.M)
+        return [(n, v, "exact" if v == 0 else "series", err if n else 0.0)
+                for n, v in enumerate(vs)]
 
 
 class DistalSource(NameSource):
@@ -602,7 +812,9 @@ class RudinShapiroSource(NameSource):
         return np.lib.stride_tricks.sliding_window_view(self._prefix_bits, length)[starts]
 
     def rows(self, nmax):
-        c = empirical_correlation(rudin_shapiro_names(self.L), nmax)
+        if self.L < max(1, 4 * nmax):
+            raise ValueError(f"need L >= max(1, 4 * nmax), got L = {self.L}, nmax = {nmax}")
+        c = rudin_shapiro_lag_sums(self.L, nmax) / (self.L - np.arange(nmax + 1))
         return [(n, v, "empirical", 5.0 / math.sqrt(self.L)) for n, v in enumerate(c)]
 
 

@@ -252,6 +252,11 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["system", "nil", "--names", "-1"],
     ["system", "nil", "--names", "2", "--length", "-3"],
     ["system", "rudin-shapiro", "--nmax", "-1", "--L", "64"],
+    ["system", "rudin-shapiro", "--nmax", "17", "--L", "64"],
+    ["system", "rudin-shapiro", "--nmax", str(2**24 + 1), "--L", str(2**62)],
+    ["system", "nil", "--nmax", str(10**9)],
+    ["system", "odometer", "--phi", "0,99999999999999999999", "--nmax", "2"],
+    ["funny", "--system", "odometer", "--phi", "1,-9223372036854775809"],
     ["system", "distal", "--nmax", "-1"],
     ["funny", "--system", "coin", "--samples", "0"],
     ["funny", "--system", "coin", "--samples", "-5"],
@@ -276,7 +281,7 @@ def test_bad_size_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["system", "rudin-shapiro", "--L", str(2**26 + 1)],
+    ["system", "rudin-shapiro", "--L", str(2**62 + 1)],
     ["system", "rudin-shapiro", "--log2-length", "27"],
     ["system", "rudin-shapiro", "--names", "4", "--log2-length", "-1"],
     ["funny", "--system", "rudin-shapiro", "--log2-length", "27"],
@@ -345,8 +350,9 @@ def test_gaussian_nonpositive_lag_exit_2(capsys, mode, n):
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy (the rotation cocycle's Bessel values) and numpy.fft (about 0.1 s,
-    for grid densities and Rudin-Shapiro correlations) load on first use only."""
+    """`import atlab.cli` loads no scipy (a test-only dependency) and no numpy.fft
+    (about 0.1 s, for grid densities and Rudin-Shapiro lag sums), which loads on
+    first use only."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
@@ -357,6 +363,26 @@ def test_cli_import_loads_no_scipy():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["system", "rotation", "--nmax", "12"],
+    ["system", "rudin-shapiro", "--L", str(2**40), "--nmax", "64"],
+], ids=["rotation", "rudin-shapiro"])
+def test_system_runs_without_scipy(argv):
+    """The rotation cocycle's Bessel values and the Rudin-Shapiro lag sums need
+    numpy alone: no scipy module is loaded by the end of the run."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == int(argv[argv.index("--nmax") + 1]) + 2
+    assert proc.stderr == "[]\n"
 
 
 def test_gaussian_orthant_json(capsys):

@@ -1,6 +1,7 @@
 """Tests for the concrete systems: substitutions, cocycles, nil-rotations."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -116,6 +117,70 @@ def test_cli_rudin_shapiro_csv_matches_lag_loop(tmp_path):
         f"{n},{float(v)!r},0.0,empirical,{err}\n"
         for n, v in enumerate(lag_loop(systems.rudin_shapiro_names(L), n_max)))
     assert out.read_text() == expected
+
+
+def lag_sums_loop(signs, n_max):
+    """Reference: each lag sum as one float dot product of +-1 entries, exact below 2^53."""
+    s = np.asarray(signs, dtype=float)
+    L = s.size
+    return np.array([s[:L - n] @ s[n:] if n < L else 0.0 for n in range(n_max + 1)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("L, n_max", [(1, 0), (5, 1), (1000, 16), (3000, 200), (10**5, 64),
+                                      (2**20 + 12345, 256), (2**22, 1024)])
+def test_rudin_shapiro_lag_sums_match_lag_loop(L, n_max):
+    got = systems.rudin_shapiro_lag_sums(L, n_max)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, lag_sums_loop(systems.rudin_shapiro_names(L), n_max))
+
+
+# prefixes of at most 4 blocks of max(4096, 2^ceil(log2(n_max + 1))) signs are
+# built whole; longer ones (L > 16384 here) go through the substitution recursion
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(L=st.one_of(st.integers(1, 3000), st.integers(2**14 - 64, 2**14 + 64),
+                   st.integers(2**14, 2**19)),
+       n_max=st.one_of(st.integers(0, 8), st.integers(0, 300)))
+@example(L=2**14 + 1, n_max=0)
+@example(L=2**14 + 3, n_max=1)
+@example(L=2**19 - 1, n_max=300)  # every bit of L set
+@example(L=3 * 2**15 + 4095, n_max=4095)  # the largest lag of the smallest block
+@example(L=5 * 2**15 + 1, n_max=4096)  # the block grows to 8192 signs
+def test_rudin_shapiro_lag_sums_property(L, n_max):
+    assert np.array_equal(systems.rudin_shapiro_lag_sums(L, n_max),
+                          lag_sums_loop(systems.rudin_shapiro_names(L), n_max))
+
+
+def test_rudin_shapiro_golay_identity():
+    # P_m = r[:2^m] and Q_m = r[2^m:2^(m+1)] are a Golay complementary pair: their
+    # lag sums add up to 0 at every n >= 1
+    n_max = 64
+    for m in range(7, 18):
+        q = systems.rudin_shapiro_names(2 ** (m + 1))[2**m:]
+        total = systems.rudin_shapiro_lag_sums(2**m, n_max) + lag_sums_loop(q, n_max)
+        assert total[0] == 2 ** (m + 1) and not np.any(total[1:]), m
+    # so r[:2^(m+1)] = P_m Q_m has only the cross term at n >= 1, which settles up
+    # to the sign (-1)^m once 2^m passes n_max: at L = 2^m the lag sums do not
+    # depend on m but through that sign, up to L = 2^62
+    ref = systems.rudin_shapiro_lag_sums(2**8, n_max)[1:]
+    assert np.any(ref)
+    for m in range(8, 63):
+        sums = systems.rudin_shapiro_lag_sums(2**m, n_max)
+        assert sums[0] == 2**m
+        assert np.array_equal((-1) ** m * sums[1:], ref), m
+
+
+def test_rudin_shapiro_lag_sums_huge_prefix_is_fast():
+    t0 = time.perf_counter()
+    sums = systems.rudin_shapiro_lag_sums(2**62 - 1, 1024)
+    assert time.perf_counter() - t0 < 1.0
+    assert sums[0] == 2**62 - 1
+    assert np.max(np.abs(sums[1:])) < 1000
+
+
+@pytest.mark.parametrize("L, n_max", [(0, 1), (5, -1), (2**62 + 1, 1), (2**30, 2**24 + 1)])
+def test_rudin_shapiro_lag_sums_rejects_bad_sizes(L, n_max):
+    with pytest.raises(ValueError):
+        systems.rudin_shapiro_lag_sums(L, n_max)
 
 
 def test_two_point_phi_zero():
@@ -254,6 +319,47 @@ def test_rotation_cocycle_bessel_oracle():
     assert abs(got - complex(total)) < 1e-7
 
 
+def _mpmath_jv(nu, z):
+    import mpmath
+    with mpmath.workdps(40):
+        return float(mpmath.besselj(int(nu), float(z)))
+
+
+def test_bessel_jv_matches_scipy():
+    # where scipy and bessel_jv differ by more than 1e-14, 40-digit mpmath decides:
+    # scipy's own error reaches about 1.4e-14 at |z| ~ 550, bessel_jv's must not
+    from scipy.special import jv
+    rng = np.random.default_rng(12)
+    nu = np.concatenate([rng.integers(-5000, 5001, 3000), rng.integers(-700, 701, 3000),
+                         rng.integers(-40, 41, 3000)])
+    z = np.concatenate([rng.uniform(-600, 600, 6000), rng.uniform(-50, 50, 3000)])
+    got = systems.bessel_jv(nu, z)
+    off = np.flatnonzero(np.abs(got - jv(nu, z)) > 1e-14)
+    assert off.size < 20
+    for i in off:
+        assert abs(got[i] - _mpmath_jv(nu[i], z[i])) <= 1e-14, (nu[i], z[i])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(nu=st.one_of(st.integers(-5000, 5000), st.integers(-800, 800)),
+       z=st.floats(-600.0, 600.0))
+@example(nu=0, z=0.0)
+@example(nu=3, z=0.0)
+@example(nu=-551, z=-565.559)
+@example(nu=600, z=599.3)
+@example(nu=5000, z=600.0)
+def test_bessel_jv_matches_mpmath(nu, z):
+    assert abs(systems.bessel_jv(nu, z) - _mpmath_jv(nu, z)) <= 1e-14
+
+
+def test_bessel_jv_broadcasts():
+    got = systems.bessel_jv(np.arange(-3, 4)[:, None], np.array([0.0, 1.5, -7.25]))
+    assert got.shape == (7, 3)
+    assert got[3, 0] == 1.0 and not np.any(got[np.arange(7) != 3, 0])
+    from scipy.special import jv
+    assert np.max(np.abs(got - jv(np.arange(-3, 4)[:, None], [0.0, 1.5, -7.25]))) <= 1e-15
+
+
 def test_ac_cocycle_analytic_constant_positive():
     C = systems.ac_cocycle_analytic_constant(0.1, 0.5)
     assert 0.0 < C < 1.0
@@ -294,6 +400,111 @@ def test_nil_symmetry_in_n():
     assert v1 == v2
 
 
+def nil_breakpoint_reference(alpha, beta, gamma, n, M=201):
+    """The breakpoint loop that ``nil_rotation_correlation`` replaced: every
+    breakpoint of y -> ({y + j beta})_j in float, a float membership test at
+    each piece's midpoint, and C summed from the fractional parts there."""
+    n = abs(n)
+    if n == 0:
+        return 1.0 + 0.0j
+    js = np.arange(n)
+    brk = np.concatenate([np.mod(-js * beta, 1.0),
+                          np.mod(1.0 - beta - js * beta, 1.0), [0.0, 1.0]])
+    brk = np.unique(np.clip(brk, 0.0, 1.0))
+    sw = systems.square_wave_coeffs(M)
+    ms = sw.odd_ms
+    total = np.zeros(ms.size, dtype=complex)
+    found = False
+    for a, b in zip(brk[:-1], brk[1:]):
+        ymid = 0.5 * (a + b)
+        fr = np.mod(ymid + js * beta, 1.0)
+        if np.any(fr >= 1.0 - beta):
+            continue
+        found = True
+        C = float(np.sum(fr - ymid))
+        rate = 2j * np.pi * ms * alpha * n
+        total += np.exp(2j * np.pi * ms * (alpha * C + n * gamma)) * (
+            np.exp(rate * b) - np.exp(rate * a)) / rate
+    if not found:
+        return 0.0 + 0.0j
+    return complex(np.sum(sw.weights * total))
+
+
+def nil_lag_survives_exactly(beta, n):
+    """Whether some y has {y + j beta} < 1 - beta for every j < n, decided by
+    the breakpoint loop in exact integers (beta = P / D, positions in units of
+    1/(2D), so every midpoint is an integer)."""
+    P, D = beta.as_integer_ratio()
+    brk = sorted({2 * ((-j * P) % D) for j in range(n)}
+                 | {2 * ((D - P - j * P) % D) for j in range(n)} | {0, 2 * D})
+    return any(all((mid + 2 * j * P) % (2 * D) < 2 * (D - P) for j in range(n))
+               for mid in ((a + b) // 2 for a, b in zip(brk[:-1], brk[1:])))
+
+
+def nil_mpmath_value(alpha, beta, gamma, n, M=201):
+    """Lag n at 40 digits: the surviving intervals from the exact breakpoints,
+    C = #{j : q_j > q_(i)} - sum_j q_j from exact integers, each m-term in mpmath."""
+    import mpmath
+    P, D = beta.as_integer_ratio()
+    q = [(-j * P) % D for j in range(n)]
+    ends = sorted(q) + [D]
+    with mpmath.workdps(40):
+        a, g = mpmath.mpf(alpha), mpmath.mpf(gamma)
+        total = mpmath.mpc(0)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            if hi - lo <= P:
+                continue
+            C = mpmath.mpf(sum(x > lo for x in q) * D - sum(q)) / D
+            y0, y1 = mpmath.mpf(lo) / D, mpmath.mpf(hi - P) / D
+            for m in range(-M, M + 1, 2):
+                rate = 2j * mpmath.pi * m * a * n
+                total += (4 / (mpmath.pi * m) ** 2 * mpmath.exp(2j * mpmath.pi * m * (a * C + n * g))
+                          * (mpmath.exp(rate * y1) - mpmath.exp(rate * y0)) / rate)
+        return complex(total)
+
+
+_NIL_BETAS = st.one_of(st.floats(0.3, 0.99), st.floats(0.02, 0.3), st.floats(0.008, 0.02))
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(beta=_NIL_BETAS, alpha=st.sampled_from([systems.SQRT2_M1, systems.GOLDEN_M1, 0.123457]),
+       gamma=st.floats(-1.0, 1.0))
+@example(beta=0.7, alpha=systems.SQRT2_M1, gamma=0.0)
+@example(beta=0.3, alpha=systems.GOLDEN_M1, gamma=0.25)
+@example(beta=0.0618034, alpha=systems.SQRT2_M1, gamma=0.0)  # support 16; the loop's 31
+@example(beta=0.0173, alpha=systems.SQRT2_M1, gamma=0.1)  # support 57; the loop's 112
+@example(beta=0.0095, alpha=systems.GOLDEN_M1, gamma=0.0)  # support of over 100 lags
+def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
+    assume(not any(abs(beta - p / q) < 1e-12 for q in range(1, 5) for p in range(1, q)))
+    vs = systems.nil_rotation_correlations(alpha, beta, gamma, 400)
+    support = np.flatnonzero(vs)[-1]
+    # the lags that survive are 1..support, and exact integers agree on where that ends
+    assert np.all(vs[:support + 1] != 0) and not np.any(vs[support + 1:])
+    assert nil_lag_survives_exactly(beta, support)
+    assert not nil_lag_survives_exactly(beta, support + 1)
+    for n in range(support + 1):
+        if abs(vs[n] - nil_breakpoint_reference(alpha, beta, gamma, n)) > 1e-15:
+            # the loop's C sums n rounded fractional parts: over long supports it
+            # drifts past 1e-15, and 40 digits decide
+            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= 1e-15, n
+    for n in range(support + 1, support + 4):
+        # past the support the float loop can keep a sliver a few ulp wide, whose
+        # value (up to 1.4e-15 seen) is a rounding artifact: in exact integers
+        # no piece survives
+        assert not nil_lag_survives_exactly(beta, n)
+        assert abs(nil_breakpoint_reference(alpha, beta, gamma, n)) <= 1e-14, n
+    for n in (1, support, support + 1):
+        assert systems.nil_rotation_correlation(alpha, beta, gamma, n) == vs[n]
+
+
+def test_nil_rows_end_in_exact_zeros_quickly():
+    t0 = time.perf_counter()
+    rows = systems.NilRotationSource(beta=0.0618034).rows(4096)
+    assert time.perf_counter() - t0 < 1.0
+    assert [n for n, v, _, _ in rows if v != 0] == list(range(17))
+    assert all(method == "exact" for _, v, method, _ in rows[17:])
+
+
 @pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1],
                          ids=["sqrt2-1", "golden"])
 def test_rotation_cocycle_hermitian_in_n(alpha):
@@ -311,9 +522,12 @@ def test_nil_beta_near_one_small():
 
 
 def test_distal_integral_zero():
+    # against the alternating pieces of length 1/(2K) summed as the rows once did
     for n in range(0, 101):
         for m_scale in (1, 2, 3):
-            assert systems.distal_integral(n, m_scale) == 0.0
+            K = abs(m_scale * n)
+            pieces = np.where(np.arange(2 * K) % 2 == 0, -1.0, 1.0) / (2.0 * max(K, 1))
+            assert systems.distal_integral(n, m_scale) == complex(np.sum(pieces)) == 0.0
 
 
 def test_name_sources_shapes_and_determinism():
