@@ -1,5 +1,6 @@
 """atlab: numerical laboratory for spectral non-AT criteria on circle measures."""
 
+from .bessel import bessel_jv
 from .fourier import (
     FourierTable,
     DensityBoundReport,
@@ -36,7 +37,6 @@ from .systems import (
     OdometerExtensionSource,
     RotationCocycleSource,
     RudinShapiroSource,
-    bessel_jv,
     distal_integral,
     empirical_correlation,
     nil_rotation_correlation,

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bessel import bessel_jv
 from .fourier import FourierTable
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
@@ -143,12 +144,11 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
     Rudin-Shapiro signs r, as int64, for L up to 2^62.
 
     All lag sums come from ``_lag_sums``, exact under its rounding bound.  With
-    B its block for lags 0..nmax, a prefix of at most 4 B signs is built and
-    handed to it whole: that takes at most eight transforms of 2B points,
-    about the fixed cost of the recursion below.  A longer one is never
-    built.  The level-k blocks sigma^k(a) of the substitution are P_k, Q_k,
-    -Q_k and -P_k for a = 0, 1, 2, 3, where P_{k+1} = P_k Q_k and
-    Q_{k+1} = P_k (-Q_k) (the Golay-Rudin-Shapiro pair).  The fixed point is sigma^k of itself, so its
+    B its block for lags 0..nmax, the only prefix built is the first 2B
+    signs (at most 2^26 for nmax <= 2^24), whatever L is.  The level-k
+    blocks sigma^k(a) of the substitution are P_k, Q_k, -Q_k and -P_k for
+    a = 0, 1, 2, 3, where P_{k+1} = P_k Q_k and Q_{k+1} = P_k (-Q_k) (the
+    Golay-Rudin-Shapiro pair).  The fixed point is sigma^k of itself, so its
     level-k block at index j (the signs jB'..(j+1)B' - 1, B' = 2^k) is
     r_j P_k for even j and r_j Q_k for odd j.  The prefix is therefore one
     block r_i P_k, i = floor(L / 2^(k+1)), per 1-bit k of L with 2^k >= B,
@@ -171,12 +171,9 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
     if L > MAX_LENGTH or nmax > MAX_LAG:
         raise ValueError(f"need L <= 2**62 and nmax <= 2**24, got L = {L}, nmax = {nmax}")
     B = max(4096, 1 << nmax.bit_length())  # _lag_sums' block for lags 0..nmax
-    if L <= 4 * B:
-        s = rudin_shapiro_names(L)
-        return _lag_sums(s, s, nmax)
 
     def part(s):  # (lag sums, head, tail)
-        return _lag_sums(s, s, nmax), s[:nmax], s[s.size - nmax:]
+        return _lag_sums(s, s, nmax), s[:nmax], s[s.size - min(nmax, s.size):]
 
     @functools.lru_cache(maxsize=4)
     def normalized_cross(tail_bytes, head_bytes):
@@ -205,12 +202,13 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
     low = L % B
     j = L >> K
     suffix = part(_rudin_shapiro_sign(j) * (Q if j & 1 else P)[:low]) if low else None
-    p, q = part(P), part(Q)
+    p, q = part(P), (part(Q) if L >= 2 * B else None)  # Q_K joins in from level K + 1 on
     for k in range(K, L.bit_length()):
+        if k > K:
+            p, q = join(p, q), join(p, signed(-1, q))
         if L >> k & 1:
             block = signed(_rudin_shapiro_sign(L >> (k + 1)), p)
             suffix = block if suffix is None else join(block, suffix)
-        p, q = join(p, q), join(p, signed(-1, q))
     return suffix[0]
 
 
@@ -306,92 +304,6 @@ def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
 
 # ---------------------------------------------------------------------------
 # Absolutely continuous cocycle over an irrational rotation
-
-
-# each Bessel value the trapezoid rule below drops or aliases is below this
-_BESSEL_SLACK = 2.0**-60
-# entries of one block of trapezoid phases (64 MiB of float64)
-_BESSEL_BLOCK = 2**23
-
-
-def _log_kapteyn(k, z) -> np.ndarray:
-    """log of Kapteyn's bound |J_k(z)| <= (r e^w / (1 + w))^k, r = |z|/k and
-    w = sqrt(1 - r^2), for integer k > |z| (Watson, Bessel Functions, 8.7);
-    0 where k <= |z|, as |J_k| <= 1."""
-    k = np.asarray(k, dtype=float)
-    z = np.abs(z)
-    above = k > z
-    r = np.where(above, z / np.where(above, k, 1.0), 1.0)
-    w = np.sqrt(1.0 - r * r)
-    with np.errstate(divide="ignore"):
-        return np.where(above, k * (np.log(r) + w - np.log1p(w)), 0.0)
-
-
-def _alias_margin(z: float) -> int:
-    """The least N > |z| with 2 sum_{k >= N} |J_k(z)| < _BESSEL_SLACK by
-    ``_log_kapteyn``.  Above |z| the log bound F(k) decreases and is concave
-    (F'(k) = log(r / (1 + w)) falls as k grows), so the ratios of successive
-    bounds fall too and the tail from N is at most b_N / (1 - b_{N+1} / b_N)."""
-    if z == 0.0:
-        return 1  # J_k(0) = 0 for every k >= 1
-    lo, width = int(abs(z)) + 1, 64
-    while True:
-        f = _log_kapteyn(np.arange(lo, lo + width + 1), z)
-        with np.errstate(divide="ignore"):
-            tail = f[:-1] - np.log(-np.expm1(f[1:] - f[:-1]))
-        ok = np.flatnonzero(tail < math.log(_BESSEL_SLACK / 2.0))
-        if ok.size:
-            return lo + int(ok[0])
-        lo, width = lo + width, 2 * width
-
-
-def _sin_turns(P: int) -> np.ndarray:
-    """sin(2 pi j / P) for j = 0..P-1 and P a multiple of 8, each taken by the
-    quarter-turn symmetries from a sine or cosine of an argument in [0, pi/4],
-    where rounding the argument moves the value least."""
-    Q, E = P // 4, P // 8
-    t = 2.0 * math.pi * np.arange(E + 1) / P
-    quarter = np.concatenate([np.sin(t), np.cos(t)[E - 1::-1]])  # j = 0..Q
-    half = np.concatenate([quarter, quarter[Q - 1::-1]])  # j = 0..2Q
-    return np.concatenate([half, -half[1:2 * Q]])
-
-
-def bessel_jv(nu, z) -> np.ndarray:
-    """J_nu(z) for integer orders nu and real z (broadcast together).
-
-    J_nu(z) = (1/2 pi) int_0^{2 pi} cos(nu t - z sin t) dt for integer nu, and
-    its P-point trapezoid rule mean_j cos(nu t_j - z sin t_j), t_j = 2 pi j / P,
-    is exactly sum_l J_{nu + lP}(z), since e^{-iz sin t} = sum_k J_k(z) e^{-ikt}
-    (Jacobi-Anger).  Its aliasing error sum_{l != 0} J_{nu + lP}(z) is at most
-    2 sum_{k >= P - |nu|} |J_k(z)|, and Kapteyn's inequality
-    (``_log_kapteyn``) bounds each |J_k(z)|.  An order whose bound is below
-    s = 2^-60 is set to 0, and P is chosen so that the aliasing bound is
-    below s for every order kept (``_alias_margin``); so each value is within
-    s of J_nu(z) before rounding.  The phase nu t_j is reduced exactly, as
-    2 pi ((nu j) mod P) / P, sin t_j comes from an argument in [0, pi/4]
-    (``_sin_turns``), and z sin t_j is off by about |z| eps; the rounding of
-    a value, a mean of P such cosines, was at most 3e-15 in the samples
-    checked against 40-digit mpmath (|nu| <= 5000, |z| <= 600).  Memory is
-    bounded: the phases are built a block of orders at a time.
-    """
-    nu, z = np.broadcast_arrays(np.asarray(nu, dtype=np.int64), np.asarray(z, dtype=float))
-    out = np.zeros(nu.shape)
-    keep = np.flatnonzero(_log_kapteyn(np.abs(nu), z).ravel() >= math.log(_BESSEL_SLACK))
-    if keep.size == 0:
-        return out
-    nu_kept, z_kept = nu.ravel()[keep], z.ravel()[keep]
-    P = 8 * -(-(int(np.abs(nu_kept).max()) + _alias_margin(np.abs(z_kept).max())) // 8)
-    j = np.arange(P)
-    sin_t = _sin_turns(P)
-    values = np.empty(keep.size)
-    rows = max(1, _BESSEL_BLOCK // P)
-    for r0 in range(0, keep.size, rows):
-        r = slice(r0, r0 + rows)
-        phase = (2.0 * math.pi / P) * (np.outer(nu_kept[r], j) % P)
-        phase -= np.outer(z_kept[r], sin_t)
-        values[r] = np.mean(np.cos(phase), axis=1)
-    out.reshape(-1)[keep] = values
-    return out
 
 
 def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
