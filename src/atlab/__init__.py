@@ -20,10 +20,8 @@ from .fourier import (
 )
 from .sbh import (
     SbhReport,
-    blum_hanson_average,
     certify,
     epsilon0,
-    rajchman_decay,
     sbh_form,
     sbh_sup_exhaustive,
     sbh_sup_heuristic,
@@ -61,11 +59,8 @@ from .funny import (
     FunnyWord,
     LambdaFamily,
     funny_word_search,
-    hamming,
     non_at_bound,
-    theta_l2_empirical,
     theta_l2_exact,
-    theta_of_name,
     theta_symmetry_check,
 )
 

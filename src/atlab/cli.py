@@ -98,18 +98,23 @@ def cmd_measure(args) -> int:
     # a wider table could not be read back by --in or certify
     if not 0 <= args.N <= fourier.MAX_HALF_WIDTH:
         raise ValueError(f"need 0 <= --N <= {fourier.MAX_HALF_WIDTH}, got {args.N}")
-    if args.density_grid is not None and args.density_grid < 1:
-        raise ValueError(f"need --density-grid >= 1, got {args.density_grid}")
+    # the default grid of the widest table, which density_sup also reads
+    max_grid = 4 * fourier.MAX_HALF_WIDTH + 4
+    if args.density_grid is not None and not 1 <= args.density_grid <= max_grid:
+        raise ValueError(f"need 1 <= --density-grid <= {max_grid}, got {args.density_grid}")
     t = _MEASURES[args.kind](args)
     _emit(render_json(fourier.table_to_json_obj(t)), args)
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
         thetas = np.arange(grid) / grid
-        # tolist() gives Python floats, whose repr is the shortest round-trip form
-        rows = zip(thetas.tolist(), t.density(thetas).tolist())
-        lines = ["theta,density"] + [f"{th!r},{v!r}" for th, v in rows]
+        density = t.density(thetas)
         with open(args.density_csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("theta,density\n")
+            # tolist() gives Python floats, whose repr is the shortest round-trip
+            # form; 2^16 rows at a time keep the text small
+            for i in range(0, grid, 2**16):
+                rows = zip(thetas[i:i + 2**16].tolist(), density[i:i + 2**16].tolist())
+                fh.write("".join(f"{th!r},{v!r}\n" for th, v in rows))
     return 0
 
 
@@ -172,8 +177,9 @@ def _system(args):
 
 def cmd_system(args) -> int:
     make_source = _system(args)
-    if not 0 <= args.nmax <= systems.MAX_LAG or args.names < 0 or args.length < 1:
-        raise ValueError("need 0 <= --nmax <= 2**24, --names >= 0 and --length >= 1")
+    if not 0 <= args.nmax <= fourier.MAX_HALF_WIDTH or args.names < 0 or args.length < 1:
+        raise ValueError(f"need 0 <= --nmax <= {fourier.MAX_HALF_WIDTH}, --names >= 0 "
+                         "and --length >= 1")
     if not 1 <= args.L <= systems.MAX_LENGTH:
         raise ValueError(f"need 1 <= --L <= 2**62, got {args.L}")
     if args.names * args.length > systems.MAX_NAME_BITS:
@@ -193,6 +199,8 @@ def cmd_gaussian(args) -> int:
     if mode == "constants":
         _emit(render_json(dataclasses.asdict(gaussian.gnoat_constant_check())), args)
         return 0
+    if mode == "cocycle" and not 0 <= args.nmax <= fourier.MAX_HALF_WIDTH:
+        raise ValueError(f"need 0 <= --nmax <= {fourier.MAX_HALF_WIDTH}, got {args.nmax}")
     if mode != "cocycle" and args.n < 1:
         raise ValueError(f"need --n >= 1, got {args.n}")
     if mode != "cocycle" and args.samples > gaussian.MAX_MC_SAMPLES:

@@ -30,7 +30,8 @@ PSD_TOL = -1e-8
 
 _HERM_TOL = 1e-12
 
-# largest half_width a measure file may declare.  The table then holds
+# largest half_width a measure file may declare, and the widest table a command
+# builds (`system` and `gaussian cocycle --nmax`).  The table then holds
 # 2^23 + 1 complex coefficients (128 MiB) and density_sup's grid of 4N + 4
 # = 2^24 + 4 points needs about 256 MiB per complex array.
 MAX_HALF_WIDTH = 2**22
@@ -273,11 +274,14 @@ def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
     nn = np.zeros(N + 1, dtype=complex)
     nn[0] = 1.0
     # walk all sign patterns; uniqueness of representations means each
-    # positive n is produced by at most one pattern
+    # positive n is produced by at most one pattern.  A pattern whose top
+    # nonzero sign is at j has |n| >= lambda_j - sum_{i<j} lambda_i > lambda_j / 2
+    # by lacunarity, so the walk stops below the first lambda_j >= 2N
     nn_pos = np.zeros(N + 1, dtype=complex)
+    walked = sum(l < 2 * N for l in lam)
 
     def expand_signed(j, freq, coeff):
-        if j == len(lam):
+        if j == walked:
             if 0 < freq <= N:
                 nn_pos[freq] += coeff
             return

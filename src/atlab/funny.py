@@ -14,11 +14,13 @@ import numpy as np
 
 from .fourier import FourierTable
 from .sbh import epsilon0, sbh_form
-from .systems import NameSource, names_to_signs
+from .systems import NameSource
 
 SEARCH_CAVEAT = (
     "no searched word violates the bound; a finite search cannot certify non-AT"
 )
+# a search row violates the bound only beyond this many standard errors
+SLACK_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -39,97 +41,37 @@ class FunnyWord:
         return len(self.indices)
 
 
-def hamming(w1, w2) -> float:
-    """Normalized disagreement count of two equal-length bit words."""
-    a = np.asarray(w1)
-    b = np.asarray(w2)
-    if a.shape != b.shape:
-        raise ValueError("words must have equal length")
-    return float(np.mean(a != b))
-
-
-def theta_of_name(name_bits, w: FunnyWord) -> float:
-    """Theta = 1 - 2 * hamming(W, name restricted to the index set)."""
-    return 1.0 - 2.0 * hamming(name_bits, w.bits)
-
-
 def theta_l2_exact(t: FourierTable, w: FunnyWord) -> float:
     """||Theta^W||^2 as a quadratic form in the spectral coefficients."""
     return sbh_form(t, w.indices, w.bits) / w.k
 
 
-def _restrict(names: np.ndarray, w: FunnyWord) -> np.ndarray:
+def _thetas(names: np.ndarray, w: FunnyWord) -> np.ndarray:
+    """Theta = 1 - 2 dbar per name, dbar its disagreement rate with the word."""
     idx = np.asarray(w.indices)
     if names.shape[1] <= idx[-1]:
         raise ValueError("names too short for the word's index set")
-    return names[:, idx]
-
-
-def _thetas(names: np.ndarray, w: FunnyWord) -> np.ndarray:
-    sub = _restrict(names, w)
-    dbar = np.mean(sub != np.asarray(w.bits)[None, :], axis=1)
+    dbar = np.mean(names[:, idx] != np.asarray(w.bits)[None, :], axis=1)
     return 1.0 - 2.0 * dbar
-
-
-def theta_l2_empirical(src: NameSource, w: FunnyWord, samples: int,
-                       seed: int) -> tuple[float, float]:
-    """Monte Carlo (estimate, stderr) of ||Theta^W||^2 over sampled names."""
-    names = src.sample_names(samples, w.indices[-1] + 1, seed)
-    t2 = _thetas(names, w) ** 2
-    est = float(np.mean(t2))
-    se = float(np.std(t2, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return est, se
 
 
 def non_at_bound(epsilon: float) -> float:
     """(1 + eps0) / (2 (1 - 2 eps)^2): the Tchebychev mass bound times k.
 
-    The numerator follows the (1 + eps0) inequality chain.
+    The numerator follows the (1 + eps0) inequality chain; the other
+    published numerator, 1 + eps, gives (1 + eps) / (2 (1 - 2 eps)^2).
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError("need 0 < epsilon < 1/2")
     return (1.0 + epsilon0()) / (2.0 * (1.0 - 2.0 * epsilon) ** 2)
 
 
-def non_at_bound_eps_numerator(epsilon: float) -> float:
-    """(1 + eps) / (2 (1 - 2 eps)^2), the other published numerator."""
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError("need 0 < epsilon < 1/2")
-    return (1.0 + epsilon) / (2.0 * (1.0 - 2.0 * epsilon) ** 2)
-
-
-@dataclass
-class ThetaReport:
-    word: FunnyWord
-    exact_l2: float | None
-    empirical_l2: tuple[float, float] | None
-    hist_edges: np.ndarray
-    hist_mass: np.ndarray
-    dbar_samples: np.ndarray
-
-    def mass_below(self, eps: float) -> float:
-        """Empirical mu{dbar < eps}."""
-        return float(np.mean(self.dbar_samples < eps))
-
-
-def theta_report(src: NameSource, w: FunnyWord, samples: int, seed: int,
-                 table: FourierTable | None = None) -> ThetaReport:
-    names = src.sample_names(samples, w.indices[-1] + 1, seed)
-    th = _thetas(names, w)
-    hist, edges = np.histogram(th, bins=41, range=(-1.0, 1.0), density=False)
-    exact = theta_l2_exact(table, w) if table is not None else None
-    est = float(np.mean(th**2))
-    se = float(np.std(th**2, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return ThetaReport(
-        word=w, exact_l2=exact, empirical_l2=(est, se),
-        hist_edges=edges, hist_mass=hist / samples,
-        dbar_samples=(1.0 - th) / 2.0,
-    )
-
-
 def theta_symmetry_check(src: NameSource, w: FunnyWord, samples: int,
                          seed: int) -> dict:
     """Test symmetry of the Theta distribution via its odd moments.
+
+    `non_at_bound` assumes this symmetry: its 1/2 turns the two-sided mass
+    mu{|Theta| > 1 - 2 eps} into the one-sided mu{Theta > 1 - 2 eps}.
 
     Statistic: max of the z-scores of mean(Theta) and mean(Theta^3); both
     vanish for a symmetric law.  Threshold 4 (two-sided ~6e-5 per moment).
@@ -216,9 +158,9 @@ class SearchReport:
     best: SearchRow
     caveat: str = SEARCH_CAVEAT
 
-    def violations(self, slack_sigmas: float = 4.0) -> list[SearchRow]:
+    def violations(self) -> list[SearchRow]:
         return [r for r in self.rows
-                if r.k_times_mass > r.bound + slack_sigmas * len(r.indices) * r.stderr]
+                if r.k_times_mass > r.bound + SLACK_SIGMAS * len(r.indices) * r.stderr]
 
 
 def _step_rows(names: np.ndarray) -> np.ndarray:

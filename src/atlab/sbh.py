@@ -59,13 +59,6 @@ def _check_indices(indices) -> np.ndarray:
     return idx
 
 
-def blum_hanson_average(t: FourierTable, indices) -> float:
-    """(1/k^2) sum_{i,j} c(n_i - n_j): squared norm of the averaged exponentials."""
-    idx = _check_indices(indices)
-    k = idx.size
-    return float(np.real(np.sum(t.gram(idx)))) / (k * k)
-
-
 def sbh_form(t: FourierTable, indices, signs) -> float:
     """(1/k) sum_{i,j} (-1)^{eta_i + eta_j} c(n_i - n_j)."""
     idx = _check_indices(indices)
@@ -85,9 +78,9 @@ def _sign_matrix(k: int) -> np.ndarray:
     return S
 
 
-def sbh_sup_exhaustive(t: FourierTable, k: int, window: int,
-                       return_witness: bool = False):
-    """Exact max of the signed form over k-subsets of [0, window) and all signs.
+def sbh_sup_exhaustive(t: FourierTable, k: int, window: int):
+    """Exact max of the signed form over k-subsets of [0, window) and all signs,
+    as (value, indices, signs).
 
     Signs are canonicalized by fixing the first one (global flips leave the
     form invariant).
@@ -104,18 +97,15 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int,
     # vals[a, s] = S[a] . Gr[s] . S[a] / k
     vals = np.einsum("ai,sij,aj->as", S, Gr, S) / k
     a_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
-    best = float(vals[a_best, s_best])
-    if not return_witness:
-        return best
     idx = tuple(int(x) for x in subsets[s_best])
     eta = tuple(0 if x > 0 else 1 for x in S[a_best])
-    return best, idx, eta
+    return float(vals[a_best, s_best]), idx, eta
 
 
 def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
-                      budget: int = 2000, seed: int = 0,
-                      return_witness: bool = False):
-    """Greedy growth plus local moves; a deterministic lower bound for the sup."""
+                      budget: int = 2000, seed: int = 0):
+    """Greedy growth plus local moves; a deterministic lower bound for the sup,
+    as (value, indices, signs)."""
     if k < 1 or window < k:
         raise ValueError("need 1 <= k <= window")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -160,19 +150,8 @@ def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
         v = value(idx2, s2)
         if v > best_v:
             best_v, best_idx, best_s = v, idx2, s2
-    if not return_witness:
-        return best_v
     eta = tuple(0 if x > 0 else 1 for x in best_s)
     return best_v, tuple(best_idx), eta
-
-
-def rajchman_decay(t: FourierTable, window: int) -> float:
-    """max |c(n)| over the outermost ``window`` indices: a finite decay proxy."""
-    N = t.half_width
-    if not 1 <= window <= N:
-        raise ValueError("need 1 <= window <= half_width")
-    nn = np.abs(t.nonneg())
-    return float(np.max(nn[N - window + 1: N + 1]))
 
 
 @dataclass
@@ -203,13 +182,12 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     if k >= 1:
         kk = min(k, 12)
         ww = min(max(window, kk), 24)
-        val, idx, eta = sbh_sup_exhaustive(t, kk, ww, return_witness=True)
+        val, idx, eta = sbh_sup_exhaustive(t, kk, ww)
         exh, exh_witness, params = val, {"indices": list(idx), "signs": list(eta)}, (kk, ww)
     heu = heu_witness = None
     if heuristic_budget > 0:
         hv, hidx, heta = sbh_sup_heuristic(t, min(k, 12), window,
-                                           budget=heuristic_budget, seed=seed,
-                                           return_witness=True)
+                                           budget=heuristic_budget, seed=seed)
         heu, heu_witness = hv, {"indices": list(hidx), "signs": list(heta)}
     witness_sup = max(x for x in (exh, heu, -math.inf) if x is not None)
     note = ""

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import bessel_jv
-from .fourier import FourierTable
+from .fourier import MAX_HALF_WIDTH, FourierTable
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 GOLDEN_M1 = (math.sqrt(5.0) - 1.0) / 2.0
@@ -37,12 +37,8 @@ def _require_finite(**params: float) -> None:
 # largest log2 of a Rudin-Shapiro prefix the CLI builds (names only): 2^26 int8
 # signs are 64 MiB, and the substitution holds a few arrays of that size at once
 MAX_LOG2_LENGTH = 26
-# largest L of the Rudin-Shapiro lag sums, so that L - n stays an int64, and
-# largest lag of any correlation table: 2^24, the largest lag a 2^26-sign prefix
-# allowed, keeps the transforms of _lag_sums no larger than they were for that
-# prefix, and every table to 2^24 + 1 rows
+# largest L of the Rudin-Shapiro lag sums, so that L - n stays an int64
 MAX_LENGTH = 2**62
-MAX_LAG = 2**24
 
 _RS_SUBST = np.array([[0, 1], [0, 2], [3, 1], [3, 2]], dtype=np.int8)
 _RS_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
@@ -168,8 +164,8 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
     L, nmax = operator.index(L), operator.index(nmax)
     if L < 1 or nmax < 0:
         raise ValueError("need L >= 1 and nmax >= 0")
-    if L > MAX_LENGTH or nmax > MAX_LAG:
-        raise ValueError(f"need L <= 2**62 and nmax <= 2**24, got L = {L}, nmax = {nmax}")
+    if L > MAX_LENGTH or nmax > MAX_HALF_WIDTH:
+        raise ValueError(f"need L <= 2**62 and nmax <= 2**22, got L = {L}, nmax = {nmax}")
     B = max(4096, 1 << nmax.bit_length())  # _lag_sums' block for lags 0..nmax
 
     def part(s):  # (lag sums, head, tail)

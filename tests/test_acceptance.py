@@ -33,7 +33,7 @@ def test_criterion_02_lebesgue_identities():
     leb = fourier.lebesgue_table(32)
     for k in range(1, 9):
         for window in range(k, 17):
-            assert sbh.sbh_sup_exhaustive(leb, k, window) == 1.0, (k, window)
+            assert sbh.sbh_sup_exhaustive(leb, k, window)[0] == 1.0, (k, window)
     rng = np.random.default_rng(0)
     for _ in range(100):
         k = int(rng.integers(1, 13))
@@ -183,7 +183,7 @@ def test_criterion_10_funny_word_bound():
                 systems.RudinShapiroSource()):
         rep = funny.funny_word_search(src, fam, epsilon=eps,
                                       samples=10**4, seed=1)
-        assert rep.violations(slack_sigmas=4.0) == [], type(src).__name__
+        assert rep.violations() == [], type(src).__name__
         for row in rep.rows:
             assert row.k_times_mass <= bound + 4.0 * 32 * row.stderr
     degenerate = funny.funny_word_search(systems.ConstantSource(), fam,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,40 @@ def test_measure_to_file_and_density_csv(tmp_path, capsys):
     lines = dfile.read_text().splitlines()
     assert lines[0] == "theta,density"
     assert len(lines) > 100
+
+
+def test_measure_density_csv_in_blocks(tmp_path, capsys):
+    # 2^16 + 3 rows: one full block of the writer and a partial one
+    dfile = tmp_path / "d.csv"
+    grid = 2**16 + 3
+    code, _, _ = run(["measure", "sqrt", "--N", "64", "--density-grid", str(grid),
+                      "--density-csv", str(dfile)], capsys)
+    assert code == 0
+    lines = dfile.read_text().split("\n")
+    assert lines[0] == "theta,density" and lines[-1] == "" and len(lines) == grid + 2
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:-1]])
+    thetas = np.arange(grid) / grid
+    assert np.array_equal(rows[:, 0], thetas)
+    assert np.array_equal(rows[:, 1], fourier.sqrt_template(0.3, 64).density(thetas))
+
+
+def test_measure_riesz_skips_frequencies_past_the_table(capsys):
+    # 3^20 sign patterns would take hours; only the frequencies 1, 3 and 9 reach
+    # |n| <= 8, and the label still names all twenty
+    freqs = [3**j for j in range(20)]
+    t0 = time.perf_counter()
+    code, out, _ = run(["measure", "riesz", "--N", "8", "--a", ",".join(["0.5"] * 20),
+                        "--freq", ",".join(map(str, freqs))], capsys)
+    assert code == 0
+    assert time.perf_counter() - t0 < 5.0
+    obj = json.loads(out)
+    assert obj["label"] == f"riesz(a={[0.5] * 20}, freq={freqs})"
+    three = fourier.table_to_json_obj(fourier.riesz_product([0.5] * 3, [1, 3, 9], 8))
+    assert {**obj, "label": three["label"]} == three
+    # and those are the coefficients of the three-factor product, sampled at 64 points
+    x = np.arange(64) / 64
+    c = np.fft.fft(np.prod([1 + 0.5 * np.cos(2 * np.pi * f * x) for f in (1, 3, 9)], axis=0)) / 64
+    assert [row[1] for row in obj["coeffs"]] == pytest.approx(c[:9].real, abs=1e-15)
 
 
 def test_measure_arcsine_pipeline(tmp_path, capsys):
@@ -258,6 +293,7 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["system", "odometer", "--phi", "0,99999999999999999999", "--nmax", "2"],
     ["funny", "--system", "odometer", "--phi", "1,-9223372036854775809"],
     ["system", "distal", "--nmax", "-1"],
+    ["system", "distal", "--nmax", str(2**22 + 1)],
     ["funny", "--system", "coin", "--samples", "0"],
     ["funny", "--system", "coin", "--samples", "-5"],
     ["funny", "--system", "coin", "--k", "0"],
@@ -265,10 +301,13 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["funny", "--system", "coin", "--horizon", "0"],
     ["funny", "--system", "coin", "--eps", "nan"],
     ["gaussian", "cocycle", "--nmax", "-1"],
+    ["gaussian", "cocycle", "--nmax", str(2**22 + 1)],
     ["gaussian", "orthant", "--samples", "0"],
     ["gaussian", "product", "--samples", "0"],
     ["measure", "lebesgue", "--N", "2", "--density-grid", "-5", "--density-csv", "d.csv"],
     ["measure", "lebesgue", "--N", "2", "--density-grid", "0", "--density-csv", "d.csv"],
+    ["measure", "lebesgue", "--N", "2", "--density-grid", str(2**24 + 5),
+     "--density-csv", "d.csv"],
     ["measure", "lebesgue", "--N", "4194305"],
     ["measure", "riesz", "--N", "-1"],
 ], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))

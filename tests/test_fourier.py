@@ -229,6 +229,15 @@ def test_riesz_matches_quadrature():
         assert abs(approx - t.at(n)) < 1e-10, f"mismatch at n={n}"
 
 
+def test_riesz_walk_stops_below_2N():
+    # 9 first reaches the table at N = 5, as 9 - 3 - 1, where 2N = 10 > 9; at
+    # N = 14 every frequency is walked
+    full = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], 14).nonneg()
+    for N in range(15):
+        t = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], N)
+        assert np.array_equal(t.nonneg(), full[:N + 1]), N
+
+
 def test_riesz_is_psd():
     t = fourier.riesz_product([1.0, 0.7], [1, 3], 6)
     ok, _ = fourier.is_positive_definite(t, 7)

@@ -11,14 +11,6 @@ from hypothesis import strategies as st
 from atlab import cli, fourier, funny, sbh, systems
 
 
-def test_hamming_basics():
-    assert funny.hamming([0, 1, 1, 0], [0, 1, 1, 0]) == 0.0
-    assert funny.hamming([0, 1], [1, 0]) == 1.0
-    assert funny.hamming([0, 1, 1, 0], [0, 0, 1, 1]) == 0.5
-    with pytest.raises(ValueError):
-        funny.hamming([0, 1], [0, 1, 1])
-
-
 def test_funny_word_validation():
     with pytest.raises(ValueError):
         funny.FunnyWord((3, 1), (0, 0))
@@ -32,20 +24,16 @@ def test_funny_word_validation():
 
 def test_theta_of_name():
     w = funny.FunnyWord((0, 1, 2, 3), (0, 1, 1, 0))
-    assert funny.theta_of_name([0, 1, 1, 0], w) == 1.0
-    assert funny.theta_of_name([1, 0, 0, 1], w) == -1.0
-    assert funny.theta_of_name([0, 1, 0, 1], w) == 0.0
+    names = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.uint8)
+    assert funny._thetas(names, w).tolist() == [1.0, -1.0, 0.0]
+    with pytest.raises(ValueError, match="too short"):
+        funny._thetas(names[:, :3], w)
 
 
-def test_theta_identity_with_hamming():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        k = int(rng.integers(1, 10))
-        w = funny.FunnyWord(tuple(range(k)),
-                            tuple(int(b) for b in rng.integers(0, 2, k)))
-        name = rng.integers(0, 2, k)
-        assert funny.theta_of_name(name, w) == pytest.approx(
-            1.0 - 2.0 * funny.hamming(name, w.bits), abs=1e-15)
+def theta_l2_estimate(src, w, samples, seed):
+    """Monte Carlo (estimate, stderr) of ||Theta^W||^2 over sampled names."""
+    t2 = funny._thetas(src.sample_names(samples, w.indices[-1] + 1, seed), w) ** 2
+    return float(np.mean(t2)), float(np.std(t2, ddof=1) / math.sqrt(samples))
 
 
 def test_theta_l2_exact_lebesgue():
@@ -83,16 +71,17 @@ def test_theta_l2_exact_bounds():
 def test_theta_l2_empirical_coin():
     src = systems.CoinSource()
     w = funny.FunnyWord(tuple(range(8)), (0, 1, 0, 1, 1, 0, 0, 1))
-    est, se = funny.theta_l2_empirical(src, w, samples=20000, seed=4)
-    assert abs(est - 1.0 / 8.0) <= 4.0 * se
+    est, se = theta_l2_estimate(src, w, samples=20000, seed=4)
+    assert abs(est - funny.theta_l2_exact(fourier.lebesgue_table(8), w)) <= 4.0 * se
 
 
 def test_theta_l2_empirical_constant_source():
     src = systems.ConstantSource()
     w = funny.FunnyWord(tuple(range(6)), (0,) * 6)
-    est, se = funny.theta_l2_empirical(src, w, samples=5000, seed=5)
-    # names are all-0 or all-1, so Theta = +-1 and Theta^2 = 1 exactly
-    assert est == 1.0
+    est, se = theta_l2_estimate(src, w, samples=5000, seed=5)
+    # names are all-0 or all-1, so Theta = +-1 and Theta^2 = 1 exactly, which
+    # is the form of the source's spectrum, the Dirac mass
+    assert est == 1.0 == funny.theta_l2_exact(fourier.dirac_table(6), w)
     assert se == 0.0
 
 
@@ -103,7 +92,7 @@ def test_theta_l2_empirical_matches_exact_oracle():
     nn = np.array([v for _, v, _, _ in src.rows(6)], dtype=complex)
     t = fourier.FourierTable.from_nonneg(nn)
     w = funny.FunnyWord(idx, (0, 1, 1, 0))
-    est, se = funny.theta_l2_empirical(src, w, samples=10**5, seed=6)
+    est, se = theta_l2_estimate(src, w, samples=10**5, seed=6)
     assert abs(est - funny.theta_l2_exact(t, w)) <= 4.0 * se
 
 
@@ -117,24 +106,6 @@ def test_non_at_bound_values():
         funny.non_at_bound(0.5)
     with pytest.raises(ValueError):
         funny.non_at_bound(0.0)
-
-
-def test_non_at_bound_eps_numerator_variant():
-    assert funny.non_at_bound_eps_numerator(0.1) == pytest.approx(
-        1.1 / 1.28, abs=1e-12)
-    # the two published numerators are both surfaced; neither is silently fused
-    assert funny.non_at_bound(0.1) != funny.non_at_bound_eps_numerator(0.1)
-
-
-def test_theta_report_histogram():
-    src = systems.CoinSource()
-    w = funny.FunnyWord(tuple(range(16)), tuple([0, 1] * 8))
-    rep = funny.theta_report(src, w, samples=5000, seed=7,
-                             table=fourier.lebesgue_table(16))
-    assert rep.hist_mass.sum() == pytest.approx(1.0, abs=1e-12)
-    assert rep.exact_l2 == pytest.approx(1.0 / 16.0, abs=1e-15)
-    assert 0.0 <= rep.mass_below(0.5) <= 1.0
-    assert rep.mass_below(1.1) == 1.0
 
 
 def test_theta_symmetry_fair_sources():

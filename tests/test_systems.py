@@ -181,7 +181,7 @@ def test_rudin_shapiro_lag_sums_huge_prefix_is_fast():
 
 def test_rudin_shapiro_lag_sums_builds_two_base_blocks_only(monkeypatch):
     # the only signs built are P and Q at the base level, 2B of them whatever L is:
-    # at most 2^26, the largest prefix --log2-length allows
+    # at most 2^24 at the largest nmax, 2^22
     built = []
 
     class Built(Exception):
@@ -192,10 +192,10 @@ def test_rudin_shapiro_lag_sums_builds_two_base_blocks_only(monkeypatch):
         raise Built
 
     monkeypatch.setattr(systems, "rudin_shapiro_names", names)
-    for L, n_max in [(5, 1), (2**22, 1024), (2**27, 2**24), (2**62, 2**24)]:
+    for L, n_max in [(5, 1), (2**22, 1024), (2**27, 2**22), (2**62, 2**22)]:
         with pytest.raises(Built):
             systems.rudin_shapiro_lag_sums(L, n_max)
-    assert built == [8192, 8192, 2**26, 2**26]
+    assert built == [8192, 8192, 2**24, 2**24]
 
 
 def test_rudin_shapiro_lag_sums_memory_does_not_grow_with_length():
@@ -211,7 +211,8 @@ def test_rudin_shapiro_lag_sums_memory_does_not_grow_with_length():
     assert peak(2**62 - 1) <= 1.25 * peak(2**13)
 
 
-@pytest.mark.parametrize("L, n_max", [(0, 1), (5, -1), (2**62 + 1, 1), (2**30, 2**24 + 1)])
+@pytest.mark.parametrize("L, n_max", [(0, 1), (5, -1), (2**62 + 1, 1), (2**30, 2**22 + 1),
+                                      (2**30, 2**24 + 1)])
 def test_rudin_shapiro_lag_sums_rejects_bad_sizes(L, n_max):
     with pytest.raises(ValueError):
         systems.rudin_shapiro_lag_sums(L, n_max)
