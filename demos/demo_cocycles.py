@@ -13,8 +13,9 @@ delta, delta0 = 0.1, 0.5
 C = systems.ac_cocycle_analytic_constant(delta, delta0)
 print(f"rotation cocycle, delta = {delta}: analytic constant C = {C:.4f}")
 print("  n   |c(n)|      |c(n)|*n")
+cs = systems.rotation_ac_cocycle_correlations(alpha, delta, delta0, 32)
 for n in (1, 2, 4, 8, 16, 32):
-    v = abs(systems.rotation_ac_cocycle_correlation(alpha, delta, delta0, n))
+    v = abs(cs[n])
     print(f"  {n:3d} {v:.6f}   {v * n:.6f}")
 print("the product |c(n)|*n stays below C: the promised O(1/n) decay")
 print()
@@ -26,13 +27,13 @@ print(f"certify(ac cocycle table): {rep.verdict} "
 print()
 
 print("nil-rotation, beta = 0.7 (2*beta > 1 kills everything past n = 1):")
+nil = systems.nil_rotation_correlations(alpha, 0.7, 0.0, 5)
 for n in range(1, 6):
-    v = systems.nil_rotation_correlation(alpha, 0.7, 0.0, n)
-    print(f"  n={n}: {v:.6g}")
+    print(f"  n={n}: {nil[n]:.6g}")
 series = systems.nil_rotation_n1_series(alpha, 0.7, 0.0)
 print(f"  n=1 closed-form series: {series:.6g}  (matches the piecewise value)")
 print()
 
 print("distal extension: the fiber integral vanishes identically")
-vals = [systems.distal_integral(n) for n in range(1, 6)]
-print("  n = 1..5:", [complex(v) for v in vals])
+rows = systems.DistalSource(alpha).rows(5)
+print("  n = 1..5:", [complex(v) for _, v, _, _ in rows[1:]])

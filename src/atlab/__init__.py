@@ -35,12 +35,10 @@ from .systems import (
     OdometerExtensionSource,
     RotationCocycleSource,
     RudinShapiroSource,
-    distal_integral,
     empirical_correlation,
-    nil_rotation_correlation,
     nil_rotation_correlations,
     nil_rotation_n1_series,
-    rotation_ac_cocycle_correlation,
+    rotation_ac_cocycle_correlations,
     rudin_shapiro_lag_sums,
     rudin_shapiro_names,
     square_wave_coeffs,
@@ -49,7 +47,7 @@ from .systems import (
 from .gaussian import (
     GaussianSpec,
     cocycle_correlation_table,
-    cocycle_variance,
+    cocycle_variances,
     gnoat_constant_check,
     product_orthant_mc,
     sample_path,

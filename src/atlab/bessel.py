@@ -50,7 +50,8 @@ def _saddle(nu: np.ndarray, z: np.ndarray):
     beta - w = artanh w - w = sum_{k >= 1} w^(2k+1) / (2k+1) is summed as a
     series for w < 1/2, where the difference would cancel."""
     w = np.sqrt((nu - z) * (nu + z)) / nu
-    beta = np.arctanh(w)
+    with np.errstate(divide="ignore"):  # w rounds to 1 for z < 1e-8 nu: beta = inf, and
+        beta = np.arctanh(w)  # _saddle_points then leaves the rule on the real axis
     w2 = w * w
     series = np.zeros_like(w)
     for k in range(30, 0, -1):  # the terms left out are below 4^-30 of the first
@@ -77,7 +78,7 @@ def _saddle_points(nu: np.ndarray, z: np.ndarray, beta: np.ndarray) -> np.ndarra
         n, x, b = nu[todo], z[todo], beta[todo]
         g1 = _log_kapteyn(n + size, x) + size * b
         g2 = _log_kapteyn(n + 2 * size, x) + 2 * size * b
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bound = 1.0 / np.expm1(size * b) + np.exp(g1) / -np.expm1(g2 - g1)
         done = bound < _BESSEL_SLACK
         P[todo[done]] = size

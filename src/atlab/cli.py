@@ -160,8 +160,8 @@ _SYSTEMS = {
 
 def _system(args):
     """A builder of args.system's source, with --alpha and --phi parsed in place: it
-    gets each option named like a constructor parameter (`funny` has no --L or
-    --m-scale, which shape only the rows, so there they keep their defaults)."""
+    gets each option named like a constructor parameter (`funny` has no --L,
+    which shapes only the rows, so there it keeps its default)."""
     if not 0 <= args.log2_length <= systems.MAX_LOG2_LENGTH:
         raise ValueError(f"need 0 <= --log2-length <= {systems.MAX_LOG2_LENGTH}, "
                          f"got {args.log2_length}")
@@ -201,8 +201,8 @@ def cmd_gaussian(args) -> int:
         return 0
     if mode == "cocycle" and not 0 <= args.nmax <= fourier.MAX_HALF_WIDTH:
         raise ValueError(f"need 0 <= --nmax <= {fourier.MAX_HALF_WIDTH}, got {args.nmax}")
-    if mode != "cocycle" and args.n < 1:
-        raise ValueError(f"need --n >= 1, got {args.n}")
+    if mode != "cocycle" and not 1 <= args.n <= fourier.MAX_HALF_WIDTH:
+        raise ValueError(f"need 1 <= --n <= {fourier.MAX_HALF_WIDTH}, got {args.n}")
     if mode != "cocycle" and args.samples > gaussian.MAX_MC_SAMPLES:
         raise ValueError(f"need --samples <= {gaussian.MAX_MC_SAMPLES}, got {args.samples}")
     if args.spec:
@@ -310,6 +310,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
                                       if hasattr(cls, "rows")])
     s.add_argument("--L", type=int, default=2**20)
     s.add_argument("--nmax", type=int, default=16)
+    # unused (the distal rows are 0 at every scale): the benchmark's distal job passes it
     s.add_argument("--m-scale", type=int, default=1)
     s.add_argument("--names", type=int, default=0)
     s.add_argument("--length", type=int, default=256)

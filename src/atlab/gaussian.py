@@ -168,12 +168,15 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     return _mc_report((y0 > 0) & (yn > 0), formula, samples, seed)
 
 
-def cocycle_variance(spec: GaussianSpec, n: int) -> float:
-    """Var(X_0 + ... + X_{n-1}) = sum_{|k|<n} (n - |k|) r(k)."""
-    if not 1 <= n <= spec.half_width + 1:
-        raise ValueError("need 1 <= n <= autocov range + 1")
-    ks = np.arange(1, n)
-    return float(n + 2.0 * np.sum((n - ks) * spec.autocov[1:n]))
+def cocycle_variances(spec: GaussianSpec, n_max: int) -> np.ndarray:
+    """Var(X_0 + ... + X_{n-1}) = sum_{|k|<n} (n - |k|) r(k) for n = 0..n_max, as
+    one cumulative sum of Var_n - Var_{n-1} = 1 + 2 sum_{1<=k<n} r(k)."""
+    if not 0 <= n_max <= spec.half_width + 1:
+        raise ValueError(f"need 0 <= n_max <= autocov range + 1, got {n_max}")
+    steps = np.ones(n_max + 1)
+    steps[0] = 0.0
+    steps[2:] += 2.0 * np.cumsum(spec.autocov[1:n_max])
+    return np.cumsum(steps)
 
 
 def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> FourierTable:
@@ -185,16 +188,14 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     """
     if np.any(spec.autocov < 0.0):
         raise ValueError("cocycle correlation table requires r(k) >= 0 for all k")
-    if not 0 <= n_max <= spec.half_width + 1:
-        raise ValueError(f"need 0 <= n_max <= autocov range + 1, got {n_max}")
+    var = cocycle_variances(spec, n_max)
     sw = square_wave_coeffs(M)
-    ms = sw.odd_ms.astype(float)
-    w = sw.weights
+    w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2
+    step = max(1, 2**16 // rate.size)  # lags per block: 2^16 exponentials, or one lag's
     nn = np.empty(n_max + 1, dtype=complex)
     nn[0] = 1.0
-    for n in range(1, n_max + 1):
-        v = cocycle_variance(spec, n)
-        nn[n] = float(np.sum(w * np.exp(-2.0 * math.pi**2 * ms**2 * v)))
+    for lo in range(1, n_max + 1, step):
+        nn[lo:lo + step] = (w * np.exp(rate * var[lo:lo + step, None])).sum(axis=1)
     # beyond n_max: Var >= n, so |c(n)| <= e^{-2 pi^2 n}; geometric tail
     q = math.exp(-2.0 * math.pi**2)
     tail = 2.0 * q ** (n_max + 1) / (1.0 - q)

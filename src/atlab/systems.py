@@ -293,8 +293,9 @@ class SquareWaveCoeffs:
 
 
 def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    # every --M is checked here, before any array of odd m is allocated
+    if not 1 <= M <= MAX_HALF_WIDTH:
+        raise ValueError(f"need 1 <= M <= {MAX_HALF_WIDTH}, got {M}")
     return SquareWaveCoeffs(M)
 
 
@@ -302,33 +303,35 @@ def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
 # Absolutely continuous cocycle over an irrational rotation
 
 
-def rotation_ac_cocycle_correlation(alpha: float, delta: float, delta0: float,
-                                    n: int, M: int = 21) -> complex:
-    """sigma_F-hat(n) for the circle extension by e^{2 pi i (x + g(x))},
-    g(x) = (delta / 2 pi) sin(2 pi x), over the rotation by alpha.
+def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
+                                     nmax: int, M: int = 21) -> np.ndarray:
+    """sigma_F-hat(n), n = 0..nmax, for the circle extension by
+    e^{2 pi i (x + g(x))}, g(x) = (delta / 2 pi) sin(2 pi x), over the rotation
+    by alpha.
 
     Sums |f-hat(m)|^2-weighted oscillatory integrals over odd |m| <= M.  With
     S = sum_{j<n} e^{2 pi i j alpha} = |S| e^{i psi}, g^(n)(x) = (delta/2pi)
     |S| sin(2 pi x + psi), so by Jacobi-Anger each integral is the Bessel term
     e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
-    Negative lags follow the Hermitian convention c(-n) = conj(c(n)).
+    S is carried from lag to lag, one term per lag.
     """
     _require_finite(alpha=alpha)
     if not 0.0 < delta0 < 1.0:
         raise ValueError("need 0 < delta0 < 1")
     if not 0.0 <= delta < 1.0 - delta0:
         raise ValueError("need 0 <= delta < 1 - delta0")
-    if n == 0:
-        return 1.0 + 0.0j
-    if n < 0:
-        return rotation_ac_cocycle_correlation(alpha, delta, delta0, -n, M).conjugate()
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms
-    S = np.sum(np.exp(2j * np.pi * alpha * np.arange(n)))
-    const = n * (n - 1) * alpha / 2.0
-    integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
-                 * np.exp(-1j * ms * n * np.angle(S)))
-    return complex(np.sum(sw.weights * integrals))
+    out = np.empty(nmax + 1, dtype=complex)
+    out[0] = 1.0
+    S = 0.0
+    for n, term in enumerate(np.exp(2j * np.pi * alpha * np.arange(nmax)), start=1):
+        S += term
+        const = n * (n - 1) * alpha / 2.0
+        integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
+                     * np.exp(-1j * ms * n * np.angle(S)))
+        out[n] = np.sum(sw.weights * integrals)
+    return out
 
 
 def ac_cocycle_analytic_constant(delta: float, delta0: float, M: int = 10**4) -> float:
@@ -344,15 +347,12 @@ def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
                      M: int = 21) -> FourierTable:
     """Correlation table of the AC-cocycle extension for |n| <= N.
 
-    Values (``rotation_ac_cocycle_correlation``) and tail bound both come
+    Values (``rotation_ac_cocycle_correlations``) and tail bound both come
     from Bessel coefficients: |int e^{i(2 pi m n x + z sin(2 pi x + psi))} dx|
     <= (z/2)^{|mn|} / |mn|!  with z <= m * delta / |sin(pi alpha)| (the
     standard bound on Bessel coefficients), which decays superexponentially.
     """
-    nn = np.empty(N + 1, dtype=complex)
-    nn[0] = 1.0
-    for n in range(1, N + 1):
-        nn[n] = rotation_ac_cocycle_correlation(alpha, delta, delta0, n, M)
+    nn = rotation_ac_cocycle_correlations(alpha, delta, delta0, N, M)
     amp = abs(delta) / abs(math.sin(math.pi * (alpha % 1.0)))
 
     def bessel_bound(m: int, n: int) -> float:
@@ -455,15 +455,6 @@ def _nil_value(alpha: float, gamma: float, n: int, M: int, pieces) -> complex:
     return complex(np.sum(sw.weights * seg.sum(axis=0)))
 
 
-def nil_rotation_correlation(alpha: float, beta: float, gamma: float,
-                             n: int, M: int = 201) -> complex:
-    """<F o T^n, F> for the nil-rotation skew product, exactly up to the
-    square wave's cut at M: lag |n| of ``nil_rotation_correlations`` (the
-    correlation is real-symmetric)."""
-    n = abs(n)
-    return complex(nil_rotation_correlations(alpha, beta, gamma, n, M)[n])
-
-
 def nil_rotation_correlations(alpha: float, beta: float, gamma: float,
                               nmax: int, M: int = 201) -> np.ndarray:
     """<F o T^n, F> for n = 0..nmax: lag n from one pass of ``_nil_pieces``
@@ -486,20 +477,6 @@ def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
     num = np.exp(2j * np.pi * ms * gamma) * (
         np.exp(2j * np.pi * ms * alpha * (1.0 - beta)) - 1.0)
     return complex(np.sum(w * num / (2j * np.pi * ms * alpha)))
-
-
-# ---------------------------------------------------------------------------
-# Distal extension: the vanishing fiber integral
-
-
-def distal_integral(n: int, m_scale: int = 1) -> complex:
-    """int_0^1 e^{i pi chi_[0,1/2)(m n y mod 1)} dy, which is exactly 0.
-
-    For K = m*n != 0 the circle splits into 2|K| intervals of length 1/(2|K|)
-    on which the integrand is -1 and +1 in turn, so they cancel in pairs; at
-    n = 0 the row is the mean of the square wave itself, also 0.
-    """
-    return 0.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +558,7 @@ class RotationCocycleSource(NameSource):
 
     def rows(self, nmax):
         err = square_wave_coeffs(self.M).truncation_error
-        vs = [rotation_ac_cocycle_correlation(self.alpha, self.delta, self.delta0, n, self.M)
-              for n in range(nmax + 1)]
+        vs = rotation_ac_cocycle_correlations(self.alpha, self.delta, self.delta0, nmax, self.M)
         return [(n, v, "quadrature", err) if n else (0, v, "exact", 0.0)
                 for n, v in enumerate(vs)]
 
@@ -636,12 +612,17 @@ class NilRotationSource(NameSource):
 
 class DistalSource(NameSource):
     """Two-step skew product (x, y, z) -> (x + alpha, y + x, z + y);
-    P0 = last coordinate in [0, 1/2).  Lebesgue fiber spectrum; the rows are
-    the fiber integrals ``distal_integral(n, m_scale)``."""
+    P0 = last coordinate in [0, 1/2).  Lebesgue fiber spectrum.
 
-    def __init__(self, alpha: float = SQRT2_M1, m_scale: int = 1):
+    The rows are the fiber integrals int_0^1 e^{i pi chi_[0,1/2)(K y mod 1)} dy,
+    K = m n for any scale m, and each is exactly 0: for K != 0 the circle
+    splits into 2|K| intervals of length 1/(2|K|) on which the integrand is
+    -1 and +1 in turn, so they cancel in pairs; at K = 0 the row is the mean
+    of the square wave itself, also 0.
+    """
+
+    def __init__(self, alpha: float = SQRT2_M1):
         self.alpha = alpha
-        self.m_scale = m_scale
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -662,7 +643,7 @@ class DistalSource(NameSource):
         return bits.T
 
     def rows(self, nmax):
-        return [(n, distal_integral(n, self.m_scale), "exact", 0.0) for n in range(nmax + 1)]
+        return [(n, 0.0, "exact", 0.0) for n in range(nmax + 1)]
 
 
 class OdometerExtensionSource(NameSource):

@@ -6,7 +6,7 @@ _CRITERIA = {
     "test_criterion_03_rudin_shapiro": "Rudin-Shapiro: |c(n)| <= 5/sqrt(2^20), oracle match below 2^16",
     "test_criterion_04_arcsine_laws": "arcsine orthant laws within 4 standard errors at 10^6 samples",
     "test_criterion_05_nil_rotation": "nil-rotation: exact vanishing, series vs quadrature <= 1e-4",
-    "test_criterion_06_distal_integral": "distal integral: exact 0 for n <= 100, m_scale <= 3",
+    "test_criterion_06_distal_integral": "distal rows: exact 0 for n <= 100",
     "test_criterion_07_ac_cocycle_decay": "AC cocycle: |c(n)| n below the analytic constant, n <= 32",
     "test_criterion_08_gaussian_cocycle": "Gaussian cocycle: Var >= n; white-noise table certifies",
     "test_criterion_09_constant_chain": "constant chain margin > 0; fourth-power pipeline certifies",

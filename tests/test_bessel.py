@@ -53,6 +53,13 @@ def test_bessel_jv_below_turning_point_matches_mpmath(nu, ratio):
     assert abs(bessel.bessel_jv(-nu, z) - (-1) ** nu * _mpmath_jv(nu, z)) <= 1e-14
 
 
+def test_bessel_jv_far_below_turning_point():
+    # z < 1e-8 nu: w = sqrt(1 - (z/nu)^2) rounds to 1, the saddle is at infinity, and
+    # the rule stays on the real axis, with no division-by-zero warning
+    for nu, z in ((1, 1e-10), (1, -1e-15), (2, 3e-9), (-3, 2e-6)):
+        assert abs(bessel.bessel_jv(nu, z) - _mpmath_jv(nu, z)) <= 1e-14, (nu, z)
+
+
 def test_bessel_jv_near_turning_point_at_large_orders():
     # lag 1 of `system rotation --M 20001 --delta 0.99`: every odd order to 20001 is
     # kept, at z = 0.99 |nu|, where the rule on the real axis needs 4e4 points a value

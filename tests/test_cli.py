@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -216,6 +217,29 @@ def test_certify_subsample_scan_arguments(tmp_path, capsys, argv):
     assert scan[0]["report"] == json.loads(single)
 
 
+# stdout sha256 of each command as printed before the correlation kernels
+# returned whole tables; the tables must not move by a bit
+_PINNED_STDOUT = {
+    "system rotation --nmax 12":
+        "a04bd2f7ed9cb9aeb778dfc0eb34c10e0ac5841b22aebbd760fd575ed93f82d8",
+    "system rotation --nmax 8 --delta 0.3 --M 401 --alpha golden":
+        "caca976acda11ce4c6c57291dff6f70d260f73cc09268b6ca25bcb14e84e52a8",
+    "system nil --nmax 512":
+        "0c20f870f675d5e69705652594bf1669b41954dafac2baa509b2d7fe10016b2d",
+    "system distal --nmax 2000 --m-scale 3":
+        "168655336bd6acf63d34905e802be6a940654866cf746e665c113549cc3dbea0",
+    "gaussian cocycle --nmax 4096":
+        "3918037850d83714912ae706859465abd9ae148e85d37226337f0f70aed3bd59",
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_STDOUT))
+def test_correlation_tables_keep_their_bytes(capsys, command):
+    code, out, _ = run(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[command]
+
+
 def test_system_distal_csv(capsys):
     code, out, _ = run(["system", "distal", "--nmax", "8"], capsys)
     assert code == 0
@@ -302,6 +326,11 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["funny", "--system", "coin", "--eps", "nan"],
     ["gaussian", "cocycle", "--nmax", "-1"],
     ["gaussian", "cocycle", "--nmax", str(2**22 + 1)],
+    ["system", "nil", "--M", str(2**22 + 1), "--nmax", "1"],
+    ["system", "rotation", "--M", str(2**22 + 1), "--nmax", "1"],
+    ["gaussian", "cocycle", "--M", str(2**22 + 1), "--nmax", "1"],
+    ["gaussian", "orthant", "--n", str(2**22 + 1), "--samples", "10"],
+    ["gaussian", "product", "--n", str(2**22 + 1), "--samples", "10"],
     ["gaussian", "orthant", "--samples", "0"],
     ["gaussian", "product", "--samples", "0"],
     ["measure", "lebesgue", "--N", "2", "--density-grid", "-5", "--density-csv", "d.csv"],

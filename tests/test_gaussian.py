@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atlab import fourier, gaussian, sbh
+from atlab import fourier, gaussian, sbh, systems
 
 
 def test_spec_validation():
@@ -136,9 +139,11 @@ def test_empirical_sign_correlation_matches_arcsine_transform():
 
 
 def test_cocycle_variance_values():
-    assert gaussian.cocycle_variance(gaussian.white_noise_spec(8), 7) == 7.0
+    assert gaussian.cocycle_variances(gaussian.white_noise_spec(8), 7).tolist() == list(range(8))
     spec = gaussian.exponential_spec(0.5, 8)
-    assert gaussian.cocycle_variance(spec, 2) == pytest.approx(3.0, abs=1e-12)
+    assert gaussian.cocycle_variances(spec, 2)[2] == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(ValueError, match="n_max"):
+        gaussian.cocycle_variances(spec, 10)
 
 
 def test_cocycle_variance_lower_bound():
@@ -146,8 +151,68 @@ def test_cocycle_variance_lower_bound():
              gaussian.exponential_spec(0.5, 64),
              gaussian.triangular_spec(8, 64)]
     for spec in specs:
-        for n in range(1, 65):
-            assert gaussian.cocycle_variance(spec, n) >= n - 1e-12
+        var = gaussian.cocycle_variances(spec, 65)
+        for n in range(1, 66):
+            assert var[n] >= n - 1e-12
+
+
+def _direct_variance(spec, n):
+    """Var(X_0 + ... + X_{n-1}) by the direct sum over |k| < n of (n - |k|) r(k)."""
+    ks = np.arange(1, n)
+    return float(n + 2.0 * np.sum((n - ks) * spec.autocov[1:n])) if n else 0.0
+
+
+def cocycle_per_lag_reference(spec, M, n_max):
+    """The per-lag loop that ``cocycle_correlation_table`` replaced: each lag's
+    variance by the direct sum, then its own sum over m."""
+    sw = systems.square_wave_coeffs(M)
+    ms = sw.odd_ms.astype(float)
+    nn = np.ones(n_max + 1)
+    for n in range(1, n_max + 1):
+        v = _direct_variance(spec, n)
+        nn[n] = float(np.sum(sw.weights * np.exp(-2.0 * math.pi**2 * ms**2 * v)))
+    return nn
+
+
+_COCYCLE_SPECS = st.one_of(
+    st.builds(gaussian.exponential_spec, st.floats(0.0, 0.95), st.integers(0, 80)),
+    st.builds(gaussian.triangular_spec, st.integers(1, 40), st.integers(0, 80)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(spec=_COCYCLE_SPECS, data=st.data())
+def test_cocycle_variances_match_direct_sum(spec, data):
+    n_max = data.draw(st.integers(0, spec.half_width + 1))
+    var = gaussian.cocycle_variances(spec, n_max)
+    assert var.shape == (n_max + 1,)
+    for n in range(n_max + 1):
+        assert var[n] == pytest.approx(_direct_variance(spec, n), rel=1e-13, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(spec=_COCYCLE_SPECS, M=st.integers(1, 401), data=st.data())
+def test_cocycle_table_matches_per_lag_loop(spec, M, data):
+    n_max = data.draw(st.integers(0, spec.half_width + 1))
+    got = gaussian.cocycle_correlation_table(spec, M, n_max).nonneg()
+    ref = cocycle_per_lag_reference(spec, M, n_max)
+    assert not np.any(got.imag)
+    # relative per entry; a subnormal entry (below 2.3e-308) carries fewer bits
+    assert np.all(np.abs(got.real - ref) <= 1e-12 * np.abs(ref) + 1e-300)
+
+
+@pytest.mark.parametrize("M, n_max", [(1, 0), (1, 5), (21, 300), (201, 1000), (401, 700)])
+def test_cocycle_table_white_noise_equals_per_lag_loop(M, n_max):
+    # Var_n = n exactly, so the blocked exponentials are the per-lag ones bit for bit
+    spec = gaussian.white_noise_spec(n_max)
+    got = gaussian.cocycle_correlation_table(spec, M, n_max).nonneg()
+    assert np.array_equal(got, cocycle_per_lag_reference(spec, M, n_max))
+
+
+def test_cocycle_table_white_noise_65536_under_a_second():
+    t0 = time.perf_counter()
+    t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(65536), 201, 65536)
+    assert time.perf_counter() - t0 < 1.0
+    assert t.half_width == 65536
 
 
 def test_cocycle_correlation_table_white_noise():

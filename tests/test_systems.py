@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atlab import cli, fourier, systems
+from atlab.bessel import bessel_jv
 
 
 def rs_oracle(n_max):
@@ -302,18 +303,45 @@ def test_square_wave_truncation_bound():
 
 
 def test_rotation_cocycle_delta_zero():
+    vs = systems.rotation_ac_cocycle_correlations(systems.SQRT2_M1, 0.0, 0.5, 7)
     for n in (1, 2, 7):
-        v = systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.0, 0.5, n)
-        assert abs(v) < 1e-12
+        assert abs(vs[n]) < 1e-12
 
 
 def test_rotation_cocycle_parameter_checks():
     with pytest.raises(ValueError):
-        systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.6, 0.5, 1)
+        systems.rotation_ac_cocycle_correlations(systems.SQRT2_M1, 0.6, 0.5, 1)
     with pytest.raises(ValueError):
-        systems.rotation_ac_cocycle_correlation(systems.SQRT2_M1, 0.1, 1.5, 1)
+        systems.rotation_ac_cocycle_correlations(systems.SQRT2_M1, 0.1, 1.5, 1)
     with pytest.raises(ValueError):
-        systems.rotation_ac_cocycle_correlation(math.nan, 0.1, 0.5, 1)
+        systems.rotation_ac_cocycle_correlations(math.nan, 0.1, 0.5, 1)
+
+
+def rotation_per_lag_reference(alpha, delta, n, M):
+    """The per-lag sum that ``rotation_ac_cocycle_correlations`` replaced:
+    S = sum_{j<n} e^{2 pi i j alpha} by ``np.sum`` at each lag."""
+    if n == 0:
+        return 1.0 + 0.0j
+    sw = systems.square_wave_coeffs(M)
+    ms = sw.odd_ms
+    S = np.sum(np.exp(2j * np.pi * alpha * np.arange(n)))
+    const = n * (n - 1) * alpha / 2.0
+    integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
+                 * np.exp(-1j * ms * n * np.angle(S)))
+    return complex(np.sum(sw.weights * integrals))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(alpha=st.floats(1e-4, 1.0 - 1e-4), delta=st.floats(0.0, 0.49),
+       M=st.integers(1, 401), nmax=st.integers(0, 64))
+@example(alpha=systems.SQRT2_M1, delta=0.1, M=201, nmax=12)
+@example(alpha=systems.GOLDEN_M1, delta=0.3, M=401, nmax=8)
+def test_rotation_table_matches_per_lag_sum(alpha, delta, M, nmax):
+    # the carried S differs from np.sum's pairwise S only in rounding
+    vs = systems.rotation_ac_cocycle_correlations(alpha, delta, 0.5, nmax, M)
+    assert vs.shape == (nmax + 1,)
+    for n in range(nmax + 1):
+        assert abs(vs[n] - rotation_per_lag_reference(alpha, delta, n, M)) <= 1e-15, n
 
 
 def _midpoint_rotation_correlation(alpha, delta, n, M, P=4096):
@@ -332,10 +360,10 @@ def test_rotation_cocycle_midpoint_reference():
     # the Jacobi-Anger sum against a fixed-resolution quadrature for n > 1 too
     for alpha in (systems.SQRT2_M1, systems.GOLDEN_M1):
         for delta in (0.1, 0.3):
+            got = systems.rotation_ac_cocycle_correlations(alpha, delta, 0.5, 12, 21)
             for n in range(1, 13):
-                got = systems.rotation_ac_cocycle_correlation(alpha, delta, 0.5, n, 21)
                 ref = _midpoint_rotation_correlation(alpha, delta, n, 21)
-                assert abs(got - ref) < 1e-7, (alpha, delta, n)
+                assert abs(got[n] - ref) < 1e-7, (alpha, delta, n)
 
 
 def test_rotation_cocycle_bessel_oracle():
@@ -350,7 +378,7 @@ def test_rotation_cocycle_bessel_oracle():
     for m in sw.odd_ms:
         w = abs(sw.coeff(int(m))) ** 2
         total += w * jv(-int(m), m * delta)
-    got = systems.rotation_ac_cocycle_correlation(alpha, delta, 0.5, 1, M)
+    got = systems.rotation_ac_cocycle_correlations(alpha, delta, 0.5, 1, M)[1]
     assert abs(got - complex(total)) < 1e-7
 
 
@@ -371,31 +399,25 @@ def test_ac_cocycle_table_certifies():
 
 def test_nil_rejects_rational_beta():
     with pytest.raises(ValueError):
-        systems.nil_rotation_correlation(systems.SQRT2_M1, 0.5, 0.0, 1)
+        systems.nil_rotation_correlations(systems.SQRT2_M1, 0.5, 0.0, 1)
 
 
 def test_nil_vanishing_beta_07():
     # 2 beta > 1 kills every n >= 2
+    vs = systems.nil_rotation_correlations(systems.SQRT2_M1, 0.7, 0.0, 11)
     for n in range(2, 12):
-        assert systems.nil_rotation_correlation(
-            systems.SQRT2_M1, 0.7, 0.0, n) == 0.0
+        assert vs[n] == 0.0
 
 
 def test_nil_n1_series_matches_piecewise():
     for beta, gamma in [(0.8, 0.0), (0.7, 0.3), (0.6, 0.1)]:
-        exact = systems.nil_rotation_correlation(systems.SQRT2_M1, beta, gamma, 1)
+        exact = systems.nil_rotation_correlations(systems.SQRT2_M1, beta, gamma, 1)[1]
         series = systems.nil_rotation_n1_series(systems.SQRT2_M1, beta, gamma)
         assert abs(exact - series) < 1e-12
 
 
-def test_nil_symmetry_in_n():
-    v1 = systems.nil_rotation_correlation(systems.SQRT2_M1, 0.8, 0.0, 1)
-    v2 = systems.nil_rotation_correlation(systems.SQRT2_M1, 0.8, 0.0, -1)
-    assert v1 == v2
-
-
 def nil_breakpoint_reference(alpha, beta, gamma, n, M=201):
-    """The breakpoint loop that ``nil_rotation_correlation`` replaced: every
+    """The breakpoint loop that ``nil_rotation_correlations`` replaced: every
     breakpoint of y -> ({y + j beta})_j in float, a float membership test at
     each piece's midpoint, and C summed from the fractional parts there."""
     n = abs(n)
@@ -479,16 +501,18 @@ def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
     for n in range(support + 1):
         if abs(vs[n] - nil_breakpoint_reference(alpha, beta, gamma, n)) > 1e-15:
             # the loop's C sums n rounded fractional parts: over long supports it
-            # drifts past 1e-15, and 40 digits decide
-            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= 1e-15, n
+            # drifts past 1e-15, and 40 digits decide.  The table's own phases,
+            # up to 2 pi M n (|alpha C| + |gamma|) radians, round to errors of up to
+            # 2.1e-15 (beta = 0.01459, alpha = 0.123457, gamma = -1, lag 54)
+            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= 4e-15, n
     for n in range(support + 1, support + 4):
         # past the support the float loop can keep a sliver a few ulp wide, whose
         # value (up to 1.4e-15 seen) is a rounding artifact: in exact integers
         # no piece survives
         assert not nil_lag_survives_exactly(beta, n)
         assert abs(nil_breakpoint_reference(alpha, beta, gamma, n)) <= 1e-14, n
-    for n in (1, support, support + 1):
-        assert systems.nil_rotation_correlation(alpha, beta, gamma, n) == vs[n]
+    for n in (1, support, support + 1):  # a shorter table is a prefix of the longer one
+        assert systems.nil_rotation_correlations(alpha, beta, gamma, n)[n] == vs[n]
 
 
 def test_nil_rows_end_in_exact_zeros_quickly():
@@ -502,26 +526,31 @@ def test_nil_rows_end_in_exact_zeros_quickly():
 @pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1],
                          ids=["sqrt2-1", "golden"])
 def test_rotation_cocycle_hermitian_in_n(alpha):
+    # the rows and the table hold the same values, and the table extends them
+    # to negative lags by c(-n) = conj(c(n))
     rows = systems.RotationCocycleSource(alpha=alpha, delta=0.3, delta0=0.5, M=21).rows(8)
+    table = systems.ac_cocycle_table(alpha, 0.3, 0.5, 8, M=21)
     for n in range(1, 9):
-        c = systems.rotation_ac_cocycle_correlation(alpha, 0.3, 0.5, n, M=21)
-        assert systems.rotation_ac_cocycle_correlation(alpha, 0.3, 0.5, -n, M=21) == c.conjugate()
-        assert rows[n][1] == c
+        assert table.at(n) == rows[n][1]
+        assert table.at(-n) == rows[n][1].conjugate()
 
 
 def test_nil_beta_near_one_small():
-    small = abs(systems.nil_rotation_correlation(systems.SQRT2_M1, 0.99, 0.0, 1))
-    large = abs(systems.nil_rotation_correlation(systems.SQRT2_M1, 0.6, 0.0, 1))
+    small = abs(systems.nil_rotation_correlations(systems.SQRT2_M1, 0.99, 0.0, 1)[1])
+    large = abs(systems.nil_rotation_correlations(systems.SQRT2_M1, 0.6, 0.0, 1)[1])
     assert large >= 5.0 * small
 
 
 def test_distal_integral_zero():
-    # against the alternating pieces of length 1/(2K) summed as the rows once did
+    # against the alternating pieces of length 1/(2K), K = m n, summed as the rows
+    # once did at each scale m
+    rows = systems.DistalSource().rows(100)
     for n in range(0, 101):
         for m_scale in (1, 2, 3):
             K = abs(m_scale * n)
             pieces = np.where(np.arange(2 * K) % 2 == 0, -1.0, 1.0) / (2.0 * max(K, 1))
-            assert systems.distal_integral(n, m_scale) == complex(np.sum(pieces)) == 0.0
+            assert rows[n] == (n, complex(np.sum(pieces)), "exact", 0.0)
+            assert rows[n][1] == 0.0
 
 
 def test_name_sources_shapes_and_determinism():
