@@ -324,9 +324,7 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
     ms = sw.odd_ms
     out = np.empty(nmax + 1, dtype=complex)
     out[0] = 1.0
-    S = 0.0
-    for n, term in enumerate(np.exp(2j * np.pi * alpha * np.arange(nmax)), start=1):
-        S += term
+    for n, S in enumerate(np.cumsum(np.exp(2j * np.pi * alpha * np.arange(nmax))), start=1):
         const = n * (n - 1) * alpha / 2.0
         integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
                      * np.exp(-1j * ms * n * np.angle(S)))
@@ -445,12 +443,14 @@ def _nil_pieces(beta: float):
 
 def _nil_value(alpha: float, gamma: float, n: int, M: int, pieces) -> complex:
     """sum_m |f-hat(m)|^2 sum over the pieces [a, b) of lag n of
-    int_a^b e^{2 pi i m (alpha (n y + C) + n gamma)} dy, in closed form."""
+    int_a^b e^{2 pi i m (alpha (n y + C) + n gamma)} dy, in closed form; m and n
+    are integers, so alpha C and n (gamma mod 1) are each taken mod 1 before the sum."""
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms
     a, b, C = (v[:, None] for v in pieces)
     rate = 2j * np.pi * ms * alpha * n
-    seg = np.exp(2j * np.pi * ms * (alpha * C + n * gamma)) * (
+    phase = np.mod(alpha * C, 1.0) + np.mod(n * (gamma % 1.0), 1.0)
+    seg = np.exp(2j * np.pi * ms * phase) * (
         np.exp(rate * b) - np.exp(rate * a)) / rate
     return complex(np.sum(sw.weights * seg.sum(axis=0)))
 

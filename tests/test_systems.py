@@ -490,6 +490,7 @@ _NIL_BETAS = st.one_of(st.floats(0.3, 0.99), st.floats(0.02, 0.3), st.floats(0.0
 @example(beta=0.0618034, alpha=systems.SQRT2_M1, gamma=0.0)  # support 16; the loop's 31
 @example(beta=0.0173, alpha=systems.SQRT2_M1, gamma=0.1)  # support 57; the loop's 112
 @example(beta=0.0095, alpha=systems.GOLDEN_M1, gamma=0.0)  # support of over 100 lags
+@example(beta=0.01459, alpha=0.123457, gamma=-1.0)  # integer n gamma: 2.2e-15 off unreduced
 def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
     assume(not any(abs(beta - p / q) < 1e-12 for q in range(1, 5) for p in range(1, q)))
     vs = systems.nil_rotation_correlations(alpha, beta, gamma, 400)
@@ -501,10 +502,8 @@ def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
     for n in range(support + 1):
         if abs(vs[n] - nil_breakpoint_reference(alpha, beta, gamma, n)) > 1e-15:
             # the loop's C sums n rounded fractional parts: over long supports it
-            # drifts past 1e-15, and 40 digits decide.  The table's own phases,
-            # up to 2 pi M n (|alpha C| + |gamma|) radians, round to errors of up to
-            # 2.1e-15 (beta = 0.01459, alpha = 0.123457, gamma = -1, lag 54)
-            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= 4e-15, n
+            # drifts past 1e-15, and 40 digits decide
+            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= 1e-15, n
     for n in range(support + 1, support + 4):
         # past the support the float loop can keep a sliver a few ulp wide, whose
         # value (up to 1.4e-15 seen) is a rounding artifact: in exact integers
