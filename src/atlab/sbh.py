@@ -22,6 +22,8 @@ import numpy as np
 from .fourier import FourierTable, density_sup, l1_tail
 
 _EXHAUSTIVE_BUDGET = 10**8
+# sign-pair sums held at once by the exhaustive search (16 MiB of float64)
+_CHUNK_FORMS = 2**21
 
 NOT_SBH_CAVEAT = (
     "finite witnesses bound the supremum from below at fixed k; "
@@ -83,7 +85,14 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int):
     as (value, indices, signs).
 
     Signs are canonicalized by fixing the first one (global flips leave the
-    form invariant).
+    form invariant).  The form depends only on the differences n_i - n_j, so
+    every subset ties with its translate that holds 0, and only those
+    C(window - 1, k - 1) subsets are visited.  With G the real window Toeplitz
+    and P[a, p] = s_a[i_p] s_a[j_p] over the pairs i_p < j_p, k times the form
+    is k c(0) + 2 (P @ g)[a], g[p] = G[n_{i_p}, n_{j_p}]; the search ranks the
+    sign-pair sums P @ g, one matrix product per chunk of subsets.  Among equal
+    sums the lowest sign pattern wins, then the lowest subset; the value is
+    the witness's own ``sbh_form``.
     """
     if not 1 <= k <= 12:
         raise ValueError("need 1 <= k <= 12")
@@ -92,14 +101,22 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int):
     if math.comb(window, k) * 2**k > _EXHAUSTIVE_BUDGET:
         raise ValueError("exhaustive search budget exceeded")
     S = _sign_matrix(k)
-    subsets = np.array(list(combinations(range(window), k)), dtype=int)
-    Gr = np.real(t.gram(subsets))
-    # vals[a, s] = S[a] . Gr[s] . S[a] / k
-    vals = np.einsum("ai,sij,aj->as", S, Gr, S) / k
-    a_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
-    idx = tuple(int(x) for x in subsets[s_best])
-    eta = tuple(0 if x > 0 else 1 for x in S[a_best])
-    return float(vals[a_best, s_best]), idx, eta
+    iu, ju = np.triu_indices(k, 1)
+    P = S[:, iu] * S[:, ju]
+    G = np.real(t.gram(np.arange(window)))
+    subsets = np.zeros((math.comb(window - 1, k - 1), k), dtype=int)
+    subsets[:, 1:] = list(combinations(range(1, window), k - 1))
+    chunk = max(1, _CHUNK_FORMS // len(S))
+    best = (-math.inf, 0, 0)
+    for lo in range(0, len(subsets), chunk):
+        sub = subsets[lo:lo + chunk]
+        sums = P @ G[sub[:, iu], sub[:, ju]].T
+        a, s = np.unravel_index(np.argmax(sums), sums.shape)
+        if sums[a, s] > best[0] or (sums[a, s] == best[0] and a < best[1]):
+            best = (sums[a, s], a, lo + s)
+    idx = tuple(int(x) for x in subsets[best[2]])
+    eta = tuple(0 if x > 0 else 1 for x in S[best[1]])
+    return sbh_form(t, idx, eta), idx, eta
 
 
 def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
@@ -172,24 +189,25 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
             heuristic_budget: int = 0, seed: int = 0) -> SbhReport:
     """Assemble SBH certificates and a verdict for a Fourier table.
 
-    The density certificate reads a grid of max(4N + 4, 64) points.
+    The density certificate reads a grid of max(4N + 4, 64) points.  Raises
+    ValueError for k < 1 or heuristic_budget < 0, which no search can honour.
     """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if heuristic_budget < 0:
+        raise ValueError(f"need a heuristic budget >= 0, got {heuristic_budget}")
     eps = epsilon0()
     l1_cert = 1.0 + l1_tail(t)
     dens_cert = density_sup(t, max(4 * t.half_width + 4, 64)).certified_upper
-    exh = exh_witness = None
-    params = None
-    if k >= 1:
-        kk = min(k, 12)
-        ww = min(max(window, kk), 24)
-        val, idx, eta = sbh_sup_exhaustive(t, kk, ww)
-        exh, exh_witness, params = val, {"indices": list(idx), "signs": list(eta)}, (kk, ww)
+    kk = min(k, 12)
+    ww = min(max(window, kk), 24)
+    exh, idx, eta = sbh_sup_exhaustive(t, kk, ww)
+    exh_witness, params = {"indices": list(idx), "signs": list(eta)}, (kk, ww)
     heu = heu_witness = None
     if heuristic_budget > 0:
-        hv, hidx, heta = sbh_sup_heuristic(t, min(k, 12), window,
-                                           budget=heuristic_budget, seed=seed)
-        heu, heu_witness = hv, {"indices": list(hidx), "signs": list(heta)}
-    witness_sup = max(x for x in (exh, heu, -math.inf) if x is not None)
+        heu, hidx, heta = sbh_sup_heuristic(t, kk, window, budget=heuristic_budget, seed=seed)
+        heu_witness = {"indices": list(hidx), "signs": list(heta)}
+    witness_sup = exh if heu is None else max(exh, heu)
     note = ""
     if min(l1_cert, dens_cert) <= 1.0 + eps:
         verdict = "CERTIFIED_SBH"

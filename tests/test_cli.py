@@ -339,9 +339,15 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
      "--density-csv", "d.csv"],
     ["measure", "lebesgue", "--N", "4194305"],
     ["measure", "riesz", "--N", "-1"],
+    ["certify", "--in", "m.json", "--k", "0"],
+    ["certify", "--in", "m.json", "--k", "-3"],
+    ["certify", "--in", "m.json", "--budget", "-1"],
+    ["certify", "--in", "m.json", "--k", "0", "--subsample-scan", "1..2"],
 ], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
 def test_bad_size_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
+    if argv[0] == "certify":
+        fourier.write_measure(fourier.lebesgue_table(4), tmp_path / "m.json")
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""

@@ -1,6 +1,7 @@
 """Tests for the circle-measure Fourier tables and their transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,27 @@ def test_invariant_hermitian():
     arr = np.array([0.3 + 0.1j, 1.0, 0.3 + 0.1j], dtype=complex)
     with pytest.raises(fourier.InvariantViolation, match="Hermitian"):
         fourier.FourierTable(arr)
+
+
+def test_invariant_hermitian_checks_c0_imaginary_part():
+    # within 1e-12 of 1, so only the symmetry check c(0) = conj(c(0)) sees it
+    arr = np.array([0.2, 1.0 + 8e-13j, 0.2], dtype=complex)
+    with pytest.raises(fourier.InvariantViolation, match="Hermitian"):
+        fourier.FourierTable(arr)
+
+
+def test_from_nonneg_peak_memory():
+    # the table itself plus the half-size symmetry temporaries; the full-size
+    # np.allclose peaked at 3.5 times the coefficients
+    nn = np.full(2**20 + 1, 0.25, dtype=complex)
+    nn[0] = 1.0
+    tracemalloc.start()
+    try:
+        t = fourier.FourierTable.from_nonneg(nn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * t.coeffs.nbytes
 
 
 def test_invariant_tail_bound_sign():

@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import time
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlab import fourier, sbh
 
@@ -141,6 +146,81 @@ def test_exhaustive_below_l1_certificate():
         t = fourier.FourierTable.from_nonneg(nn)
         sup = sbh.sbh_sup_exhaustive(t, 4, 9)[0]
         assert sup <= 1.0 + fourier.l1_tail(t) + 1e-9
+
+
+def einsum_sup_exhaustive(t, k, window):
+    """Reference exhaustive search: every k-subset of [0, window) gathers its
+    Gram matrix and one einsum forms every signed value (lowest sign pattern,
+    then lowest subset, among equal maxima)."""
+    S = sbh._sign_matrix(k)
+    subsets = np.array(list(combinations(range(window), k)), dtype=int)
+    vals = np.einsum("ai,sij,aj->as", S, np.real(t.gram(subsets)), S) / k
+    a_best, s_best = np.unravel_index(np.argmax(vals), vals.shape)
+    idx = tuple(int(x) for x in subsets[s_best])
+    eta = tuple(0 if x > 0 else 1 for x in S[a_best])
+    return float(vals[a_best, s_best]), idx, eta
+
+
+@st.composite
+def small_tables(draw):
+    """Real or complex Hermitian tables with |c(n)| < 1, c(0) = 1 and N <= 14,
+    so a window of up to 12 also reaches lags past N (gathered as 0)."""
+    N = draw(st.integers(0, 14))
+    part = st.floats(-0.7, 0.7)
+    nn = np.array([1.0] + draw(st.lists(part, min_size=N, max_size=N)), dtype=complex)
+    if draw(st.booleans()):
+        nn[1:] += 1j * np.array(draw(st.lists(part, min_size=N, max_size=N)))
+    return fourier.FourierTable.from_nonneg(nn)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(t=small_tables(), extra=st.integers(0, 6))
+def test_exhaustive_matches_einsum_reference(k, t, extra):
+    window = k + extra
+    ref = einsum_sup_exhaustive(t, k, window)[0]
+    val, idx, eta = sbh.sbh_sup_exhaustive(t, k, window)
+    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert sbh.sbh_form(t, idx, eta) == val
+    assert idx[0] == 0
+    assert eta[0] == 0
+
+
+def test_exhaustive_ties_keep_reference_witness():
+    # every signed form of a Lebesgue table is 1: the lowest sign pattern and
+    # the lowest subset win, as in the reference, also across chunks (k = 10,
+    # w = 16 takes two)
+    t = fourier.lebesgue_table(4)
+    assert sbh.sbh_sup_exhaustive(t, 4, 10) == einsum_sup_exhaustive(t, 4, 10)
+    assert sbh.sbh_sup_exhaustive(t, 10, 16) == (1.0, tuple(range(10)), (0,) * 10)
+
+
+def _riesz_k10():
+    return fourier.riesz_product([0.9, 0.7, 0.5], [1, 3, 9], 64)
+
+
+def test_exhaustive_k10_time():
+    # one sign-pair matrix product per chunk: about 0.05 s on 2 cores, against
+    # 0.6-1.2 s for the einsum over all C(16, 10) subsets
+    t = _riesz_k10()
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        sbh.sbh_sup_exhaustive(t, 10, 16)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.25
+
+
+def test_exhaustive_k10_memory():
+    # one chunk of 2^21 sign-pair sums is 16 MiB; the einsum peaked at 38.4 MiB
+    t = _riesz_k10()
+    tracemalloc.start()
+    try:
+        sbh.sbh_sup_exhaustive(t, 10, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
 
 
 def test_heuristic_lebesgue():

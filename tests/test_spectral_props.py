@@ -150,8 +150,8 @@ def test_gram_matches_pointwise_loop(data):
 def test_witness_forms_below_certificates(data):
     # s^T G s / k = (1/k) int |sum_j s_j e(n_j theta)|^2 d_N <= sup d_N, and <= the l1 bound
     t = data.draw(real_tables())
-    k = data.draw(st.integers(1, 4))
-    window = data.draw(st.integers(k, 8))
+    k = data.draw(st.integers(1, 6))
+    window = data.draw(st.integers(k, 12))
     rep = sbh.certify(t, k=k, window=window, heuristic_budget=data.draw(st.integers(1, 60)),
                       seed=data.draw(st.integers(0, 2**16)))
     bound = min(rep.l1_certificate, rep.density_certificate) + 1e-9
