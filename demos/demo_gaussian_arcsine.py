@@ -13,7 +13,7 @@ spec = gaussian.exponential_spec(0.5, 8)
 samples = 200_000
 
 print("orthant probabilities for r(1) = 0.5, 2e5 samples each")
-rep = gaussian.sign_orthant_mc(spec, 1, samples, seed=0)
+rep = gaussian.product_orthant_mc(spec, 1, 1, samples, seed=0)
 print(f"  P(X0>0, X1>0)  mc {rep.estimate:.5f}  formula {rep.formula_value:.5f}"
       f"  (1/4 + arcsin(r)/2pi, here exactly 1/3)")
 rep = gaussian.product_orthant_mc(spec, 1, 2, samples, seed=1)

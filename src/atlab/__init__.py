@@ -51,7 +51,6 @@ from .gaussian import (
     gnoat_constant_check,
     product_orthant_mc,
     sample_path,
-    sign_orthant_mc,
 )
 from .funny import (
     FunnyWord,

@@ -217,11 +217,9 @@ def cmd_gaussian(args) -> int:
     if mode == "cocycle":
         obj = fourier.table_to_json_obj(gaussian.cocycle_correlation_table(spec, args.M,
                                                                            args.nmax))
-    elif mode == "orthant":
-        obj = dataclasses.asdict(gaussian.sign_orthant_mc(spec, args.n, args.samples,
-                                                          args.seed))
     else:
-        obj = dataclasses.asdict(gaussian.product_orthant_mc(spec, args.n, args.level,
+        level = 1 if mode == "orthant" else args.level
+        obj = dataclasses.asdict(gaussian.product_orthant_mc(spec, args.n, level,
                                                              args.samples, args.seed))
     _emit(render_json(obj), args)
     return 0

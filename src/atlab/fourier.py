@@ -1,7 +1,8 @@
 """Probability measures on the circle represented by truncated Fourier tables.
 
-A table stores c(n) for |n| <= N together with an explicit upper bound on
-the l1 mass of the dropped coefficients (``tail_bound``).  All transforms
+A table stores c(0..N) together with an explicit upper bound on the l1 mass
+of the dropped coefficients (``tail_bound``); c(-n) = conj c(n) holds for
+every measure, so the negative side is never stored.  All transforms
 propagate that bound so every downstream certificate stays honest about
 truncation.
 
@@ -28,11 +29,11 @@ import numpy as np
 # minimal Toeplitz eigenvalue may dip this far below 0 and still count as PSD
 PSD_TOL = -1e-8
 
-_HERM_TOL = 1e-12
+_TOL = 1e-12
 
 # largest half_width a measure file may declare, and the widest table a command
 # builds (`system` and `gaussian cocycle --nmax`).  The table then holds
-# 2^23 + 1 complex coefficients (128 MiB) and density_sup's grid of 4N + 4
+# 2^22 + 1 complex coefficients (64 MiB) and density_sup's grid of 4N + 4
 # = 2^24 + 4 points needs about 256 MiB per complex array.
 MAX_HALF_WIDTH = 2**22
 
@@ -45,8 +46,9 @@ class InvariantViolation(ValueError):
 class FourierTable:
     """Finite table c(n), |n| <= half_width, of a circle probability measure.
 
-    ``coeffs`` has length 2N+1; entry [n + N] holds c(n).  Instances are
-    immutable; build them with :meth:`from_nonneg` or the module constructors.
+    ``coeffs`` has length N+1; entry [n] holds c(n) for n >= 0, and
+    c(-n) = conj c(n).  Instances are immutable; build them with
+    :meth:`from_nonneg` or the module constructors.
     """
 
     coeffs: np.ndarray
@@ -54,24 +56,17 @@ class FourierTable:
     label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
+        # a copy, so that freezing it below leaves the caller's array writable
+        arr = np.array(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", arr)
-        if arr.ndim != 1 or arr.size % 2 != 1:
-            raise InvariantViolation("coeffs must be a 1-d array of odd length")
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvariantViolation("coeffs must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise InvariantViolation("coefficients must be finite")
-        N = self.half_width
-        if abs(arr[N] - 1.0) > _HERM_TOL:
+        # c(0) is real: |c(0) - conj c(0)| = 2 |Im c(0)| stays within _TOL
+        if abs(arr[0] - 1.0) > _TOL or abs(arr[0].imag) > _TOL / 2:
             raise InvariantViolation("c(0) = 1 violated (not a probability measure)")
-        # c(n) - conj(c(-n)) for n >= 0 only, in one half-size buffer (n = 0
-        # checks that c(0) is real); the entries are finite, so this is
-        # np.allclose(arr, arr[::-1].conj(), rtol=0, atol=_HERM_TOL)
-        diff = arr[N::-1].conj()
-        np.subtract(arr[N:], diff, out=diff)
-        if np.any(np.abs(diff) > _HERM_TOL):
-            raise InvariantViolation("Hermitian symmetry c(-n) = conj(c(n)) violated")
-        del diff
-        if np.any(np.abs(arr) > 1.0 + _HERM_TOL):
+        if np.any(np.abs(arr) > 1.0 + _TOL):
             raise InvariantViolation("|c(n)| <= 1 violated")
         if not (math.isfinite(self.tail_bound) and self.tail_bound >= 0.0):
             raise InvariantViolation("tail_bound must be finite and nonnegative")
@@ -79,20 +74,19 @@ class FourierTable:
 
     @classmethod
     def from_nonneg(cls, nonneg, tail_bound: float = 0.0, label: str = "") -> "FourierTable":
-        """Build a table from c(0..N); the negative side is filled by conjugation."""
-        nn = np.asarray(nonneg, dtype=complex)
-        full = np.concatenate([nn[:0:-1].conj(), nn])
-        return cls(full, tail_bound=tail_bound, label=label)
+        """Build a table from c(0..N)."""
+        return cls(nonneg, tail_bound=tail_bound, label=label)
 
     @property
     def half_width(self) -> int:
-        return (self.coeffs.size - 1) // 2
+        return self.coeffs.size - 1
 
     def at(self, n: int) -> complex:
         """c(n), or 0 outside the stored support (covered by tail_bound)."""
         if abs(n) > self.half_width:
             return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.half_width])
+        c = complex(self.coeffs[abs(n)])
+        return c.conjugate() if n < 0 else c
 
     @functools.cached_property
     def _gram_coeffs(self) -> np.ndarray:
@@ -106,40 +100,45 @@ class FourierTable:
         """
         idx = np.asarray(idx)
         diffs = idx[..., :, None] - idx[..., None, :]
-        N = self.half_width
-        out = np.zeros(diffs.shape, dtype=self._gram_coeffs.dtype)
-        inside = np.abs(diffs) <= N
-        out[inside] = self._gram_coeffs[diffs[inside] + N]
+        lags = np.abs(diffs)
+        inside = lags <= self.half_width
+        c = self._gram_coeffs
+        out = np.zeros(diffs.shape, dtype=c.dtype)
+        out[inside] = c[lags[inside]]
+        if c.dtype.kind == "c":
+            np.conjugate(out, out=out, where=inside & (diffs < 0))
         return out
 
     def nonneg(self) -> np.ndarray:
-        """The c(0..N) half of the table (read-only view)."""
-        return self.coeffs[self.half_width:]
+        """c(0..N), the whole table (read-only)."""
+        return self.coeffs
 
     def density(self, thetas: np.ndarray) -> np.ndarray:
         """Evaluate d(theta) = sum c(n) e^{2 pi i n theta}; real by symmetry.
 
         When ``thetas`` is exactly the uniform grid ``np.arange(G) / G``,
-        c(n) is folded into a[n mod G] and the result is the real part of the
-        unnormalised inverse FFT of a (G * ifft(a)): O(G log G), and exact
-        for every G, including G < 2N + 1.  Any other ``thetas`` is summed
-        directly in O(len(thetas) * N); tests use that as the reference.
+        c(n) is folded into a[n mod G] and conj c(n) into a[-n mod G], and the
+        result is the real part of the unnormalised inverse FFT of a
+        (G * ifft(a)): O(G log G), and exact for every G, including
+        G < 2N + 1.  Any other ``thetas`` is summed directly as
+        c(0) + 2 Re sum_{n>=1} c(n) e^{2 pi i n theta} in O(len(thetas) * N);
+        tests use that as the reference.
         """
-        N = self.half_width
-        ns = np.arange(-N, N + 1)
+        c = self.coeffs
+        ns = np.arange(self.half_width + 1)
         th = np.atleast_1d(np.asarray(thetas, dtype=float))
         G = th.size
         if G and np.array_equal(th, np.arange(G) / G):
-            idx = ns % G
-            a = (np.bincount(idx, weights=self.coeffs.real, minlength=G)
-                 + 1j * np.bincount(idx, weights=self.coeffs.imag, minlength=G))
+            a = np.zeros(G, dtype=complex)
+            np.add.at(a, ns % G, c)
+            np.add.at(a, -ns[1:] % G, c[1:].conj())
             return np.real(np.fft.ifft(a, norm="forward"))
         out = np.empty(th.size)
         # chunk the phase matrix so wide tables stay within memory
-        step = max(1, 2**22 // (2 * N + 1))
+        step = max(1, 2**22 // ns.size)
         for i in range(0, th.size, step):
-            ph = np.exp(2j * np.pi * np.outer(th[i:i + step], ns))
-            out[i:i + step] = np.real(ph @ self.coeffs)
+            ph = np.exp(2j * np.pi * np.outer(th[i:i + step], ns[1:]))
+            out[i:i + step] = c[0].real + 2.0 * np.real(ph @ c[1:])
         return out
 
 
@@ -177,9 +176,7 @@ def power_subsample(t: FourierTable, m: int) -> FourierTable:
 
 def l1_tail(t: FourierTable) -> float:
     """Sum of |c(n)| over n != 0, including the out-of-support bound."""
-    N = t.half_width
-    s = float(np.sum(np.abs(t.coeffs))) - abs(t.coeffs[N])
-    return s + t.tail_bound
+    return 2.0 * float(np.sum(np.abs(t.coeffs[1:]))) + t.tail_bound
 
 
 def _fft_rounding(t: FourierTable, grid_size: int) -> float:
@@ -190,9 +187,10 @@ def _fft_rounding(t: FourierTable, grid_size: int) -> float:
     log2(G) eta sqrt(G) ||a||_2, with eta = mu + gamma_4 (sqrt(2) + mu), i.e.
     about 5.7 u plus the twiddle-factor error mu.  We take eta = 8 eps = 16 u,
     a generous constant, and the max-norm error is at most the 2-norm one.
-    density_sup's grid has G >= 2N + 1, so nothing folds and ||a||_2 = ||c||_2.
+    density_sup's grid has G >= 2N + 1, so nothing folds and ||a||_2 = ||c||_2,
+    the norm of c(-N..N): sqrt(|c(0)|^2 + 2 sum_{n>=1} |c(n)|^2).
     """
-    norm2 = float(np.linalg.norm(t.coeffs))
+    norm2 = math.hypot(abs(t.coeffs[0]), math.sqrt(2.0) * float(np.linalg.norm(t.coeffs[1:])))
     log2g = math.ceil(math.log2(grid_size))
     return log2g * 8.0 * float(np.finfo(float).eps) * math.sqrt(grid_size) * norm2
 
@@ -216,8 +214,7 @@ def density_sup(t: FourierTable, grid_size: int) -> DensityBoundReport:
     thetas = np.arange(grid_size) / grid_size
     vals = t.density(thetas)
     sup_est = float(np.max(vals))
-    ns = np.arange(-N, N + 1)
-    deriv_sup = 2.0 * math.pi * float(np.sum(np.abs(ns) * np.abs(t.coeffs)))
+    deriv_sup = 4.0 * math.pi * float(np.sum(np.arange(N + 1) * np.abs(t.coeffs)))
     margin = deriv_sup / (2.0 * grid_size)
     return DensityBoundReport(
         grid_size=grid_size,
@@ -226,37 +223,29 @@ def density_sup(t: FourierTable, grid_size: int) -> DensityBoundReport:
     )
 
 
-def _require_real_open_unit(t: FourierTable) -> np.ndarray:
-    arr = t.coeffs.copy()
-    N = t.half_width
-    off = np.abs(np.arange(-N, N + 1)) > 0
-    if np.any(np.abs(arr.imag[off]) > _HERM_TOL):
+def _arcsine_map(t: FourierTable, fn, name: str) -> FourierTable:
+    """The table 1, fn(arcsin c(1)), .., fn(arcsin c(N)) of a table real off n=0."""
+    c = t.coeffs[1:]
+    if np.any(np.abs(c.imag) > _TOL):
         raise ValueError("arcsine transforms need real coefficients off n=0")
-    if np.any(np.abs(arr.real[off]) >= 1.0):
+    if np.any(np.abs(c.real) >= 1.0):
         raise ValueError("arcsine transforms need |c(n)| < 1 for n != 0")
-    return arr.real
+    out = np.empty(t.half_width + 1, dtype=complex)
+    out[0] = 1.0
+    out[1:] = fn(np.arcsin(c.real))
+    return FourierTable(out, tail_bound=t.tail_bound, label=f"{name}({t.label})")
 
 
 def arcsine_transform(t: FourierTable) -> FourierTable:
     """(2/pi) arcsin(c(n)) off the origin: correlation table of the sign process."""
-    re = _require_real_open_unit(t)
-    out = (2.0 / math.pi) * np.arcsin(re)
-    N = t.half_width
-    out[N] = 1.0
     # |(2/pi) arcsin x| <= |x|, so the old tail bound is still valid
-    return FourierTable(out.astype(complex), tail_bound=t.tail_bound,
-                        label=f"arcsine({t.label})")
+    return _arcsine_map(t, lambda a: (2.0 / math.pi) * a, "arcsine")
 
 
 def arcsine_fourth_transform(t: FourierTable) -> FourierTable:
     """(16/pi^4) arcsin^4(c(n)) off the origin: sign correlations of the 4-fold product."""
-    re = _require_real_open_unit(t)
-    out = (16.0 / math.pi**4) * np.arcsin(re) ** 4
-    N = t.half_width
-    out[N] = 1.0
     # |(16/pi^4) arcsin^4 x| <= x^4 <= |x| on [-1,1]
-    return FourierTable(out.astype(complex), tail_bound=t.tail_bound,
-                        label=f"arcsine4({t.label})")
+    return _arcsine_map(t, lambda a: (16.0 / math.pi**4) * a ** 4, "arcsine4")
 
 
 def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:

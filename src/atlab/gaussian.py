@@ -12,8 +12,8 @@ from .systems import square_wave_coeffs
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# largest Monte Carlo run the CLI starts: a few float64 arrays of this length,
-# about 1 GiB at level 4
+# largest Monte Carlo run the CLI starts: three float64 and three bool arrays
+# of this length, about 430 MiB at any level
 MAX_MC_SAMPLES = 2**24
 
 
@@ -110,12 +110,6 @@ class McReport:
     seed: int
 
 
-def _correlated_pairs(r: float, samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    z1 = rng.standard_normal(samples)
-    z2 = rng.standard_normal(samples)
-    return z1, r * z1 + math.sqrt(1.0 - r * r) * z2
-
-
 def _mc_report(hits: np.ndarray, formula: float, samples: int, seed: int) -> McReport:
     p = float(np.mean(hits))
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
@@ -134,38 +128,42 @@ def _mc_lag(spec: GaussianSpec, n: int, samples: int) -> float:
     return r
 
 
-def sign_orthant_mc(spec: GaussianSpec, n: int, samples: int, seed: int) -> McReport:
-    """Monte Carlo for mu{X_0 > 0, X_n > 0}; closed form 1/4 + arcsin(r)/(2 pi)."""
-    r = _mc_lag(spec, n, samples)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x0, xn = _correlated_pairs(r, samples, rng)
-    formula = 0.25 + math.asin(r) / (2.0 * math.pi)
-    return _mc_report((x0 > 0) & (xn > 0), formula, samples, seed)
-
-
 def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
                        samples: int, seed: int) -> McReport:
-    """Orthant law for products of 2 or 4 independent copies.
+    """Orthant law mu{Y_0 > 0, Y_n > 0} for products Y of 1, 2 or 4 independent copies.
 
-    level=2: mu{Y_0>0, Y_n>0} = 1/4 + arcsin^2(r)/pi^2;
+    level=1: 1/4 + arcsin(r)/(2 pi);
+    level=2: 1/4 + arcsin^2(r)/pi^2;
     level=4: 1/4 + 4 arcsin^4(r)/pi^4.
     """
-    if level not in (2, 4):
-        raise ValueError("level must be 2 or 4")
+    if level not in (1, 2, 4):
+        raise ValueError("level must be 1, 2 or 4")
     r = _mc_lag(spec, n, samples)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    y0 = np.ones(samples)
-    yn = np.ones(samples)
+    scale = math.sqrt(1.0 - r * r)
+    # a product is > 0 exactly when no factor is 0 and an even number are
+    # negative: track that parity instead of float products
+    neg0 = np.zeros(samples, dtype=bool)
+    negn = np.zeros(samples, dtype=bool)
+    zero = np.zeros(samples, dtype=bool)
     for _ in range(level):
-        x0, xn = _correlated_pairs(r, samples, rng)
-        y0 *= x0
-        yn *= xn
+        x0 = rng.standard_normal(samples)
+        xn = rng.standard_normal(samples)
+        xn *= scale
+        xn += r * x0  # r x0 + sqrt(1 - r^2) z
+        neg0 ^= x0 < 0
+        negn ^= xn < 0
+        zero |= x0 == 0
+        zero |= xn == 0
+        del x0, xn  # free this level's draw before the next one
     a = math.asin(r)
-    if level == 2:
+    if level == 1:
+        formula = 0.25 + a / (2.0 * math.pi)
+    elif level == 2:
         formula = 0.25 + a * a / math.pi**2
     else:
         formula = 0.25 + 4.0 * a**4 / math.pi**4
-    return _mc_report((y0 > 0) & (yn > 0), formula, samples, seed)
+    return _mc_report(~(neg0 | negn | zero), formula, samples, seed)
 
 
 def cocycle_variances(spec: GaussianSpec, n_max: int) -> np.ndarray:

@@ -205,7 +205,8 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     exh_witness, params = {"indices": list(idx), "signs": list(eta)}, (kk, ww)
     heu = heu_witness = None
     if heuristic_budget > 0:
-        heu, hidx, heta = sbh_sup_heuristic(t, kk, window, budget=heuristic_budget, seed=seed)
+        heu, hidx, heta = sbh_sup_heuristic(t, kk, max(window, kk), budget=heuristic_budget,
+                                            seed=seed)
         heu_witness = {"indices": list(hidx), "signs": list(heta)}
     witness_sup = exh if heu is None else max(exh, heu)
     note = ""

@@ -266,11 +266,6 @@ class SquareWaveCoeffs:
 
     M: int
 
-    def coeff(self, m: int) -> complex:
-        if m == 0 or m % 2 == 0:
-            return 0.0 + 0.0j
-        return 2.0 / (math.pi * 1j * m)
-
     @property
     def odd_ms(self) -> np.ndarray:
         pos = np.arange(1, self.M + 1, 2)
@@ -281,10 +276,6 @@ class SquareWaveCoeffs:
         """|f-hat(m)|^2 over odd_ms; sums to 1 as M -> infinity."""
         ms = self.odd_ms
         return 4.0 / (math.pi**2 * ms.astype(float) ** 2)
-
-    @property
-    def l2_mass(self) -> float:
-        return float(np.sum(self.weights))
 
     @property
     def truncation_error(self) -> float:
@@ -734,11 +725,6 @@ class ConstantSource(NameSource):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b = rng.integers(0, 2, size=count).astype(np.uint8)
         return np.repeat(b[:, None], length, axis=1)
-
-
-def names_to_signs(bits: np.ndarray) -> np.ndarray:
-    """Map bits to +-1 with bit 0 (the P0 side) |-> +1."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=float)
 
 
 # ---------------------------------------------------------------------------

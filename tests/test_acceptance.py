@@ -71,7 +71,7 @@ def test_criterion_04_arcsine_laws():
     for i, r in enumerate((-0.9, -0.5, 0.0, 0.5, 0.9)):
         autocov = np.array([1.0, r])
         spec = gaussian.GaussianSpec(autocov)
-        rep = gaussian.sign_orthant_mc(spec, 1, samples, seed=100 + i)
+        rep = gaussian.product_orthant_mc(spec, 1, 1, samples, seed=100 + i)
         assert abs(rep.z_score) <= 4.0, (r, "orthant", rep)
         rep2 = gaussian.product_orthant_mc(spec, 1, 2, samples, seed=200 + i)
         assert abs(rep2.z_score) <= 4.0, (r, "2-fold", rep2)

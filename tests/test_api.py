@@ -15,7 +15,7 @@ PUBLIC = [
     "power_subsample", "product_orthant_mc", "read_measure", "riesz_product",
     "rotation_ac_cocycle_correlations", "rudin_shapiro_lag_sums", "rudin_shapiro_names",
     "sample_path", "sbh", "sbh_form", "sbh_sup_exhaustive", "sbh_sup_heuristic",
-    "sign_orthant_mc", "sqrt_template", "square_wave_coeffs", "systems", "theta_l2_exact",
+    "sqrt_template", "square_wave_coeffs", "systems", "theta_l2_exact",
     "theta_symmetry_check", "two_point_extension_correlations", "write_measure",
 ]
 

@@ -137,6 +137,22 @@ def test_certify_undecided_exit_4(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "UNDECIDED"
 
 
+@pytest.mark.parametrize("argv, k", [
+    (["--k", "13", "--budget", "10"], 12),
+    (["--k", "4", "--window", "2", "--budget", "10"], 4),
+], ids=["k-above-12", "window-below-k"])
+def test_certify_heuristic_window_covers_k(tmp_path, capsys, argv, k):
+    # the heuristic search gets max(window, k) indices, as the exhaustive one does
+    mfile = tmp_path / "u.json"
+    fourier.write_measure(fourier.FourierTable.from_nonneg(
+        np.array([1.0, 0.07], dtype=complex)), mfile)
+    code, out, err = run(["certify", "--in", str(mfile), *argv], capsys)
+    assert code in (0, 3, 4), err
+    rep = json.loads(out)
+    assert len(rep["heuristic_witness"]["indices"]) == k
+    assert rep["exhaustive_params"] == [k, k]
+
+
 _BAD_MEASURES = {
     "nan-tail": '{"half_width": 2, "tail_bound": NaN, "coeffs": [[0, 1.0, 0.0]]}',
     "huge-half-width": '{"half_width": 1e9, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}',

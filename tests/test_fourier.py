@@ -41,22 +41,17 @@ def test_invariant_modulus():
         fourier.FourierTable.from_nonneg(nn)
 
 
-def test_invariant_hermitian():
-    arr = np.array([0.3 + 0.1j, 1.0, 0.3 + 0.1j], dtype=complex)
-    with pytest.raises(fourier.InvariantViolation, match="Hermitian"):
-        fourier.FourierTable(arr)
-
-
 def test_invariant_hermitian_checks_c0_imaginary_part():
-    # within 1e-12 of 1, so only the symmetry check c(0) = conj(c(0)) sees it
-    arr = np.array([0.2, 1.0 + 8e-13j, 0.2], dtype=complex)
-    with pytest.raises(fourier.InvariantViolation, match="Hermitian"):
-        fourier.FourierTable(arr)
+    # within 1e-12 of 1, but c(0) = conj c(0) fails by 2 * 8e-13 > 1e-12
+    with pytest.raises(fourier.InvariantViolation, match="c\\(0\\)"):
+        fourier.FourierTable.from_nonneg(np.array([1.0 + 8e-13j, 0.2]))
+    # 2 * 4e-13 is within 1e-12, so this one stays a probability measure
+    assert fourier.FourierTable.from_nonneg(np.array([1.0 + 4e-13j, 0.2])).half_width == 1
 
 
 def test_from_nonneg_peak_memory():
-    # the table itself plus the half-size symmetry temporaries; the full-size
-    # np.allclose peaked at 3.5 times the coefficients
+    # the table's own copy of the coefficients (1x) plus the float64 |c(n)| of
+    # the modulus check (0.5x) and its bool masks: about 1.56x
     nn = np.full(2**20 + 1, 0.25, dtype=complex)
     nn[0] = 1.0
     tracemalloc.start()
@@ -65,7 +60,25 @@ def test_from_nonneg_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * t.coeffs.nbytes
+    assert peak <= 1.6 * t.coeffs.nbytes
+
+
+def test_from_nonneg_leaves_input_writable_and_unchanged():
+    nn = np.array([1.0, 0.2 + 0.3j, -0.1])
+    before = nn.copy()
+    t = fourier.FourierTable.from_nonneg(nn)
+    assert nn.flags.writeable
+    assert np.array_equal(nn, before)
+    nn[1] = 0.5
+    assert t.at(1) == 0.2 + 0.3j
+
+
+def test_table_stores_nonnegative_half_only():
+    for t in (fourier.lebesgue_table(0), fourier.dirac_table(5),
+              fourier.riesz_product([0.8, 0.4], [2, 7], 10)):
+        assert t.coeffs.size == t.half_width + 1
+    with pytest.raises(fourier.InvariantViolation, match="nonempty"):
+        fourier.FourierTable(np.zeros(0, dtype=complex))
 
 
 def test_invariant_tail_bound_sign():

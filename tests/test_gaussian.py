@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,21 +79,21 @@ def test_sample_path_deterministic():
 
 def test_sign_orthant_independent():
     spec = gaussian.white_noise_spec(4)
-    rep = gaussian.sign_orthant_mc(spec, 1, 10**5, seed=11)
+    rep = gaussian.product_orthant_mc(spec, 1, 1, 10**5, seed=11)
     assert abs(rep.z_score) <= 4.0
     assert rep.formula_value == pytest.approx(0.25, abs=1e-15)
 
 
 def test_sign_orthant_half():
     spec = gaussian.exponential_spec(0.5, 4)
-    rep = gaussian.sign_orthant_mc(spec, 1, 10**5, seed=12)
+    rep = gaussian.product_orthant_mc(spec, 1, 1, 10**5, seed=12)
     assert rep.formula_value == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert abs(rep.estimate - 1.0 / 3.0) <= 4.0 * rep.stderr
 
 
 def test_sign_orthant_negative_half():
     spec = gaussian.exponential_spec(-0.5, 4)
-    rep = gaussian.sign_orthant_mc(spec, 1, 10**5, seed=13)
+    rep = gaussian.product_orthant_mc(spec, 1, 1, 10**5, seed=13)
     assert rep.formula_value == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert abs(rep.z_score) <= 4.0
 
@@ -125,6 +126,46 @@ def test_product_orthant_sign_flip_symmetry():
     p_pos = float(np.mean((y0 > 0) & (yn > 0)))
     p_neg = float(np.mean((y0 < 0) & (yn < 0)))
     assert abs(p_pos - p_neg) <= 5.0 / math.sqrt(samples)
+
+
+def orthant_float_product_reference(r, level, samples, seed):
+    """The float-product Monte Carlo that ``product_orthant_mc`` replaced: each
+    level draws z1, z2, forms the pair (z1, r z1 + sqrt(1 - r^2) z2) and
+    multiplies it into Y_0, Y_n."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    y0 = np.ones(samples)
+    yn = np.ones(samples)
+    for _ in range(level):
+        z1 = rng.standard_normal(samples)
+        z2 = rng.standard_normal(samples)
+        y0 *= z1
+        yn *= r * z1 + math.sqrt(1.0 - r * r) * z2
+    a = math.asin(r)
+    formula = {1: 0.25 + a / (2.0 * math.pi),
+               2: 0.25 + a * a / math.pi**2,
+               4: 0.25 + 4.0 * a**4 / math.pi**4}[level]
+    return gaussian._mc_report((y0 > 0) & (yn > 0), formula, samples, seed)
+
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+@pytest.mark.parametrize("r", [-0.6, 0.0, 0.45])
+def test_product_orthant_matches_float_products(level, r):
+    spec = gaussian.GaussianSpec(np.array([1.0, 0.0, r]))
+    got = gaussian.product_orthant_mc(spec, 2, level, 20000, seed=31 + level)
+    assert got == orthant_float_product_reference(r, level, 20000, 31 + level)
+
+
+def test_product_orthant_peak_memory():
+    # one level's two float64 draws and r x0 (8 MiB each) plus three 1 MiB
+    # bool arrays: about 27 MiB; a draw kept alive into the next level passes 32
+    spec = gaussian.exponential_spec(0.5, 2)
+    tracemalloc.start()
+    try:
+        gaussian.product_orthant_mc(spec, 1, 4, 2**20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_empirical_sign_correlation_matches_arcsine_transform():
@@ -261,7 +302,7 @@ def test_gnoat_constant_chain_zero():
 
 
 def test_mc_report_serialization():
-    rep = gaussian.sign_orthant_mc(gaussian.white_noise_spec(2), 1, 1000, seed=5)
+    rep = gaussian.product_orthant_mc(gaussian.white_noise_spec(2), 1, 1, 1000, seed=5)
     obj = dataclasses.asdict(rep)
     for key in ("estimate", "stderr", "formula_value", "z_score",
                 "samples", "seed"):

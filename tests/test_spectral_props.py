@@ -171,3 +171,72 @@ def test_power_subsample_matches_pointwise_loop(data):
     nn = [t.at(m * n) for n in range(t.half_width // m + 1)]
     assert np.array_equal(sub.coeffs, fourier.FourierTable.from_nonneg(nn).coeffs)
     assert sub.tail_bound == t.tail_bound
+
+
+def _full(t):
+    """c(-N..N) of ``t`` as one explicit array: entry [n + N] holds c(n)."""
+    nn = t.nonneg()
+    return np.concatenate([nn[:0:-1].conj(), nn])
+
+
+def _full_gram(t, idx):
+    """[c(n_i - n_j)] gathered from c(-N..N) at n_i - n_j + N."""
+    full, N = _full(t), t.half_width
+    coeffs = full.real if not np.any(full.imag) else full
+    diffs = idx[..., :, None] - idx[..., None, :]
+    out = np.zeros(diffs.shape, dtype=coeffs.dtype)
+    inside = np.abs(diffs) <= N
+    out[inside] = coeffs[diffs[inside] + N]
+    return out
+
+
+def _full_grid_density(t, G):
+    """The grid density with all of c(-N..N) folded to n mod G by bincount."""
+    full, N = _full(t), t.half_width
+    idx = np.arange(-N, N + 1) % G
+    a = (np.bincount(idx, weights=full.real, minlength=G)
+         + 1j * np.bincount(idx, weights=full.imag, minlength=G))
+    return np.real(np.fft.ifft(a, norm="forward"))
+
+
+def _full_l1_tail(t):
+    full = _full(t)
+    return float(np.sum(np.abs(full))) - abs(full[t.half_width]) + t.tail_bound
+
+
+def _full_certified_upper(t, G):
+    full, N = _full(t), t.half_width
+    sup = float(np.max(_full_grid_density(t, G)))
+    margin = 2.0 * np.pi * float(np.sum(np.abs(np.arange(-N, N + 1)) * np.abs(full))) / (2.0 * G)
+    rounding = (np.ceil(np.log2(G)) * 8.0 * _EPS * np.sqrt(G)
+                * float(np.linalg.norm(full)))
+    return sup + t.tail_bound + margin + rounding
+
+
+@PROPS
+@given(data=st.data())
+def test_half_table_matches_full_array_formulas(data):
+    # the table stores c(0..N); every reader must agree with the same formula
+    # written on c(-N..N)
+    t = data.draw(st.one_of(tables(), real_tables()))
+    t = fourier.FourierTable.from_nonneg(t.nonneg(), tail_bound=data.draw(st.floats(0.0, 0.5)))
+    N = t.half_width
+    k = data.draw(st.integers(1, 6))
+    idx = np.array(data.draw(st.lists(st.integers(-N - 4, N + 4), min_size=k, max_size=k)))
+    gram, ref = t.gram(idx), _full_gram(t, idx)
+    assert gram.dtype == ref.dtype
+    assert np.array_equal(gram, ref)
+    G = data.draw(st.one_of(st.integers(1, 2 * N + 1), st.integers(2 * N + 1, 4 * N + 8)))
+    grid = t.density(np.arange(G) / G)
+    ref = _full_grid_density(t, G)
+    if G >= 2 * N + 1:
+        assert np.array_equal(grid, ref)
+    else:
+        # bins that fold several terms add them in another order
+        assert np.max(np.abs(grid - ref)) <= 8 * (N + 1) * _EPS * float(np.sum(np.abs(_full(t))))
+    # certify's l1 certificate is 1 + l1_tail
+    l1_cert, ref = 1.0 + fourier.l1_tail(t), 1.0 + _full_l1_tail(t)
+    assert abs(l1_cert - ref) <= 4 * np.spacing(ref)
+    G = data.draw(st.integers(4 * N + 4, 8 * N + 64))
+    upper, ref = fourier.density_sup(t, G).certified_upper, _full_certified_upper(t, G)
+    assert abs(upper - ref) <= 4 * np.spacing(ref)
