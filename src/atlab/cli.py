@@ -6,8 +6,13 @@ unreadable or unwritable file, 3 certify CERTIFIED_NOT_SBH, 4 certify UNDECIDED.
 bad input, and `main` turns it, or an OSError, into one `error:` line.
 `measure` picks its kind from `_MEASURES`: adding a kind takes one entry there.
 `system` and `funny` share one table of systems, `_SYSTEMS`: adding a system
-takes one `NameSource` subclass and one `_SYSTEMS` entry.  `system` prints the
-source's `rows` and samples its names; `funny` samples names from it.
+takes one `NameSource` subclass and one `_SYSTEMS` entry (and, if it defines
+`rows`, one `_ROW_SYSTEMS` entry).  `system` prints the source's `rows` and
+samples its names; `funny` samples names from it.
+Every subcommand reads `fourier`; the other modules are imported by the
+commands that use them, so `measure` loads `fourier` alone and `certify` adds
+`sbh`.  Each command calls `module.func` when it runs, so a rebound (e.g.
+traced) function is the one that runs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import fourier, funny, gaussian, sbh, systems
+from . import fourier
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +56,7 @@ def _fail(msg: str) -> int:
 
 
 def _parse_alpha(s: str) -> float:
+    from . import systems
     named = {"sqrt2-1": systems.SQRT2_M1, "golden": systems.GOLDEN_M1}
     if s in named:
         return named[s]
@@ -122,6 +128,7 @@ _EXITCODE = {"CERTIFIED_SBH": 0, "CERTIFIED_NOT_SBH": 3, "UNDECIDED": 4}
 
 
 def cmd_certify(args) -> int:
+    from . import sbh
     t = fourier.read_measure(args.infile)
     if not args.subsample_scan:
         rep = sbh.certify(t, k=args.k, window=args.window, seed=args.seed,
@@ -144,24 +151,28 @@ def cmd_certify(args) -> int:
     return 0 if found is not None else 4
 
 
-# name -> NameSource subclass; `system` offers the ones that define `rows`.  The
-# row methods call the systems.* functions as module globals, so a rebound (e.g.
-# traced) function runs
+# name -> the name of its NameSource subclass in `systems`, looked up when a
+# command runs.  The row methods call the systems.* functions as module globals,
+# so a rebound (e.g. traced) function runs
 _SYSTEMS = {
-    "rudin-shapiro": systems.RudinShapiroSource,
-    "nil": systems.NilRotationSource,
-    "rotation": systems.RotationCocycleSource,
-    "distal": systems.DistalSource,
-    "odometer": systems.OdometerExtensionSource,
-    "coin": systems.CoinSource,
-    "constant": systems.ConstantSource,
+    "rudin-shapiro": "RudinShapiroSource",
+    "nil": "NilRotationSource",
+    "rotation": "RotationCocycleSource",
+    "distal": "DistalSource",
+    "odometer": "OdometerExtensionSource",
+    "coin": "CoinSource",
+    "constant": "ConstantSource",
 }
+# the systems whose source defines `rows`, which `system` offers (a test pins
+# this against the classes, so the parser needs no import of `systems`)
+_ROW_SYSTEMS = ("rudin-shapiro", "nil", "rotation", "distal", "odometer")
 
 
 def _system(args):
     """A builder of args.system's source, with --alpha and --phi parsed in place: it
     gets each option named like a constructor parameter (`funny` has no --L,
     which shapes only the rows, so there it keeps its default)."""
+    from . import systems
     if not 0 <= args.log2_length <= systems.MAX_LOG2_LENGTH:
         raise ValueError(f"need 0 <= --log2-length <= {systems.MAX_LOG2_LENGTH}, "
                          f"got {args.log2_length}")
@@ -170,12 +181,13 @@ def _system(args):
     bad = [p for p in args.phi if not -2**63 <= p < 2**63]
     if bad:
         raise ValueError(f"need every --phi value in [-2**63, 2**63), got {bad[0]}")
-    cls = _SYSTEMS[args.system]
+    cls = getattr(systems, _SYSTEMS[args.system])
     return functools.partial(cls, **{p: getattr(args, p) for p in
                                      inspect.signature(cls).parameters if hasattr(args, p)})
 
 
 def cmd_system(args) -> int:
+    from . import systems
     make_source = _system(args)
     if not 0 <= args.nmax <= fourier.MAX_HALF_WIDTH or args.names < 0 or args.length < 1:
         raise ValueError(f"need 0 <= --nmax <= {fourier.MAX_HALF_WIDTH}, --names >= 0 "
@@ -195,6 +207,7 @@ def cmd_system(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
+    from . import gaussian
     mode = args.mode
     if mode == "constants":
         _emit(render_json(dataclasses.asdict(gaussian.gnoat_constant_check())), args)
@@ -226,6 +239,7 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_funny(args) -> int:
+    from . import funny, systems
     src = _system(args)()
     fam = funny.LambdaFamily(k=args.k, horizon=args.horizon, n_random=args.n_random)
     if 2 * args.samples * args.horizon > systems.MAX_NAME_BITS:
@@ -304,8 +318,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     c.set_defaults(func=cmd_certify)
 
     s = sub.add_parser("system", help="correlation tables and name batches")
-    s.add_argument("system", choices=[name for name, cls in _SYSTEMS.items()
-                                      if hasattr(cls, "rows")])
+    s.add_argument("system", choices=list(_ROW_SYSTEMS))
     s.add_argument("--L", type=int, default=2**20)
     s.add_argument("--nmax", type=int, default=16)
     # unused (the distal rows are 0 at every scale): the benchmark's distal job passes it

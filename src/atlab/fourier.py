@@ -1,16 +1,19 @@
 """Probability measures on the circle represented by truncated Fourier tables.
 
-A table stores c(0..N) together with an explicit upper bound on the l1 mass
-of the dropped coefficients (``tail_bound``); c(-n) = conj c(n) holds for
-every measure, so the negative side is never stored.  All transforms
-propagate that bound so every downstream certificate stays honest about
-truncation.
+A table stores c(0..N) together with ``tail_bound``, an upper bound on
+sum_n |c_true(n) - c_table(n)| over all n (both signs): the l1 mass of the
+dropped coefficients plus any error in the stored ones.  c(-n) = conj c(n)
+holds for every measure, so the negative side is never stored.  All
+transforms propagate that bound so every downstream certificate stays honest
+about truncation.
 
 The truncated density d(theta) = sum c(n) e^{2 pi i n theta} is evaluated on
 the uniform grid theta_j = j/G by one inverse FFT of length G (coefficients
 folded to n mod G, so any G is exact); at other points it is a direct sum.
 :func:`density_sup` turns the grid maximum into a certified bound by adding
-the tail, a Bernstein derivative margin and a stated FFT rounding term.
+the tail, a Bernstein derivative margin and a stated FFT rounding term;
+``_density_min_lower`` turns a finer grid's minimum into a lower bound on
+min d_N, which bounds the least Toeplitz eigenvalue from below.
 
 :meth:`FourierTable.gram` gathers the Gram matrix [c(n_i - n_j)] of any
 index family; the SBH forms, the Toeplitz PSD check and Gaussian sampling
@@ -47,7 +50,9 @@ class FourierTable:
     """Finite table c(n), |n| <= half_width, of a circle probability measure.
 
     ``coeffs`` has length N+1; entry [n] holds c(n) for n >= 0, and
-    c(-n) = conj c(n).  Instances are immutable; build them with
+    c(-n) = conj c(n).  ``tail_bound`` is an upper bound on
+    sum_n |c_true(n) - c_table(n)| over all n, both signs, where c_table(n) = 0
+    for |n| > N.  Instances are immutable; build them with
     :meth:`from_nonneg` or the module constructors.
     """
 
@@ -187,8 +192,9 @@ def _fft_rounding(t: FourierTable, grid_size: int) -> float:
     log2(G) eta sqrt(G) ||a||_2, with eta = mu + gamma_4 (sqrt(2) + mu), i.e.
     about 5.7 u plus the twiddle-factor error mu.  We take eta = 8 eps = 16 u,
     a generous constant, and the max-norm error is at most the 2-norm one.
-    density_sup's grid has G >= 2N + 1, so nothing folds and ||a||_2 = ||c||_2,
-    the norm of c(-N..N): sqrt(|c(0)|^2 + 2 sum_{n>=1} |c(n)|^2).
+    The grids of density_sup and _density_min_lower have G >= 2N + 1, so nothing
+    folds and ||a||_2 = ||c||_2, the norm of c(-N..N):
+    sqrt(|c(0)|^2 + 2 sum_{n>=1} |c(n)|^2).
     """
     norm2 = math.hypot(abs(t.coeffs[0]), math.sqrt(2.0) * float(np.linalg.norm(t.coeffs[1:])))
     log2g = math.ceil(math.log2(grid_size))
@@ -308,6 +314,28 @@ def sqrt_template(c: float, N: int) -> FourierTable:
         nn, tail_bound=0.0,
         label=f"sqrt-template(c={c}) [coefficient template; PSD not certified]",
     )
+
+
+def _density_min_lower(t: FourierTable) -> float:
+    """A lower bound on min_theta d_N(theta), which also bounds from below the least
+    eigenvalue of every k x k Toeplitz matrix [c(i - j)] with k <= N + 1: its
+    quadratic form is the integral of |sum_j x_j e^{2 pi i j theta}|^2 d_N(theta)
+    (Grenander and Szego, Toeplitz Forms, 1958).
+
+    d_N is read on the grid j/G, G the power of two >= 64N (at least 64), h = 1/G.
+    At a minimiser d_N' = 0 and some grid point lies within h/2, so the minimum
+    is at least the grid minimum - h^2/8 ||d_N''||_inf.  Bernstein's inequality
+    for a trigonometric polynomial of degree N gives ||d_N''||_inf <=
+    (2 pi N)^2 ||d_N||_inf and, over half a grid step,
+    ||d_N||_inf <= (max |grid value| + rounding) / (1 - pi N / G).  The computed
+    grid values are within ``_fft_rounding`` of the exact ones.  O(N log N).
+    """
+    N = t.half_width
+    G = 1 << max(6, (64 * N - 1).bit_length())
+    vals = t.density(np.arange(G) / G)
+    rounding = _fft_rounding(t, G)
+    sup = (float(np.max(np.abs(vals))) + rounding) / (1.0 - math.pi * N / G)
+    return float(np.min(vals)) - rounding - 0.5 * (math.pi * N / G) ** 2 * sup
 
 
 def is_positive_definite(t: FourierTable, k: int) -> tuple[bool, float]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierTable, is_positive_definite
+from .fourier import FourierTable, _density_min_lower, is_positive_definite
 from .systems import square_wave_coeffs
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
@@ -50,11 +50,23 @@ class GaussianSpec:
 
     @classmethod
     def from_fourier_table(cls, t: FourierTable) -> "GaussianSpec":
-        """The spec of a real table whose Toeplitz matrix T_{N+1} is PSD."""
+        """The spec of a real table with no tail whose Toeplitz matrix T_{N+1} is PSD.
+
+        A table with tail_bound > 0 raises ValueError: its spec would be the
+        finite-range process of the stored coefficients, not the measure's.
+        PSD is certified by the grid bound ``fourier._density_min_lower`` on
+        min d_N, which bounds the least eigenvalue of T_{N+1} from below in
+        O(N log N); only when that bound is negative does the check fall back
+        to ``is_positive_definite``, numpy's O(N^3) ``eigvalsh`` of T_{N+1}.
+        """
         nn = t.nonneg()
         if np.any(np.abs(nn.imag) > 1e-12):
             raise ValueError("a Gaussian spec needs real coefficients")
-        if not is_positive_definite(t, t.half_width + 1)[0]:
+        if t.tail_bound > 0.0:
+            raise ValueError(f"a Gaussian spec needs tail_bound 0, got {t.tail_bound!r}: "
+                             "the spec would be the finite-range process of the table")
+        if (_density_min_lower(t) < 0.0
+                and not is_positive_definite(t, t.half_width + 1)[0]):
             raise ValueError("coefficient table is not positive semidefinite")
         return cls(nn.real.copy())
 

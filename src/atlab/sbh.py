@@ -5,8 +5,9 @@ families, which no finite computation decides.  What we can do honestly:
 
 * certify SBH via two sufficient conditions (small l1 tail, or a certified
   flat density bound),
-* certify NOT SBH via an explicit witnessed form value above 1 + eps0
-  (a lower bound for the sup at that k; the limsup claim stays heuristic),
+* certify NOT SBH via an explicit witnessed form value above 1 + eps0 by
+  more than the table's tail can move it (a lower bound for the sup at that
+  k; the limsup claim stays heuristic),
 * otherwise report UNDECIDED.
 """
 
@@ -189,7 +190,11 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
             heuristic_budget: int = 0, seed: int = 0) -> SbhReport:
     """Assemble SBH certificates and a verdict for a Fourier table.
 
-    The density certificate reads a grid of max(4N + 4, 64) points.  Raises
+    The density certificate reads a grid of max(4N + 4, 64) points.  A witness
+    found at the searched k (k clamped to 12) gives NOT_SBH only when its form
+    minus ((k - 1)/k) tail_bound exceeds 1 + eps0: the true form differs from
+    the table's by (1/k) sum_{i != j} +-(c_true - c_table)(n_i - n_j), and each
+    nonzero difference occurs in at most k - 1 ordered pairs.  Raises
     ValueError for k < 1 or heuristic_budget < 0, which no search can honour.
     """
     if k < 1:
@@ -212,7 +217,7 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     note = ""
     if min(l1_cert, dens_cert) <= 1.0 + eps:
         verdict = "CERTIFIED_SBH"
-    elif witness_sup > 1.0 + eps:
+    elif witness_sup - (kk - 1) / kk * t.tail_bound > 1.0 + eps:
         verdict = "CERTIFIED_NOT_SBH"
         note = NOT_SBH_CAVEAT
     else:

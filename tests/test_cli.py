@@ -193,6 +193,27 @@ def test_bad_measure_file_exit_2(tmp_path, capsys, argv, key):
     assert err.startswith("error: malformed coefficient row") and err.count("\n") == 1
 
 
+_TAILED = '{"half_width": 1, "tail_bound": 0.04, "coeffs": [[0, 1, 0], [1, 0.072, 0]]}'
+
+
+def test_certify_tail_blocks_not_sbh(tmp_path, capsys):
+    # the k = 4 witness 1.108 exceeds 1 + eps0, but not once the tail is discounted
+    mfile = tmp_path / "tailed.json"
+    mfile.write_text(_TAILED)
+    code, out, _ = run(["certify", "--in", str(mfile), "--k", "4", "--window", "4"], capsys)
+    assert code == 4
+    assert json.loads(out)["verdict"] == "UNDECIDED"
+
+
+def test_gaussian_spec_with_tail_exit_2(tmp_path, capsys):
+    mfile = tmp_path / "tailed.json"
+    mfile.write_text(_TAILED)
+    code, out, err = run(["gaussian", "cocycle", "--spec", str(mfile)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a Gaussian spec needs tail_bound 0") and err.count("\n") == 1
+
+
 def test_certify_subsample_scan(tmp_path, capsys):
     mfile = tmp_path / "g.json"
     from atlab import gaussian
@@ -453,6 +474,38 @@ def test_cli_import_loads_no_scipy():
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_LOADED = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+           "print(sorted(m for m in sys.modules if m.startswith('atlab'))); sys.exit(code)")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["measure", "sqrt", "--N", "8", "--density-csv", "{tmp}/d.csv"], []),
+    (["certify", "--in", "{tmp}/t.json", "--k", "4", "--budget", "10"], ["sbh"]),
+    (["system", "nil", "--nmax", "4", "--names", "2", "--length", "8",
+      "--names-out", "{tmp}/n.bin"], ["bessel", "systems"]),
+], ids=["import", "measure", "certify", "system"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
+    """`import atlab.cli` loads `fourier` alone; each subcommand adds the modules
+    it runs: `measure` none, `certify` only `sbh`, `system` only `systems`."""
+    fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    args = [tok.format(tmp=tmp_path) for tok in argv or []]
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *args],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode in (0, 3, 4), proc.stderr  # certify's verdicts exit 3 and 4
+    expected = sorted(["atlab", "atlab.cli", "atlab.fourier", *(f"atlab.{m}" for m in loaded)])
+    assert proc.stdout.splitlines()[-1] == repr(expected)
+
+
+def test_row_systems_are_the_sources_with_rows():
+    """The static tuple behind `system`'s choices names exactly the sources with `rows`."""
+    assert list(cli._ROW_SYSTEMS) == [name for name, cls in cli._SYSTEMS.items()
+                                      if hasattr(getattr(systems, cls), "rows")]
 
 
 @pytest.mark.parametrize("argv", [

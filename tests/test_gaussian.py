@@ -39,6 +39,39 @@ def test_spec_from_table_rejects_non_psd():
         gaussian.GaussianSpec.from_fourier_table(t)
 
 
+def test_spec_from_table_skips_eigvalsh_when_grid_certifies(monkeypatch):
+    # min d_N is about 0.58 here: the grid certificate decides, the O(N^3)
+    # eigenvalue fallback never runs
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    t = fourier.sqrt_template(0.3, 1024)
+    assert fourier._density_min_lower(t) > 0.5
+    spec = gaussian.GaussianSpec.from_fourier_table(t)
+    assert np.array_equal(spec.autocov, t.coeffs.real)
+
+
+@pytest.mark.parametrize("nn", [[1.0, 0.6, 0.9], [1.0] * 9],
+                         ids=["psd-minors-negative-density", "dirac"])
+def test_spec_from_table_falls_back_to_eigvalsh(monkeypatch, nn):
+    # PSD at k = N + 1 although the truncated density dips below 0, so the grid
+    # bound is negative and eigvalsh decides
+    t = fourier.FourierTable.from_nonneg(np.array(nn, dtype=complex))
+    assert fourier._density_min_lower(t) < 0.0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    gaussian.GaussianSpec.from_fourier_table(t)
+    assert calls == [(len(nn), len(nn))]
+
+
+def test_spec_from_table_rejects_positive_tail():
+    t = fourier.FourierTable.from_nonneg(np.array([1.0, 0.072], dtype=complex), tail_bound=0.04)
+    with pytest.raises(ValueError, match="tail_bound 0, got 0.04: .* finite-range process"):
+        gaussian.GaussianSpec.from_fourier_table(t)
+
+
 def test_spec_from_table_rejects_complex():
     nn = np.array([1.0, 0.2 + 0.3j], dtype=complex)
     t = fourier.FourierTable.from_nonneg(nn)

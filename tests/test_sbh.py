@@ -293,3 +293,43 @@ def test_certify_undecided_exists():
     nn[1] = 0.07  # l1 certificate 1.14 > 1 + eps0, best k=4 witness 1.105 < it
     rep = sbh.certify(fourier.FourierTable.from_nonneg(nn), k=4, window=8)
     assert rep.verdict == "UNDECIDED"
+
+
+def test_certify_not_sbh_discounts_the_tail():
+    # the k = 4 witness 1.108 clears 1 + eps0 by 0.0015, but a tail of 0.04 may
+    # move any k = 4 form by (3/4) 0.04 = 0.03: no NOT_SBH claim
+    nn = np.array([1.0, 0.072], dtype=complex)
+    rep = sbh.certify(fourier.FourierTable.from_nonneg(nn, tail_bound=0.04), k=4, window=4)
+    assert rep.exhaustive_sup == pytest.approx(1.108, abs=1e-12)
+    assert rep.verdict == "UNDECIDED"
+    assert rep.note == ""
+    rep = sbh.certify(fourier.FourierTable.from_nonneg(nn), k=4, window=4)
+    assert rep.verdict == "CERTIFIED_NOT_SBH"
+    # a witness far above 1 + eps0 survives a tail
+    rep = sbh.certify(fourier.FourierTable.from_nonneg(np.ones(17), tail_bound=0.5), k=4)
+    assert rep.verdict == "CERTIFIED_NOT_SBH"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_tail_moves_a_form_by_at_most_k_minus_1_over_k(data):
+    # the true coefficients differ from the table's by delta with
+    # sum_n |delta(n)| = T over all n; lags past the table read 0 there
+    N = data.draw(st.integers(0, 10))
+    M = N + data.draw(st.integers(0, 10))
+    part = st.floats(-0.5, 0.5)
+    nn = np.zeros(M + 1, dtype=complex)
+    nn[0] = 1.0
+    nn[1:N + 1] = [complex(data.draw(part), data.draw(part)) for _ in range(N)]
+    raw = np.array([complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
+                    for _ in range(M)])
+    T = data.draw(st.floats(0.0, 0.5))
+    if np.any(raw):
+        nn[1:] += raw * (T / (2.0 * float(np.sum(np.abs(raw)))))
+    table = fourier.FourierTable.from_nonneg(nn[:N + 1])
+    true = fourier.FourierTable.from_nonneg(nn)
+    k = data.draw(st.integers(1, min(8, M + 1)))
+    idx = sorted(data.draw(st.lists(st.integers(0, M), min_size=k, max_size=k, unique=True)))
+    signs = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    diff = abs(sbh.sbh_form(true, idx, signs) - sbh.sbh_form(table, idx, signs))
+    assert diff <= (k - 1) / k * T + 1e-12

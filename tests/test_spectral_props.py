@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh, toeplitz
 
-from atlab import fourier, sbh
+from atlab import fourier, gaussian, sbh
 
 PROPS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -240,3 +240,52 @@ def test_half_table_matches_full_array_formulas(data):
     G = data.draw(st.integers(4 * N + 4, 8 * N + 64))
     upper, ref = fourier.density_sup(t, G).certified_upper, _full_certified_upper(t, G)
     assert abs(upper - ref) <= 4 * np.spacing(ref)
+
+
+@st.composite
+def psd_certificate_tables(draw):
+    """Sqrt templates, Riesz products, random real and complex tables, and tables
+    whose truncated density dips below 0 (a Dirac table, a shrunk Dirac)."""
+    N = draw(st.integers(0, 48))
+    kind = draw(st.sampled_from(["sqrt", "riesz", "real", "complex", "dip"]))
+    if kind == "sqrt":
+        return fourier.sqrt_template(draw(st.floats(0.0, 1.0)), N)
+    if kind == "riesz":
+        freqs = [draw(st.integers(1, 3))]
+        while freqs[-1] <= N and len(freqs) < 5:
+            freqs.append(freqs[-1] * draw(st.integers(3, 5)))
+        amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(freqs),
+                             max_size=len(freqs)))
+        return fourier.riesz_product(amps, freqs, N)
+    if kind == "complex":
+        return draw(tables())
+    if kind == "dip":
+        nn = np.full(N + 1, draw(st.floats(0.5, 1.0)), dtype=complex)
+        nn[0] = 1.0
+        return fourier.FourierTable.from_nonneg(nn)
+    re = draw(st.lists(st.floats(-0.7, 0.7), min_size=N, max_size=N))
+    return fourier.FourierTable.from_nonneg(np.concatenate([[1.0], re]).astype(complex))
+
+
+@PROPS
+@given(t=psd_certificate_tables())
+def test_density_min_lower_bounds_toeplitz_lam_min(t):
+    # Grenander-Szego: min d_N <= lam_min(T_k) for every k <= N + 1
+    assert fourier._density_min_lower(t) <= _hermitian_lam_min(t, t.half_width + 1) + 1e-12
+
+
+@PROPS
+@given(t=psd_certificate_tables())
+def test_spec_accepts_exactly_as_eigvalsh(t):
+    # the grid certificate and its eigvalsh fallback accept exactly the real,
+    # tail-free tables that the eigvalsh-only rule accepted
+    if np.any(t.coeffs.imag):
+        return
+    old = bool(np.linalg.eigvalsh(t.gram(np.arange(t.half_width + 1)))[0] >= fourier.PSD_TOL)
+    try:
+        gaussian.GaussianSpec.from_fourier_table(t)
+        new = True
+    except ValueError as exc:
+        assert "positive semidefinite" in str(exc)
+        new = False
+    assert new == old
