@@ -113,7 +113,7 @@ def cmd_measure(args) -> int:
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
         thetas = np.arange(grid) / grid
-        density = t.density(thetas)
+        density = t.density(grid)
         with open(args.density_csv, "w") as fh:
             fh.write("theta,density\n")
             # tolist() gives Python floats, whose repr is the shortest round-trip
@@ -141,6 +141,10 @@ def cmd_certify(args) -> int:
         raise ValueError("--subsample-scan expects LO..HI") from None
     if lo > hi:
         raise ValueError(f"--subsample-scan range {lo}..{hi} is empty")
+    # every m > N subsamples to the table c(0) alone, which m = N + 1 already reports
+    if hi > t.half_width + 1:
+        raise ValueError(f"--subsample-scan HI must be <= half_width + 1 = {t.half_width + 1}, "
+                         f"got {hi}")
     reports = []
     for m in range(lo, hi + 1):
         rep = sbh.certify(fourier.power_subsample(t, m), k=args.k, window=args.window,

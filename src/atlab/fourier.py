@@ -7,9 +7,9 @@ holds for every measure, so the negative side is never stored.  All
 transforms propagate that bound so every downstream certificate stays honest
 about truncation.
 
-The truncated density d(theta) = sum c(n) e^{2 pi i n theta} is evaluated on
-the uniform grid theta_j = j/G by one inverse FFT of length G (coefficients
-folded to n mod G, so any G is exact); at other points it is a direct sum.
+The truncated density d(theta) = sum c(n) e^{2 pi i n theta} is read only on
+uniform grids theta_j = j/G, by one zero-padded inverse FFT of length
+m G >= 2N + 1 (:meth:`FourierTable.density`).
 :func:`density_sup` turns the grid maximum into a certified bound by adding
 the tail, a Bernstein derivative margin and a stated FFT rounding term;
 ``_density_min_lower`` turns a finer grid's minimum into a lower bound on
@@ -77,6 +77,7 @@ class FourierTable:
             raise InvariantViolation("tail_bound must be finite and nonnegative")
         arr.setflags(write=False)
 
+    # kept although the constructor does the same: perfbench/traced_cli.py wraps it by name
     @classmethod
     def from_nonneg(cls, nonneg, tail_bound: float = 0.0, label: str = "") -> "FourierTable":
         """Build a table from c(0..N)."""
@@ -114,37 +115,22 @@ class FourierTable:
             np.conjugate(out, out=out, where=inside & (diffs < 0))
         return out
 
-    def nonneg(self) -> np.ndarray:
-        """c(0..N), the whole table (read-only)."""
-        return self.coeffs
+    def density(self, grid_size: int) -> np.ndarray:
+        """d(j / grid_size) for j < grid_size, where d(theta) = sum c(n) e^{2 pi i n theta}.
 
-    def density(self, thetas: np.ndarray) -> np.ndarray:
-        """Evaluate d(theta) = sum c(n) e^{2 pi i n theta}; real by symmetry.
-
-        When ``thetas`` is exactly the uniform grid ``np.arange(G) / G``,
-        c(n) is folded into a[n mod G] and conj c(n) into a[-n mod G], and the
-        result is the real part of the unnormalised inverse FFT of a
-        (G * ifft(a)): O(G log G), and exact for every G, including
-        G < 2N + 1.  Any other ``thetas`` is summed directly as
-        c(0) + 2 Re sum_{n>=1} c(n) e^{2 pi i n theta} in O(len(thetas) * N);
-        tests use that as the reference.
+        c(0..N) go to a[0..N] and conj c(n) to a[-n] of one zero array of
+        length L = m * grid_size >= 2N + 1, m = ceil((2N + 1) / grid_size), so
+        nothing folds; every m-th point of the real part of its unnormalised
+        inverse FFT L * ifft(a) is the grid density.  O(L log L).
         """
-        c = self.coeffs
-        ns = np.arange(self.half_width + 1)
-        th = np.atleast_1d(np.asarray(thetas, dtype=float))
-        G = th.size
-        if G and np.array_equal(th, np.arange(G) / G):
-            a = np.zeros(G, dtype=complex)
-            np.add.at(a, ns % G, c)
-            np.add.at(a, -ns[1:] % G, c[1:].conj())
-            return np.real(np.fft.ifft(a, norm="forward"))
-        out = np.empty(th.size)
-        # chunk the phase matrix so wide tables stay within memory
-        step = max(1, 2**22 // ns.size)
-        for i in range(0, th.size, step):
-            ph = np.exp(2j * np.pi * np.outer(th[i:i + step], ns[1:]))
-            out[i:i + step] = c[0].real + 2.0 * np.real(ph @ c[1:])
-        return out
+        if grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+        c, N = self.coeffs, self.half_width
+        m = -(-(2 * N + 1) // grid_size)
+        a = np.zeros(m * grid_size, dtype=complex)
+        a[:N + 1] = c
+        a[a.size - N:] = c[:0:-1].conj()
+        return np.real(np.fft.ifft(a, norm="forward"))[::m]
 
 
 @dataclass(frozen=True)
@@ -172,7 +158,7 @@ def power_subsample(t: FourierTable, m: int) -> FourierTable:
     """Table of c(m n): the spectral picture of the m-th power of the system."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    nn = t.nonneg()[::m]
+    nn = t.coeffs[::m]
     # dropped terms all have |index| > N, so the old tail bound still covers them
     return FourierTable.from_nonneg(
         nn, tail_bound=t.tail_bound, label=f"{t.label}^(sub {m})"
@@ -192,8 +178,9 @@ def _fft_rounding(t: FourierTable, grid_size: int) -> float:
     log2(G) eta sqrt(G) ||a||_2, with eta = mu + gamma_4 (sqrt(2) + mu), i.e.
     about 5.7 u plus the twiddle-factor error mu.  We take eta = 8 eps = 16 u,
     a generous constant, and the max-norm error is at most the 2-norm one.
-    The grids of density_sup and _density_min_lower have G >= 2N + 1, so nothing
-    folds and ||a||_2 = ||c||_2, the norm of c(-N..N):
+    ``grid_size`` is the FFT length m G of :meth:`FourierTable.density` (m = 1 on
+    the grids of density_sup and _density_min_lower, which have G >= 2N + 1).
+    Nothing folds on any grid, so ||a||_2 = ||c||_2, the norm of c(-N..N):
     sqrt(|c(0)|^2 + 2 sum_{n>=1} |c(n)|^2).
     """
     norm2 = math.hypot(abs(t.coeffs[0]), math.sqrt(2.0) * float(np.linalg.norm(t.coeffs[1:])))
@@ -217,8 +204,7 @@ def density_sup(t: FourierTable, grid_size: int) -> DensityBoundReport:
     N = t.half_width
     if grid_size < 4 * N + 4:
         raise ValueError(f"grid_size must be >= 4N+4 = {4 * N + 4}")
-    thetas = np.arange(grid_size) / grid_size
-    vals = t.density(thetas)
+    vals = t.density(grid_size)
     sup_est = float(np.max(vals))
     deriv_sup = 4.0 * math.pi * float(np.sum(np.arange(N + 1) * np.abs(t.coeffs)))
     margin = deriv_sup / (2.0 * grid_size)
@@ -332,7 +318,7 @@ def _density_min_lower(t: FourierTable) -> float:
     """
     N = t.half_width
     G = 1 << max(6, (64 * N - 1).bit_length())
-    vals = t.density(np.arange(G) / G)
+    vals = t.density(G)
     rounding = _fft_rounding(t, G)
     sup = (float(np.max(np.abs(vals))) + rounding) / (1.0 - math.pi * N / G)
     return float(np.min(vals)) - rounding - 0.5 * (math.pi * N / G) ** 2 * sup
@@ -356,7 +342,7 @@ def is_positive_definite(t: FourierTable, k: int) -> tuple[bool, float]:
 #                       "coeffs": [[n, re, im], ...]}  with n >= 0 only.
 
 def table_to_json_obj(t: FourierTable) -> dict:
-    nn = t.nonneg()
+    nn = t.coeffs
     return {
         "label": t.label,
         "half_width": t.half_width,

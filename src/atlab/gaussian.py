@@ -59,7 +59,7 @@ class GaussianSpec:
         O(N log N); only when that bound is negative does the check fall back
         to ``is_positive_definite``, numpy's O(N^3) ``eigvalsh`` of T_{N+1}.
         """
-        nn = t.nonneg()
+        nn = t.coeffs
         if np.any(np.abs(nn.imag) > 1e-12):
             raise ValueError("a Gaussian spec needs real coefficients")
         if t.tail_bound > 0.0:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness: exit codes, formats, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -66,7 +67,7 @@ def test_measure_density_csv_in_blocks(tmp_path, capsys):
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:-1]])
     thetas = np.arange(grid) / grid
     assert np.array_equal(rows[:, 0], thetas)
-    assert np.array_equal(rows[:, 1], fourier.sqrt_template(0.3, 64).density(thetas))
+    assert np.array_equal(rows[:, 1], fourier.sqrt_template(0.3, 64).density(grid))
 
 
 def test_measure_riesz_skips_frequencies_past_the_table(capsys):
@@ -233,7 +234,10 @@ def test_certify_subsample_scan(tmp_path, capsys):
     ["--subsample-scan", "5..1"],
     ["--subsample-scan", "1-2"],
     ["--budget", "50", "--subsample-scan", "1..2"],
-], ids=["m-zero", "exhaustive-too-big", "empty-range", "no-dots", "budget"])
+    ["--subsample-scan", "1..18"],
+    ["--subsample-scan", f"1..{10**9}"],
+], ids=["m-zero", "exhaustive-too-big", "empty-range", "no-dots", "budget", "hi-past-table",
+        "hi-1e9"])
 def test_certify_subsample_scan_arguments(tmp_path, capsys, argv):
     mfile = tmp_path / "g.json"
     from atlab import gaussian
@@ -252,6 +256,22 @@ def test_certify_subsample_scan_arguments(tmp_path, capsys, argv):
     assert all(entry["report"]["heuristic_sup"] is not None for entry in scan)
     _, single, _ = run(["certify", "--in", str(mfile), "--budget", "50"], capsys)
     assert scan[0]["report"] == json.loads(single)
+
+
+def test_certify_subsample_scan_reaches_half_width_plus_one(tmp_path, capsys):
+    # m = N + 1 is the last m whose subsampled table differs from the ones past it
+    mfile = tmp_path / "g.json"
+    from atlab import gaussian
+    t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(16), 201, 16)
+    fourier.write_measure(t, mfile)
+    code, out, _ = run(["certify", "--in", str(mfile), "--subsample-scan", "16..17"], capsys)
+    assert code in (0, 4)
+    scan = json.loads(out)["scan"]
+    assert [entry["m"] for entry in scan] == [16, 17]
+    # every m past the table gives the report of m = N + 1, which the bound leaves out
+    from atlab import sbh
+    past = sbh.certify(fourier.power_subsample(fourier.read_measure(mfile), 10**6))
+    assert scan[1]["report"] == json.loads(json.dumps(dataclasses.asdict(past)))
 
 
 # stdout sha256 of each command as printed before the correlation kernels

@@ -18,7 +18,7 @@ def test_lebesgue_basic():
         assert t.at(-n) == 0.0
     assert t.tail_bound == 0.0
     # constant density
-    vals = t.density(np.linspace(0.0, 1.0, 37))
+    vals = t.density(37)
     assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -267,10 +267,10 @@ def test_riesz_matches_quadrature():
 def test_riesz_walk_stops_below_2N():
     # 9 first reaches the table at N = 5, as 9 - 3 - 1, where 2N = 10 > 9; at
     # N = 14 every frequency is walked
-    full = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], 14).nonneg()
+    full = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], 14).coeffs
     for N in range(15):
         t = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], N)
-        assert np.array_equal(t.nonneg(), full[:N + 1]), N
+        assert np.array_equal(t.coeffs, full[:N + 1]), N
 
 
 def test_riesz_is_psd():
@@ -319,8 +319,14 @@ def test_is_positive_definite_small_table():
     ok, lam = fourier.is_positive_definite(t, 3)
     assert ok
     assert lam == pytest.approx(0.1, abs=1e-9)
-    dens = t.density(np.linspace(0.0, 1.0, 1001))
+    dens = t.density(1000)
     assert dens.min() < -0.85  # not a probability density
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_density_needs_a_nonempty_grid(grid):
+    with pytest.raises(ValueError, match="grid_size"):
+        fourier.sqrt_template(0.3, 8).density(grid)
 
 
 def test_json_round_trip(tmp_path):

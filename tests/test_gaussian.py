@@ -267,7 +267,7 @@ def test_cocycle_variances_match_direct_sum(spec, data):
 @given(spec=_COCYCLE_SPECS, M=st.integers(1, 401), data=st.data())
 def test_cocycle_table_matches_per_lag_loop(spec, M, data):
     n_max = data.draw(st.integers(0, spec.half_width + 1))
-    got = gaussian.cocycle_correlation_table(spec, M, n_max).nonneg()
+    got = gaussian.cocycle_correlation_table(spec, M, n_max).coeffs
     ref = cocycle_per_lag_reference(spec, M, n_max)
     assert not np.any(got.imag)
     # relative per entry; a subnormal entry (below 2.3e-308) carries fewer bits
@@ -278,7 +278,7 @@ def test_cocycle_table_matches_per_lag_loop(spec, M, data):
 def test_cocycle_table_white_noise_equals_per_lag_loop(M, n_max):
     # Var_n = n exactly, so the blocked exponentials are the per-lag ones bit for bit
     spec = gaussian.white_noise_spec(n_max)
-    got = gaussian.cocycle_correlation_table(spec, M, n_max).nonneg()
+    got = gaussian.cocycle_correlation_table(spec, M, n_max).coeffs
     assert np.array_equal(got, cocycle_per_lag_reference(spec, M, n_max))
 
 
@@ -293,7 +293,7 @@ def test_cocycle_correlation_table_white_noise():
     t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(8), 201, 8)
     c1 = 2.0 * (4.0 / math.pi**2) * math.exp(-2.0 * math.pi**2)
     assert t.at(1).real == pytest.approx(c1, rel=1e-12)
-    vals = t.nonneg().real
+    vals = t.coeffs.real
     assert np.all(vals[1:] > 0.0)
     assert np.all(np.diff(vals[1:]) < 0.0)  # strictly decreasing in n
 

@@ -30,9 +30,10 @@ def tables(draw):
 
 
 def _direct(t, thetas):
-    # any thetas other than the exact uniform grid take the direct sum, so the
-    # reversed grid gives the reference values
-    return t.density(thetas[::-1])[::-1]
+    """c(0) + 2 Re sum_{n>=1} c(n) e^{2 pi i n theta}, summed directly."""
+    ns = np.arange(1, t.half_width + 1)
+    ph = np.exp(2j * np.pi * np.outer(thetas, ns))
+    return t.coeffs[0].real + 2.0 * np.real(ph @ t.coeffs[1:])
 
 
 @PROPS
@@ -42,10 +43,9 @@ def test_grid_density_matches_direct_sum(data):
     N = t.half_width
     G = data.draw(st.one_of(st.integers(1, 2 * N + 1), st.integers(2 * N + 1, 4 * N + 8),
                             st.just(8196)))  # 8196 = 4 * 3 * 683
-    grid = np.arange(G) / G
     # the direct sum loses up to about 4 pi N eps |c(n)| per term to phase rounding
     tol = 64 * (N + 1) * _EPS * float(np.sum(np.abs(t.coeffs)))
-    assert np.max(np.abs(t.density(grid) - _direct(t, grid))) <= tol
+    assert np.max(np.abs(t.density(G) - _direct(t, np.arange(G) / G))) <= tol
 
 
 def _geometric(N, r, x0):
@@ -64,7 +64,7 @@ FIXED_TABLES = [
 
 def _mp_density(t, G, points):
     """d(j/G) for j in ``points`` at 40 digits, phases reduced exactly as nj mod G."""
-    nn = t.nonneg()
+    nn = t.coeffs
     N = t.half_width
     a = [mpmath.mpf(float(x.real)) for x in nn]
     b = [mpmath.mpf(float(x.imag)) for x in nn]
@@ -81,11 +81,26 @@ def _mp_density(t, G, points):
 @pytest.mark.parametrize("t", FIXED_TABLES, ids=lambda t: t.label.split("(")[0])
 def test_grid_density_error_far_below_stated_bound(t):
     G = 4 * t.half_width + 4
-    vals = t.density(np.arange(G) / G)
+    vals = t.density(G)
     with mpmath.workdps(40):
         ref = _mp_density(t, G, range(G))
         err = max(abs(mpmath.mpf(float(v)) - r) for v, r in zip(vals, ref))
     assert float(err) <= fourier._fft_rounding(t, G) / 100
+
+
+@pytest.mark.parametrize("t", FIXED_TABLES, ids=lambda t: t.label.split("(")[0])
+@pytest.mark.parametrize("coarse", ["1", "7", "N+1", "2N"])
+def test_coarse_grid_density_within_stated_bound(t, coarse):
+    # a grid G < 2N + 1 reads every m-th point of an FFT of length mG >= 2N + 1
+    N = t.half_width
+    G = {"1": 1, "7": 7, "N+1": N + 1, "2N": 2 * N}[coarse]
+    m = -(-(2 * N + 1) // G)
+    vals = t.density(G)
+    assert vals.shape == (G,)
+    with mpmath.workdps(40):
+        ref = _mp_density(t, G, range(G))
+        err = max(abs(mpmath.mpf(float(v)) - r) for v, r in zip(vals, ref))
+    assert float(err) <= fourier._fft_rounding(t, m * G)
 
 
 @pytest.mark.parametrize("t", [t for t in FIXED_TABLES if t.half_width <= 100],
@@ -99,7 +114,7 @@ def test_certified_upper_covers_fine_grid_maximum(t):
 
 
 def _hermitian_lam_min(t, k):
-    col = t.nonneg()[:k].astype(complex)
+    col = t.coeffs[:k].astype(complex)
     return float(eigvalsh(toeplitz(col, col.conj()))[0])
 
 
@@ -165,7 +180,7 @@ def test_witness_forms_below_certificates(data):
 @given(data=st.data())
 def test_power_subsample_matches_pointwise_loop(data):
     t = data.draw(tables())
-    t = fourier.FourierTable.from_nonneg(t.nonneg(), tail_bound=0.25, label="p")
+    t = fourier.FourierTable.from_nonneg(t.coeffs, tail_bound=0.25, label="p")
     m = data.draw(st.integers(1, t.half_width + 2))
     sub = fourier.power_subsample(t, m)
     nn = [t.at(m * n) for n in range(t.half_width // m + 1)]
@@ -175,7 +190,7 @@ def test_power_subsample_matches_pointwise_loop(data):
 
 def _full(t):
     """c(-N..N) of ``t`` as one explicit array: entry [n + N] holds c(n)."""
-    nn = t.nonneg()
+    nn = t.coeffs
     return np.concatenate([nn[:0:-1].conj(), nn])
 
 
@@ -219,7 +234,7 @@ def test_half_table_matches_full_array_formulas(data):
     # the table stores c(0..N); every reader must agree with the same formula
     # written on c(-N..N)
     t = data.draw(st.one_of(tables(), real_tables()))
-    t = fourier.FourierTable.from_nonneg(t.nonneg(), tail_bound=data.draw(st.floats(0.0, 0.5)))
+    t = fourier.FourierTable.from_nonneg(t.coeffs, tail_bound=data.draw(st.floats(0.0, 0.5)))
     N = t.half_width
     k = data.draw(st.integers(1, 6))
     idx = np.array(data.draw(st.lists(st.integers(-N - 4, N + 4), min_size=k, max_size=k)))
@@ -227,7 +242,7 @@ def test_half_table_matches_full_array_formulas(data):
     assert gram.dtype == ref.dtype
     assert np.array_equal(gram, ref)
     G = data.draw(st.one_of(st.integers(1, 2 * N + 1), st.integers(2 * N + 1, 4 * N + 8)))
-    grid = t.density(np.arange(G) / G)
+    grid = t.density(G)
     ref = _full_grid_density(t, G)
     if G >= 2 * N + 1:
         assert np.array_equal(grid, ref)
