@@ -215,29 +215,50 @@ def density_sup(t: FourierTable, grid_size: int) -> DensityBoundReport:
     )
 
 
-def _arcsine_map(t: FourierTable, fn, name: str) -> FourierTable:
-    """The table 1, fn(arcsin c(1)), .., fn(arcsin c(N)) of a table real off n=0."""
+def _arcsine_map(t: FourierTable, fn, slope, name: str) -> FourierTable:
+    """The table 1, fn(arcsin c(1)), .., fn(arcsin c(N)) of a table real off n=0.
+
+    |fn(arcsin x)| <= |x| on [-1, 1] covers the coefficients past N, and
+    ``slope(s)``, the map's largest slope on [-s, s], covers the error of the
+    stored ones, which are at most s = rho + T in size, rho = max |c(n >= 1)|
+    and T the tail.  So the tail max(1, slope(s)) T, rounded up, is an l1
+    bound again; a table with T > 0 needs s < 1.
+    """
     c = t.coeffs[1:]
     if np.any(np.abs(c.imag) > _TOL):
         raise ValueError("arcsine transforms need real coefficients off n=0")
     if np.any(np.abs(c.real) >= 1.0):
         raise ValueError("arcsine transforms need |c(n)| < 1 for n != 0")
+    tail = 0.0
+    if t.tail_bound > 0.0:
+        s = math.nextafter(float(np.max(np.abs(c.real), initial=0.0)) + t.tail_bound, math.inf)
+        if s >= 1.0:
+            raise ValueError("arcsine transforms need max |c(n)| + tail_bound < 1 for n != 0 "
+                             f"when tail_bound > 0, got {s!r}")
+        # the factor covers the dozen roundings of slope(s) and the product
+        tail = max(1.0, slope(s)) * t.tail_bound * (1.0 + 16.0 * math.ulp(1.0))
     out = np.empty(t.half_width + 1, dtype=complex)
     out[0] = 1.0
     out[1:] = fn(np.arcsin(c.real))
-    return FourierTable(out, tail_bound=t.tail_bound, label=f"{name}({t.label})")
+    return FourierTable(out, tail_bound=tail, label=f"{name}({t.label})")
+
+
+def _asin_slope(s: float) -> float:
+    """1/sqrt(1 - s^2), the slope of arcsin at s, with 1 - s^2 as (1 - s)(1 + s)."""
+    return 1.0 / math.sqrt((1.0 - s) * (1.0 + s))
 
 
 def arcsine_transform(t: FourierTable) -> FourierTable:
     """(2/pi) arcsin(c(n)) off the origin: correlation table of the sign process."""
-    # |(2/pi) arcsin x| <= |x|, so the old tail bound is still valid
-    return _arcsine_map(t, lambda a: (2.0 / math.pi) * a, "arcsine")
+    return _arcsine_map(t, lambda a: (2.0 / math.pi) * a,
+                        lambda s: (2.0 / math.pi) * _asin_slope(s), "arcsine")
 
 
 def arcsine_fourth_transform(t: FourierTable) -> FourierTable:
     """(16/pi^4) arcsin^4(c(n)) off the origin: sign correlations of the 4-fold product."""
-    # |(16/pi^4) arcsin^4 x| <= x^4 <= |x| on [-1,1]
-    return _arcsine_map(t, lambda a: (16.0 / math.pi**4) * a ** 4, "arcsine4")
+    return _arcsine_map(t, lambda a: (16.0 / math.pi**4) * a ** 4,
+                        lambda s: (64.0 / math.pi**4) * math.asin(s) ** 3 * _asin_slope(s),
+                        "arcsine4")
 
 
 def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:

@@ -8,13 +8,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import FourierTable, _density_min_lower, is_positive_definite
-from .systems import square_wave_coeffs
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# largest Monte Carlo run the CLI starts: three float64 and three bool arrays
-# of this length, about 430 MiB at any level
+# largest Monte Carlo run the CLI starts: one float64 and one uint8 array of
+# this length, about 144 MiB at any level
 MAX_MC_SAMPLES = 2**24
+
+# samples per block of a Monte Carlo level's x_n draws; the block's float64
+# buffers stay in cache
+_MC_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ class McReport:
     seed: int
 
 
-def _mc_report(hits: np.ndarray, formula: float, samples: int, seed: int) -> McReport:
-    p = float(np.mean(hits))
+def _mc_report(hits: int, formula: float, samples: int, seed: int) -> McReport:
+    p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
     z = (p - formula) / se if se > 0 else 0.0
     return McReport(estimate=p, stderr=se, formula_value=formula,
@@ -154,20 +157,24 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     scale = math.sqrt(1.0 - r * r)
     # a product is > 0 exactly when no factor is 0 and an even number are
-    # negative: track that parity instead of float products
-    neg0 = np.zeros(samples, dtype=bool)
-    negn = np.zeros(samples, dtype=bool)
-    zero = np.zeros(samples, dtype=bool)
+    # negative: per sample, bit 0 is the parity of x0 < 0, bit 1 that of
+    # xn < 0, and bit 2 is set once a factor is 0; the hits are the zeros
+    state = np.zeros(samples, dtype=np.uint8)
+    x0 = np.empty(samples)
+    xn = np.empty(min(samples, _MC_BLOCK))
     for _ in range(level):
-        x0 = rng.standard_normal(samples)
-        xn = rng.standard_normal(samples)
-        xn *= scale
-        xn += r * x0  # r x0 + sqrt(1 - r^2) z
-        neg0 ^= x0 < 0
-        negn ^= xn < 0
-        zero |= x0 == 0
-        zero |= xn == 0
-        del x0, xn  # free this level's draw before the next one
+        # float64 normals carry no state between calls, so the full x0 draw and
+        # the xn blocks after it give the stream of two full draws
+        rng.standard_normal(out=x0)
+        for lo in range(0, samples, _MC_BLOCK):
+            b0 = x0[lo:lo + _MC_BLOCK]
+            bn = rng.standard_normal(out=xn[:b0.size])
+            bn *= scale
+            bn += r * b0  # r x0 + sqrt(1 - r^2) z
+            s = state[lo:lo + _MC_BLOCK]
+            s ^= b0 < 0
+            s ^= (bn < 0).view(np.uint8) << 1
+            s |= ((b0 == 0) | (bn == 0)).view(np.uint8) << 2
     a = math.asin(r)
     if level == 1:
         formula = 0.25 + a / (2.0 * math.pi)
@@ -175,7 +182,7 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
         formula = 0.25 + a * a / math.pi**2
     else:
         formula = 0.25 + 4.0 * a**4 / math.pi**4
-    return _mc_report(~(neg0 | negn | zero), formula, samples, seed)
+    return _mc_report(samples - int(np.count_nonzero(state)), formula, samples, seed)
 
 
 def cocycle_variances(spec: GaussianSpec, n_max: int) -> np.ndarray:
@@ -198,6 +205,7 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     """
     if np.any(spec.autocov < 0.0):
         raise ValueError("cocycle correlation table requires r(k) >= 0 for all k")
+    from .systems import square_wave_coeffs
     var = cocycle_variances(spec, n_max)
     sw = square_wave_coeffs(M)
     w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2

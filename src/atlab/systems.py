@@ -708,14 +708,16 @@ class CoinSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        bits = np.empty((count, length), dtype=np.uint8)
-        flags = bits.view(bool)
-        # drawing row block after row block gives the stream of one (count, length) draw
+        # step j's bits are row j, as in NilRotationSource; drawing name block
+        # after name block gives the stream of one (count, length) draw
+        bits = np.empty((length, count), dtype=np.uint8)
         u = np.empty((min(count, _ROW_BLOCK), length))
+        heads = np.empty(u.shape, dtype=bool)
         for r0 in range(0, count, _ROW_BLOCK):
-            block = flags[r0:r0 + _ROW_BLOCK]
-            np.greater_equal(rng.random(out=u[:block.shape[0]]), self.p0, out=block)
-        return bits
+            n = min(_ROW_BLOCK, count - r0)
+            np.greater_equal(rng.random(out=u[:n]), self.p0, out=heads[:n])
+            bits[:, r0:r0 + n] = heads[:n].T
+        return bits.T
 
 
 class ConstantSource(NameSource):

@@ -99,6 +99,17 @@ def test_measure_arcsine_pipeline(tmp_path, capsys):
     assert all(row[1] == 0.0 for row in obj["coeffs"][1:])
 
 
+def test_measure_arcsine_refuses_tail_past_one(tmp_path, capsys):
+    # max |c(n)| + tail_bound = 0.8 + 0.3 >= 1: the map's slope is unbounded there
+    mfile = tmp_path / "m.json"
+    mfile.write_text('{"half_width": 1, "tail_bound": 0.3, "coeffs": [[0, 1, 0], [1, 0.8, 0]]}')
+    code, out, err = run(["measure", "arcsine", "--in", str(mfile)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: arcsine transforms need max |c(n)| + tail_bound < 1")
+    assert err.count("\n") == 1
+
+
 def test_measure_invalid_parameters_exit_2(capsys):
     code, _, err = run(["measure", "riesz", "--a", "0.5,0.5",
                         "--freq", "2,5", "--N", "8"], capsys)
@@ -506,10 +517,16 @@ _LOADED = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]) if sys.ar
     (["certify", "--in", "{tmp}/t.json", "--k", "4", "--budget", "10"], ["sbh"]),
     (["system", "nil", "--nmax", "4", "--names", "2", "--length", "8",
       "--names-out", "{tmp}/n.bin"], ["bessel", "systems"]),
-], ids=["import", "measure", "certify", "system"])
+    (["gaussian", "orthant", "--samples", "100"], ["gaussian"]),
+    (["gaussian", "constants"], ["gaussian", "sbh"]),
+    (["gaussian", "cocycle", "--nmax", "4"], ["bessel", "gaussian", "systems"]),
+], ids=["import", "measure", "certify", "system", "gaussian-orthant", "gaussian-constants",
+        "gaussian-cocycle"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     """`import atlab.cli` loads `fourier` alone; each subcommand adds the modules
-    it runs: `measure` none, `certify` only `sbh`, `system` only `systems`."""
+    it runs: `measure` none, `certify` only `sbh`, `system` only `systems`,
+    `gaussian` `systems` for the cocycle's square wave and `sbh` for the
+    constants' epsilon0 only."""
     fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -217,6 +217,28 @@ def test_arcsine_tail_contraction():
     assert fourier.l1_tail(a) <= (math.pi / 2.0) * fourier.l1_tail(t) + 1e-12
 
 
+@pytest.mark.parametrize("kind", ["arcsine", "arcsine4"])
+def test_arcsine_positive_tail_grows_by_the_slope(kind):
+    # rho + T = 0.9: the slope there exceeds 1 for both maps, so the tail is
+    # Lip(0.9) T, at or just above the 40-digit value
+    import mpmath
+    t = fourier.FourierTable.from_nonneg([1.0, 0.8, -0.3], tail_bound=0.1)
+    out = {"arcsine": fourier.arcsine_transform,
+           "arcsine4": fourier.arcsine_fourth_transform}[kind](t)
+    with mpmath.workdps(40):
+        s = mpmath.mpf(0.8) + mpmath.mpf(0.1)
+        root = mpmath.sqrt(1 - s * s)
+        lip = (2 / mpmath.pi / root if kind == "arcsine"
+               else 64 / mpmath.pi**4 * mpmath.asin(s) ** 3 / root)
+        exact = lip * mpmath.mpf(0.1)
+    assert lip > 1
+    assert exact <= out.tail_bound <= exact * (1 + 1e-14)
+    # a tail of 0 stays exactly 0
+    zero = fourier.FourierTable.from_nonneg([1.0, 0.8, -0.3])
+    assert fourier.arcsine_transform(zero).tail_bound == 0.0
+    assert fourier.arcsine_fourth_transform(zero).tail_bound == 0.0
+
+
 def test_arcsine_preserves_psd():
     t = fourier.riesz_product([0.8, 0.5], [1, 3], 8)
     a = fourier.arcsine_transform(t)

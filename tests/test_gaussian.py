@@ -177,7 +177,8 @@ def orthant_float_product_reference(r, level, samples, seed):
     formula = {1: 0.25 + a / (2.0 * math.pi),
                2: 0.25 + a * a / math.pi**2,
                4: 0.25 + 4.0 * a**4 / math.pi**4}[level]
-    return gaussian._mc_report((y0 > 0) & (yn > 0), formula, samples, seed)
+    return gaussian._mc_report(int(np.count_nonzero((y0 > 0) & (yn > 0))), formula,
+                               samples, seed)
 
 
 @pytest.mark.parametrize("level", [1, 2, 4])
@@ -188,17 +189,34 @@ def test_product_orthant_matches_float_products(level, r):
     assert got == orthant_float_product_reference(r, level, 20000, 31 + level)
 
 
+_B = gaussian._MC_BLOCK
+
+
+@pytest.mark.parametrize("samples", [_B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("level", [1, 2, 4])
+@pytest.mark.parametrize("r", [-0.6, 0.45])
+def test_product_orthant_matches_float_products_at_block_edges(level, r, samples):
+    # x_n is drawn in blocks: a partial block, one exact block, a one-sample
+    # last block and a short one after two full blocks all keep the stream
+    spec = gaussian.GaussianSpec(np.array([1.0, 0.0, r]))
+    got = gaussian.product_orthant_mc(spec, 2, level, samples, seed=31 + level)
+    assert got == orthant_float_product_reference(r, level, samples, 31 + level)
+
+
 def test_product_orthant_peak_memory():
-    # one level's two float64 draws and r x0 (8 MiB each) plus three 1 MiB
-    # bool arrays: about 27 MiB; a draw kept alive into the next level passes 32
+    # the x0 draw (8 bytes a sample) and the state (1 byte) plus the 2^16-sample
+    # block buffer: about 10 MiB at level 4 with 2^20 samples and 37 MiB at
+    # level 1 with 2^22; a second full float64 array passes either bound, and a
+    # full bool temporary (4 MiB) the level-1 one
     spec = gaussian.exponential_spec(0.5, 2)
-    tracemalloc.start()
-    try:
-        gaussian.product_orthant_mc(spec, 1, 4, 2**20, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    for level, samples, bound_mib in [(4, 2**20, 12), (1, 2**22, 40)]:
+        tracemalloc.start()
+        try:
+            gaussian.product_orthant_mc(spec, 1, level, samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (level, samples, peak)
 
 
 def test_empirical_sign_correlation_matches_arcsine_transform():

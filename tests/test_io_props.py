@@ -10,7 +10,8 @@ draws the same examples on every run.
 import json
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atlab import cli, fourier, systems
@@ -60,11 +61,14 @@ def test_write_measure_round_trip(tmp_path_factory, t):
 
 @st.composite
 def real_tables(draw):
-    """Real tables with |c(n)| < 1 off the origin, the input the arcsine kinds take."""
+    """Real tables with |c(n)| < 1 off the origin, the input the arcsine kinds
+    take with tail 0; the tail is drawn as often below 1 - max |c(n >= 1)|,
+    where they take it too, as anywhere up to 1e300."""
     N = draw(st.integers(0, 30))
     vals = draw(st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
                          min_size=N, max_size=N))
-    tail = draw(st.floats(0.0, 1e300))
+    rho = max(map(abs, vals), default=0.0)
+    tail = draw(st.one_of(st.floats(0.0, 1.0 - rho), st.floats(0.0, 1e300)))
     return fourier.FourierTable.from_nonneg([1.0, *vals], tail_bound=tail,
                                             label=draw(st.text(max_size=12)))
 
@@ -75,10 +79,50 @@ _ARCSINE = {"arcsine": fourier.arcsine_transform, "arcsine4": fourier.arcsine_fo
 @PROPS
 @given(t=real_tables(), kind=st.sampled_from(sorted(_ARCSINE)))
 def test_arcsine_transforms_keep_the_frame_and_shrink(t, kind):
+    if _arcsine_refuses(t):
+        with pytest.raises(ValueError, match="tail_bound < 1"):
+            _ARCSINE[kind](t)
+        return
     out = _ARCSINE[kind](t)
     assert out.at(0) == 1.0
-    assert (out.half_width, out.tail_bound) == (t.half_width, t.tail_bound)
+    assert out.half_width == t.half_width
+    # a tail of 0 stays 0; a positive one is scaled by max(1, slope) >= 1
+    assert out.tail_bound == 0.0 if t.tail_bound == 0.0 else out.tail_bound >= t.tail_bound
     assert np.all(np.abs(out.coeffs) <= np.abs(t.coeffs))
+
+
+def _arcsine_refuses(t):
+    """A positive tail with max |c(n >= 1)| + tail_bound >= 1 once rounded up."""
+    rho = float(np.max(np.abs(t.coeffs[1:]), initial=0.0))
+    return t.tail_bound > 0.0 and rho + t.tail_bound >= 1.0 - 2.0**-53
+
+
+@PROPS
+@given(vals=st.lists(st.floats(-0.99, 0.99), max_size=30),
+       weights=st.lists(st.floats(-1.0, 1.0), max_size=40),
+       frac=st.floats(1e-6, 1.0), share=st.floats(0.0, 0.999),
+       kind=st.sampled_from(sorted(_ARCSINE)))
+@example(vals=[0.8], weights=[1.0], frac=1.0, share=0.999, kind="arcsine")
+@example(vals=[-0.9, 0.1], weights=[-1.0], frac=1.0, share=0.999, kind="arcsine4")
+def test_arcsine_tail_covers_a_perturbed_table(vals, weights, frac, share, kind):
+    """A true table c + Delta, Delta real with sum_n |Delta(n)| = share T over
+    both signs (on stored lags and past N alike), maps to within the
+    transform's tail of the mapped table: sum_n |map(c + Delta) - map(c)| <= tail."""
+    rho = max(map(abs, vals), default=0.0)
+    T = frac * (1.0 - rho) * 0.999
+    t = fourier.FourierTable.from_nonneg([1.0, *vals], tail_bound=T)
+    out = _ARCSINE[kind](t)
+    w = np.array(weights)
+    norm = 2.0 * float(np.sum(np.abs(w)))
+    delta = w * (share * T / norm) if norm > 0.0 else w
+    width = max(len(vals), len(delta))
+    c = np.zeros(width)
+    c[:len(vals)] = vals
+    c[:len(delta)] += delta
+    true = _ARCSINE[kind](fourier.FourierTable.from_nonneg([1.0, *c]))
+    mapped = np.zeros(width + 1)
+    mapped[:out.half_width + 1] = out.coeffs.real
+    assert 2.0 * float(np.sum(np.abs(true.coeffs.real - mapped))) <= out.tail_bound
 
 
 @PROPS
@@ -101,6 +145,10 @@ def test_transforms_round_trip_through_measure_in(tmp_path_factory, t, kind, m):
     fourier.write_measure(t, d / "in.json")
     argv = ["measure", kind, "--m", str(m), "--in", str(d / "in.json"),
             "--out", str(d / "out.json")]
+    if kind != "subsample" and _arcsine_refuses(t):
+        assert cli.main(argv) == 2
+        assert not (d / "out.json").exists()
+        return
     assert cli.main(argv) == 0
     want = fourier.power_subsample(t, m) if kind == "subsample" else _ARCSINE[kind](t)
     back = fourier.read_measure(d / "out.json")

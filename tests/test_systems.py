@@ -814,8 +814,10 @@ def test_distal_names_match_reference(alpha, count, length, seed):
 @example(p0=0.7, count=2 * _BLOCK + 3, length=5, seed=2)
 def test_coin_names_match_reference(p0, count, length, seed):
     src = systems.CoinSource(p0=p0)
-    assert_same_names(src.sample_names(count, length, seed),
-                      coin_names_reference(src, count, length, seed))
+    names = src.sample_names(count, length, seed)
+    assert_same_names(names, coin_names_reference(src, count, length, seed))
+    # step rows, as funny's search reads them without a copy
+    assert names.T.flags.c_contiguous
 
 
 @_SAMPLER_SETTINGS
