@@ -201,7 +201,9 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
 
     c(n) = sum_{odd |m| <= M} |f-hat(m)|^2 exp(-2 pi^2 m^2 Var(X_0^{(n)})),
     from the Gaussian characteristic function.  Requires r >= 0, which forces
-    Var(X_0^{(n)}) >= n and hence a summable, rapidly decaying table.
+    Var(X_0^{(n)}) >= n and hence a summable, rapidly decaying table.  The
+    tail bound covers the lags past n_max and the odd |m| > M that the stored
+    lags leave out.
     """
     if np.any(spec.autocov < 0.0):
         raise ValueError("cocycle correlation table requires r(k) >= 0 for all k")
@@ -217,6 +219,14 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     # beyond n_max: Var >= n, so |c(n)| <= e^{-2 pi^2 n}; geometric tail
     q = math.exp(-2.0 * math.pi**2)
     tail = 2.0 * q ** (n_max + 1) / (1.0 - q)
+    # the odd m > M left out of each stored lag n != 0: with m1 the first of
+    # them, x = e^{-2 pi^2 m1^2} and y = e^{-8 pi^2 m1}, (m1 + 2j)^2 >= m1^2 + 4 m1 j
+    # gives sum_{m >= m1} 8/(pi^2 m^2) e^{-2 pi^2 m^2 n} <= x^n / (m1^2 (1 - y)),
+    # and over n >= 1 and both signs of n, 2x / (m1^2 (1 - x)(1 - y)); 8/pi^2 < 1
+    # absorbs the rounding (it underflows to 0 once m1 >= 7)
+    m1 = (M + 1) | 1
+    x, y = math.exp(-2.0 * math.pi**2 * m1**2), math.exp(-8.0 * math.pi**2 * m1)
+    tail += 2.0 * x / (m1**2 * (1.0 - x) * (1.0 - y))
     return FourierTable.from_nonneg(nn, tail_bound=tail, label="gaussian-cocycle")
 
 

@@ -165,6 +165,19 @@ def test_certify_heuristic_window_covers_k(tmp_path, capsys, argv, k):
     assert rep["exhaustive_params"] == [k, k]
 
 
+def test_certify_k10_window24(tmp_path, capsys):
+    # the pair bound prunes the search on a sqrt table, so it runs where the
+    # full scan exceeded its budget
+    mfile = tmp_path / "sqrt.json"
+    fourier.write_measure(fourier.sqrt_template(0.3, 1024), mfile)
+    code, out, err = run(["certify", "--in", str(mfile), "--k", "10", "--window", "24"], capsys)
+    assert code == 3, err
+    rep = json.loads(out)
+    assert rep["verdict"] == "CERTIFIED_NOT_SBH"
+    assert rep["exhaustive_params"] == [10, 24]
+    assert len(rep["exhaustive_witness"]["indices"]) == 10
+
+
 _BAD_MEASURES = {
     "nan-tail": '{"half_width": 2, "tail_bound": NaN, "coeffs": [[0, 1.0, 0.0]]}',
     "huge-half-width": '{"half_width": 1e9, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}',
@@ -241,6 +254,7 @@ def test_certify_subsample_scan(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--subsample-scan", "0..2"],
+    # m = 2 subsamples to entries below the pruning slack: no pair bound prunes
     ["--k", "12", "--window", "24", "--subsample-scan", "1..2"],
     ["--subsample-scan", "5..1"],
     ["--subsample-scan", "1-2"],

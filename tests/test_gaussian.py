@@ -316,6 +316,24 @@ def test_cocycle_correlation_table_white_noise():
     assert np.all(np.diff(vals[1:]) < 0.0)  # strictly decreasing in n
 
 
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("spec, white", [(gaussian.white_noise_spec(40), True),
+                                         (gaussian.exponential_spec(0.5, 40), False)],
+                         ids=["white", "exponential"])
+def test_cocycle_tail_covers_the_odd_m_past_M(M, spec, white):
+    # at n_max = 40 the geometric tail past the table is below the smallest
+    # double, so tail_bound is the bound on the odd m > M alone; the stored lags
+    # +-1..40 each leave out sum_{odd m > M} 8/(pi^2 m^2) e^{-2 pi^2 m^2 Var_n}
+    t = gaussian.cocycle_correlation_table(spec, M, 40)
+    var = gaussian.cocycle_variances(spec, 40)[1:, None]
+    ms = np.arange(M + 1 + M % 2, 100, 2, dtype=float)
+    left = 2.0 * float(np.sum(8.0 / (math.pi**2 * ms**2) * np.exp(-2.0 * math.pi**2 * ms**2 * var)))
+    assert 0.0 < left <= t.tail_bound
+    if white:
+        # Var_n = n: the bound is tight up to the 8/pi^2 it drops
+        assert t.tail_bound <= 1.25 * left
+
+
 def test_cocycle_table_rejects_negative_autocov():
     with pytest.raises(ValueError):
         gaussian.cocycle_correlation_table(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +30,19 @@ def test_epsilon0_bracket_and_residual():
     e = sbh.epsilon0()
     assert 0.106 < e < 0.107
     assert abs(p(e)) <= 1e-12
+
+
+def test_threshold_bracket_changes_sign_in_exact_rationals():
+    # p'(t) = -2(1 - 2t)^2 - 8(1 - t)(1 - 2t) - 1 < 0 on [0, 1/2), so p has one
+    # root in (0, 0.2), and it lies between these adjacent doubles
+    def p(t):
+        return 2 * (1 - t) * (1 - 2 * t) ** 2 - 1 - t
+
+    lo, hi = sbh._EPS0_LO, sbh._EPS0_HI
+    assert math.nextafter(lo, 1.0) == hi
+    assert p(Fraction(lo)) > 0 > p(Fraction(hi))
+    # epsilon0() is 2.6e-15 above the root, inside its residual test
+    assert 0.0 < sbh.epsilon0() - hi < 1e-14
 
 
 def test_epsilon0_cached():
@@ -148,6 +162,30 @@ def test_exhaustive_below_l1_certificate():
         assert sup <= 1.0 + fourier.l1_tail(t) + 1e-9
 
 
+def full_scan_sup_exhaustive(t, k, window):
+    """Reference exhaustive search without pruning: every subset that holds 0,
+    in subset order, ranked by the sign-pair sums P @ g of one matrix product
+    per chunk of 2^21 sums (lowest sign pattern, then lowest subset, among
+    equal maxima); the value is the witness's ``sbh_form``."""
+    S = sbh._sign_matrix(k)
+    iu, ju = np.triu_indices(k, 1)
+    P = S[:, iu] * S[:, ju]
+    G = np.real(t.gram(np.arange(window)))
+    subsets = np.zeros((math.comb(window - 1, k - 1), k), dtype=int)
+    subsets[:, 1:] = list(combinations(range(1, window), k - 1))
+    chunk = max(1, 2**21 // len(S))
+    best = (-math.inf, 0, 0)
+    for lo in range(0, len(subsets), chunk):
+        sub = subsets[lo:lo + chunk]
+        sums = P @ G[sub[:, iu], sub[:, ju]].T
+        a, s = np.unravel_index(np.argmax(sums), sums.shape)
+        if sums[a, s] > best[0] or (sums[a, s] == best[0] and a < best[1]):
+            best = (sums[a, s], a, lo + s)
+    idx = tuple(int(x) for x in subsets[best[2]])
+    eta = tuple(0 if x > 0 else 1 for x in S[best[1]])
+    return sbh.sbh_form(t, idx, eta), idx, eta
+
+
 def einsum_sup_exhaustive(t, k, window):
     """Reference exhaustive search: every k-subset of [0, window) gathers its
     Gram matrix and one einsum forms every signed value (lowest sign pattern,
@@ -186,6 +224,55 @@ def test_exhaustive_matches_einsum_reference(k, t, extra):
     assert eta[0] == 0
 
 
+@st.composite
+def wide_tables(draw):
+    """Real or complex tables with N <= 24, scaled so that the pair bound
+    prunes much, little or nothing."""
+    N = draw(st.integers(0, 24))
+    part = st.floats(-0.7, 0.7)
+    nn = np.array([1.0] + draw(st.lists(part, min_size=N, max_size=N)), dtype=complex)
+    if draw(st.booleans()):
+        nn[1:] += 1j * np.array(draw(st.lists(part, min_size=N, max_size=N)))
+    nn[1:] *= draw(st.sampled_from([1e-3, 0.1, 0.4, 1.0]))
+    return fourier.FourierTable.from_nonneg(nn)
+
+
+@pytest.mark.parametrize("k, window", [(1, 13), (2, 20), (3, 14), (5, 13), (6, 18), (7, 20),
+                                       (8, 16), (9, 17), (10, 13), (10, 16)])
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(t=wide_tables())
+def test_pruned_search_matches_full_scan(k, window, t):
+    assert sbh.sbh_sup_exhaustive(t, k, window) == full_scan_sup_exhaustive(t, k, window)
+
+
+@pytest.mark.parametrize("table", [
+    fourier.sqrt_template(0.3, 256),
+    fourier.riesz_product([0.9, 0.7, 0.5], [1, 3, 9], 64),
+    fourier.FourierTable.from_nonneg(0.4 * np.cos(2 * np.pi * 0.37 * np.arange(65))
+                                     / np.sqrt(np.maximum(np.arange(65), 1))
+                                     + (np.arange(65) == 0) * 0.6),
+], ids=["sqrt", "riesz", "mixed-signs"])
+def test_pruned_search_matches_full_scan_at_k10_w18(table):
+    assert sbh.sbh_sup_exhaustive(table, 10, 18) == full_scan_sup_exhaustive(table, 10, 18)
+
+
+def test_exhaustive_k12_window24_sqrt():
+    # the pair bound stops the search after its first chunk of subsets
+    t = fourier.sqrt_template(0.3, 1024)
+    t0 = time.perf_counter()
+    val, idx, eta = sbh.sbh_sup_exhaustive(t, 12, 24)
+    assert time.perf_counter() - t0 < 5.0
+    assert val == sbh.sbh_form(t, idx, eta)
+    assert len(idx) == 12 and idx[0] == 0 and eta[0] == 0
+    assert val >= sbh.sbh_sup_heuristic(t, 12, 24, budget=200)[0]
+
+
+def test_exhaustive_unprunable_k12_window24_exceeds_budget():
+    # every form of a Lebesgue table ties, so no pair bound falls below the best
+    with pytest.raises(ValueError, match="budget"):
+        sbh.sbh_sup_exhaustive(fourier.lebesgue_table(4), 12, 24)
+
+
 def test_exhaustive_ties_keep_reference_witness():
     # every signed form of a Lebesgue table is 1: the lowest sign pattern and
     # the lowest subset win, as in the reference, also across chunks (k = 10,
@@ -200,8 +287,8 @@ def _riesz_k10():
 
 
 def test_exhaustive_k10_time():
-    # one sign-pair matrix product per chunk: about 0.05 s on 2 cores, against
-    # 0.6-1.2 s for the einsum over all C(16, 10) subsets
+    # the pair bound prunes after one chunk of sign-pair sums: about 0.01 s on 2
+    # cores, against 0.6-1.2 s for the einsum over all C(16, 10) subsets
     t = _riesz_k10()
     best = math.inf
     for _ in range(3):
@@ -212,7 +299,7 @@ def test_exhaustive_k10_time():
 
 
 def test_exhaustive_k10_memory():
-    # one chunk of 2^21 sign-pair sums is 16 MiB; the einsum peaked at 38.4 MiB
+    # one chunk of 2^19 sign-pair sums is 4 MiB; the einsum peaked at 38.4 MiB
     t = _riesz_k10()
     tracemalloc.start()
     try:
@@ -220,7 +307,7 @@ def test_exhaustive_k10_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_heuristic_lebesgue():
@@ -308,6 +395,28 @@ def test_certify_not_sbh_discounts_the_tail():
     # a witness far above 1 + eps0 survives a tail
     rep = sbh.certify(fourier.FourierTable.from_nonneg(np.ones(17), tail_bound=0.5), k=4)
     assert rep.verdict == "CERTIFIED_NOT_SBH"
+
+
+def test_certify_sbh_side_is_sound_at_the_root():
+    # epsilon0() lies above the exact root, so an l1 sum equal to it certifies
+    # nothing, although 1 + l1 <= 1 + epsilon0()
+    e = sbh.epsilon0()
+    rep = sbh.certify(fourier.FourierTable.from_nonneg(np.array([1.0, e / 2])), k=2, window=2)
+    assert rep.l1_certificate <= 1.0 + e
+    assert rep.verdict == "UNDECIDED"
+    # well below the bracket the l1 certificate still decides
+    rep = sbh.certify(fourier.FourierTable.from_nonneg(np.array([1.0, 0.05])), k=2, window=2)
+    assert rep.verdict == "CERTIFIED_SBH"
+
+
+@pytest.mark.parametrize("c1, verdict", [(sbh._EPS0_HI + 5e-16, "UNDECIDED"),
+                                         (sbh._EPS0_HI + 1e-12, "CERTIFIED_NOT_SBH")])
+def test_certify_not_sbh_side_takes_off_the_form_rounding(c1, verdict):
+    # at k = 2 the best form is 1 + |c(1)|; 5e-16 above the bracket lies within
+    # the form's stated rounding, about 1e-15 here
+    rep = sbh.certify(fourier.FourierTable.from_nonneg(np.array([1.0, c1])), k=2, window=2)
+    assert rep.exhaustive_sup == pytest.approx(1.0 + c1, abs=1e-15)
+    assert rep.verdict == verdict
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
