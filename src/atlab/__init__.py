@@ -14,7 +14,7 @@ _EXPORTS = {
         "DensityBoundReport", "FourierTable", "InvariantViolation",
         "arcsine_fourth_transform", "arcsine_transform", "density_sup", "dirac_table",
         "is_positive_definite", "l1_tail", "lebesgue_table", "power_subsample",
-        "read_measure", "riesz_product", "sqrt_template", "write_measure",
+        "read_measure", "riesz_product", "sqrt_template", "square_wave_coeffs", "write_measure",
     ),
     "sbh": ("SbhReport", "certify", "epsilon0", "sbh_form", "sbh_sup_exhaustive",
             "sbh_sup_heuristic"),
@@ -23,7 +23,7 @@ _EXPORTS = {
         "OdometerExtensionSource", "RotationCocycleSource", "RudinShapiroSource",
         "empirical_correlation", "nil_rotation_correlations", "nil_rotation_n1_series",
         "rotation_ac_cocycle_correlations", "rudin_shapiro_lag_sums", "rudin_shapiro_names",
-        "square_wave_coeffs", "two_point_extension_correlations",
+        "two_point_extension_correlations",
     ),
     "gaussian": ("GaussianSpec", "cocycle_correlation_table", "cocycle_variances",
                  "gnoat_constant_check", "product_orthant_mc", "sample_path"),

@@ -18,6 +18,10 @@ min d_N, which bounds the least Toeplitz eigenvalue from below.
 :meth:`FourierTable.gram` gathers the Gram matrix [c(n_i - n_j)] of any
 index family; the SBH forms, the Toeplitz PSD check and Gaussian sampling
 all read their matrices from it.
+
+:func:`square_wave_coeffs` gives the Fourier coefficients of the fiber
+observable 2 chi_[0,1/2) - 1 that the circle-extension correlation tables of
+``systems`` and ``gaussian`` sum over.
 """
 
 from __future__ import annotations
@@ -356,6 +360,40 @@ def is_positive_definite(t: FourierTable, k: int) -> tuple[bool, float]:
         raise ValueError("need 1 <= k <= half_width + 1")
     lam_min = float(np.linalg.eigvalsh(t.gram(np.arange(k)))[0])
     return lam_min >= PSD_TOL, lam_min
+
+
+# ---------------------------------------------------------------------------
+# Square-wave Fourier coefficients (the fiber observable 2*chi_[0,1/2) - 1)
+
+
+@dataclass(frozen=True)
+class SquareWaveCoeffs:
+    """f-hat(m) for f = 2 chi_[0,1/2) - 1, odd |m| <= M."""
+
+    M: int
+
+    @property
+    def odd_ms(self) -> np.ndarray:
+        pos = np.arange(1, self.M + 1, 2)
+        return np.concatenate([-pos[::-1], pos])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """|f-hat(m)|^2 over odd_ms; sums to 1 as M -> infinity."""
+        ms = self.odd_ms
+        return 4.0 / (math.pi**2 * ms.astype(float) ** 2)
+
+    @property
+    def truncation_error(self) -> float:
+        """Upper bound on the l2 mass beyond M: 8/(pi^2 M)."""
+        return 8.0 / (math.pi**2 * self.M)
+
+
+def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
+    # every --M is checked here, before any array of odd m is allocated
+    if not 1 <= M <= MAX_HALF_WIDTH:
+        raise ValueError(f"need 1 <= M <= {MAX_HALF_WIDTH}, got {M}")
+    return SquareWaveCoeffs(M)
 
 
 # ---------------------------------------------------------------------------

@@ -163,18 +163,6 @@ class SearchReport:
                 if r.k_times_mass > r.bound + SLACK_SIGMAS * len(r.indices) * r.stderr]
 
 
-def _step_rows(names: np.ndarray) -> np.ndarray:
-    """names.T, C-contiguous: free for the samplers that return step rows
-    transposed, else copied in blocks of names, which for uint8 runs several
-    times faster than one np.ascontiguousarray(names.T)."""
-    if names.T.flags.c_contiguous:
-        return names.T
-    steps = np.empty(names.shape[::-1], dtype=names.dtype)
-    for r0 in range(0, names.shape[0], 256):
-        steps[:, r0:r0 + 256] = names[r0:r0 + 256].T
-    return steps
-
-
 def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
                       samples: int, seed: int) -> SearchReport:
     """Probe the necessary AT condition: for each candidate index set, pick
@@ -185,8 +173,9 @@ def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
-    # one row per index, training names first, so a candidate's k rows are one gather
-    steps = _step_rows(src.sample_names(2 * samples, family.horizon, seed))
+    # one row per index, training names first, so a candidate's k rows are one
+    # gather; a free view for the built-in samplers, which return step rows
+    steps = np.ascontiguousarray(src.sample_names(2 * samples, family.horizon, seed).T)
     # dbar = mismatches / k is below eps exactly where this table is True: the
     # same doubles np.mean compares
     below = np.arange(family.k + 1) / family.k < epsilon

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierTable, _density_min_lower, is_positive_definite
+from .fourier import FourierTable, _density_min_lower, is_positive_definite, square_wave_coeffs
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
@@ -18,6 +18,10 @@ MAX_MC_SAMPLES = 2**24
 # samples per block of a Monte Carlo level's x_n draws; the block's float64
 # buffers stay in cache
 _MC_BLOCK = 2**16
+
+# terms per piece of a series summed by _pairwise_series: each piece's float64
+# terms and temporaries take a few 512 KiB arrays
+_SERIES_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,6 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     """
     if np.any(spec.autocov < 0.0):
         raise ValueError("cocycle correlation table requires r(k) >= 0 for all k")
-    from .systems import square_wave_coeffs
     var = cocycle_variances(spec, n_max)
     sw = square_wave_coeffs(M)
     w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2
@@ -230,6 +233,18 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     return FourierTable.from_nonneg(nn, tail_bound=tail, label="gaussian-cocycle")
 
 
+def _pairwise_series(term, lo: int, n: int) -> np.float64:
+    """np.sum(term(ks)) over ks = lo, ..., lo + n - 1 (as floats), without the
+    length-n array.  The range splits where numpy's pairwise summation splits
+    it, the first half n // 2 rounded down to a multiple of 8, down to pieces
+    of at most _SERIES_BLOCK terms; np.sum of a piece is numpy's sum of that
+    subtree, so the result has the bits of the one-shot np.sum."""
+    if n <= _SERIES_BLOCK:
+        return np.sum(term(np.arange(lo, lo + n, dtype=float)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_series(term, lo, half) + _pairwise_series(term, lo + half, n - half)
+
+
 @dataclass(frozen=True)
 class ConstantChainReport:
     c: float
@@ -250,6 +265,11 @@ def gnoat_constant_check(c: float | None = None) -> ConstantChainReport:
     (i) |arcsin x| <= 2|x| on the used range |x| <= c/log 2, and
     (ii) sum_{k>=1} (32/pi^4) arcsin^4(c/sqrt(k))
          <= (512 c^4 / pi^4) zeta(2) <= 1 + eps0.
+
+    The first 10^6 terms are summed in pairwise-ordered blocks
+    (``_pairwise_series``): the sum holds O(2^16) floats where one full-length
+    expression held about 23 MiB of temporaries, and it has the same bits as
+    one np.sum of that expression.
     """
     from .sbh import epsilon0
     eps = epsilon0()
@@ -259,8 +279,9 @@ def gnoat_constant_check(c: float | None = None) -> ConstantChainReport:
     dom = np.arcsin(xs) <= 2.0 * xs + 1e-15
     dom_margin = float(np.min(2.0 * xs[1:] - np.arcsin(xs[1:])))
     k_cut = 10**6
-    ks = np.arange(1, k_cut + 1, dtype=float)
-    series = float(np.sum((32.0 / math.pi**4) * np.arcsin(np.minimum(c / np.sqrt(ks), 1.0)) ** 4))
+    series = float(_pairwise_series(
+        lambda ks: (32.0 / math.pi**4) * np.arcsin(np.minimum(c / np.sqrt(ks), 1.0)) ** 4,
+        1, k_cut))
     # integral-test tail: terms <= (512 c^4 / pi^4) / k^2 once arcsin x <= 2x applies
     tail = 512.0 * c**4 / math.pi**4 / k_cut
     zeta2 = math.pi**2 / 6.0

@@ -12,13 +12,12 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .bessel import bessel_jv
-from .fourier import MAX_HALF_WIDTH, FourierTable
+from .fourier import MAX_HALF_WIDTH, FourierTable, square_wave_coeffs
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 GOLDEN_M1 = (math.sqrt(5.0) - 1.0) / 2.0
@@ -257,40 +256,6 @@ def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Square-wave Fourier coefficients (the fiber observable 2*chi_[0,1/2) - 1)
-
-
-@dataclass(frozen=True)
-class SquareWaveCoeffs:
-    """f-hat(m) for f = 2 chi_[0,1/2) - 1, odd |m| <= M."""
-
-    M: int
-
-    @property
-    def odd_ms(self) -> np.ndarray:
-        pos = np.arange(1, self.M + 1, 2)
-        return np.concatenate([-pos[::-1], pos])
-
-    @property
-    def weights(self) -> np.ndarray:
-        """|f-hat(m)|^2 over odd_ms; sums to 1 as M -> infinity."""
-        ms = self.odd_ms
-        return 4.0 / (math.pi**2 * ms.astype(float) ** 2)
-
-    @property
-    def truncation_error(self) -> float:
-        """Upper bound on the l2 mass beyond M: 8/(pi^2 M)."""
-        return 8.0 / (math.pi**2 * self.M)
-
-
-def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
-    # every --M is checked here, before any array of odd m is allocated
-    if not 1 <= M <= MAX_HALF_WIDTH:
-        raise ValueError(f"need 1 <= M <= {MAX_HALF_WIDTH}, got {M}")
-    return SquareWaveCoeffs(M)
-
-
-# ---------------------------------------------------------------------------
 # Absolutely continuous cocycle over an irrational rotation
 
 
@@ -494,6 +459,10 @@ def _frac(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 class NameSource:
     """Producer of P-name samples; subclasses fill in ``sample_names``.
 
+    ``sample_names`` returns a (count, length) uint8 array of 0/1 bits.  Every
+    source here returns it as step rows: the transpose of a C-contiguous
+    (length, count) array, which funny's search reads without a copy.
+
     Sources of systems with a correlation table also define ``rows(nmax)``:
     the rows (n, value, method, error_bar), n = 0..nmax, that ``atlab system``
     prints.  The value is c(n) = <F o T^n, F> to within error_bar, except the
@@ -531,10 +500,12 @@ class RotationCocycleSource(NameSource):
             S[:, 1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * j[:, :-1]), axis=1)
             phase = np.exp(2j * np.pi * x)
             wave = np.empty((min(count, _ROW_BLOCK), length), dtype=complex)
-        bits = np.empty((count, length), dtype=np.uint8)
+        bits = np.empty((length, count), dtype=np.uint8)
         v = np.empty((min(count, _ROW_BLOCK), length))
         scratch = np.empty_like(v)
-        # the bits of y + j x + j (j - 1) alpha / 2 + g^(j)(x), one row block at a time
+        flags = np.empty(v.shape, dtype=bool)
+        # the bits of y + j x + j (j - 1) alpha / 2 + g^(j)(x), one name block at a
+        # time, copied in transposed so that step j's bits are row j, as in CoinSource
         for r0 in range(0, count, _ROW_BLOCK):
             rows = slice(r0, r0 + _ROW_BLOCK)
             n = x[rows].shape[0]
@@ -544,8 +515,9 @@ class RotationCocycleSource(NameSource):
                 w = np.multiply(phase[rows], S, out=wave[:n])
                 drift += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
             drift += y[rows]
-            np.greater_equal(_frac(drift, scratch[:n]), 0.5, out=bits[rows].view(bool))
-        return bits
+            np.greater_equal(_frac(drift, scratch[:n]), 0.5, out=flags[:n])
+            bits[:, rows] = flags[:n].T
+        return bits.T
 
     def rows(self, nmax):
         err = square_wave_coeffs(self.M).truncation_error
@@ -688,8 +660,14 @@ class RudinShapiroSource(NameSource):
         if length >= 2 ** self.log2_length:
             raise ValueError(f"names of length {length} need 2^log2_length > {length}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        starts = rng.integers(0, self._prefix_bits.size - length, size=count)
-        return np.lib.stride_tricks.sliding_window_view(self._prefix_bits, length)[starts]
+        prefix = self._prefix_bits
+        starts = rng.integers(0, prefix.size - length, size=count)
+        # step j's bits are row j, gathered from prefix[starts + j]: no (count,
+        # length) index array; starts + j < prefix.size, so "clip" never clips
+        bits = np.empty((length, count), dtype=np.uint8)
+        for j, row in enumerate(bits):
+            np.take(prefix[j:], starts, out=row, mode="clip")
+        return bits.T
 
     def rows(self, nmax):
         if self.L < max(1, 4 * nmax):
@@ -726,7 +704,7 @@ class ConstantSource(NameSource):
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b = rng.integers(0, 2, size=count).astype(np.uint8)
-        return np.repeat(b[:, None], length, axis=1)
+        return np.repeat(b[None, :], length, axis=0).T
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,57 @@ def test_gnoat_constant_chain_zero():
     assert rep.series_value == 0.0
 
 
+def chain_term(c):
+    """The constant chain's terms (32/pi^4) arcsin^4(min(c/sqrt(k), 1))."""
+    return lambda ks: (32.0 / math.pi**4) * np.arcsin(np.minimum(c / np.sqrt(ks), 1.0)) ** 4
+
+
+def chain_series_one_shot(c, n):
+    """The series over k = 1..n as one np.sum of a full-length array: the
+    reference for the blocked sum."""
+    return np.sum(chain_term(c)(np.arange(1, n + 1, dtype=float)))
+
+
+_DEFAULT_C = math.sqrt(math.pi) * ((1.0 + sbh.epsilon0()) / 86.0) ** 0.25
+# c = 30 clamps the first 900 terms at arcsin(1)
+_CHAIN_CS = pytest.mark.parametrize("c", [_DEFAULT_C, 0.0, 30.0],
+                                    ids=["default", "zero", "clamped"])
+
+
+@_CHAIN_CS
+def test_gnoat_series_value_is_the_one_shot_sum(c):
+    got = gaussian.gnoat_constant_check(c).series_value
+    assert got.hex() == float(chain_series_one_shot(c, 10**6)).hex()
+
+
+@_CHAIN_CS
+@pytest.mark.parametrize("n", [1, 7, 2**16, 2**16 + 1, 10**6, 10**6 + 3])
+def test_pairwise_series_matches_one_shot_sum(c, n):
+    got = gaussian._pairwise_series(chain_term(c), 1, n)
+    assert float(got).hex() == float(chain_series_one_shot(c, n)).hex()
+
+
+@pytest.mark.parametrize("n", [2**16 + 1, 3 * 2**16 - 5, 10**6 + 3])
+def test_pairwise_series_follows_numpys_summation_order(n):
+    # rounding in random normals shows any other order or split, which the
+    # smooth series terms might hide
+    x = np.random.default_rng(n).standard_normal(n)
+    got = gaussian._pairwise_series(lambda ks: x[ks.astype(np.intp) - 1], 1, n)
+    assert float(got).hex() == float(np.sum(x)).hex()
+
+
+def test_gnoat_constant_check_peak_memory():
+    # one 2^16-term block and its temporaries, about 1.6 MiB; the full-length
+    # expression held about 23 MiB
+    tracemalloc.start()
+    try:
+        gaussian.gnoat_constant_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_mc_report_serialization():
     rep = gaussian.product_orthant_mc(gaussian.white_noise_spec(2), 1, 1, 1000, seed=5)
     obj = dataclasses.asdict(rep)

@@ -587,6 +587,8 @@ def test_name_sources_shapes_and_determinism():
         b = src.sample_names(8, 32, seed=5)
         assert a.shape == (8, 32)
         assert a.dtype == np.uint8
+        # step rows, as funny's search reads them without a copy
+        assert a.T.flags.c_contiguous
         assert np.array_equal(a, b)
         assert set(np.unique(a)).issubset({0, 1})
         c = src.sample_names(8, 32, seed=6)
@@ -779,8 +781,9 @@ def assert_same_names(got, ref):
 @example(alpha=systems.SQRT2_M1, delta=0.0, count=_BLOCK, length=40, seed=3)
 def test_rotation_names_match_reference(alpha, delta, count, length, seed):
     src = systems.RotationCocycleSource(alpha=alpha, delta=delta)
-    assert_same_names(src.sample_names(count, length, seed),
-                      rotation_names_reference(src, count, length, seed))
+    names = src.sample_names(count, length, seed)
+    assert_same_names(names, rotation_names_reference(src, count, length, seed))
+    assert names.T.flags.c_contiguous
 
 
 @_SAMPLER_SETTINGS
@@ -840,8 +843,9 @@ def test_odometer_names_match_reference(phi, count, length, seed):
 def test_rudin_shapiro_names_match_reference(log2_length, count, length, seed):
     assume(length < 2**log2_length)
     src = systems.RudinShapiroSource(log2_length=log2_length)
-    assert_same_names(src.sample_names(count, length, seed),
-                      rudin_shapiro_names_reference(src, count, length, seed))
+    names = src.sample_names(count, length, seed)
+    assert_same_names(names, rudin_shapiro_names_reference(src, count, length, seed))
+    assert names.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("make, reference", [
@@ -872,12 +876,14 @@ def test_frac_is_np_mod_bit_for_bit(values):
 
 @pytest.mark.parametrize("length", [1, 7, 8, 13, 64])
 def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
-    bits = systems.NilRotationSource().sample_names(37, length, seed=3)
-    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    systems.write_names(bits, a)
-    systems.write_names(np.ascontiguousarray(bits), b)
-    assert a.read_bytes() == b.read_bytes()
-    assert np.array_equal(systems.read_names(a), bits)
+    for src in (systems.NilRotationSource(), systems.RotationCocycleSource(delta=0.3),
+                systems.RudinShapiroSource(log2_length=10)):
+        bits = src.sample_names(37, length, seed=3)
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        systems.write_names(bits, a)
+        systems.write_names(np.ascontiguousarray(bits), b)
+        assert a.read_bytes() == b.read_bytes()
+        assert np.array_equal(systems.read_names(a), bits)
 
 
 @pytest.mark.parametrize("src", [systems.CoinSource(), systems.RotationCocycleSource(delta=0.3),
