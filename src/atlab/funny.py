@@ -111,6 +111,8 @@ class LambdaFamily:
     def __post_init__(self):
         if not 1 <= self.k <= self.horizon:
             raise ValueError("need 1 <= k <= horizon")
+        if self.n_random < 0:
+            raise ValueError("need n_random >= 0")
 
     def candidates(self, rng) -> list[tuple[int, ...]]:
         out = []

@@ -11,11 +11,11 @@ from .fourier import FourierTable, _density_min_lower, is_positive_definite, squ
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# largest Monte Carlo run the CLI starts: one float64 and one uint8 array of
-# this length, about 144 MiB at any level
+# largest Monte Carlo run the CLI starts: one uint8 per sample, 16 MiB at any
+# level, plus two _MC_BLOCK-sample float64 blocks
 MAX_MC_SAMPLES = 2**24
 
-# samples per block of a Monte Carlo level's x_n draws; the block's float64
+# samples per block of a Monte Carlo level's x0 and z draws; the two float64
 # buffers stay in cache
 _MC_BLOCK = 2**16
 
@@ -154,24 +154,30 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     level=1: 1/4 + arcsin(r)/(2 pi);
     level=2: 1/4 + arcsin^2(r)/pi^2;
     level=4: 1/4 + 4 arcsin^4(r)/pi^4.
+
+    Each level's stream is two full draws, x0 then z.  A ziggurat normal takes a
+    varying number of words, so ``rng`` passes x0 only by drawing it; ``rng0``,
+    set to the level's start, replays it block by block beside the z blocks.
     """
     if level not in (1, 2, 4):
         raise ValueError("level must be 1, 2 or 4")
     r = _mc_lag(spec, n, samples)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    seq = np.random.SeedSequence(seed)
+    rng, rng0 = np.random.default_rng(seq), np.random.default_rng(seq)
     scale = math.sqrt(1.0 - r * r)
     # a product is > 0 exactly when no factor is 0 and an even number are
     # negative: per sample, bit 0 is the parity of x0 < 0, bit 1 that of
     # xn < 0, and bit 2 is set once a factor is 0; the hits are the zeros
     state = np.zeros(samples, dtype=np.uint8)
-    x0 = np.empty(samples)
-    xn = np.empty(min(samples, _MC_BLOCK))
+    x0 = np.empty(min(samples, _MC_BLOCK))
+    xn = np.empty_like(x0)
     for _ in range(level):
-        # float64 normals carry no state between calls, so the full x0 draw and
-        # the xn blocks after it give the stream of two full draws
-        rng.standard_normal(out=x0)
+        # float64 normals carry no state between calls, so blocks keep the stream
+        rng0.bit_generator.state = rng.bit_generator.state
         for lo in range(0, samples, _MC_BLOCK):
-            b0 = x0[lo:lo + _MC_BLOCK]
+            rng.standard_normal(out=x0[:samples - lo])
+        for lo in range(0, samples, _MC_BLOCK):
+            b0 = rng0.standard_normal(out=x0[:samples - lo])
             bn = rng.standard_normal(out=xn[:b0.size])
             bn *= scale
             bn += r * b0  # r x0 + sqrt(1 - r^2) z

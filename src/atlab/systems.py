@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bessel import bessel_jv
 from .fourier import MAX_HALF_WIDTH, FourierTable, square_wave_coeffs
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
@@ -271,6 +270,7 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
     e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
     S is carried from lag to lag, one term per lag.
     """
+    from .bessel import bessel_jv  # loads with this kernel, not with systems
     _require_finite(alpha=alpha)
     if not 0.0 < delta0 < 1.0:
         raise ValueError("need 0 < delta0 < 1")

@@ -405,6 +405,7 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["funny", "--system", "coin", "--k", "0"],
     ["funny", "--system", "coin", "--k", "300"],
     ["funny", "--system", "coin", "--horizon", "0"],
+    ["funny", "--system", "coin", "--n-random", "-1"],
     ["funny", "--system", "coin", "--eps", "nan"],
     ["gaussian", "cocycle", "--nmax", "-1"],
     ["gaussian", "cocycle", "--nmax", str(2**22 + 1)],
@@ -530,17 +531,19 @@ _LOADED = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]) if sys.ar
     (["measure", "sqrt", "--N", "8", "--density-csv", "{tmp}/d.csv"], []),
     (["certify", "--in", "{tmp}/t.json", "--k", "4", "--budget", "10"], ["sbh"]),
     (["system", "nil", "--nmax", "4", "--names", "2", "--length", "8",
-      "--names-out", "{tmp}/n.bin"], ["bessel", "systems"]),
+      "--names-out", "{tmp}/n.bin"], ["systems"]),
+    (["system", "rotation", "--nmax", "4"], ["bessel", "systems"]),
     (["gaussian", "orthant", "--samples", "100"], ["gaussian"]),
     (["gaussian", "constants"], ["gaussian", "sbh"]),
     (["gaussian", "cocycle", "--nmax", "4"], ["gaussian"]),
-], ids=["import", "measure", "certify", "system", "gaussian-orthant", "gaussian-constants",
-        "gaussian-cocycle"])
+], ids=["import", "measure", "certify", "system", "system-rotation", "gaussian-orthant",
+        "gaussian-constants", "gaussian-cocycle"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     """`import atlab.cli` loads `fourier` alone; each subcommand adds the modules
-    it runs: `measure` none, `certify` only `sbh`, `system` only `systems`
-    (and its `bessel`), `gaussian` only `gaussian`, plus `sbh` for the
-    constants' epsilon0; the cocycle's square wave is `fourier`'s."""
+    it runs: `measure` none, `certify` only `sbh`, `system` only `systems`,
+    plus `bessel` for the rotation cocycle's correlations, `gaussian` only
+    `gaussian`, plus `sbh` for the constants' epsilon0; the cocycle's square
+    wave is `fourier`'s."""
     fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -142,6 +142,12 @@ def test_lambda_family_candidates():
         assert lam[-1] < 64
 
 
+def test_lambda_family_rejects_negative_n_random():
+    with pytest.raises(ValueError, match="n_random >= 0"):
+        funny.LambdaFamily(k=8, horizon=64, n_random=-1)
+    assert funny.LambdaFamily(k=8, horizon=64, n_random=0).n_random == 0
+
+
 def test_funny_word_search_constant_source_violates():
     src = systems.ConstantSource()
     fam = funny.LambdaFamily(k=16, horizon=64, n_random=4)

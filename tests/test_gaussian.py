@@ -192,24 +192,25 @@ def test_product_orthant_matches_float_products(level, r):
 _B = gaussian._MC_BLOCK
 
 
-@pytest.mark.parametrize("samples", [_B - 1, _B, _B + 1, 2 * _B + 3])
+@pytest.mark.parametrize("samples", [_B - 1, _B, _B + 1, 2 * _B + 3, 1, 3 * _B + 5])
 @pytest.mark.parametrize("level", [1, 2, 4])
 @pytest.mark.parametrize("r", [-0.6, 0.45])
 def test_product_orthant_matches_float_products_at_block_edges(level, r, samples):
-    # x_n is drawn in blocks: a partial block, one exact block, a one-sample
-    # last block and a short one after two full blocks all keep the stream
+    # x0 and z are drawn in blocks: a partial block, one exact block, a one-sample
+    # last block, a short one after two full blocks, a one-sample run and a
+    # short block after three full ones all keep the stream
     spec = gaussian.GaussianSpec(np.array([1.0, 0.0, r]))
     got = gaussian.product_orthant_mc(spec, 2, level, samples, seed=31 + level)
     assert got == orthant_float_product_reference(r, level, samples, 31 + level)
 
 
 def test_product_orthant_peak_memory():
-    # the x0 draw (8 bytes a sample) and the state (1 byte) plus the 2^16-sample
-    # block buffer: about 10 MiB at level 4 with 2^20 samples and 37 MiB at
-    # level 1 with 2^22; a second full float64 array passes either bound, and a
-    # full bool temporary (4 MiB) the level-1 one
+    # the state (1 byte a sample) plus the x0 and z block buffers (2^16 samples
+    # each): about 3 MiB at level 4 with 2^20 samples and 5.5 MiB at level 1
+    # with 2^22; a full float64 array passes either bound, and a full bool
+    # temporary (4 MiB) the level-1 one
     spec = gaussian.exponential_spec(0.5, 2)
-    for level, samples, bound_mib in [(4, 2**20, 12), (1, 2**22, 40)]:
+    for level, samples, bound_mib in [(4, 2**20, 4), (1, 2**22, 8)]:
         tracemalloc.start()
         try:
             gaussian.product_orthant_mc(spec, 1, level, samples, seed=0)
