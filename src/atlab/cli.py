@@ -206,6 +206,7 @@ def cmd_system(args) -> int:
     bits = source.sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args)
     if bits is not None:
+        bits = systems.unpack_names(bits, args.names)  # the packed rows are freed here
         systems.write_names(bits, args.names_out or "names.bin")
     return 0
 

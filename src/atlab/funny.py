@@ -46,12 +46,15 @@ def theta_l2_exact(t: FourierTable, w: FunnyWord) -> float:
     return sbh_form(t, w.indices, w.bits) / w.k
 
 
-def _thetas(names: np.ndarray, w: FunnyWord) -> np.ndarray:
-    """Theta = 1 - 2 dbar per name, dbar its disagreement rate with the word."""
+def _thetas(steps: np.ndarray, w: FunnyWord, count: int) -> np.ndarray:
+    """Theta = 1 - 2 dbar per name, dbar its disagreement rate with the word,
+    for ``count`` names given as packed step rows (``NameSource.sample_names``);
+    only the word's k rows are unpacked."""
     idx = np.asarray(w.indices)
-    if names.shape[1] <= idx[-1]:
+    if steps.shape[0] <= idx[-1]:
         raise ValueError("names too short for the word's index set")
-    dbar = np.mean(names[:, idx] != np.asarray(w.bits)[None, :], axis=1)
+    sub = np.unpackbits(steps[idx], axis=1, count=count)
+    dbar = np.mean(sub != np.asarray(w.bits)[:, None], axis=0)
     return 1.0 - 2.0 * dbar
 
 
@@ -76,8 +79,7 @@ def theta_symmetry_check(src: NameSource, w: FunnyWord, samples: int,
     Statistic: max of the z-scores of mean(Theta) and mean(Theta^3); both
     vanish for a symmetric law.  Threshold 4 (two-sided ~6e-5 per moment).
     """
-    names = src.sample_names(samples, w.indices[-1] + 1, seed)
-    th = _thetas(names, w)
+    th = _thetas(src.sample_names(samples, w.indices[-1] + 1, seed), w, samples)
 
     def zscore(x):
         # a constant x has se = 0: a point mass at 0 is symmetric, any other is not
@@ -97,6 +99,8 @@ def theta_symmetry_check(src: NameSource, w: FunnyWord, samples: int,
 # progression steps d of LambdaFamily, and the offsets a tried for each
 _STEPS = (1, 2, 3, 5, 8)
 _OFFSETS_PER_STEP = 3
+# largest n_random * k of a LambdaFamily (`funny --n-random`, `--k`)
+MAX_RANDOM_INDICES = 2**22
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,10 @@ class LambdaFamily:
             raise ValueError("need 1 <= k <= horizon")
         if self.n_random < 0:
             raise ValueError("need n_random >= 0")
+        # the random candidates and their report rows grow with n_random * k
+        if self.n_random * self.k > MAX_RANDOM_INDICES:
+            raise ValueError(f"need n_random * k <= {MAX_RANDOM_INDICES}, "
+                             f"got {self.n_random} * {self.k}")
 
     def candidates(self, rng) -> list[tuple[int, ...]]:
         out = []
@@ -175,15 +183,15 @@ def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
-    # one row per index, training names first, so a candidate's k rows are one
-    # gather; a free view for the built-in samplers, which return step rows
-    steps = np.ascontiguousarray(src.sample_names(2 * samples, family.horizon, seed).T)
+    # packed step rows, training names first: a candidate's k rows are one gather,
+    # unpacked to its k x 2 samples bits
+    steps = src.sample_names(2 * samples, family.horizon, seed)
     # dbar = mismatches / k is below eps exactly where this table is True: the
     # same doubles np.mean compares
     below = np.arange(family.k + 1) / family.k < epsilon
     rows = []
     for lam in candidates:
-        sub = steps[list(lam)]
+        sub = np.unpackbits(steps[list(lam)], axis=1, count=2 * samples)
         # majority vote; ties go to 0 for determinism
         word = 2 * np.count_nonzero(sub[:, :samples], axis=1) > samples
         mismatches = np.count_nonzero(sub[:, samples:] != word[:, None], axis=0)

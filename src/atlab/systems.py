@@ -440,12 +440,13 @@ def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
 
 
 # largest count x length of a name batch the CLI samples (`system --names
-# --length`, and funny's 2 samples x horizon): 64 MiB as uint8 bits
+# --length`, and funny's 2 samples x horizon): 8 MiB as packed step rows
 MAX_NAME_BITS = 2**26
 
-# rows per block of the samplers that evaluate or draw a block of names at once:
+# names per block of the samplers that evaluate or draw a block of names at once:
 # their float and complex temporaries (up to 32 bytes an entry) hold
-# _ROW_BLOCK x length entries, under half the uint8 output from 20000 names up
+# _ROW_BLOCK x length entries; a multiple of 8, so each block packs into whole
+# bytes of the step rows
 _ROW_BLOCK = 256
 
 
@@ -456,12 +457,34 @@ def _frac(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.subtract(v, out, out=out)
 
 
+def _pack_columns(bits: np.ndarray) -> np.ndarray:
+    """np.packbits(bits, axis=0) of a 2-D array of 0/1 bits (uint8 or bool), by
+    eight shifted ORs of every eighth row: packbits across the layout is a few
+    times slower."""
+    bits = bits.view(np.uint8)
+    packed = np.zeros((-(-bits.shape[0] // 8), bits.shape[1]), dtype=np.uint8)
+    for b in range(8):
+        rows = bits[b::8]
+        packed[:rows.shape[0]] |= rows << (7 - b)
+    return packed
+
+
+def unpack_names(packed: np.ndarray, count: int) -> np.ndarray:
+    """The (count, length) array of 0/1 bits, one name per row, of the packed
+    step rows that ``NameSource.sample_names`` returns (a transposed view)."""
+    return np.unpackbits(packed, axis=1, count=count).T
+
+
 class NameSource:
     """Producer of P-name samples; subclasses fill in ``sample_names``.
 
-    ``sample_names`` returns a (count, length) uint8 array of 0/1 bits.  Every
-    source here returns it as step rows: the transpose of a C-contiguous
-    (length, count) array, which funny's search reads without a copy.
+    ``sample_names(count, length, seed)`` returns packed step rows: a
+    C-contiguous (length, ceil(count / 8)) uint8 array whose row j is
+    ``np.packbits`` of step j's bits over the names, big bit order, with the
+    pad bits of the last byte 0.  ``unpack_names(packed, count)`` gives the
+    (count, length) 0/1 view.  Every sampler here writes this layout directly,
+    one bit per sampled step, and funny's search unpacks only the rows of the
+    index set it reads.
 
     Sources of systems with a correlation table also define ``rows(nmax)``:
     the rows (n, value, method, error_bar), n = 0..nmax, that ``atlab system``
@@ -500,12 +523,12 @@ class RotationCocycleSource(NameSource):
             S[:, 1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * j[:, :-1]), axis=1)
             phase = np.exp(2j * np.pi * x)
             wave = np.empty((min(count, _ROW_BLOCK), length), dtype=complex)
-        bits = np.empty((length, count), dtype=np.uint8)
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         v = np.empty((min(count, _ROW_BLOCK), length))
         scratch = np.empty_like(v)
         flags = np.empty(v.shape, dtype=bool)
         # the bits of y + j x + j (j - 1) alpha / 2 + g^(j)(x), one name block at a
-        # time, copied in transposed so that step j's bits are row j, as in CoinSource
+        # time, packed into its bytes of the step rows, as in CoinSource
         for r0 in range(0, count, _ROW_BLOCK):
             rows = slice(r0, r0 + _ROW_BLOCK)
             n = x[rows].shape[0]
@@ -516,8 +539,8 @@ class RotationCocycleSource(NameSource):
                 drift += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
             drift += y[rows]
             np.greater_equal(_frac(drift, scratch[:n]), 0.5, out=flags[:n])
-            bits[:, rows] = flags[:n].T
-        return bits.T
+            packed[:, r0 // 8:(r0 + n + 7) // 8] = _pack_columns(flags[:n]).T
+        return packed
 
     def rows(self, nmax):
         err = square_wave_coeffs(self.M).truncation_error
@@ -543,11 +566,12 @@ class NilRotationSource(NameSource):
         x = rng.random(count)
         y = rng.random(count)
         z = rng.random(count)
-        # step j's bits are row j: one contiguous write per step, transposed on return
-        bits = np.empty((length, count), dtype=np.uint8)
+        # step j's bits are packed into row j, one step at a time
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         fx, fy, t, u = (np.empty(count) for _ in range(4))
-        for flags in bits.view(bool):
-            np.greater_equal(_frac(z, t), 0.5, out=flags)
+        flags = np.empty(count, dtype=bool)
+        for row in packed:
+            row[:] = np.packbits(np.greater_equal(_frac(z, t), 0.5, out=flags))
             # z <- {z + alpha {y} - ({x} + alpha) floor({y} + beta) + gamma}
             _frac(x, fx)
             _frac(y, fy)
@@ -564,7 +588,7 @@ class NilRotationSource(NameSource):
             _frac(t, x)
             np.add(y, self.beta, out=t)
             _frac(t, y)
-        return bits.T
+        return packed
 
     def rows(self, nmax):
         err = square_wave_coeffs(self.M).truncation_error
@@ -592,18 +616,19 @@ class DistalSource(NameSource):
         x = rng.random(count)
         y = rng.random(count)
         z = rng.random(count)
-        # step j's bits are row j, as in NilRotationSource
-        bits = np.empty((length, count), dtype=np.uint8)
+        # step j's bits are packed into row j, as in NilRotationSource
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         t = np.empty(count)
-        for flags in bits.view(bool):
-            np.greater_equal(_frac(z, t), 0.5, out=flags)
+        flags = np.empty(count, dtype=bool)
+        for row in packed:
+            row[:] = np.packbits(np.greater_equal(_frac(z, t), 0.5, out=flags))
             np.add(z, y, out=t)
             _frac(t, z)
             np.add(y, x, out=t)
             _frac(t, y)
             np.add(x, self.alpha, out=t)
             _frac(t, x)
-        return bits.T
+        return packed
 
     def rows(self, nmax):
         return [(n, 0.0, "exact", 0.0) for n in range(nmax + 1)]
@@ -625,17 +650,19 @@ class OdometerExtensionSource(NameSource):
         g0 = rng.integers(0, 2, size=count)
         # bit j = the parity of g0 + S_j(v0), S_j the sum of phi along the orbit:
         # g0 ^ par[v0] ^ par[v0 + rem] ^ (full total & 1) for j = full m + rem, as
-        # in two_point_extension_correlations; step j's bits are row j
+        # in two_point_extension_correlations; step j's bits are packed into row j
         par = _parity_prefix(self.phi)
         start = g0.astype(np.uint8) ^ par[v0]
-        bits = np.empty((length, count), dtype=np.uint8)
-        for j, row in enumerate(bits):
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
+        bits = np.empty(count, dtype=np.uint8)
+        for j, row in enumerate(packed):
             full, rem = divmod(j, m)
-            np.take(par[rem:], v0, out=row, mode="clip")
-            row ^= start
+            np.take(par[rem:], v0, out=bits, mode="clip")
+            bits ^= start
             if full & 1 and par[m]:
-                row ^= 1
-        return bits.T
+                bits ^= 1
+            row[:] = np.packbits(bits)
+        return packed
 
     def rows(self, nmax):
         return [(n, v, "exact", 0.0) for n, v in
@@ -662,12 +689,14 @@ class RudinShapiroSource(NameSource):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         prefix = self._prefix_bits
         starts = rng.integers(0, prefix.size - length, size=count)
-        # step j's bits are row j, gathered from prefix[starts + j]: no (count,
-        # length) index array; starts + j < prefix.size, so "clip" never clips
-        bits = np.empty((length, count), dtype=np.uint8)
-        for j, row in enumerate(bits):
-            np.take(prefix[j:], starts, out=row, mode="clip")
-        return bits.T
+        # step j's bits, gathered from prefix[starts + j], are packed into row j:
+        # no (count, length) index array; starts + j < prefix.size, so "clip"
+        # never clips
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
+        bits = np.empty(count, dtype=np.uint8)
+        for j, row in enumerate(packed):
+            row[:] = np.packbits(np.take(prefix[j:], starts, out=bits, mode="clip"))
+        return packed
 
     def rows(self, nmax):
         if self.L < max(1, 4 * nmax):
@@ -686,16 +715,16 @@ class CoinSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        # step j's bits are row j, as in NilRotationSource; drawing name block
-        # after name block gives the stream of one (count, length) draw
-        bits = np.empty((length, count), dtype=np.uint8)
+        # drawing name block after name block gives the stream of one (count,
+        # length) draw; each block is packed into its bytes of the step rows
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         u = np.empty((min(count, _ROW_BLOCK), length))
         heads = np.empty(u.shape, dtype=bool)
         for r0 in range(0, count, _ROW_BLOCK):
             n = min(_ROW_BLOCK, count - r0)
             np.greater_equal(rng.random(out=u[:n]), self.p0, out=heads[:n])
-            bits[:, r0:r0 + n] = heads[:n].T
-        return bits.T
+            packed[:, r0 // 8:(r0 + n + 7) // 8] = _pack_columns(heads[:n]).T
+        return packed
 
 
 class ConstantSource(NameSource):
@@ -704,7 +733,7 @@ class ConstantSource(NameSource):
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b = rng.integers(0, 2, size=count).astype(np.uint8)
-        return np.repeat(b[None, :], length, axis=0).T
+        return np.repeat(np.packbits(b)[None, :], length, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -714,26 +743,19 @@ class ConstantSource(NameSource):
 _NAMES_MAGIC = b"ATNB"
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """np.packbits(bits, axis=1) of 0/1 bits; a transposed step-row batch is
-    packed eight steps at a time, since packbits is slow across its layout."""
-    if bits.flags.c_contiguous or not bits.flags.f_contiguous:
-        return np.packbits(bits, axis=1)
-    steps = bits.T
-    packed = np.zeros((-(-steps.shape[0] // 8), steps.shape[1]), dtype=np.uint8)
-    for b in range(8):
-        rows = steps[b::8]
-        packed[:rows.shape[0]] |= rows << (7 - b)
-    return packed.T
-
-
 def write_names(bits: np.ndarray, path) -> None:
+    """Write a (count, length) array of 0/1 bits; a transposed step-row batch,
+    such as ``unpack_names`` returns, is packed eight steps at a time."""
     bits = np.asarray(bits, dtype=np.uint8)
     count, length = bits.shape
+    if bits.flags.c_contiguous or not bits.flags.f_contiguous:
+        packed = np.packbits(bits, axis=1)
+    else:
+        packed = _pack_columns(bits.T).T
     with open(path, "wb") as fh:
         fh.write(_NAMES_MAGIC)
         fh.write(struct.pack("<QQ", count, length))
-        fh.write(_pack_rows(bits).tobytes())
+        fh.write(packed.tobytes())
 
 
 def read_names(path) -> np.ndarray:

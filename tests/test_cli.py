@@ -406,6 +406,7 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["funny", "--system", "coin", "--k", "300"],
     ["funny", "--system", "coin", "--horizon", "0"],
     ["funny", "--system", "coin", "--n-random", "-1"],
+    ["funny", "--system", "coin", "--k", "64", "--horizon", "1024", "--n-random", "65537"],
     ["funny", "--system", "coin", "--eps", "nan"],
     ["gaussian", "cocycle", "--nmax", "-1"],
     ["gaussian", "cocycle", "--nmax", str(2**22 + 1)],

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,14 +26,15 @@ def test_funny_word_validation():
 def test_theta_of_name():
     w = funny.FunnyWord((0, 1, 2, 3), (0, 1, 1, 0))
     names = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.uint8)
-    assert funny._thetas(names, w).tolist() == [1.0, -1.0, 0.0]
+    steps = np.packbits(names.T, axis=1)
+    assert funny._thetas(steps, w, 3).tolist() == [1.0, -1.0, 0.0]
     with pytest.raises(ValueError, match="too short"):
-        funny._thetas(names[:, :3], w)
+        funny._thetas(steps[:3], w, 3)
 
 
 def theta_l2_estimate(src, w, samples, seed):
     """Monte Carlo (estimate, stderr) of ||Theta^W||^2 over sampled names."""
-    t2 = funny._thetas(src.sample_names(samples, w.indices[-1] + 1, seed), w) ** 2
+    t2 = funny._thetas(src.sample_names(samples, w.indices[-1] + 1, seed), w, samples) ** 2
     return float(np.mean(t2)), float(np.std(t2, ddof=1) / math.sqrt(samples))
 
 
@@ -148,6 +150,13 @@ def test_lambda_family_rejects_negative_n_random():
     assert funny.LambdaFamily(k=8, horizon=64, n_random=0).n_random == 0
 
 
+def test_lambda_family_rejects_huge_n_random():
+    # n_random * k random indices are drawn and reported: capped at 2^22
+    with pytest.raises(ValueError, match="n_random \\* k"):
+        funny.LambdaFamily(k=64, horizon=1024, n_random=2**16 + 1)
+    assert funny.LambdaFamily(k=64, horizon=1024, n_random=2**16).n_random == 2**16
+
+
 def test_funny_word_search_constant_source_violates():
     src = systems.ConstantSource()
     fam = funny.LambdaFamily(k=16, horizon=64, n_random=4)
@@ -182,7 +191,8 @@ def search_reference(src, family, epsilon, samples, seed):
     bound = funny.non_at_bound(epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
-    names = src.sample_names(2 * samples, family.horizon, seed)
+    names = systems.unpack_names(src.sample_names(2 * samples, family.horizon, seed),
+                                 2 * samples)
     train, test = names[:samples], names[samples:]
     rows = []
     for lam in candidates:
@@ -204,7 +214,7 @@ class _TiedSource(systems.NameSource):
     exact majority tie, which goes to 0."""
 
     def sample_names(self, count, length, seed):
-        return np.repeat((np.arange(count) % 2).astype(np.uint8)[:, None], length, axis=1)
+        return np.repeat(np.packbits(np.arange(count) % 2)[None, :], length, axis=0)
 
 
 _SEARCH_SOURCES = {
@@ -245,6 +255,19 @@ def test_funny_word_search_ties_go_to_zero():
     assert all(r.word == (0, 0, 0) for r in rep.rows)
     # the test half is alternating names too: half sit at distance 0 from the word
     assert all(r.mass_below == 0.5 for r in rep.rows)
+
+
+def test_funny_word_search_peak_memory():
+    # the names stay packed, 1024 x 2500 bytes, and each candidate unpacks only its
+    # 64 rows: about 5.3 MiB, against 22 MiB when the search held the names as uint8
+    fam = funny.LambdaFamily(k=64, horizon=1024, n_random=32)
+    tracemalloc.start()
+    try:
+        funny.funny_word_search(systems.CoinSource(), fam, epsilon=0.1, samples=10000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_search_report_json_lines(capsys):

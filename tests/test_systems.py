@@ -301,6 +301,11 @@ def names_to_signs(bits):
     return 1.0 - 2.0 * np.asarray(bits, dtype=float)
 
 
+def sample(src, count, length, seed):
+    """The (count, length) 0/1 names of ``src``, unpacked from its step rows."""
+    return systems.unpack_names(src.sample_names(count, length, seed), count)
+
+
 def test_square_wave_coeffs():
     sw = systems.square_wave_coeffs(11)
     assert square_wave_coeff(2) == 0.0
@@ -583,15 +588,12 @@ def test_name_sources_shapes_and_determinism():
         systems.ConstantSource(),
     ]
     for src in sources:
-        a = src.sample_names(8, 32, seed=5)
-        b = src.sample_names(8, 32, seed=5)
-        assert a.shape == (8, 32)
-        assert a.dtype == np.uint8
-        # step rows, as funny's search reads them without a copy
-        assert a.T.flags.c_contiguous
+        assert_packed_layout(src.sample_names(8, 32, seed=5), 8, 32)
+        a = sample(src, 8, 32, seed=5)
+        b = sample(src, 8, 32, seed=5)
         assert np.array_equal(a, b)
         assert set(np.unique(a)).issubset({0, 1})
-        c = src.sample_names(8, 32, seed=6)
+        c = sample(src, 8, 32, seed=6)
         if not isinstance(src, systems.ConstantSource):
             assert not np.array_equal(a, c)
 
@@ -602,14 +604,14 @@ def test_sign_symmetry_bit_balance():
                 systems.NilRotationSource(),
                 systems.DistalSource(),
                 systems.OdometerExtensionSource([0, 1])]:
-        bits = src.sample_names(400, 64, seed=9)
+        bits = sample(src, 400, 64, seed=9)
         mean = np.mean(names_to_signs(bits))
         assert abs(mean) <= 5.0 / math.sqrt(bits.size)
 
 
 def test_delta_zero_rotation_pairwise_independent():
     src = systems.RotationCocycleSource(delta=0.0)
-    bits = src.sample_names(20000, 9, seed=17)
+    bits = sample(src, 20000, 9, seed=17)
     for n in range(1, 9):
         for i in (0, 1):
             for j in (0, 1):
@@ -623,7 +625,7 @@ def test_rotation_names_match_direct_iteration(alpha):
     also at alpha = 0, where the geometric-series form of g^(j) is 0/0."""
     delta, count, length, seed = 0.3, 200, 32, 4
     src = systems.RotationCocycleSource(alpha=alpha, delta=delta)
-    bits = src.sample_names(count, length, seed)
+    bits = sample(src, count, length, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x, y = rng.random(count), rng.random(count)
     ref = np.empty((count, length), dtype=np.uint8)
@@ -646,7 +648,7 @@ def test_sampled_names_estimate_the_source_rows(src):
     """The names a source samples and the rows it prints describe one system:
     each lag's sign correlation is within 5 sigma plus the row's error bar."""
     count, nmax = 40000, 7
-    signs = names_to_signs(src.sample_names(count, nmax + 1, seed=23))
+    signs = names_to_signs(sample(src, count, nmax + 1, seed=23))
     for n, value, _method, err in src.rows(nmax)[1:]:
         emp = float(np.mean(signs[:, :-n] * signs[:, n:]))
         assert abs(emp - value) <= 5.0 / math.sqrt(count) + err, n
@@ -654,7 +656,7 @@ def test_sampled_names_estimate_the_source_rows(src):
 
 def test_rotation_source_delta_zero_correlations_vanish():
     src = systems.RotationCocycleSource(delta=0.0)
-    bits = src.sample_names(20000, 10, seed=41)
+    bits = sample(src, 20000, 10, seed=41)
     signs = names_to_signs(bits)
     for n in range(1, 9):
         emp = float(np.mean(signs[:, :-n] * signs[:, n:]))
@@ -662,7 +664,7 @@ def test_rotation_source_delta_zero_correlations_vanish():
 
 
 def test_names_round_trip(tmp_path):
-    bits = systems.CoinSource().sample_names(13, 37, seed=2)
+    bits = sample(systems.CoinSource(), 13, 37, seed=2)
     path = tmp_path / "names.bin"
     systems.write_names(bits, path)
     back = systems.read_names(path)
@@ -767,6 +769,16 @@ _SEEDS = st.integers(0, 2**32 - 1)
 _SAMPLER_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 
+def assert_packed_layout(packed, count, length):
+    """Packed step rows: C-contiguous (length, ceil(count / 8)) uint8 with the
+    pad bits of the last byte 0."""
+    assert packed.shape == (length, -(-count // 8))
+    assert packed.dtype == np.uint8
+    assert packed.flags.c_contiguous
+    if count % 8:
+        assert not np.any(packed[:, -1] & (0xFF >> (count % 8)))
+
+
 def assert_same_names(got, ref):
     assert got.shape == ref.shape and got.dtype == np.uint8
     assert np.array_equal(got, ref)
@@ -781,9 +793,8 @@ def assert_same_names(got, ref):
 @example(alpha=systems.SQRT2_M1, delta=0.0, count=_BLOCK, length=40, seed=3)
 def test_rotation_names_match_reference(alpha, delta, count, length, seed):
     src = systems.RotationCocycleSource(alpha=alpha, delta=delta)
-    names = src.sample_names(count, length, seed)
-    assert_same_names(names, rotation_names_reference(src, count, length, seed))
-    assert names.T.flags.c_contiguous
+    assert_same_names(sample(src, count, length, seed),
+                      rotation_names_reference(src, count, length, seed))
 
 
 @_SAMPLER_SETTINGS
@@ -796,7 +807,7 @@ def test_nil_names_match_reference(alpha, beta, gamma, count, length, seed):
         src = systems.NilRotationSource(alpha=alpha, beta=beta, gamma=gamma)
     except ValueError:  # beta too close to a small-denominator rational
         assume(False)
-    assert_same_names(src.sample_names(count, length, seed),
+    assert_same_names(sample(src, count, length, seed),
                       nil_names_reference(src, count, length, seed))
 
 
@@ -806,7 +817,7 @@ def test_nil_names_match_reference(alpha, beta, gamma, count, length, seed):
 @example(alpha=-2.2, count=2 * _BLOCK + 1, length=11, seed=1)
 def test_distal_names_match_reference(alpha, count, length, seed):
     src = systems.DistalSource(alpha=alpha)
-    assert_same_names(src.sample_names(count, length, seed),
+    assert_same_names(sample(src, count, length, seed),
                       distal_names_reference(src, count, length, seed))
 
 
@@ -817,10 +828,8 @@ def test_distal_names_match_reference(alpha, count, length, seed):
 @example(p0=0.7, count=2 * _BLOCK + 3, length=5, seed=2)
 def test_coin_names_match_reference(p0, count, length, seed):
     src = systems.CoinSource(p0=p0)
-    names = src.sample_names(count, length, seed)
-    assert_same_names(names, coin_names_reference(src, count, length, seed))
-    # step rows, as funny's search reads them without a copy
-    assert names.T.flags.c_contiguous
+    assert_same_names(sample(src, count, length, seed),
+                      coin_names_reference(src, count, length, seed))
 
 
 @_SAMPLER_SETTINGS
@@ -832,7 +841,7 @@ def test_coin_names_match_reference(p0, count, length, seed):
 @example(phi=[2**62, 2**62, 2**62, 1], count=3, length=40, seed=2)  # sums wrap int64
 def test_odometer_names_match_reference(phi, count, length, seed):
     src = systems.OdometerExtensionSource(phi)
-    assert_same_names(src.sample_names(count, length, seed),
+    assert_same_names(sample(src, count, length, seed),
                       odometer_names_reference(src, count, length, seed))
 
 
@@ -843,9 +852,30 @@ def test_odometer_names_match_reference(phi, count, length, seed):
 def test_rudin_shapiro_names_match_reference(log2_length, count, length, seed):
     assume(length < 2**log2_length)
     src = systems.RudinShapiroSource(log2_length=log2_length)
-    names = src.sample_names(count, length, seed)
-    assert_same_names(names, rudin_shapiro_names_reference(src, count, length, seed))
-    assert names.T.flags.c_contiguous
+    assert_same_names(sample(src, count, length, seed),
+                      rudin_shapiro_names_reference(src, count, length, seed))
+
+
+_LAYOUT_SOURCES = {
+    "rotation": systems.RotationCocycleSource(delta=0.3),
+    "nil": systems.NilRotationSource(),
+    "distal": systems.DistalSource(),
+    "odometer": systems.OdometerExtensionSource([0, 1, 1, 0]),
+    "rudin-shapiro": systems.RudinShapiroSource(log2_length=8),
+    "coin": systems.CoinSource(),
+    "constant": systems.ConstantSource(),
+}
+
+
+@_SAMPLER_SETTINGS
+@given(source=st.sampled_from(sorted(_LAYOUT_SOURCES)),
+       count=st.one_of(st.sampled_from([1, 7, 8, 9]), _COUNTS), length=_LENGTHS, seed=_SEEDS)
+@example(source="coin", count=_BLOCK - 1, length=5, seed=0)
+@example(source="rotation", count=2 * _BLOCK + 3, length=9, seed=1)
+@example(source="nil", count=9, length=3, seed=2)
+def test_sampled_names_are_packed_step_rows(source, count, length, seed):
+    src = _LAYOUT_SOURCES[source]
+    assert_packed_layout(src.sample_names(count, length, seed), count, length)
 
 
 @pytest.mark.parametrize("make, reference", [
@@ -861,7 +891,7 @@ def test_orbit_names_keep_a_coordinate_that_wraps_to_one(make, reference):
     alpha = -(x0 + 2.0**-54)
     assert np.mod(x0 + alpha, 1.0) == 1.0
     src = make(alpha)
-    assert_same_names(src.sample_names(1, 64, seed), reference(src, 1, 64, seed))
+    assert_same_names(sample(src, 1, 64, seed), reference(src, 1, 64, seed))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -878,7 +908,7 @@ def test_frac_is_np_mod_bit_for_bit(values):
 def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
     for src in (systems.NilRotationSource(), systems.RotationCocycleSource(delta=0.3),
                 systems.RudinShapiroSource(log2_length=10)):
-        bits = src.sample_names(37, length, seed=3)
+        bits = sample(src, 37, length, seed=3)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         systems.write_names(bits, a)
         systems.write_names(np.ascontiguousarray(bits), b)
@@ -887,16 +917,21 @@ def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
 
 
 @pytest.mark.parametrize("src", [systems.CoinSource(), systems.RotationCocycleSource(delta=0.3),
+                                 systems.NilRotationSource(), systems.DistalSource(),
                                  systems.OdometerExtensionSource([0, 1, 1, 0]),
-                                 systems.RudinShapiroSource()],
-                         ids=["coin", "rotation-0.3", "odometer", "rudin-shapiro"])
-def test_sampler_peak_memory_below_twice_output(src):
-    # no sampler holds a count x length float, complex or int64 temporary (the
-    # Rudin-Shapiro prefix, 2^21 bytes, is built inside the traced call)
+                                 systems.RudinShapiroSource(), systems.ConstantSource()],
+                         ids=["coin", "rotation-0.3", "nil", "distal", "odometer",
+                              "rudin-shapiro", "constant"])
+def test_sampler_peak_memory_below_unpacked_output(src):
+    # no sampler holds a count x length uint8, float, complex or int64 array: the
+    # peak stays under the unpacked names' count * length bytes (the packed rows
+    # are an eighth of that; rotation's name-block temporaries and the
+    # Rudin-Shapiro prefix, 2^21 bytes, built inside the traced call, are the rest)
+    count, length = 20000, 1024
     tracemalloc.start()
     try:
-        bits = src.sample_names(20000, 1024, seed=5)
+        src.sample_names(count, length, seed=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * bits.nbytes
+    assert peak < count * length
