@@ -1,20 +1,17 @@
 """Strongly-Blum-Hanson certificates for circle-measure Fourier tables.
 
-The SBH quantity is a limsup over k of a supremum over all signed index
-families, which no finite computation decides.  What we can do honestly:
-
-* certify SBH via two sufficient conditions (small l1 tail, or a certified
-  flat density bound),
-* certify NOT SBH via an explicit witnessed form value above 1 + eps0 by
-  more than the table's tail can move it (a lower bound for the sup at that
-  k; the limsup claim stays heuristic),
-* otherwise report UNDECIDED.
+SBH is a limsup over k of a supremum over signed index families, which no
+finite computation decides.  We certify SBH by a sufficient condition (small
+l1 tail, or a certified flat density bound), NOT SBH by a witnessed form above
+1 + eps0 by more than the table's tail can move it (the limsup claim stays
+heuristic), and otherwise report UNDECIDED.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +19,8 @@ import numpy as np
 from .fourier import FourierTable, density_sup, l1_tail
 
 _EXHAUSTIVE_BUDGET = 10**8
-# sign-pair sums held at once by the exhaustive search (4 MiB of float64)
-_CHUNK_FORMS = 2**19
+# sign-pair sums held at once by the exhaustive search (0.5 MiB of float64)
+_CHUNK_FORMS = 2**16
 
 NOT_SBH_CAVEAT = (
     "finite witnesses bound the supremum from below at fixed k; "
@@ -59,18 +56,13 @@ def epsilon0() -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_indices(indices) -> np.ndarray:
+def sbh_form(t: FourierTable, indices, signs) -> float:
+    """(1/k) sum_{i,j} (-1)^{eta_i + eta_j} c(n_i - n_j)."""
     idx = np.asarray(indices, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("indices must be a nonempty 1-d sequence")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("indices must be strictly increasing")
-    return idx
-
-
-def sbh_form(t: FourierTable, indices, signs) -> float:
-    """(1/k) sum_{i,j} (-1)^{eta_i + eta_j} c(n_i - n_j)."""
-    idx = _check_indices(indices)
     eta = np.asarray(signs, dtype=int)
     if eta.shape != idx.shape:
         raise ValueError("indices and signs must have equal length")
@@ -133,8 +125,8 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int):
     stops at the first subset whose B plus a rounding slack falls below the
     best sum: no later subset can reach it.  Among equal sums the lowest sign
     pattern wins, then the lowest subset; the value is the witness's own
-    ``sbh_form``.  Raises ValueError when, after the first chunk, more than
-    ``_EXHAUSTIVE_BUDGET`` forms are left to visit.
+    ``sbh_form``.  Raises ValueError when, once the first 2^19 forms are
+    visited, more than ``_EXHAUSTIVE_BUDGET`` are left.
     """
     if not 1 <= k <= 12:
         raise ValueError("need 1 <= k <= 12")
@@ -161,68 +153,63 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int):
         rank = order[lo:lo + chunk]
         sub = np.nonzero(masks[rank, None] >> shifts & 1)[1].reshape(-1, k)
         sums = P @ G[sub[:, iu], sub[:, ju]].T
+        # the largest sum wins, then the lowest sign pattern, then the lowest subset
         a, s = np.unravel_index(np.argmax(sums), sums.shape)
-        v = sums[a, s]
-        s = rank[sums[a] == v].min()
-        if v > best[0] or (v == best[0] and (a, s) < best[1:]):
-            best = (v, a, s)
-        if lo == 0 and np.count_nonzero(reach[chunk:] >= v) * len(S) > _EXHAUSTIVE_BUDGET:
+        best = max(best, (sums[a, s], -a, -rank[sums[a] == sums[a, s]].min()))
+        # once the first 2^19 forms are visited, count those left that could win
+        if (lo + chunk) * len(S) == 2**19 and (np.count_nonzero(reach[lo + chunk:] >= best[0])
+                                               * len(S) > _EXHAUSTIVE_BUDGET):
             raise ValueError("exhaustive search budget exceeded")
-    idx = tuple(int(x) for x in np.flatnonzero(masks[best[2]] >> shifts & 1))
-    eta = tuple(0 if x > 0 else 1 for x in S[best[1]])
+    idx = tuple(int(x) for x in np.flatnonzero(masks[-best[2]] >> shifts & 1))
+    eta = tuple(0 if x > 0 else 1 for x in S[-best[1]])
     return sbh_form(t, idx, eta), idx, eta
 
 
 def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
                       budget: int = 2000, seed: int = 0):
-    """Greedy growth plus local moves; a deterministic lower bound for the sup,
-    as (value, indices, signs)."""
+    """Best-improvement flip/move search from a greedy start, then from seeded
+    random ones once no step raises the form by 1e-9; a lower bound for the sup,
+    as (value, indices, signs).  A step charges k (window - k + 1) moves."""
     if k < 1 or window < k:
         raise ValueError("need 1 <= k <= window")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def value(idx, s):
-        return float(np.asarray(s) @ np.real(t.gram(idx)) @ s) / len(idx)
-
-    # greedy: grow the index set one element at a time, trying both signs
-    idx, s = [0], [1.0]
-    for _ in range(k - 1):
-        best = None
-        for cand in range(window):
-            if cand in idx:
-                continue
-            for sign in (1.0, -1.0):
-                trial_idx = sorted(idx + [cand])
-                pos = trial_idx.index(cand)
-                trial_s = s[:pos] + [sign] + s[pos:]
-                v = value(trial_idx, trial_s)
-                if best is None or v > best[0]:
-                    best = (v, trial_idx, trial_s)
-        _, idx, s = best
-    best_v = value(idx, s)
-    best_idx, best_s = list(idx), list(s)
-    # local moves: flip one sign, or swap one index for an unused one
-    for _ in range(budget):
-        idx2, s2 = list(best_idx), list(best_s)
-        if rng.random() < 0.5:
-            p = int(rng.integers(k))
-            s2[p] = -s2[p]
-        else:
-            unused = [c for c in range(window) if c not in idx2]
-            if not unused:
-                continue
-            p = int(rng.integers(k))
-            c = unused[int(rng.integers(len(unused)))]
-            sign = s2[p]
-            del idx2[p], s2[p]
-            q = int(np.searchsorted(idx2, c))
-            idx2.insert(q, c)
-            s2.insert(q, sign)
-        v = value(idx2, s2)
-        if v > best_v:
-            best_v, best_idx, best_s = v, idx2, s2
-    eta = tuple(0 if x > 0 else 1 for x in best_s)
-    return best_v, tuple(best_idx), eta
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
+    # G[p] = Re c(|n - p|) on the window, rows viewing one array of lags
+    G = np.lib.stride_tricks.sliding_window_view(
+        np.pad(t.coeffs.real, (0, window))[abs(np.arange(1 - window, window))], window)[::-1]
+    # x is the family's signs on the window, h = G x; the first start grows {0}
+    # by the q of largest |h_q| (lowest on ties, sign + when h_q >= 0)
+    x, h = np.zeros((2, window))
+    for _ in range(k):
+        q = np.argmax(np.where(x, -1, abs(h)))
+        x[q] = np.copysign(1, h[q])
+        h += x[q] * G[q]
+    rng, best = random.Random(seed), (-math.inf,)
+    for _ in range(0, budget, k * (window - k + 1)):
+        # moving member p to q at the better sign adds 2 gain[q, p] to x G x:
+        # G_pp - x_p h_p + |h_q - x_p G_pq|, at q = p the flip's gain where
+        # positive; rows of other members read 0, which no step takes
+        pos = np.flatnonzero(x)
+        d = h[:, None] - x[pos] * G[:, pos]
+        gain = abs(d) + G[0, 0] - x[pos] * h[pos]
+        gain[pos] *= np.eye(k)
+        q, s = divmod(np.argmax(gain), k)
+        p, sign = pos[s], np.copysign(1, d[q, s])
+        if gain[q, s] > 5e-10 * k:
+            h += sign * G[q] - x[p] * G[p]
+            x[p], x[q] = 0, sign
+            continue
+        if x @ h > best[0]:
+            best = (x @ h, x)
+        pos = rng.sample(range(window), k)
+        x = np.zeros(window)
+        x[pos] = rng.choices((1.0, -1.0), k=k)
+        h = x[pos] @ G[pos]
+    if x @ h <= best[0]:
+        x = best[1]
+    idx = tuple(np.flatnonzero(x).tolist())
+    eta = tuple(int(x[i] < 0) for i in idx)
+    return sbh_form(t, idx, eta), idx, eta
 
 
 @dataclass
@@ -251,8 +238,8 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     the verdict are sound in floating point: SBH needs a certificate at most
     1 + _EPS0_LO after the l1 sum's rounding, (N + 2) 2^-52 times the sum, and
     NOT_SBH needs a witness above 1 + _EPS0_HI after its form's rounding
-    (``_form_rounding``).  Raises ValueError for k < 1 or heuristic_budget < 0,
-    which no search can honour.
+    (``_form_rounding``).  Raises ValueError for k < 1, heuristic_budget < 0,
+    or seed < 0 with a budget, which no search can honour.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -283,15 +270,5 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
         note = NOT_SBH_CAVEAT
     else:
         verdict = "UNDECIDED"
-    return SbhReport(
-        epsilon0=eps,
-        l1_certificate=l1_cert,
-        density_certificate=dens_cert,
-        verdict=verdict,
-        exhaustive_sup=exh,
-        exhaustive_params=params,
-        exhaustive_witness=exh_witness,
-        heuristic_sup=heu,
-        heuristic_witness=heu_witness,
-        note=note,
-    )
+    return SbhReport(eps, l1_cert, dens_cert, verdict, exh, params, exh_witness, heu, heu_witness,
+                     note)

@@ -426,6 +426,7 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["certify", "--in", "m.json", "--k", "0"],
     ["certify", "--in", "m.json", "--k", "-3"],
     ["certify", "--in", "m.json", "--budget", "-1"],
+    ["certify", "--in", "m.json", "--budget", "10", "--seed", "-1"],
     ["certify", "--in", "m.json", "--k", "0", "--subsample-scan", "1..2"],
 ], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
 def test_bad_size_exit_2(tmp_path, monkeypatch, capsys, argv):
@@ -555,6 +556,38 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     assert proc.returncode in (0, 3, 4), proc.stderr  # certify's verdicts exit 3 and 4
     expected = sorted(["atlab", "atlab.cli", "atlab.fourier", *(f"atlab.{m}" for m in loaded)])
     assert proc.stdout.splitlines()[-1] == repr(expected)
+
+
+def test_certify_heuristic_loads_no_numpy_random(tmp_path):
+    """The heuristic search draws its restarts from the stdlib's `random`, so
+    `certify --budget` never imports `numpy.random` (5.4 MiB of RSS)."""
+    fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]); "
+            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, "certify", "--in", "t.json", "--k", "4",
+                           "--budget", "10"], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode in (0, 3, 4), proc.stderr
+    assert json.loads(proc.stdout)["heuristic_sup"] is not None
+    assert proc.stderr == "False\n"
+
+
+def test_certify_heuristic_on_a_wide_window(tmp_path, capsys):
+    # the heuristic holds k rows of the window Toeplitz, never the dense matrix;
+    # the greedy start and one step at window 10^5 take well under a second
+    mfile = tmp_path / "sqrt.json"
+    fourier.write_measure(fourier.sqrt_template(0.3, 1024), mfile)
+    t0 = time.perf_counter()
+    code, out, err = run(["certify", "--in", str(mfile), "--k", "4", "--window", "100000",
+                          "--budget", "10"], capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 3, err
+    rep = json.loads(out)
+    assert len(rep["heuristic_witness"]["indices"]) == 4
+    assert rep["exhaustive_params"] == [4, 24]
 
 
 def test_row_systems_are_the_sources_with_rows():

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import types
 from fractions import Fraction
 from itertools import combinations
 
@@ -245,13 +246,16 @@ def test_pruned_search_matches_full_scan(k, window, t):
     assert sbh.sbh_sup_exhaustive(t, k, window) == full_scan_sup_exhaustive(t, k, window)
 
 
-@pytest.mark.parametrize("table", [
-    fourier.sqrt_template(0.3, 256),
-    fourier.riesz_product([0.9, 0.7, 0.5], [1, 3, 9], 64),
-    fourier.FourierTable.from_nonneg(0.4 * np.cos(2 * np.pi * 0.37 * np.arange(65))
-                                     / np.sqrt(np.maximum(np.arange(65), 1))
-                                     + (np.arange(65) == 0) * 0.6),
-], ids=["sqrt", "riesz", "mixed-signs"])
+_K10_TABLES = {
+    "sqrt": fourier.sqrt_template(0.3, 256),
+    "riesz": fourier.riesz_product([0.9, 0.7, 0.5], [1, 3, 9], 64),
+    "mixed-signs": fourier.FourierTable.from_nonneg(
+        0.4 * np.cos(2 * np.pi * 0.37 * np.arange(65)) / np.sqrt(np.maximum(np.arange(65), 1))
+        + (np.arange(65) == 0) * 0.6),
+}
+
+
+@pytest.mark.parametrize("table", list(_K10_TABLES.values()), ids=list(_K10_TABLES))
 def test_pruned_search_matches_full_scan_at_k10_w18(table):
     assert sbh.sbh_sup_exhaustive(table, 10, 18) == full_scan_sup_exhaustive(table, 10, 18)
 
@@ -299,7 +303,8 @@ def test_exhaustive_k10_time():
 
 
 def test_exhaustive_k10_memory():
-    # one chunk of 2^19 sign-pair sums is 4 MiB; the einsum peaked at 38.4 MiB
+    # one chunk of 2^16 sign-pair sums is 0.5 MiB; 2^19 sums (4 MiB) fail, and
+    # the einsum peaked at 38.4 MiB
     t = _riesz_k10()
     tracemalloc.start()
     try:
@@ -307,7 +312,34 @@ def test_exhaustive_k10_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 1.5 * 2**20
+
+
+_CHUNKS = [2**10, 2**13, 2**16, 2**19]
+
+
+@pytest.mark.parametrize("t, k, window", [
+    *((table, 10, 18) for table in _K10_TABLES.values()),
+    (fourier.lebesgue_table(4), 4, 10),
+    (fourier.lebesgue_table(4), 10, 16),
+], ids=[*_K10_TABLES, "lebesgue-k4", "lebesgue-k10"])
+def test_exhaustive_result_does_not_depend_on_chunk_size(monkeypatch, t, k, window):
+    # chunks split the ranked subsets, never a subset's sign patterns, and ties
+    # keep the lowest sign pattern, then the lowest subset, across chunks
+    results = set()
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(sbh, "_CHUNK_FORMS", chunk)
+        results.add(sbh.sbh_sup_exhaustive(t, k, window))
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_exhaustive_budget_counts_from_the_first_2_19_forms(monkeypatch, chunk):
+    # the count runs once the visited chunks cover the first 2^19 forms, whatever
+    # a chunk holds; a Lebesgue table prunes nothing
+    monkeypatch.setattr(sbh, "_CHUNK_FORMS", chunk)
+    with pytest.raises(ValueError, match="exhaustive search budget exceeded"):
+        sbh.sbh_sup_exhaustive(fourier.lebesgue_table(4), 12, 24)
 
 
 def test_heuristic_lebesgue():
@@ -335,6 +367,144 @@ def test_heuristic_deterministic():
     a = sbh.sbh_sup_heuristic(t, 4, 10, budget=300, seed=42)
     b = sbh.sbh_sup_heuristic(t, 4, 10, budget=300, seed=42)
     assert a == b
+
+
+@st.composite
+def families(draw, tables):
+    """A table, a window and a signed family in it."""
+    t = draw(tables)
+    window = draw(st.integers(1, 12))
+    k = draw(st.integers(1, window))
+    idx = sorted(draw(st.lists(st.integers(0, window - 1), min_size=k, max_size=k,
+                               unique=True)))
+    signs = draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    return t, window, tuple(idx), tuple(signs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(fam=families(small_tables()), data=st.data())
+def test_flip_and_move_gains_are_k_times_the_form_change(fam, data):
+    # the heuristic's gains in x G x: a flip of member p gains
+    # -4 x_p (h_p - G_pp x_p), a move p -> q at sign s gains
+    # -2 x_p h_p + G_pp + G_qq + 2 s (h_q - x_p G_pq)
+    t, window, idx, signs = fam
+    k = len(idx)
+    x = np.zeros(window)
+    x[list(idx)] = [1.0 - 2.0 * e for e in signs]
+    G = np.real(t.gram(np.arange(window)))
+    h = G @ x
+    form = sbh.sbh_form(t, idx, signs)
+    i = data.draw(st.integers(0, k - 1))
+    p = idx[i]
+    flipped = signs[:i] + (1 - signs[i],) + signs[i + 1:]
+    gain = -4 * x[p] * (h[p] - G[p, p] * x[p])
+    assert gain == pytest.approx(k * (sbh.sbh_form(t, idx, flipped) - form), abs=1e-12)
+    free = [q for q in range(window) if q not in idx]
+    if free:
+        q, e = data.draw(st.sampled_from(free)), data.draw(st.integers(0, 1))
+        moved = sorted(zip(idx[:i] + idx[i + 1:] + (q,), signs[:i] + signs[i + 1:] + (e,)))
+        gain = -2 * x[p] * h[p] + G[p, p] + G[q, q] + 2 * (1 - 2 * e) * (h[q] - x[p] * G[p, q])
+        new = sbh.sbh_form(t, [a for a, _ in moved], [b for _, b in moved])
+        assert gain == pytest.approx(k * (new - form), abs=1e-12)
+
+
+def _best_neighbour(t, idx, signs, window):
+    """Largest sbh_form over all flips of one sign and all moves of one member
+    to an unused index at either sign."""
+    best = -math.inf
+    for i in range(len(idx)):
+        rest = list(zip(idx[:i] + idx[i + 1:], signs[:i] + signs[i + 1:]))
+        for q, e in [(idx[i], 1 - signs[i])] + [(q, e) for q in range(window)
+                                                  if q not in idx for e in (0, 1)]:
+            fam = sorted(rest + [(q, e)])
+            best = max(best, sbh.sbh_form(t, [a for a, _ in fam], [b for _, b in fam]))
+    return best
+
+
+class _FixedStarts:
+    """Stands in for random.Random: every restart is the same signed family."""
+
+    def __init__(self, indices, signs):
+        self.indices, self.signs = list(indices), [1.0 - 2.0 * e for e in signs]
+
+    def __call__(self, seed):
+        return self
+
+    def sample(self, population, k):
+        return self.indices
+
+    def choices(self, population, k):
+        return self.signs
+
+
+def test_a_step_from_a_neighbour_of_the_optimum_reaches_it():
+    # where the greedy start is a local optimum below the exact one, a budget of
+    # two steps restarts at a family one flip or move from the optimum and takes
+    # one step: the best flip or move, back to the optimum
+    rng = np.random.default_rng(24)
+    checked = 0
+    for trial in range(400):
+        N, window = rng.integers(0, 15), rng.integers(2, 13)
+        k = int(rng.integers(1, min(window - 1, 8) + 1))
+        t = fourier.FourierTable.from_nonneg(np.r_[1.0, rng.uniform(-0.7, 0.7, N)])
+        start, sidx, ssigns = sbh.sbh_sup_heuristic(t, k, window, budget=0)
+        sup, idx, signs = sbh.sbh_sup_exhaustive(t, k, window)
+        if _best_neighbour(t, sidx, ssigns, window) > start + 1e-10 or start >= sup - 1e-9:
+            continue
+        i = int(rng.integers(k))
+        if trial % 2:
+            q, e = idx[i], 1 - signs[i]
+        else:
+            q, e = int(rng.choice([q for q in range(window) if q not in idx])), int(rng.integers(2))
+        fam = sorted(list(zip(idx[:i] + idx[i + 1:], signs[:i] + signs[i + 1:])) + [(q, e)])
+        fidx, fsigns = [a for a, _ in fam], [b for _, b in fam]
+        if sbh.sbh_form(t, fidx, fsigns) >= sup - 1.1e-9:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sbh, "random", types.SimpleNamespace(Random=_FixedStarts(fidx, fsigns)))
+            val = sbh.sbh_sup_heuristic(t, k, window, budget=2 * k * (window - k + 1))[0]
+        assert val == pytest.approx(sup, abs=1e-12), (trial, fidx, fsigns)
+        checked += 1
+    assert checked >= 20
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(t=small_tables(), window=st.integers(1, 12), data=st.data())
+def test_heuristic_value_is_its_witness_form_and_within_bounds(t, window, data):
+    # exactly the witness's sbh_form; at least the greedy start's value and at
+    # most the exact supremum
+    k = data.draw(st.integers(1, min(window, 8)))
+    budget, seed = data.draw(st.integers(0, 3000)), data.draw(st.integers(0, 2**32))
+    val, idx, signs = sbh.sbh_sup_heuristic(t, k, window, budget=budget, seed=seed)
+    assert val == sbh.sbh_form(t, idx, signs)
+    assert len(idx) == k and list(idx) == sorted(set(idx)) and 0 <= idx[0] <= idx[-1] < window
+    assert set(signs) <= {0, 1}
+    assert val >= sbh.sbh_sup_heuristic(t, k, window, budget=0)[0] - 1e-12
+    assert val <= sbh.sbh_sup_exhaustive(t, k, window)[0] + 1e-12
+    assert sbh.sbh_sup_heuristic(t, k, window, budget=budget, seed=seed) == (val, idx, signs)
+
+
+def _narrow_peak_table():
+    n = np.arange(513)
+    c = 0.004 * np.cos(2 * np.pi * (np.sqrt(5) - 1) / 2 * n) * np.exp(-n / 40)
+    c[0] = 1.0
+    return fourier.FourierTable.from_nonneg(c)
+
+
+def test_heuristic_k64_window256():
+    # the bar: a random-move search of 2000 moves at seed 1 took 1.4 s to reach
+    # 1.0897219863039163 here
+    t = _narrow_peak_table()
+    t0 = time.perf_counter()
+    val, idx, signs = sbh.sbh_sup_heuristic(t, 64, 256, budget=10**6, seed=1)
+    assert time.perf_counter() - t0 < 1.0
+    assert val >= 1.0897219863039163
+    assert val == sbh.sbh_form(t, idx, signs) and len(idx) == 64
+
+
+def test_heuristic_rejects_negative_seed():
+    with pytest.raises(ValueError, match="need seed >= 0"):
+        sbh.sbh_sup_heuristic(fourier.lebesgue_table(4), 2, 4, seed=-1)
 
 
 def test_certify_lebesgue():
