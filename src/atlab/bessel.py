@@ -26,18 +26,25 @@ def _log_kapteyn(k, z) -> np.ndarray:
         return np.where(above, k * (np.log(r) + w - np.log1p(w)), 0.0)
 
 
+def _log_kapteyn_tail(k, z) -> np.ndarray:
+    """log of a bound on sum_{j >= k} |J_j(z)| for integer k > |z| > 0.  Above |z|
+    the log bound F(j) = ``_log_kapteyn(j, z)`` decreases and is concave
+    (F'(j) = log(r / (1 + w)) falls as j grows), so the ratios of successive
+    bounds fall too and the sum is at most b_k / (1 - b_{k+1} / b_k)."""
+    k = np.asarray(k, dtype=float)
+    f0, f1 = _log_kapteyn(k, z), _log_kapteyn(k + 1.0, z)
+    with np.errstate(divide="ignore"):
+        return f0 - np.log(-np.expm1(f1 - f0))
+
+
 def _alias_margin(z: float) -> int:
     """The least N > |z| with 2 sum_{k >= N} |J_k(z)| < _BESSEL_SLACK by
-    ``_log_kapteyn``.  Above |z| the log bound F(k) decreases and is concave
-    (F'(k) = log(r / (1 + w)) falls as k grows), so the ratios of successive
-    bounds fall too and the tail from N is at most b_N / (1 - b_{N+1} / b_N)."""
+    ``_log_kapteyn_tail``."""
     if z == 0.0:
         return 1  # J_k(0) = 0 for every k >= 1
     lo, width = int(abs(z)) + 1, 64
     while True:
-        f = _log_kapteyn(np.arange(lo, lo + width + 1), z)
-        with np.errstate(divide="ignore"):
-            tail = f[:-1] - np.log(-np.expm1(f[1:] - f[:-1]))
+        tail = _log_kapteyn_tail(np.arange(lo, lo + width), z)
         ok = np.flatnonzero(tail < math.log(_BESSEL_SLACK / 2.0))
         if ok.size:
             return lo + int(ok[0])
@@ -67,7 +74,7 @@ def _saddle_points(nu: np.ndarray, z: np.ndarray, beta: np.ndarray) -> np.ndarra
     The error sum_{l >= 1} J_{nu - lP}(z) e^{-lP beta} is at most
     1 / (e^{P beta} - 1), as |J| <= 1.  In the error
     sum_{l >= 1} J_{nu + lP}(z) e^{lP beta}, the log of the l-th term's
-    Kapteyn bound, G(l) = F(nu + lP) + lP beta with F as in ``_alias_margin``,
+    Kapteyn bound, G(l) = F(nu + lP) + lP beta with F as in ``_log_kapteyn_tail``,
     is concave in l with G'(0) = F'(nu) P + P beta = 0 at the saddle, so the
     terms fall by ever smaller ratios and the sum is at most
     e^G(1) / (1 - e^(G(2) - G(1)))."""

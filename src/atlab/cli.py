@@ -129,6 +129,8 @@ _EXITCODE = {"CERTIFIED_SBH": 0, "CERTIFIED_NOT_SBH": 3, "UNDECIDED": 4}
 
 def cmd_certify(args) -> int:
     from . import sbh
+    if args.window > fourier.MAX_HALF_WIDTH:
+        raise ValueError(f"need --window <= {fourier.MAX_HALF_WIDTH}, got {args.window}")
     t = fourier.read_measure(args.infile)
     if not args.subsample_scan:
         rep = sbh.certify(t, k=args.k, window=args.window, seed=args.seed,
@@ -223,21 +225,19 @@ def cmd_gaussian(args) -> int:
         raise ValueError(f"need 1 <= --n <= {fourier.MAX_HALF_WIDTH}, got {args.n}")
     if mode != "cocycle" and args.samples > gaussian.MAX_MC_SAMPLES:
         raise ValueError(f"need --samples <= {gaussian.MAX_MC_SAMPLES}, got {args.samples}")
+    lag = args.n
     if args.spec:
         spec = gaussian.GaussianSpec.from_fourier_table(fourier.read_measure(args.spec))
     elif mode == "cocycle":
         spec = gaussian.white_noise_spec(args.nmax)
     else:
-        r = np.zeros(args.n + 1)
-        r[0] = 1.0
-        r[args.n] = args.r
-        spec = gaussian.GaussianSpec(r)
+        spec, lag = gaussian.GaussianSpec([1.0, args.r]), 1
     if mode == "cocycle":
         obj = fourier.table_to_json_obj(gaussian.cocycle_correlation_table(spec, args.M,
                                                                            args.nmax))
     else:
         level = 1 if mode == "orthant" else args.level
-        obj = dataclasses.asdict(gaussian.product_orthant_mc(spec, args.n, level,
+        obj = dataclasses.asdict(gaussian.product_orthant_mc(spec, lag, level,
                                                              args.samples, args.seed))
     _emit(render_json(obj), args)
     return 0

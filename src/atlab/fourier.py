@@ -313,8 +313,10 @@ def sqrt_template(c: float, N: int) -> FourierTable:
     """Coefficient template c(n) = c/sqrt(|n|).
 
     This is only a template: positive semidefiniteness is NOT guaranteed and
-    must be checked with :func:`is_positive_definite` before the table is
-    treated as a measure.
+    must be certified before the table is treated as a measure, as
+    ``GaussianSpec.from_fourier_table`` does: by the grid bound
+    ``_density_min_lower``, with :func:`is_positive_definite` only as the
+    fallback.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError("need 0 <= c <= 1")

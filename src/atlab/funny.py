@@ -201,8 +201,6 @@ def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
             indices=lam, word=tuple(int(b) for b in word), mass_below=mass,
             k_times_mass=family.k * mass, bound=bound, stderr=se,
         ))
-    best = max(rows, key=lambda r: (r.k_times_mass, tuple(-i for i in r.indices)))
     # deterministic tie-break: lexicographically smallest Lambda, then word
-    top = [r for r in rows if r.k_times_mass == best.k_times_mass]
-    best = min(top, key=lambda r: (r.indices, r.word))
+    best = min(rows, key=lambda r: (-r.k_times_mass, r.indices, r.word))
     return SearchReport(epsilon=epsilon, rows=rows, best=best)

@@ -258,6 +258,10 @@ def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
 # Absolutely continuous cocycle over an irrational rotation
 
 
+def _rotation_sums(alpha: float, nmax: int) -> np.ndarray:
+    return np.cumsum(np.exp(2j * np.pi * alpha * np.arange(nmax)))
+
+
 def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
                                      nmax: int, M: int = 21) -> np.ndarray:
     """sigma_F-hat(n), n = 0..nmax, for the circle extension by
@@ -268,7 +272,7 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
     S = sum_{j<n} e^{2 pi i j alpha} = |S| e^{i psi}, g^(n)(x) = (delta/2pi)
     |S| sin(2 pi x + psi), so by Jacobi-Anger each integral is the Bessel term
     e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
-    S is carried from lag to lag, one term per lag.
+    S is carried from lag to lag, one term per lag (``_rotation_sums``).
     """
     from .bessel import bessel_jv  # loads with this kernel, not with systems
     _require_finite(alpha=alpha)
@@ -280,7 +284,7 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
     ms = sw.odd_ms
     out = np.empty(nmax + 1, dtype=complex)
     out[0] = 1.0
-    for n, S in enumerate(np.cumsum(np.exp(2j * np.pi * alpha * np.arange(nmax))), start=1):
+    for n, S in enumerate(_rotation_sums(alpha, nmax), start=1):
         const = n * (n - 1) * alpha / 2.0
         integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
                      * np.exp(-1j * ms * n * np.angle(S)))
@@ -288,52 +292,22 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
     return out
 
 
-def ac_cocycle_analytic_constant(delta: float, delta0: float, M: int = 10**4) -> float:
+def ac_cocycle_analytic_constant(delta: float, delta0: float) -> float:
     """C with |sigma_F-hat(n)| <= C/|n|: the variation-bound chain with
-    Var(g') = 4 delta and |f-hat(m)|^2 weights."""
-    sw = square_wave_coeffs(M)
-    ms = np.abs(sw.odd_ms).astype(float)
-    var_gp = 4.0 * delta
-    return float(np.sum(sw.weights / (2.0 * math.pi * ms))) * var_gp / (1.0 - delta0) ** 2
+    Var(g') = 4 delta and |f-hat(m)|^2 weights, whose sum over odd m of
+    4 / (pi^2 m^2) / (2 pi |m|) is 7 zeta(3) / (2 pi^3); rounded up."""
+    zeta3 = 1.2020569031595942
+    return 14.0 * zeta3 * delta / (math.pi**3 * (1.0 - delta0) ** 2) * (1.0 + 8.0 * math.ulp(1.0))
 
 
 def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
                      M: int = 21) -> FourierTable:
-    """Correlation table of the AC-cocycle extension for |n| <= N.
-
-    Values (``rotation_ac_cocycle_correlations``) and tail bound both come
-    from Bessel coefficients: |int e^{i(2 pi m n x + z sin(2 pi x + psi))} dx|
-    <= (z/2)^{|mn|} / |mn|!  with z <= m * delta / |sin(pi alpha)| (the
-    standard bound on Bessel coefficients), which decays superexponentially.
-    """
+    """Correlation table of the AC-cocycle extension for |n| <= N, with the
+    tail bound of ``_rotation_tail.ac_cocycle_tail``."""
+    from ._rotation_tail import ac_cocycle_tail  # loads with the table alone
     nn = rotation_ac_cocycle_correlations(alpha, delta, delta0, N, M)
-    amp = abs(delta) / abs(math.sin(math.pi * (alpha % 1.0)))
-
-    def bessel_bound(m: int, n: int) -> float:
-        # |int e^{i(2 pi m n x + z sin(...))} dx| <= min(1, (z/2)^{mn}/(mn)!)
-        k = m * n
-        log_term = k * math.log(max(m * amp, 1e-300) / 2.0) - math.lgamma(k + 1)
-        return math.exp(min(log_term, 0.0))
-
-    m_cap = max(M, 401)
-    tail = 0.0
-    for m in range(1, m_cap + 1, 2):
-        w_m = 2.0 * (4.0 / (math.pi * m) ** 2)  # both signs of m
-        # out-of-support coefficients |n| > N
-        for n in range(N + 1, N + 60):
-            t_mn = bessel_bound(m, n)
-            if t_mn < 1e-300:
-                break
-            tail += 2.0 * w_m * t_mn  # both signs of n
-        # error of the stored |n| <= N coefficients from dropped |m| > M
-        if m > M:
-            for n in range(1, N + 1):
-                tail += 2.0 * w_m * bessel_bound(m, n)
-    # conservative closing term for m > m_cap
-    tail += 8.0 / (math.pi**2 * m_cap) * max(
-        bessel_bound(m_cap + 2, 1) * (m_cap + 2) ** 2 / 4.0 * math.pi**2, 0.0)
     return FourierTable.from_nonneg(
-        nn, tail_bound=tail,
+        nn, tail_bound=ac_cocycle_tail(alpha, delta, M, np.abs(_rotation_sums(alpha, N))),
         label=f"ac-cocycle(alpha={alpha}, delta={delta}, delta0={delta0})",
     )
 

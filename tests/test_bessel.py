@@ -92,3 +92,11 @@ def test_saddle_exponent_keeps_its_digits():
             t = mpmath.sqrt((mpmath.mpf(nu[i]) - z[i]) * (mpmath.mpf(nu[i]) + z[i])) / nu[i]
             exact = nu[i] * (mpmath.atanh(t) - t)
             assert abs(D[i] - float(exact)) <= 1e-14 * float(exact), (w[i], D[i])
+
+
+def test_log_kapteyn_tail_covers_the_orders():
+    from scipy.special import jv
+    for z in (0.5, 7.3, 120.0):
+        for k in (int(z) + 1, int(z) + 10, 2 * int(z) + 5):
+            j = np.arange(k, k + 2000)
+            assert np.sum(np.abs(jv(j, z))) <= np.exp(bessel._log_kapteyn_tail(k, z)), (z, k)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,7 @@ def test_non_finite_system_parameter_exit_2(capsys, argv):
     ["certify", "--in", "m.json", "--budget", "-1"],
     ["certify", "--in", "m.json", "--budget", "10", "--seed", "-1"],
     ["certify", "--in", "m.json", "--k", "0", "--subsample-scan", "1..2"],
+    ["certify", "--in", "m.json", "--window", str(2**22 + 1), "--budget", "1"],
 ], ids=lambda argv: "-".join(tok[2:] if tok.startswith("--") else tok for tok in argv))
 def test_bad_size_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -623,6 +625,23 @@ def test_gaussian_orthant_json(capsys):
     obj = json.loads(out)
     assert obj["formula_value"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert abs(obj["z_score"]) <= 4.0
+
+
+@pytest.mark.parametrize("mode", ["orthant", "product"])
+def test_gaussian_far_lag_holds_no_autocovariance(capsys, mode):
+    # only r(0) and r(n) = --r enter the run, so --n 2^22 allocates no
+    # (n + 1)-long autocovariance (32 MiB of float64) and prints what --n 1 prints
+    argv = ["gaussian", mode, "--r", "0.5", "--samples", "1000", "--seed", "1", "--n"]
+    code, near, _ = run(argv + ["1"], capsys)
+    tracemalloc.start()
+    try:
+        far_code, far, _ = run(argv + ["4194304"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == far_code == 0
+    assert far == near
+    assert peak < 4 * 2**20
 
 
 def test_gaussian_constants(capsys):

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion from a checkout."""
+"""Smoke test: every narrative demo runs to completion from a checkout, under the
+suite's own filter that turns a RuntimeWarning into an error (pyproject.toml)."""
 
 import os
 import subprocess
@@ -14,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=env, cwd=tmp_path,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from atlab import cli, fourier, systems
+from atlab import _rotation_tail, cli, fourier, systems
 from atlab.bessel import bessel_jv
 
 
@@ -411,6 +411,21 @@ def test_ac_cocycle_analytic_constant_positive():
     assert 0.0 < C < 1.0
 
 
+@pytest.mark.parametrize("delta, delta0", [(0.1, 0.5), (0.3, 0.2), (0.45, 0.5), (0.0, 0.5)])
+def test_ac_cocycle_analytic_constant_closed_form(delta, delta0):
+    # 14 zeta(3) delta / (pi^3 (1 - delta0)^2) rounded up, so at least the
+    # 10^4-term sum it replaced, which stops short of the series
+    import mpmath
+    C = systems.ac_cocycle_analytic_constant(delta, delta0)
+    with mpmath.workdps(40):
+        exact = (14 * mpmath.zeta(3) * delta
+                 / (mpmath.pi**3 * (1 - mpmath.mpf(delta0)) ** 2))
+    assert exact <= C <= exact * (1 + 1e-14)
+    sw = systems.square_wave_coeffs(10**4)
+    truncated = np.sum(sw.weights / (2.0 * math.pi * np.abs(sw.odd_ms))) * 4.0 * delta
+    assert truncated / (1.0 - delta0) ** 2 <= C
+
+
 def test_ac_cocycle_table_certifies():
     t = systems.ac_cocycle_table(systems.SQRT2_M1, 0.1, 0.5, 8, M=21)
     assert t.half_width == 8
@@ -419,6 +434,113 @@ def test_ac_cocycle_table_certifies():
     rep = sbh.certify(t)
     assert rep.verdict == "CERTIFIED_SBH"
     assert rep.density_certificate < 1.0 + sbh.epsilon0()
+
+
+def _mpmath_rotation_correlation(alpha, delta, n):
+    """c(n) by 30-digit mpmath: S_n, psi and c = n (n - 1) alpha / 2 from the
+    double alpha, and the odd m, both signs, until J falls below 1e-30."""
+    import mpmath
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        S = mpmath.fsum(mpmath.expjpi(2 * a * j) for j in range(n))
+        c = n * (n - 1) * a / 2
+        total, m = mpmath.mpc(0), 1
+        while True:
+            # J_{-mn}(+-m delta |S|) = (-1)^(mn) J_{mn}(m delta |S|) for either sign of m
+            J = (-1) ** (m * n) * mpmath.besselj(m * n, m * delta * abs(S))
+            for sm in (m, -m):
+                total += (4 / (mpmath.pi * m) ** 2 * mpmath.expjpi(2 * sm * c) * J
+                          * mpmath.expj(-sm * n * mpmath.arg(S)))
+            if m > 3 and abs(J) < mpmath.mpf(10) ** -30:
+                return complex(total)
+            m += 2
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3])
+@pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1, 1e-3],
+                         ids=["sqrt2-1", "golden", "1e-3"])
+def test_ac_cocycle_tail_covers_mpmath_reference(alpha, delta):
+    # the stored lags' error (the |m| > M cut and the rounding) plus the lags
+    # N + 1..2N, both signs of n, are within the tail
+    N = 8
+    t = systems.ac_cocycle_table(alpha, delta, 0.5, N, M=21)
+    ref = [_mpmath_rotation_correlation(alpha, delta, n) for n in range(1, 2 * N + 1)]
+    stored = sum(2.0 * abs(t.coeffs[n] - ref[n - 1]) for n in range(1, N + 1))
+    beyond = sum(2.0 * abs(ref[n - 1]) for n in range(N + 1, 2 * N + 1))
+    assert 0.0 < stored + beyond <= t.tail_bound
+
+
+def test_ac_cocycle_tail_at_small_and_integer_alpha():
+    # s_n = |S_n| <= min(n, 1 / |sin pi alpha|), which stays finite at integer alpha
+    assert systems.ac_cocycle_table(1e-3, 0.1, 0.5, 8, M=21).tail_bound <= 1e-8
+    for alpha in (0.0, 1.0, -2.0, 0.5):
+        tail = systems.ac_cocycle_table(alpha, 0.1, 0.5, 8, M=21).tail_bound
+        assert 0.0 < tail <= 1e-8, alpha
+    # delta = 0: every lag n >= 1 is exactly 0, and so is the tail, with no warning
+    assert systems.ac_cocycle_table(systems.SQRT2_M1, 0.0, 0.5, 8, M=21).tail_bound == 0.0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 40), ratio=st.floats(0.0, 0.95), m0=st.sampled_from([1, 3, 23, 203]))
+@example(n=9, ratio=0.1, m0=1)
+@example(n=1, ratio=0.3, m0=23)
+def test_odd_multiples_bound_covers_the_sum(n, ratio, m0):
+    # m0^-2 G bounds sum_{odd m >= m0} |J_{mn}(mz)| / m^2, and G alone the sum
+    # without the weights; scipy's partial sums over 500 odd m are lower bounds
+    from scipy.special import jv
+    z = n * ratio
+    m = np.arange(m0, m0 + 1000, 2)
+    terms = np.abs(jv(m * n, m * z))
+    bound = float(_rotation_tail._odd_multiples_bound(n, z, m0))
+    assert np.sum(terms / m**2) <= bound
+    assert np.sum(terms) <= bound * m0**2
+
+
+def test_odd_multiples_bound_is_tight_where_robbins_applies():
+    # (x/2)^k / k! with Robbins' factorial bound is within a few per cent of
+    # J_k(x) for x^2 << k: here the first lags past N = 8 of the ac-cocycle
+    # table at alpha = 1e-3, delta = 0.1, where s_n is about n
+    from scipy.special import jv
+    for n in (9, 12):
+        assert float(_rotation_tail._odd_multiples_bound(n, 0.1 * n)) <= 1.05 * jv(n, 0.1 * n)
+
+
+@pytest.mark.parametrize("delta, smax", [(0.1, 318.3), (0.3, 1.035), (0.9, 1.2), (0.6, np.inf),
+                                         (0.0, 2.0)])
+def test_odd_multiples_tail_covers_the_lags(delta, smax):
+    # the 64 summed lags, then the closed form (Q^n at r = delta, or the concave
+    # Kapteyn sum at z = delta smax); the worst s_n is min(n, smax)
+    from scipy.special import jv
+    n0 = 9
+    n = np.arange(n0, n0 + 400)[:, None]
+    m = np.arange(1, 400, 2)[None, :]
+    terms = np.abs(jv(m * n, m * delta * np.minimum(n, smax))) / m**2
+    assert np.sum(terms) <= _rotation_tail._odd_multiples_tail(n0, delta, smax)
+
+
+
+@pytest.mark.parametrize("n, z", [(1, 0.3), (2, 1.5), (9, 0.9), (30, 1.0), (12, 0.0)])
+def test_jv_error_follows_what_bessel_jv_keeps(n, z):
+    # where bessel_jv keeps m = 1 each value is within 2^-59 plus its rounding;
+    # elsewhere it returns 0 for every m, each within Kapteyn's bound at m = 1
+    from scipy.special import jv
+    m = np.arange(1, 60)
+    got, ref = bessel_jv(m * n, m * z), jv(m * n, m * z)
+    err = float(_rotation_tail._jv_error(n, z))
+    if got[0] != 0.0:
+        assert err == 2.0**-59 + 2.0**-48
+    else:
+        assert not np.any(got) and err < 2.0**-60
+    assert np.all(np.abs(got - ref) <= err)
+
+def test_ac_cocycle_tail_costs_little_beyond_the_values(monkeypatch):
+    # the tail is numpy over all lags at once: about 2 ms at N = 4096
+    values = systems.rotation_ac_cocycle_correlations(systems.SQRT2_M1, 0.3, 0.5, 4096, 21)
+    monkeypatch.setattr(systems, "rotation_ac_cocycle_correlations", lambda *args: values)
+    t0 = time.perf_counter()
+    t = systems.ac_cocycle_table(systems.SQRT2_M1, 0.3, 0.5, 4096, M=21)
+    assert time.perf_counter() - t0 < 0.05
+    assert 0.0 < t.tail_bound < 1e-12
 
 
 def test_nil_rejects_rational_beta():
