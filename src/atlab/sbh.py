@@ -9,7 +9,6 @@ heuristic), and otherwise report UNDECIDED.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 from .fourier import FourierTable, density_sup, l1_tail
 
 _EXHAUSTIVE_BUDGET = 10**8
-# sign-pair sums held at once by the exhaustive search (0.5 MiB of float64)
+# values held at once by a chunk of either search (0.5 MiB of float64)
 _CHUNK_FORMS = 2**16
 
 NOT_SBH_CAVEAT = (
@@ -28,32 +27,29 @@ NOT_SBH_CAVEAT = (
 )
 
 
-# adjacent doubles around the root of _eps0_poly, lo below it and hi above it
-# (a test proves the sign change in exact rationals); certify tests SBH against
-# 1 + lo and NOT SBH against 1 + hi, while epsilon0() is the reported value
-_EPS0_LO = 0.10653972732909289
-_EPS0_HI = 0.1065397273290929
-
-
-def _eps0_poly(t: float) -> float:
-    return 2.0 * (1.0 - t) * (1.0 - 2.0 * t) ** 2 - 1.0 - t
-
-
-@functools.lru_cache(maxsize=1)
 def epsilon0() -> float:
-    """Unique zero in (0, 0.2) of 2(1-t)(1-2t)^2 - 1 - t, by bisection."""
-    lo, hi = 0.0, 0.2
-    assert _eps0_poly(lo) > 0.0 and _eps0_poly(hi) < 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = _eps0_poly(mid)
-        if abs(v) <= 1e-13:
-            return mid
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The zero eps0 in (0, 0.2) of 2(1-t)(1-2t)^2 - 1 - t, as reports carry it:
+    a double less than 3e-15 above the root, which ``certify`` decides against
+    exactly (``_above_eps0``)."""
+    return 0.10653972732909553
+
+
+def _above_eps0(num: int, den: int) -> bool:
+    """Whether num/den > eps0, for den > 0, in exact integers: the cubic is
+    p(t) = 1 - 11t + 16t^2 - 8t^3, whose p'(t) = -11 + 32t - 24t^2 has negative
+    discriminant, so p falls strictly through its one real root eps0; the root
+    is irrational (no +-1, +-1/2, +-1/4, +-1/8 is one), so no rational ties it,
+    and a rational lies above it exactly when p is negative there."""
+    return ((16 * den - 8 * num) * num - 11 * den * den) * num + den**3 < 0
+
+
+_ULP = 2**1074  # every finite double is an integer multiple of 2^-1074
+
+
+def _ulps(x: float) -> int:
+    """x / 2^-1074, exact for every finite double."""
+    n, d = x.as_integer_ratio()
+    return n * (_ULP // d)
 
 
 def sbh_form(t: FourierTable, indices, signs) -> float:
@@ -70,10 +66,14 @@ def sbh_form(t: FourierTable, indices, signs) -> float:
     return float(s @ np.real(t.gram(idx)) @ s) / idx.size
 
 
-def _form_rounding(t: FourierTable, indices) -> float:
-    """Bound on the rounding of ``sbh_form`` at these indices: k 2^-52 times the
-    sum of |entries| of the Gram matrix it sums."""
-    return len(indices) * 2.0**-52 * float(np.sum(np.abs(np.real(t.gram(np.asarray(indices))))))
+def _clears_eps0(t: FourierTable, indices, signs) -> bool:
+    """Whether the form less ((k - 1)/k) tail_bound exceeds 1 + eps0, exactly:
+    k times the form is the sum of the signed Gram entries +-Re c(n_i - n_j)."""
+    s = [1 - 2 * e for e in signs]
+    g = np.real(t.gram(np.asarray(indices))).tolist()
+    k_form = sum(a * b * _ulps(x) for a, row in zip(s, g) for b, x in zip(s, row))
+    k = len(s)
+    return _above_eps0(k_form - (k - 1) * _ulps(t.tail_bound) - k * _ULP, k * _ULP)
 
 
 def _sign_matrix(k: int) -> np.ndarray:
@@ -175,8 +175,11 @@ def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
     if seed < 0:
         raise ValueError(f"need seed >= 0, got {seed}")
     # G[p] = Re c(|n - p|) on the window, rows viewing one array of lags
-    G = np.lib.stride_tricks.sliding_window_view(
-        np.pad(t.coeffs.real, (0, window))[abs(np.arange(1 - window, window))], window)[::-1]
+    # 1 - window..window - 1
+    c = t.coeffs.real[:window]
+    lags = np.zeros(2 * window - 1)
+    lags[window - c.size:window], lags[window - 1:window - 1 + c.size] = c[::-1], c
+    G = np.lib.stride_tricks.sliding_window_view(lags, window)[::-1]
     # x is the family's signs on the window, h = G x; the first start grows {0}
     # by the q of largest |h_q| (lowest on ties, sign + when h_q >= 0)
     x, h = np.zeros((2, window))
@@ -185,17 +188,25 @@ def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
         x[q] = np.copysign(1, h[q])
         h += x[q] * G[q]
     rng, best = random.Random(seed), (-math.inf,)
+    rows = max(1, _CHUNK_FORMS // k)
     for _ in range(0, budget, k * (window - k + 1)):
         # moving member p to q at the better sign adds 2 gain[q, p] to x G x:
         # G_pp - x_p h_p + |h_q - x_p G_pq|, at q = p the flip's gain where
-        # positive; rows of other members read 0, which no step takes
+        # positive; rows of other members read 0, which no step takes.  The
+        # rows are scored a block at a time, and the first maximum is kept
         pos = np.flatnonzero(x)
-        d = h[:, None] - x[pos] * G[:, pos]
-        gain = abs(d) + G[0, 0] - x[pos] * h[pos]
-        gain[pos] *= np.eye(k)
-        q, s = divmod(np.argmax(gain), k)
-        p, sign = pos[s], np.copysign(1, d[q, s])
-        if gain[q, s] > 5e-10 * k:
+        xp, top = x[pos], (-math.inf,)
+        for lo in range(0, window, rows):
+            d = h[lo:lo + rows, None] - xp * G[lo:lo + rows, pos]
+            gain = abs(d) + G[0, 0] - xp * h[pos]
+            own = (lo <= pos) & (pos < lo + rows)
+            gain[pos[own] - lo] *= np.eye(k)[own]
+            q, s = divmod(int(np.argmax(gain)), k)
+            if gain[q, s] > top[0]:
+                top = (gain[q, s], lo + q, s, d[q, s])
+        gain, q, s, d = top
+        p, sign = pos[s], np.copysign(1, d)
+        if gain > 5e-10 * k:
             h += sign * G[q] - x[p] * G[p]
             x[p], x[q] = 0, sign
             continue
@@ -204,7 +215,7 @@ def sbh_sup_heuristic(t: FourierTable, k: int, window: int,
         pos = rng.sample(range(window), k)
         x = np.zeros(window)
         x[pos] = rng.choices((1.0, -1.0), k=k)
-        h = x[pos] @ G[pos]
+        h = np.concatenate([x[pos] @ G[pos, lo:lo + rows] for lo in range(0, window, rows)])
     if x @ h <= best[0]:
         x = best[1]
     idx = tuple(np.flatnonzero(x).tolist())
@@ -234,12 +245,12 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     found at the searched k (k clamped to 12) gives NOT_SBH only when its form
     minus ((k - 1)/k) tail_bound exceeds 1 + eps0: the true form differs from
     the table's by (1/k) sum_{i != j} +-(c_true - c_table)(n_i - n_j), and each
-    nonzero difference occurs in at most k - 1 ordered pairs.  Both sides of
-    the verdict are sound in floating point: SBH needs a certificate at most
-    1 + _EPS0_LO after the l1 sum's rounding, (N + 2) 2^-52 times the sum, and
-    NOT_SBH needs a witness above 1 + _EPS0_HI after its form's rounding
-    (``_form_rounding``).  Raises ValueError for k < 1, heuristic_budget < 0,
-    or seed < 0 with a budget, which no search can honour.
+    nonzero difference occurs in at most k - 1 ordered pairs.  SBH needs the l1
+    sum, raised by its summation rounding of (N + 2) 2^-52 times itself, or the
+    density certificate less 1 to lie below eps0.  Each side is an exact
+    rational, the form summed from its Gram entries, and is compared with the
+    root itself (``_above_eps0``).  Raises ValueError for k < 1,
+    heuristic_budget < 0, or seed < 0 with a budget, which no search can honour.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -253,19 +264,18 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     ww = min(max(window, kk), 24)
     exh, idx, eta = sbh_sup_exhaustive(t, kk, ww)
     exh_witness, params = {"indices": list(idx), "signs": list(eta)}, (kk, ww)
-    witnesses = [(exh, idx)]
+    witnesses = [(idx, eta)]
     heu = heu_witness = None
     if heuristic_budget > 0:
         heu, hidx, heta = sbh_sup_heuristic(t, kk, max(window, kk), budget=heuristic_budget,
                                             seed=seed)
         heu_witness = {"indices": list(hidx), "signs": list(heta)}
-        witnesses.append((heu, hidx))
-    # x - 1.0 is exact for the x near 1 + eps0 that could move a verdict
-    witness_low = max(v - _form_rounding(t, i) for v, i in witnesses) - 1.0
+        witnesses.append((hidx, heta))
     note = ""
-    if min(l1 * (1.0 + (t.half_width + 2) * 2.0**-52), dens_cert - 1.0) <= _EPS0_LO:
+    if not (_above_eps0(_ulps(l1) * (2**52 + t.half_width + 2), 2**52 * _ULP)
+            and _above_eps0(_ulps(dens_cert) - _ULP, _ULP)):
         verdict = "CERTIFIED_SBH"
-    elif witness_low - (kk - 1) / kk * t.tail_bound > _EPS0_HI:
+    elif any(_clears_eps0(t, i, e) for i, e in witnesses):
         verdict = "CERTIFIED_NOT_SBH"
         note = NOT_SBH_CAVEAT
     else:

@@ -16,6 +16,20 @@ import pytest
 from atlab import cli, fourier, gaussian, systems
 
 
+@pytest.fixture(autouse=True)
+def replay_certify_verdicts(monkeypatch, exact):
+    """Every report that `certify` makes in these tests carries the verdict its
+    table and witnesses give in exact rationals."""
+    from atlab import sbh
+    certify = sbh.certify
+
+    def replayed(t, *args, **kwargs):
+        rep = certify(t, *args, **kwargs)
+        assert rep.verdict == exact.verdict(t, rep)
+        return rep
+    monkeypatch.setattr(sbh, "certify", replayed)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
@@ -575,6 +589,24 @@ def test_certify_heuristic_loads_no_numpy_random(tmp_path):
     assert proc.returncode in (0, 3, 4), proc.stderr
     assert json.loads(proc.stdout)["heuristic_sup"] is not None
     assert proc.stderr == "False\n"
+
+
+def test_certify_loads_no_exact_arithmetic_module(tmp_path):
+    """`certify` decides its verdict in plain integers, so it never imports
+    `fractions` or `decimal` (about 0.3 MiB of RSS)."""
+    fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]); "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, "certify", "--in", "t.json", "--k", "4",
+                           "--budget", "10"], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "CERTIFIED_NOT_SBH"
+    assert proc.stderr == "[]\n"
 
 
 def test_certify_heuristic_on_a_wide_window(tmp_path, capsys):

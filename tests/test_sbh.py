@@ -24,8 +24,8 @@ def _table(pairs, N):
     return fourier.FourierTable.from_nonneg(nn)
 
 
-def test_epsilon0_bracket_and_residual():
-    p = sbh._eps0_poly
+def test_epsilon0_bracket_and_residual(exact):
+    p = exact.cubic
     assert p(0.0) > 0.0
     assert p(0.2) < 0.0
     e = sbh.epsilon0()
@@ -33,17 +33,19 @@ def test_epsilon0_bracket_and_residual():
     assert abs(p(e)) <= 1e-12
 
 
-def test_threshold_bracket_changes_sign_in_exact_rationals():
+def test_threshold_bracket_changes_sign_in_exact_rationals(exact):
     # p'(t) = -2(1 - 2t)^2 - 8(1 - t)(1 - 2t) - 1 < 0 on [0, 1/2), so p has one
     # root in (0, 0.2), and it lies between these adjacent doubles
-    def p(t):
-        return 2 * (1 - t) * (1 - 2 * t) ** 2 - 1 - t
-
-    lo, hi = sbh._EPS0_LO, sbh._EPS0_HI
+    p = exact.cubic
+    lo, hi = 0.10653972732909289, 0.1065397273290929
     assert math.nextafter(lo, 1.0) == hi
     assert p(Fraction(lo)) > 0 > p(Fraction(hi))
-    # epsilon0() is 2.6e-15 above the root, inside its residual test
-    assert 0.0 < sbh.epsilon0() - hi < 1e-14
+    # the exact comparator puts them on either side of the root
+    assert not sbh._above_eps0(*lo.as_integer_ratio())
+    assert sbh._above_eps0(*hi.as_integer_ratio())
+    # epsilon0() lies above the root by less than 3e-15
+    e = Fraction(sbh.epsilon0())
+    assert p(e) < 0 < p(e - Fraction(3, 10**15))
 
 
 def test_epsilon0_cached():
@@ -502,6 +504,24 @@ def test_heuristic_k64_window256():
     assert val == sbh.sbh_form(t, idx, signs) and len(idx) == 64
 
 
+@pytest.mark.parametrize("c, k, window, budget, seed", [
+    ([1.0, -0.5, 0.0, 0.5, 0.25, 0.0, 0.0, -0.25], 4, 15, 288, 36),
+    ([1.0, 0.5, -0.5, 0.5, 0.0, -0.5, 0.25, -0.25], 5, 8, 100, 0),
+    ([1.0, 0.5, -0.5, 0.25, 0.25], 5, 13, 180, 27),
+    (_narrow_peak_table().coeffs.real, 6, 40, 2000, 3),
+], ids=["ties-k4", "ties-k5", "ties-k5-wide", "narrow-peak"])
+def test_heuristic_result_does_not_depend_on_block_size(monkeypatch, c, k, window, budget, seed):
+    # a step scores its rows a block at a time and keeps the first maximum in
+    # row-major order across blocks, as one whole-window block does; the tables
+    # with ties reach other witnesses when a later block wins a tie
+    t = fourier.FourierTable.from_nonneg(c)
+    results = set()
+    for chunk in (1, 2 * k + 1, 2**16):
+        monkeypatch.setattr(sbh, "_CHUNK_FORMS", chunk)
+        results.add(sbh.sbh_sup_heuristic(t, k, window, budget=budget, seed=seed))
+    assert len(results) == 1
+
+
 def test_heuristic_rejects_negative_seed():
     with pytest.raises(ValueError, match="need seed >= 0"):
         sbh.sbh_sup_heuristic(fourier.lebesgue_table(4), 2, 4, seed=-1)
@@ -579,11 +599,11 @@ def test_certify_sbh_side_is_sound_at_the_root():
     assert rep.verdict == "CERTIFIED_SBH"
 
 
-@pytest.mark.parametrize("c1, verdict", [(sbh._EPS0_HI + 5e-16, "UNDECIDED"),
-                                         (sbh._EPS0_HI + 1e-12, "CERTIFIED_NOT_SBH")])
-def test_certify_not_sbh_side_takes_off_the_form_rounding(c1, verdict):
-    # at k = 2 the best form is 1 + |c(1)|; 5e-16 above the bracket lies within
-    # the form's stated rounding, about 1e-15 here
+@pytest.mark.parametrize("c1, verdict", [(0.10653972732909289, "UNDECIDED"),
+                                         (0.1065397273290929, "CERTIFIED_NOT_SBH")])
+def test_certify_not_sbh_side_is_exact_to_one_ulp(c1, verdict):
+    # at k = 2 the best form is exactly 1 + c(1), and the two adjacent doubles
+    # lie on either side of eps0
     rep = sbh.certify(fourier.FourierTable.from_nonneg(np.array([1.0, c1])), k=2, window=2)
     assert rep.exhaustive_sup == pytest.approx(1.0 + c1, abs=1e-15)
     assert rep.verdict == verdict
@@ -612,3 +632,50 @@ def test_tail_moves_a_form_by_at_most_k_minus_1_over_k(data):
     signs = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
     diff = abs(sbh.sbh_form(true, idx, signs) - sbh.sbh_form(table, idx, signs))
     assert diff <= (k - 1) / k * T + 1e-12
+
+
+def _ulps_away(x: float, j: int) -> float:
+    for _ in range(abs(j)):
+        x = math.nextafter(x, math.copysign(math.inf, j))
+    return x
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_exact_decision_matches_a_fraction_reference(data, exact):
+    # random real and complex tables, tails and witnesses, some placed within a
+    # few ulps of the threshold: the witness check and the whole verdict agree
+    # with the reference in Fraction
+    eps, near = exact.eps0, data.draw(st.integers(-4, 4))
+    cplx = data.draw(st.booleans())
+    part = st.floats(-0.7, 0.7)
+
+    def coeff():
+        return complex(data.draw(part), data.draw(part) if cplx else 0.0)
+
+    N = data.draw(st.integers(1, 8))
+    nn = np.array([1.0] + [coeff() for _ in range(N)])
+    k = data.draw(st.integers(1, 8))
+    idx = sorted(data.draw(st.lists(st.integers(0, 12), min_size=k, max_size=k, unique=True)))
+    signs = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    T = data.draw(st.floats(0.0, 0.3))
+    excess = exact.form(fourier.FourierTable.from_nonneg(nn), idx, signs) - 1
+    if k > 1 and excess > eps and data.draw(st.booleans()):
+        # the tail that brings this witness within a few ulps of 1 + eps0
+        T = _ulps_away(float((excess - eps) * k / (k - 1)), near)
+    t = fourier.FourierTable.from_nonneg(nn, tail_bound=T)
+    assert sbh._clears_eps0(t, idx, signs) == exact.clears(t, idx, signs)
+    # tables whose verdict sits at the threshold: k = 2 decides on 1 + |Re c(1)|
+    # less T/2, the l1 side on 2 |c(1)| (1 + 3 2^-52)
+    side = data.draw(st.sampled_from(["random", "witness", "l1"]))
+    rot = complex(1.0, data.draw(part)) if cplx else 1.0
+    if side == "witness":
+        c1 = _ulps_away(float(eps + Fraction(T) / 2), near)
+        t = fourier.FourierTable.from_nonneg([1.0, complex(c1, rot.imag * c1)], tail_bound=T)
+    elif side == "l1":
+        r = _ulps_away(float(eps / (2 * (1 + Fraction(3, 2**52)))), near)
+        t = fourier.FourierTable.from_nonneg([1.0, rot / abs(rot) * r])
+    kk = min(k, 4) if side == "random" else 2
+    rep = sbh.certify(t, k=kk, window=data.draw(st.integers(kk, 6)),
+                      heuristic_budget=data.draw(st.sampled_from([0, 30])))
+    assert rep.verdict == exact.verdict(t, rep)
