@@ -203,13 +203,14 @@ def cmd_system(args) -> int:
     if args.names * args.length > systems.MAX_NAME_BITS:
         raise ValueError(f"need --names * --length <= {systems.MAX_NAME_BITS}, "
                          f"got {args.names} * {args.length}")
+    if args.names > systems.MAX_NAMES:
+        raise ValueError(f"need --names <= {systems.MAX_NAMES}, got {args.names}")
     source = make_source()
     csv = correlation_csv(source.rows(args.nmax))
-    bits = source.sample_names(args.names, args.length, args.seed) if args.names else None
+    steps = source.sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args)
-    if bits is not None:
-        bits = systems.unpack_names(bits, args.names)  # the packed rows are freed here
-        systems.write_names(bits, args.names_out or "names.bin")
+    if steps is not None:
+        systems.write_names(steps, args.names, args.names_out or "names.bin")
     return 0
 
 
@@ -250,6 +251,8 @@ def cmd_funny(args) -> int:
     if 2 * args.samples * args.horizon > systems.MAX_NAME_BITS:
         raise ValueError(f"need 2 * --samples * --horizon <= {systems.MAX_NAME_BITS}, "
                          f"got 2 * {args.samples} * {args.horizon}")
+    if 2 * args.samples > systems.MAX_NAMES:
+        raise ValueError(f"need 2 * --samples <= {systems.MAX_NAMES}, got 2 * {args.samples}")
     rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
     _emit("".join(render_json({**row.to_json_obj(), "caveat": rep.caveat}) + "\n"
                   for row in rep.rows), args)

@@ -283,26 +283,22 @@ def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
     for j in range(len(lam) - 1):
         if lam[j + 1] < 3 * lam[j]:
             raise ValueError("lacunarity violated: need lambda_{j+1} >= 3 lambda_j")
-    nn = np.zeros(N + 1, dtype=complex)
-    nn[0] = 1.0
-    # walk all sign patterns; uniqueness of representations means each
-    # positive n is produced by at most one pattern.  A pattern whose top
-    # nonzero sign is at j has |n| >= lambda_j - sum_{i<j} lambda_i > lambda_j / 2
+    # walk all sign patterns, one level per frequency: each pattern is a
+    # frequency and the product of its a_j / 2.  Uniqueness of representations
+    # means each positive n is produced by at most one pattern.  A pattern whose
+    # top nonzero sign is at j has |n| >= lambda_j - sum_{i<j} lambda_i > lambda_j / 2
     # by lacunarity, so the walk stops below the first lambda_j >= 2N
-    nn_pos = np.zeros(N + 1, dtype=complex)
-    walked = sum(l < 2 * N for l in lam)
-
-    def expand_signed(j, freq, coeff):
-        if j == walked:
-            if 0 < freq <= N:
-                nn_pos[freq] += coeff
-            return
-        expand_signed(j + 1, freq, coeff)
-        expand_signed(j + 1, freq + lam[j], coeff * a[j] / 2.0)
-        expand_signed(j + 1, freq - lam[j], coeff * a[j] / 2.0)
-
-    expand_signed(0, 0, 1.0)
-    nn[1:] = nn_pos[1:]
+    freq, coef = np.zeros(1, dtype=np.int64), np.ones(1)
+    for l, x in zip(lam, a):
+        if l >= 2 * N:
+            break
+        freq = np.concatenate([freq, freq + l, freq - l])
+        coef = np.concatenate([coef, coef * x / 2.0, coef * x / 2.0])
+    keep = (freq > 0) & (freq <= N)
+    nn = np.zeros(N + 1, dtype=complex)
+    nn[freq[keep]] += coef[keep]  # into zeros, so a -0.0 product lands as 0.0
+    del freq, coef, keep
+    nn[0] = 1.0
     return FourierTable.from_nonneg(
         nn, tail_bound=0.0,
         label=f"riesz(a={a}, freq={lam})",

@@ -15,6 +15,10 @@ _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 # level, plus two _MC_BLOCK-sample float64 blocks
 MAX_MC_SAMPLES = 2**24
 
+# largest half width whose spec check falls back to eigvalsh of T_{N+1}: that
+# takes about 1 s and 163 MiB at 2048, and grows as N^3 in time and N^2 in memory
+MAX_EIGVALSH_HALF_WIDTH = 2048
+
 # samples per block of a Monte Carlo level's x0 and z draws; the two float64
 # buffers stay in cache
 _MC_BLOCK = 2**16
@@ -64,7 +68,8 @@ class GaussianSpec:
         PSD is certified by the grid bound ``fourier._density_min_lower`` on
         min d_N, which bounds the least eigenvalue of T_{N+1} from below in
         O(N log N); only when that bound is negative does the check fall back
-        to ``is_positive_definite``, numpy's O(N^3) ``eigvalsh`` of T_{N+1}.
+        to ``is_positive_definite``, numpy's O(N^3) ``eigvalsh`` of T_{N+1}, and
+        only for N <= ``MAX_EIGVALSH_HALF_WIDTH``: a wider table raises ValueError.
         """
         nn = t.coeffs
         if np.any(np.abs(nn.imag) > 1e-12):
@@ -72,9 +77,13 @@ class GaussianSpec:
         if t.tail_bound > 0.0:
             raise ValueError(f"a Gaussian spec needs tail_bound 0, got {t.tail_bound!r}: "
                              "the spec would be the finite-range process of the table")
-        if (_density_min_lower(t) < 0.0
-                and not is_positive_definite(t, t.half_width + 1)[0]):
-            raise ValueError("coefficient table is not positive semidefinite")
+        if _density_min_lower(t) < 0.0:
+            if t.half_width > MAX_EIGVALSH_HALF_WIDTH:
+                raise ValueError("the grid bound does not certify the table positive "
+                                 "semidefinite, and the eigvalsh check needs half_width "
+                                 f"<= {MAX_EIGVALSH_HALF_WIDTH}, got {t.half_width}")
+            if not is_positive_definite(t, t.half_width + 1)[0]:
+                raise ValueError("coefficient table is not positive semidefinite")
         return cls(nn.real.copy())
 
 

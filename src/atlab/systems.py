@@ -218,9 +218,9 @@ def _parity_prefix(phi: np.ndarray) -> np.ndarray:
     return par
 
 
-def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
-    """<V^n 1, 1> at each n in ``lags`` for the Z/2 extension of the dyadic
-    odometer by phi, with one set-up for all lags.
+def two_point_extension_correlations(phi_table, nmax: int) -> np.ndarray:
+    """<V^n 1, 1>, n = 0..nmax, for the Z/2 extension of the dyadic odometer by
+    phi, with one set-up for all lags.
 
     ``phi_table`` lists phi on the 2^d depth-d cylinders, indexed by the
     integer with those dyadic digits.  Since adding j to a dyadic integer
@@ -237,20 +237,19 @@ def two_point_extension_correlations(phi_table, lags) -> np.ndarray:
     m = phi.size
     if m & (m - 1) or m == 0:
         raise ValueError("phi_table length must be a power of two")
-    lags = [int(n) for n in lags]
-    if any(n < 0 for n in lags):
-        raise ValueError("n must be >= 0")
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
     if m > 2**26:
         raise ValueError("cylinder enumeration budget exceeded")
     par = _parity_prefix(phi)
     flips = np.empty(m, dtype=np.uint8)
-    out = np.empty(len(lags))
-    for i, n in enumerate(lags):
+    out = np.empty(nmax + 1)
+    for n in range(nmax + 1):
         full, rem = divmod(n, m)
         odd = np.count_nonzero(np.bitwise_xor(par[rem:rem + m], par[:m], out=flips))
         if full & 1 and par[m]:  # full * total is odd; par[m] is the total's parity
             odd = m - odd
-        out[i] = (m - 2 * odd) / m
+        out[n] = (m - 2 * odd) / m
     return out
 
 
@@ -416,6 +415,9 @@ def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
 # largest count x length of a name batch the CLI samples (`system --names
 # --length`, and funny's 2 samples x horizon): 8 MiB as packed step rows
 MAX_NAME_BITS = 2**26
+# largest count of a name batch the CLI samples (`system --names`, and funny's 2
+# samples): the orbit samplers hold a few float64 entries per name (nil 7, 56 MiB)
+MAX_NAMES = 2**20
 
 # names per block of the samplers that evaluate or draw a block of names at once:
 # their float and complex temporaries (up to 32 bytes an entry) hold
@@ -443,22 +445,15 @@ def _pack_columns(bits: np.ndarray) -> np.ndarray:
     return packed
 
 
-def unpack_names(packed: np.ndarray, count: int) -> np.ndarray:
-    """The (count, length) array of 0/1 bits, one name per row, of the packed
-    step rows that ``NameSource.sample_names`` returns (a transposed view)."""
-    return np.unpackbits(packed, axis=1, count=count).T
-
-
 class NameSource:
     """Producer of P-name samples; subclasses fill in ``sample_names``.
 
     ``sample_names(count, length, seed)`` returns packed step rows: a
     C-contiguous (length, ceil(count / 8)) uint8 array whose row j is
     ``np.packbits`` of step j's bits over the names, big bit order, with the
-    pad bits of the last byte 0.  ``unpack_names(packed, count)`` gives the
-    (count, length) 0/1 view.  Every sampler here writes this layout directly,
-    one bit per sampled step, and funny's search unpacks only the rows of the
-    index set it reads.
+    pad bits of the last byte 0.  Every sampler here writes this layout
+    directly, one bit per sampled step; funny's search unpacks only the rows of
+    the index set it reads, and ``write_names`` a block of names at a time.
 
     Sources of systems with a correlation table also define ``rows(nmax)``:
     the rows (n, value, method, error_bar), n = 0..nmax, that ``atlab system``
@@ -640,7 +635,7 @@ class OdometerExtensionSource(NameSource):
 
     def rows(self, nmax):
         return [(n, v, "exact", 0.0) for n, v in
-                enumerate(two_point_extension_correlations(self.phi, range(nmax + 1)))]
+                enumerate(two_point_extension_correlations(self.phi, nmax))]
 
 
 class RudinShapiroSource(NameSource):
@@ -711,25 +706,25 @@ class ConstantSource(NameSource):
 
 
 # ---------------------------------------------------------------------------
-# Packed-bit batch format: magic, count, length (little-endian u32/u64),
-# then row-major packed bits.
+# Packed-bit batch format: magic, count, length (little-endian u64), then one
+# row of np.packbits'd steps per name.
 
 _NAMES_MAGIC = b"ATNB"
 
 
-def write_names(bits: np.ndarray, path) -> None:
-    """Write a (count, length) array of 0/1 bits; a transposed step-row batch,
-    such as ``unpack_names`` returns, is packed eight steps at a time."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    count, length = bits.shape
-    if bits.flags.c_contiguous or not bits.flags.f_contiguous:
-        packed = np.packbits(bits, axis=1)
-    else:
-        packed = _pack_columns(bits.T).T
+def write_names(steps: np.ndarray, count: int, path) -> None:
+    """Write the ``count`` names of packed step rows (``NameSource.sample_names``)
+    as a batch: each block of names is unpacked to its (length, block) bits and
+    packed along the steps, so at most 1 MiB (or 8 names) of bits is unpacked."""
+    length = steps.shape[0]
+    block = max(1, 2**17 // max(length, 1))  # bytes of a step row per block
     with open(path, "wb") as fh:
         fh.write(_NAMES_MAGIC)
         fh.write(struct.pack("<QQ", count, length))
-        fh.write(packed.tobytes())
+        for b0 in range(0, steps.shape[1], block):
+            bits = np.unpackbits(steps[:, b0:b0 + block], axis=1,
+                                 count=min(8 * block, count - 8 * b0))
+            fh.write(_pack_columns(bits).T.tobytes())
 
 
 def read_names(path) -> np.ndarray:

@@ -254,6 +254,29 @@ def test_gaussian_spec_with_tail_exit_2(tmp_path, capsys):
     assert err.startswith("error: a Gaussian spec needs tail_bound 0") and err.count("\n") == 1
 
 
+def test_gaussian_spec_eigvalsh_fallback_cap_exit_2(tmp_path, monkeypatch, capsys):
+    # c = (1, 0.6, 0.9, 0, ...) has a negative grid bound; at N = 131072 the
+    # eigvalsh fallback would build a 128 GiB T_{N+1}, so the width cap exits 2
+    # before it (the same table at N = 2048 is the fallback's largest)
+    N = 131072
+    nn = np.zeros(N + 1, dtype=complex)
+    nn[:3] = [1.0, 0.6, 0.9]
+    mfile = tmp_path / "wide.json"
+    fourier.write_measure(fourier.FourierTable.from_nonneg(nn), mfile)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    t0 = time.perf_counter()
+    code, out, err = run(["gaussian", "cocycle", "--spec", str(mfile), "--nmax", "8"], capsys)
+    assert time.perf_counter() - t0 < 20
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"half_width <= {gaussian.MAX_EIGVALSH_HALF_WIDTH}, got {N}" in err
+
+
 def test_certify_subsample_scan(tmp_path, capsys):
     mfile = tmp_path / "g.json"
     from atlab import gaussian
@@ -376,6 +399,24 @@ def test_system_names_batch(tmp_path, capsys, argv):
     assert bits.shape == (16, 32)
 
 
+# sha256 of names.bin of `system SYSTEM --names 4096 --length 1024 --seed 11
+# --nmax 4`, the shape of the benchmark's name batches, as written by the
+# unpack-and-repack writer that write_names replaced
+_NAMES_SHA256 = {
+    "nil": "6af61e1039b636ce163577cb4470054ae0d29adf9f87af83a0b2ab4a24d81b2d",
+    "distal": "e09575260394f19ca8c2e0f78cdbe18549f2d5a1f5f0d4e284a68e501f7b8fa4",
+}
+
+
+@pytest.mark.parametrize("system", sorted(_NAMES_SHA256))
+def test_system_names_batch_bytes_pinned(tmp_path, capsys, system):
+    out_bin = tmp_path / "names.bin"
+    code, _, _ = run(["system", system, "--names", "4096", "--length", "1024", "--seed", "11",
+                      "--nmax", "4", "--names-out", str(out_bin)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_bin.read_bytes()).hexdigest() == _NAMES_SHA256[system]
+
+
 def test_system_bad_parameters_exit_2(capsys):
     code, _, err = run(["system", "nil", "--beta", "0.5"], capsys)
     assert code == 2
@@ -478,10 +519,15 @@ def test_sequence_size_cap_exit_2(tmp_path, monkeypatch, capsys, argv):
      ["--samples", "--horizon"]),
     (["system", "nil", "--names", str(10**12), "--length", str(10**6)], ["--names", "--length"]),
     (["system", "distal", "--names", "65537", "--length", "1024"], ["--names", "--length"]),
+    (["system", "nil", "--names", str(2**24), "--length", "4"], ["--names"]),
+    (["system", "nil", "--names", str(2**20 + 1), "--length", "1"], ["--names"]),
+    (["funny", "--system", "coin", "--samples", str(2**19 + 1), "--horizon", "4", "--k", "4"],
+     ["--samples"]),
     (["gaussian", "orthant", "--samples", str(10**12)], ["--samples"]),
     (["gaussian", "product", "--samples", str(2**24 + 1)], ["--samples"]),
 ], ids=["funny-samples-1e12", "funny-nil-horizon-1024", "system-nil-names-1e12",
-        "system-distal-names-65537", "gaussian-orthant-samples-1e12",
+        "system-distal-names-65537", "system-nil-names-2e24", "system-nil-names-2e20+1",
+        "funny-coin-samples-2e19+1", "gaussian-orthant-samples-1e12",
         "gaussian-product-samples-2e24+1"])
 def test_sample_size_cap_exit_2(tmp_path, monkeypatch, capsys, argv, options):
     # checked before anything is sampled or allocated
@@ -498,6 +544,7 @@ def test_sample_size_caps_admit_the_documented_sizes():
     # the benchmark's name batches and coin search, and the Monte Carlo runs
     assert 4096 * 1024 <= systems.MAX_NAME_BITS
     assert 2 * 10**4 * 1024 <= systems.MAX_NAME_BITS
+    assert 65536 <= systems.MAX_NAMES and 2 * 10**4 <= systems.MAX_NAMES
     assert 4 * 10**6 <= gaussian.MAX_MC_SAMPLES
 
 

@@ -191,8 +191,8 @@ def search_reference(src, family, epsilon, samples, seed):
     bound = funny.non_at_bound(epsilon)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
-    names = systems.unpack_names(src.sample_names(2 * samples, family.horizon, seed),
-                                 2 * samples)
+    names = np.unpackbits(src.sample_names(2 * samples, family.horizon, seed), axis=1,
+                          count=2 * samples).T
     train, test = names[:samples], names[samples:]
     rows = []
     for lam in candidates:

@@ -160,13 +160,14 @@ def test_transforms_round_trip_through_measure_in(tmp_path_factory, t, kind, m):
 @PROPS
 @given(data=st.data())
 def test_names_round_trip(tmp_path_factory, data):
-    count = data.draw(st.integers(0, 6))
+    count = data.draw(st.integers(0, 12))
     length = data.draw(st.integers(0, 70))
     flat = data.draw(st.lists(st.integers(0, 1), min_size=count * length,
                               max_size=count * length))
     bits = np.array(flat, dtype=np.uint8).reshape(count, length)
     path = tmp_path_factory.mktemp("names") / "batch.bin"
-    systems.write_names(bits, path)
+    # the packed step rows that NameSource.sample_names returns
+    systems.write_names(np.packbits(bits.T, axis=1), count, path)
     back = systems.read_names(path)
     assert back.shape == (count, length)
     assert np.array_equal(back, bits)

@@ -7,7 +7,7 @@ draws the same examples on every run.
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh, toeplitz
 
@@ -304,3 +304,52 @@ def test_spec_accepts_exactly_as_eigvalsh(t):
         assert "positive semidefinite" in str(exc)
         new = False
     assert new == old
+
+
+def _riesz_recursive(amplitudes, frequencies, N):
+    """The recursive sign-pattern walk that riesz_product's level-wise walk
+    replaced: c(0..N) of the product, c(0) = 1."""
+    a, lam = [float(x) for x in amplitudes], [int(x) for x in frequencies]
+    nn = np.zeros(N + 1, dtype=complex)
+    nn[0] = 1.0
+    nn_pos = np.zeros(N + 1, dtype=complex)
+    walked = sum(l < 2 * N for l in lam)
+
+    def expand_signed(j, freq, coeff):
+        if j == walked:
+            if 0 < freq <= N:
+                nn_pos[freq] += coeff
+            return
+        expand_signed(j + 1, freq, coeff)
+        expand_signed(j + 1, freq + lam[j], coeff * a[j] / 2.0)
+        expand_signed(j + 1, freq - lam[j], coeff * a[j] / 2.0)
+
+    expand_signed(0, 0, 1.0)
+    nn[1:] = nn_pos[1:]
+    return nn
+
+
+@st.composite
+def lacunary_products(draw):
+    """Amplitudes in [-1, 1] (often +-0.0 or +-1) and frequencies with
+    lambda_{j+1} >= 3 lambda_j, some past 2N."""
+    N = draw(st.integers(0, 400))
+    freqs = [draw(st.integers(1, 5))]
+    for _ in range(draw(st.integers(0, 7))):
+        freqs.append(3 * freqs[-1] + draw(st.integers(0, 2 * freqs[-1])))
+    amp = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    return draw(st.lists(amp, min_size=len(freqs), max_size=len(freqs))), freqs, N
+
+
+@PROPS
+@given(case=lacunary_products())
+@example(case=([-0.0, 0.5, 1.0], [1, 3, 9], 13))
+@example(case=([0.5, -0.0], [2, 6], 8))
+@example(case=([1.0, -1.0, 0.25, -0.75], [1, 3, 9, 27], 40))
+@example(case=([], [], 5))
+def test_riesz_product_matches_recursive_walk(case):
+    amps, freqs, N = case
+    want = _riesz_recursive(amps, freqs, N)
+    got = fourier.riesz_product(amps, freqs, N).coeffs
+    # bit for bit: a -0.0 product lands as 0.0 in both
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -220,36 +220,36 @@ def test_rudin_shapiro_lag_sums_rejects_bad_sizes(L, n_max):
 
 
 def test_two_point_phi_zero():
-    assert systems.two_point_extension_correlations([0, 0], range(6)).tolist() == [1.0] * 6
+    assert systems.two_point_extension_correlations([0, 0], 5).tolist() == [1.0] * 6
 
 
 def test_two_point_phi_one():
-    for n, v in enumerate(systems.two_point_extension_correlations([1, 1], range(8))):
+    for n, v in enumerate(systems.two_point_extension_correlations([1, 1], 7)):
         assert v == (1.0 if n % 2 == 0 else -1.0)
 
 
 def test_two_point_morse_cocycle():
     # phi(x) = first dyadic digit: at n=1 the two depth-1 cylinders give
     # opposite signs, so the correlation vanishes
-    assert systems.two_point_extension_correlations([0, 1], [1])[0] == pytest.approx(
+    assert systems.two_point_extension_correlations([0, 1], 1)[1] == pytest.approx(
         0.0, abs=1e-15)
 
 
 def test_two_point_brute_force_oracle():
     # average (-1)^{phi^{(n)}} over all residues, directly
     phi = [1, 0, 1, 1]
+    table = systems.two_point_extension_correlations(phi, 9)
     for n in range(1, 10):
         acc = 0.0
         for v in range(4):
             s = sum(phi[(v + j) % 4] for j in range(n))
             acc += (-1.0) ** (s % 2)
-        assert systems.two_point_extension_correlations(phi, [n])[0] == pytest.approx(
-            acc / 4.0, abs=1e-15)
+        assert table[n] == pytest.approx(acc / 4.0, abs=1e-15)
 
 
 def test_two_point_rejects_bad_length():
     with pytest.raises(ValueError):
-        systems.two_point_extension_correlations([0, 1, 0], [1])
+        systems.two_point_extension_correlations([0, 1, 0], 1)
 
 
 def two_point_reference(phi_table, n):
@@ -275,13 +275,15 @@ def two_point_reference(phi_table, n):
 @example(phi=[3], lags=[0, 1, 2, 7])  # m = 1: every lag is a whole number of periods
 @example(phi=[-1, 2, 0, 5, 1, 1, 0, -4], lags=[8, 16, 17, 23, 600])
 def test_two_point_correlations_match_per_lag_reference(phi, lags):
-    ref = [two_point_reference(phi, n) for n in lags]
-    assert systems.two_point_extension_correlations(phi, lags).tolist() == ref
+    # the kernel returns the whole table c(0..nmax); every looked-up lag matches
+    table = systems.two_point_extension_correlations(phi, max(lags))
+    assert table.shape == (max(lags) + 1,)
+    assert table[lags].tolist() == [two_point_reference(phi, n) for n in lags]
 
 
 def test_two_point_correlations_reject_negative_lag():
-    with pytest.raises(ValueError, match="n must be >= 0"):
-        systems.two_point_extension_correlations([0, 1], [0, 3, -1])
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        systems.two_point_extension_correlations([0, 1], -1)
 
 
 def square_wave_coeff(m):
@@ -301,9 +303,22 @@ def names_to_signs(bits):
     return 1.0 - 2.0 * np.asarray(bits, dtype=float)
 
 
+def unpack(steps, count):
+    """The (count, length) 0/1 names of packed step rows."""
+    return np.unpackbits(steps, axis=1, count=count).T
+
+
 def sample(src, count, length, seed):
     """The (count, length) 0/1 names of ``src``, unpacked from its step rows."""
-    return systems.unpack_names(src.sample_names(count, length, seed), count)
+    return unpack(src.sample_names(count, length, seed), count)
+
+
+def packbits_batch(bits):
+    """The name-batch bytes of a (count, length) 0/1 array, packed by np.packbits:
+    the layout that write_names must produce."""
+    count, length = bits.shape
+    return (b"ATNB" + count.to_bytes(8, "little") + length.to_bytes(8, "little")
+            + np.packbits(np.asarray(bits, dtype=np.uint8), axis=1).tobytes())
 
 
 def test_square_wave_coeffs():
@@ -786,11 +801,17 @@ def test_rotation_source_delta_zero_correlations_vanish():
 
 
 def test_names_round_trip(tmp_path):
-    bits = sample(systems.CoinSource(), 13, 37, seed=2)
+    # counts and lengths off multiples of 8; write_names takes 8 * (2^17 // length)
+    # names at a time, so 150 names of 2^14 + 5 steps are blocks of 56, 56 and 38,
+    # and 21 names of 2^17 + 3 steps blocks of 8, 8 and 5
     path = tmp_path / "names.bin"
-    systems.write_names(bits, path)
-    back = systems.read_names(path)
-    assert np.array_equal(bits, back)
+    for count, length in [(13, 37), (1, 1), (8, 16), (150, 2**14 + 5), (21, 2**17 + 3),
+                          (0, 5), (3, 0)]:
+        steps = systems.CoinSource().sample_names(count, length, seed=2)
+        systems.write_names(steps, count, path)
+        bits = unpack(steps, count)
+        assert path.read_bytes() == packbits_batch(bits)
+        assert np.array_equal(systems.read_names(path), bits)
 
 
 def test_names_bad_magic(tmp_path):
@@ -1030,12 +1051,12 @@ def test_frac_is_np_mod_bit_for_bit(values):
 def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
     for src in (systems.NilRotationSource(), systems.RotationCocycleSource(delta=0.3),
                 systems.RudinShapiroSource(log2_length=10)):
-        bits = sample(src, 37, length, seed=3)
-        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        systems.write_names(bits, a)
-        systems.write_names(np.ascontiguousarray(bits), b)
-        assert a.read_bytes() == b.read_bytes()
-        assert np.array_equal(systems.read_names(a), bits)
+        steps = src.sample_names(37, length, seed=3)
+        path = tmp_path / "a.bin"
+        systems.write_names(steps, 37, path)
+        bits = unpack(steps, 37)
+        assert path.read_bytes() == packbits_batch(bits)
+        assert np.array_equal(systems.read_names(path), bits)
 
 
 @pytest.mark.parametrize("src", [systems.CoinSource(), systems.RotationCocycleSource(delta=0.3),
