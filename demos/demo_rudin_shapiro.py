@@ -12,7 +12,8 @@ from atlab import funny, systems
 signs = systems.rudin_shapiro_names(16)
 print("first 16 signs:", " ".join("+" if s > 0 else "-" for s in signs))
 
-# exact integer lag sums from the substitution, without building the signs
+# exact integer lag sums from r(2i) = r(i), r(2i+1) = (-1)^i r(i), without
+# building the signs
 for L in (2**20, 2**40, 2**62 - 1):
     sums = systems.rudin_shapiro_lag_sums(L, 32)
     c = sums / (L - np.arange(33))

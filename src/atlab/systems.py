@@ -29,32 +29,26 @@ def _require_finite(**params: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rudin-Shapiro substitution
+# Rudin-Shapiro sequence
 
 
 # largest log2 of a Rudin-Shapiro prefix the CLI builds (names only): 2^26 int8
-# signs are 64 MiB, and the substitution holds a few arrays of that size at once
+# signs are 64 MiB, and the last doubling holds half of them besides
 MAX_LOG2_LENGTH = 26
 # largest L of the Rudin-Shapiro lag sums, so that L - n stays an int64
 MAX_LENGTH = 2**62
 
-_RS_SUBST = np.array([[0, 1], [0, 2], [3, 1], [3, 2]], dtype=np.int8)
-_RS_SIGN = np.array([1, 1, -1, -1], dtype=np.int8)
-
 
 def rudin_shapiro_names(L: int) -> np.ndarray:
-    """First L signs (+-1) of the Rudin-Shapiro sequence via its substitution.
-
-    Letters 0..3 follow 0->01, 1->02, 2->31, 3->32 with 0,1 read as +1 and
-    2,3 as -1; the fixed point starting from 0 is generated by repeated
-    substitution.
-    """
+    """First L signs (+-1) of the Rudin-Shapiro sequence, as int8, by doubling
+    the prefix with r(2i) = r(i), r(2i+1) = (-1)^i r(i) from r(0) = 1."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    word = np.array([0], dtype=np.int8)
-    while word.size < L:
-        word = _RS_SUBST[word].reshape(-1)
-    return _RS_SIGN[word[:L]].astype(np.int8)
+    s = np.ones(1, dtype=np.int8)
+    while s.size < L:
+        s = np.repeat(s, 2)
+        s[3::4] *= -1  # the odd positions 2i + 1 with i odd
+    return s if s.size == L else s[:L].copy()
 
 
 def _lag_sums(x: np.ndarray, y: np.ndarray, n_max: int) -> np.ndarray:
@@ -134,30 +128,29 @@ def _rudin_shapiro_sign(j: int) -> int:
 
 
 def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
-    """The exact lag sums sum_{k < L-n} r_k r_{k+n}, n = 0..nmax, of the first L
+    """The exact lag sums S(n) = sum_{k < L-n} r_k r_{k+n}, n = 0..nmax, of the first L
     Rudin-Shapiro signs r, as int64, for L up to 2^62.
 
-    All lag sums come from ``_lag_sums``, exact under its rounding bound.  With
-    B its block for lags 0..nmax, the only prefix built is the first 2B
-    signs (at most 2^26 for nmax <= 2^24), whatever L is.  The level-k
-    blocks sigma^k(a) of the substitution are P_k, Q_k, -Q_k and -P_k for
-    a = 0, 1, 2, 3, where P_{k+1} = P_k Q_k and Q_{k+1} = P_k (-Q_k) (the
-    Golay-Rudin-Shapiro pair).  The fixed point is sigma^k of itself, so its
-    level-k block at index j (the signs jB'..(j+1)B' - 1, B' = 2^k) is
-    r_j P_k for even j and r_j Q_k for odd j.  The prefix is therefore one
-    block r_i P_k, i = floor(L / 2^(k+1)), per 1-bit k of L with 2^k >= B,
-    then the first L mod B signs of the level-log2(B) block at index
-    floor(L / B).
-
-    A part is kept as its lag sums and its first and last nmax signs.  The
-    lag sums of a concatenation UV are U's plus V's plus the cross term of
-    the pairs that straddle the cut, which join U's last and V's first nmax
-    signs.  P and Q start at level K = log2(B), longer than nmax, and the
-    prefix is joined from its last part back, so each join puts a block
-    +-P_k in front.  Every head is then P_K's, Q_K's or the last part's, and
-    every tail +-P_K's or +-Q_K's, since the tail of P_{k+1} is Q_k's and
-    that of Q_{k+1} is -Q_k's.  So only a handful of cross terms differ up to
-    sign; the last few, normalized by sign, are cached.
+    Only P = r[:B] and Q = r[B:2B] are built, B being the block of ``_lag_sums``
+    for lags 0..nmax (a power of 2 above nmax).  By r(2i) = r(i) and
+    r(2i+1) = (-1)^i r(i), block j of B signs is r_j P for even j and r_j Q for
+    odd j.  With L = J B + R, R < B, a pair at distance n <= nmax lies in one
+    block or straddles one cut; C(u, v) below sums the pairs across the cut
+    of u v.
+    - Within the J full blocks: ceil(J/2) A_P(n) + floor(J/2) A_Q(n), A being a
+      block's own lag sums.  P, Q is a Golay pair, A_P + A_Q = 0 for n >= 1, so
+      this is J B at n = 0 and (J & 1) A_P(n) after.
+    - Across the cut of blocks 2i, 2i+1 (P, then Q), i < floor(J/2):
+      r_{2i} r_{2i+1} = (-1)^i, so C(P, Q) counts (J >> 1) & 1 times.
+    - Across the cut of blocks 2i+1, 2i+2 (Q, then P), i < I = floor((J-1)/2):
+      r_{2i+1} r_{2i+2} = (-1)^i r_i r_{i+1}, so C(Q, P) counts
+      T(I) = sum_{i<I} (-1)^i r_i r_{i+1} times.  Split by the parity of i, the
+      same two rules give T(I) = (ceil(I/2) mod 2) - T(floor(I/2)).
+    - The R signs left, r_J X with X = (P if J is even else Q)[:R]: their own
+      lag sums, and r_{J-1} r_J C(X_{J-1}, X) across the cut before them.
+    No large multiple of A_P is formed, so nothing can wrap in int64: S(0) = L,
+    and past it |T(I)| is at most the bit length of I (below 50), every A at
+    most B and every C at most nmax.
     """
     L, nmax = operator.index(L), operator.index(nmax)
     if L < 1 or nmax < 0:
@@ -165,45 +158,33 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
     if L > MAX_LENGTH or nmax > MAX_HALF_WIDTH:
         raise ValueError(f"need L <= 2**62 and nmax <= 2**22, got L = {L}, nmax = {nmax}")
     B = max(4096, 1 << nmax.bit_length())  # _lag_sums' block for lags 0..nmax
-
-    def part(s):  # (lag sums, head, tail)
-        return _lag_sums(s, s, nmax), s[:nmax], s[s.size - min(nmax, s.size):]
-
-    @functools.lru_cache(maxsize=4)
-    def normalized_cross(tail_bytes, head_bytes):
-        tail = np.frombuffer(tail_bytes, dtype=np.int8)
-        head = np.frombuffer(head_bytes, dtype=np.int8)
-        # a pair at distance n = 1..nmax joins head[j] and tail[j + nmax - n]
-        out = np.zeros(nmax + 1, dtype=np.int64)
-        out[1:] = _lag_sums(head, tail, nmax - 1)[::-1]
-        return out
-
-    def join(u, v):  # u is a block longer than nmax
-        sums, head, tail = v
-        sums = sums + u[0]
-        if nmax:
-            sign = int(u[2][0]) * int(head[0])
-            sums += sign * normalized_cross((u[2] * u[2][0]).tobytes(),
-                                            (head * head[0]).tobytes())
-        return sums, u[1], np.concatenate([u[2], tail])[tail.size:]
-
-    def signed(sign, u):
-        return u if sign > 0 else (u[0], -u[1], -u[2])
-
-    K = B.bit_length() - 1
     signs = rudin_shapiro_names(2 * B)
     P, Q = signs[:B], signs[B:]
-    low = L % B
-    j = L >> K
-    suffix = part(_rudin_shapiro_sign(j) * (Q if j & 1 else P)[:low]) if low else None
-    p, q = part(P), (part(Q) if L >= 2 * B else None)  # Q_K joins in from level K + 1 on
-    for k in range(K, L.bit_length()):
-        if k > K:
-            p, q = join(p, q), join(p, signed(-1, q))
-        if L >> k & 1:
-            block = signed(_rudin_shapiro_sign(L >> (k + 1)), p)
-            suffix = block if suffix is None else join(block, suffix)
-    return suffix[0]
+
+    def cross(u, v):  # lag n = 1..nmax pairs u[B - n + j] v[j], j < n, across the cut
+        out = np.zeros(nmax + 1, dtype=np.int64)
+        out[1:] = _lag_sums(v[:nmax], u[B - nmax:], nmax - 1)[::-1]
+        return out
+
+    J, R = divmod(L, B)
+    T, sign, I = 0, 1, max(J - 1, 0) >> 1
+    while I:  # T(I) = (ceil(I/2) mod 2) - T(floor(I/2)), unrolled
+        T, sign, I = T + sign * ((I + 1) >> 1 & 1), -sign, I >> 1
+    sums = np.zeros(nmax + 1, dtype=np.int64)
+    if J & 1:
+        sums += _lag_sums(P, P, nmax)
+    if J >> 1 & 1:
+        sums += cross(P, Q)
+    if T:
+        sums += T * cross(Q, P)
+    if R:
+        X = (Q if J & 1 else P)[:R]
+        sums += _lag_sums(X, X, nmax)
+        if J:
+            sign = _rudin_shapiro_sign(J - 1) * _rudin_shapiro_sign(J)
+            sums += sign * cross(P if J & 1 else Q, X)
+    sums[0] = L
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,12 @@ def test_rudin_shapiro_prefix_property():
     assert np.array_equal(a, b[: 2**10])
 
 
-def test_rudin_shapiro_matches_binary_oracle():
-    L = 2**12
-    assert np.array_equal(systems.rudin_shapiro_names(L), rs_oracle(L))
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 7, 9, 2**12 - 1, 2**12, 2**12 + 1, 2**20 + 3])
+def test_rudin_shapiro_matches_binary_oracle(L):
+    names = systems.rudin_shapiro_names(L)
+    assert names.dtype == np.int8 and np.array_equal(names, rs_oracle(L))
+    # a prefix cut from a longer doubling owns its buffer
+    assert names.base is None
 
 
 def test_empirical_correlation_constant():
@@ -135,8 +138,8 @@ def test_rudin_shapiro_lag_sums_match_lag_loop(L, n_max):
     assert np.array_equal(got, lag_sums_loop(systems.rudin_shapiro_names(L), n_max))
 
 
-# prefixes of at most 4 blocks of max(4096, 2^ceil(log2(n_max + 1))) signs are
-# built whole; longer ones (L > 16384 here) go through the substitution recursion
+# with B = max(4096, 2^ceil(log2(n_max + 1))) and L = J B + R, the lag sums come
+# from counts of full blocks and block cuts; J and R take every small value here
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(L=st.one_of(st.integers(1, 3000), st.integers(2**14 - 64, 2**14 + 64),
                    st.integers(2**14, 2**19)),
@@ -151,6 +154,33 @@ def test_rudin_shapiro_lag_sums_match_lag_loop(L, n_max):
 def test_rudin_shapiro_lag_sums_property(L, n_max):
     assert np.array_equal(systems.rudin_shapiro_lag_sums(L, n_max),
                           lag_sums_loop(systems.rudin_shapiro_names(L), n_max))
+
+
+@pytest.mark.parametrize("L, n_max", [(2**20, 2**18), (2**20 + 12345, 2**18 - 1)] + [
+    (J * 8192 + R, 5000) for J in range(4) for R in (0, 3000) if J or R])
+def test_rudin_shapiro_lag_sums_match_one_kernel_pass(L, n_max):
+    # block B = 8192 at n_max = 5000: no block (J = 0) to three, with a remainder
+    # shorter than n_max or none; (2^20, 2^18) is four blocks of 2^18 signs
+    s = systems.rudin_shapiro_names(L)
+    assert np.array_equal(systems.rudin_shapiro_lag_sums(L, n_max),
+                          systems._lag_sums(s, s, n_max))
+
+
+# S_2L(2n) = (1 + (-1)^n) S_L(n): the even positions r_2i = r_i and the odd ones
+# r_2i+1 = (-1)^i r_i each pair r_i with r_i+n, the odd ones with sign (-1)^n.  This
+# checks the lag sums at lengths no prefix can be built for
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(L=st.one_of(st.integers(1, 2**16), st.integers(1, 2**61),
+                   st.integers(1, 2**49).map(lambda J: 4096 * J)),  # R = 0 at B = 4096
+       n_max=st.integers(0, 700))
+@example(L=2**61, n_max=700)
+@example(L=2**61 - 1, n_max=700)
+@example(L=3 * 4096 + 1, n_max=0)
+@example(L=5 * 4096, n_max=333)
+def test_rudin_shapiro_lag_sums_doubling_identity(L, n_max):
+    short = systems.rudin_shapiro_lag_sums(L, n_max)
+    long = systems.rudin_shapiro_lag_sums(2 * L, 2 * n_max)
+    assert np.array_equal(long[::2], np.where(np.arange(n_max + 1) % 2, 0, 2 * short))
 
 
 def test_rudin_shapiro_golay_identity():
