@@ -21,7 +21,7 @@ _EXPORTS = {
     "systems": (
         "CoinSource", "ConstantSource", "DistalSource", "NameSource", "NilRotationSource",
         "OdometerExtensionSource", "RotationCocycleSource", "RudinShapiroSource",
-        "empirical_correlation", "nil_rotation_correlations", "nil_rotation_n1_series",
+        "nil_rotation_correlations", "nil_rotation_n1_series",
         "rotation_ac_cocycle_correlations", "rudin_shapiro_lag_sums", "rudin_shapiro_names",
         "two_point_extension_correlations",
     ),

@@ -402,6 +402,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input, unreadable or unwritable file
         return _fail(str(exc))
+    except MemoryError as exc:  # an allocation the machine cannot give
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

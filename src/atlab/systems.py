@@ -53,73 +53,42 @@ def rudin_shapiro_names(L: int) -> np.ndarray:
 
 def _lag_sums(x: np.ndarray, y: np.ndarray, n_max: int) -> np.ndarray:
     """The exact lag sums sum_j x[j] y[j + n], n = 0..n_max, of two 1-D sequences
-    of +1 and -1 (any other entry raises ValueError), as int64.
+    of at most B = max(4096, 2^ceil(log2(n_max + 1))) entries +1 and -1, as int64
+    (a longer sequence or any other entry raises ValueError).
 
-    A blocked Wiener-Khinchin correlation.  x and y are cut into blocks x_a,
-    y_a of B = max(4096, 2^ceil(log2(n_max + 1))) samples and each block gets
-    one rfft of size G = 2B.  With w the concatenation of y_a and y_{a+1},
-    whose transform is Y_a + (-1)^f Y_{a+1}, the irfft of
-    conj(X_a) (Y_a + (-1)^f Y_{a+1}) is the circular correlation
-    sum_k x_a[k] w[k + n]; for n <= B it does not wrap, so its first n_max + 1
-    entries are block a's share of every lag sum, and the shares add up to
-    the whole sum.  When y is x, X_a is Y_a and each block is transformed once.
+    One Wiener-Khinchin correlation: x and y are zero-padded to G = 2B and get
+    one rfft each (one in all when y is x).  The irfft of conj(X) Y is the
+    circular correlation sum_k x[k] y[(k + n) mod G]; with k < B and n < B it
+    does not wrap, so its first n_max + 1 entries are the lag sums.
 
-    Each share is an integer.  Following the convention of
-    ``fourier._fft_rounding`` (Higham, Thm 24.2, eta = 8 eps), a computed
-    length-G transform has 2-norm error at most g = ceil(log2 G) 8 eps times
-    the exact one's.  The errors of X_a and of w's transform pass through
-    the product and the inverse as at most (1 + sqrt 2) g ||x_a||_2 ||w||_2,
-    the inverse adds g ||X_a W||_2 / sqrt G <= g ||x_a||_1 ||w||_2, and the
-    sum and product roundings add under 2 eps ||x_a||_2 ||w||_2.  With
-    ||x_a||_2 <= ||x_a||_1 <= B and ||w||_2 <= sqrt G for signs, every share
-    is within E = (4 g + 2 eps) B sqrt G of its integer (3.4e-8 at B = 4096).
-    E < 1/2 is checked, so rounding each share recovers it exactly; the
-    shares are added in int64.  Memory beyond the input is O(B): one block
-    at a time is converted to float.
+    Each is an integer.  Following the convention of ``fourier._fft_rounding``
+    (Higham, Thm 24.2, eta = 8 eps), a computed length-G transform has 2-norm
+    error at most g = ceil(log2 G) 8 eps times the exact one's.  The errors of
+    X and Y pass through the product and the inverse as at most
+    (1 + sqrt 2) g ||x||_2 ||y||_2, the inverse adds
+    g ||X Y||_2 / sqrt G <= g ||x||_1 ||y||_2, and the product rounding adds
+    under 2 eps ||x||_2 ||y||_2.  With ||x||_2 <= ||x||_1 <= B and
+    ||y||_2 <= sqrt G for signs, every sum is within E = (4 g + 2 eps) B sqrt G
+    of its integer (3.4e-8 at B = 4096).  E < 1/2 is checked, so rounding
+    recovers each sum exactly.
     """
     B = max(4096, 1 << int(n_max).bit_length())
     G = 2 * B
     eps = float(np.finfo(float).eps)
     if (4 * math.ceil(math.log2(G)) * 8.0 * eps + 2 * eps) * B * math.sqrt(G) >= 0.5:
         raise ValueError(f"n_max = {n_max} is too large for exact FFT lag sums")
+    if max(x.size, y.size) > B:
+        raise ValueError(f"need at most {B} signs for lags 0..{n_max}, got {max(x.size, y.size)}")
 
-    def spectrum(v, a):
-        if a * B >= v.size:
-            return 0.0
-        block = v[a * B:(a + 1) * B].astype(float)
-        if not np.all(np.abs(block) == 1.0):
+    def spectrum(v):
+        v = v.astype(float)
+        if not np.all(np.abs(v) == 1.0):
             raise ValueError("signs must be +1 or -1")
-        return np.fft.rfft(block, G)  # numpy.fft loads on first use, not at import
+        return np.fft.rfft(v, G)  # numpy.fft loads on first use, not at import
 
-    flip = np.where(np.arange(B + 1) % 2 == 0, 1.0, -1.0)
-    total = np.zeros(n_max + 1, dtype=np.int64)
-    Y = spectrum(y, 0)
-    for a in range(-(-x.size // B)):
-        X = Y if x is y else spectrum(x, a)
-        Y_next = spectrum(y, a + 1)
-        share = np.fft.irfft(np.conj(X) * (Y + flip * Y_next), G)[:n_max + 1]
-        total += np.rint(share).astype(np.int64)
-        Y = Y_next
-    return total
-
-
-def empirical_correlation(signs: np.ndarray, n_max: int) -> np.ndarray:
-    """Birkhoff-average correlations c(n) = mean_k s_k s_{k+n}, n = 0..n_max (no tail bound).
-
-    ``signs`` must be a 1-D numeric sequence of +1 and -1 only; anything else
-    raises ValueError.  The result equals the exact integer lag sums
-    sum_{k < L-n} s_k s_{k+n} (``_lag_sums``) divided by L - n in float, i.e.
-    the lag loop ``s[:L-n] @ s[n:] / (L-n)``, bit for bit.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    s = np.asarray(signs)
-    if s.ndim != 1 or s.dtype.kind not in "iuf":
-        raise ValueError("signs must be a 1-D numeric sequence of +1 and -1")
-    L = s.size
-    if L < max(1, 4 * n_max):
-        raise ValueError("sequence too short: need length >= max(1, 4 * n_max)")
-    return _lag_sums(s, s, n_max) / (L - np.arange(n_max + 1))
+    X = spectrum(x)
+    Y = X if y is x else spectrum(y)
+    return np.rint(np.fft.irfft(np.conj(X) * Y, G)[:n_max + 1]).astype(np.int64)
 
 
 def _rudin_shapiro_sign(j: int) -> int:
@@ -131,8 +100,8 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
     """The exact lag sums S(n) = sum_{k < L-n} r_k r_{k+n}, n = 0..nmax, of the first L
     Rudin-Shapiro signs r, as int64, for L up to 2^62.
 
-    Only P = r[:B] and Q = r[B:2B] are built, B being the block of ``_lag_sums``
-    for lags 0..nmax (a power of 2 above nmax).  By r(2i) = r(i) and
+    Only P = r[:B] and Q = r[B:2B] are built, B being the most signs ``_lag_sums``
+    takes for lags 0..nmax (a power of 2 above nmax).  By r(2i) = r(i) and
     r(2i+1) = (-1)^i r(i), block j of B signs is r_j P for even j and r_j Q for
     odd j.  With L = J B + R, R < B, a pair at distance n <= nmax lies in one
     block or straddles one cut; C(u, v) below sums the pairs across the cut
@@ -157,7 +126,7 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
         raise ValueError("need L >= 1 and nmax >= 0")
     if L > MAX_LENGTH or nmax > MAX_HALF_WIDTH:
         raise ValueError(f"need L <= 2**62 and nmax <= 2**22, got L = {L}, nmax = {nmax}")
-    B = max(4096, 1 << nmax.bit_length())  # _lag_sums' block for lags 0..nmax
+    B = max(4096, 1 << nmax.bit_length())  # the most signs _lag_sums takes for lags 0..nmax
     signs = rudin_shapiro_names(2 * B)
     P, Q = signs[:B], signs[B:]
 

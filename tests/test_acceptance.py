@@ -44,11 +44,11 @@ def test_criterion_02_lebesgue_identities():
 
 
 def test_criterion_03_rudin_shapiro():
-    """|empirical c(n)| <= 5/sqrt(L) at L=2^20, oracle match below 2^16, < 30 s."""
+    """|c(n)| = |S(n)| / (L - n) <= 5/sqrt(L) from the exact lag sums S at L=2^20,
+    oracle match below 2^16, < 30 s."""
     t0 = time.perf_counter()
     L = 2**20
-    signs = systems.rudin_shapiro_names(L)
-    c = systems.empirical_correlation(signs, 64)
+    c = systems.rudin_shapiro_lag_sums(L, 64) / (L - np.arange(65))
     tol = 5.0 / math.sqrt(L)
     for n in range(1, 65):
         assert abs(c[n]) <= tol, (n, c[n])
@@ -60,7 +60,7 @@ def test_criterion_03_rudin_shapiro():
         pairs += ((v & 3) == 3).astype(np.int64)
         v >>= np.uint64(1)
     oracle = np.where(pairs % 2 == 0, 1, -1)
-    assert np.array_equal(signs[: 2**16], oracle)
+    assert np.array_equal(systems.rudin_shapiro_names(2**16), oracle)
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -17,7 +17,7 @@ PUBLIC = [
     "NilRotationSource", "OdometerExtensionSource", "RotationCocycleSource",
     "RudinShapiroSource", "SbhReport", "arcsine_fourth_transform", "arcsine_transform",
     "bessel", "bessel_jv", "certify", "cocycle_correlation_table", "cocycle_variances",
-    "density_sup", "dirac_table", "empirical_correlation", "epsilon0", "fourier", "funny",
+    "density_sup", "dirac_table", "epsilon0", "fourier", "funny",
     "funny_word_search", "gaussian", "gnoat_constant_check", "is_positive_definite",
     "l1_tail", "lebesgue_table", "nil_rotation_correlations", "nil_rotation_n1_series",
     "non_at_bound",

@@ -137,6 +137,19 @@ def test_measure_missing_input_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("message, line", [("", "error: out of memory\n"),
+                                           ("cannot allocate", "error: cannot allocate\n")],
+                         ids=["empty", "message"])
+def test_out_of_memory_exit_2(tmp_path, monkeypatch, capsys, message, line):
+    def builder(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._MEASURES, "sqrt", builder)
+    out = tmp_path / "s.json"
+    assert run(["measure", "sqrt", "--N", "8", "--out", str(out)], capsys) == (2, "", line)
+    assert not out.exists()
+
+
 def test_certify_lebesgue_exit_0(tmp_path, capsys):
     mfile = tmp_path / "leb.json"
     run(["measure", "lebesgue", "--N", "8", "--out", str(mfile)], capsys)

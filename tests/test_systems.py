@@ -46,21 +46,30 @@ def test_rudin_shapiro_matches_binary_oracle():
         assert names.base is None, L
 
 
+# the empirical correlation c(n) = S(n) / (L - n) of the Rudin-Shapiro rows, with
+# S the exact lag sums of ``_lag_sums``, which takes at most
+# B = max(4096, 2^ceil(log2(n_max + 1))) signs per sequence
 def test_empirical_correlation_constant():
-    c = systems.empirical_correlation(np.ones(64), 8)
+    s = np.ones(64)
+    c = systems._lag_sums(s, s, 8) / (64 - np.arange(9))
     assert np.allclose(c, 1.0)
 
 
 def test_empirical_correlation_alternating():
     s = np.tile([1.0, -1.0], 64)
-    c = systems.empirical_correlation(s, 8)
+    c = systems._lag_sums(s, s, 8) / (128 - np.arange(9))
     for n in range(9):
         assert c[n] == pytest.approx((-1.0) ** n, abs=1e-12)
 
 
 def test_empirical_correlation_length_check():
-    with pytest.raises(ValueError):
-        systems.empirical_correlation(np.ones(16), 8)
+    ok = np.ones(4096)
+    assert systems._lag_sums(ok, ok, 8)[0] == 4096
+    for x, y in [(np.ones(4097), ok), (ok, np.ones(4097)), (np.ones(8193), np.ones(8193))]:
+        with pytest.raises(ValueError, match="at most 4096 signs"):
+            systems._lag_sums(x, y, 8)
+    with pytest.raises(ValueError, match="at most 8192 signs"):
+        systems._lag_sums(np.ones(8193), ok, 4096)
 
 
 def lag_loop(signs, n_max):
@@ -70,45 +79,53 @@ def lag_loop(signs, n_max):
     return np.array([s[:L - n] @ s[n:] / (L - n) for n in range(n_max + 1)])
 
 
-# the blocks hold B = max(4096, 2^ceil(log2(n_max + 1))) samples
+def lag_sums_loop(signs, n_max, other=None):
+    """Reference: each lag sum sum_j signs[j] other[j + n] (other defaults to signs)
+    as one float dot product of +-1 entries, exact below 2^53."""
+    x = np.asarray(signs, dtype=float)
+    y = x if other is None else np.asarray(other, dtype=float)
+    k = [min(x.size, y.size - n) for n in range(n_max + 1)]
+    return np.array([x[:k[n]] @ y[n:n + k[n]] if k[n] > 0 else 0.0
+                     for n in range(n_max + 1)]).astype(np.int64)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
-@given(n_max=st.one_of(st.integers(0, 300), st.integers(4096, 4300)),
-       extra=st.integers(0, 9000), dtype=st.sampled_from([np.int8, np.float64]),
-       seed=st.integers(0, 2**32 - 1))
-@example(n_max=0, extra=0, dtype=np.int8, seed=0)  # n_max = 0, L = 1
-@example(n_max=0, extra=5000, dtype=np.float64, seed=1)
-@example(n_max=100, extra=10, dtype=np.int8, seed=2)  # L below one block
-@example(n_max=1500, extra=0, dtype=np.float64, seed=3)  # L = 4 n_max, ragged
-@example(n_max=64, extra=3 * 4096 + 5 - 256, dtype=np.int8, seed=4)  # ragged last block
-@example(n_max=4096, extra=0, dtype=np.int8, seed=5)  # B grows to 8192, two blocks
-@example(n_max=4097, extra=123, dtype=np.float64, seed=6)
-def test_empirical_correlation_matches_lag_loop(n_max, extra, dtype, seed):
-    L = max(1, 4 * n_max) + extra
-    s = np.random.default_rng(seed).choice([-1, 1], size=L).astype(dtype)
-    assert np.array_equal(systems.empirical_correlation(s, n_max), lag_loop(s, n_max))
+@given(n_max=st.one_of(st.integers(0, 300), st.integers(0, 8191)),
+       lx=st.integers(1, 8192), ly=st.integers(1, 8192), same=st.booleans(),
+       dtype=st.sampled_from([np.int8, np.float64]), seed=st.integers(0, 2**32 - 1))
+@example(n_max=0, lx=1, ly=1, same=True, dtype=np.int8, seed=0)  # L = 1
+@example(n_max=0, lx=4096, ly=4096, same=True, dtype=np.float64, seed=1)
+@example(n_max=100, lx=10, ly=10, same=True, dtype=np.int8, seed=2)  # every lag from 10 on is empty
+@example(n_max=4095, lx=4096, ly=4096, same=True, dtype=np.float64, seed=3)  # n_max = B - 1
+@example(n_max=4096, lx=8192, ly=8192, same=False, dtype=np.int8, seed=5)  # B grows to 8192
+@example(n_max=300, lx=4096, ly=17, same=False, dtype=np.int8, seed=6)  # y shorter than x
+@example(n_max=300, lx=17, ly=4096, same=False, dtype=np.float64, seed=7)  # x shorter than y
+def test_empirical_correlation_matches_lag_loop(n_max, lx, ly, same, dtype, seed):
+    B = max(4096, 1 << n_max.bit_length())
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1, 1], size=min(lx, B)).astype(dtype)
+    y = x if same else rng.choice([-1, 1], size=min(ly, B)).astype(dtype)
+    got = systems._lag_sums(x, y, n_max)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, lag_sums_loop(x, n_max, y))
 
 
 @pytest.mark.parametrize("bad", [0, 2, 0.5, np.nan])
 @pytest.mark.parametrize("where", [0, 9000])
 def test_empirical_correlation_rejects_non_signs(bad, where):
-    s = np.ones(9001)
+    # at n_max = 8192 the kernel takes 16384 signs, so entry 9000 is read too
+    s, ok = np.ones(9001), np.ones(9001)
     s[where] = bad
-    with pytest.raises(ValueError, match="[+]1 or -1"):
-        systems.empirical_correlation(s, 8)
-
-
-@pytest.mark.parametrize("signs", [np.ones((64, 2)), np.array(["1", "-1"] * 32)],
-                         ids=["2-d", "strings"])
-def test_empirical_correlation_rejects_non_sequences(signs):
-    with pytest.raises(ValueError, match="1-D numeric"):
-        systems.empirical_correlation(signs, 8)
+    for x, y in [(s, s), (s, ok), (ok, s)]:
+        with pytest.raises(ValueError, match="[+]1 or -1"):
+            systems._lag_sums(x, y, 8192)
 
 
 def test_empirical_correlation_rejects_inexact_lag_range():
     # a broadcast view: 2^30 signs that occupy one byte
     signs = np.broadcast_to(np.int8(1), 2**30)
     with pytest.raises(ValueError, match="too large for exact"):
-        systems.empirical_correlation(signs, 2**28)
+        systems._lag_sums(signs, signs, 2**28)
 
 
 def test_cli_rudin_shapiro_csv_matches_lag_loop(tmp_path):
@@ -121,13 +138,6 @@ def test_cli_rudin_shapiro_csv_matches_lag_loop(tmp_path):
         f"{n},{float(v)!r},0.0,empirical,{err}\n"
         for n, v in enumerate(lag_loop(systems.rudin_shapiro_names(L), n_max)))
     assert out.read_text() == expected
-
-
-def lag_sums_loop(signs, n_max):
-    """Reference: each lag sum as one float dot product of +-1 entries, exact below 2^53."""
-    s = np.asarray(signs, dtype=float)
-    L = s.size
-    return np.array([s[:L - n] @ s[n:] if n < L else 0.0 for n in range(n_max + 1)]).astype(np.int64)
 
 
 @pytest.mark.parametrize("L, n_max", [(1, 0), (5, 1), (1000, 16), (3000, 200), (10**5, 64),
@@ -160,10 +170,16 @@ def test_rudin_shapiro_lag_sums_property(L, n_max):
     (J * 8192 + R, 5000) for J in range(4) for R in (0, 3000) if J or R])
 def test_rudin_shapiro_lag_sums_match_one_kernel_pass(L, n_max):
     # block B = 8192 at n_max = 5000: no block (J = 0) to three, with a remainder
-    # shorter than n_max or none; (2^20, 2^18) is four blocks of 2^18 signs
-    s = systems.rudin_shapiro_names(L)
-    assert np.array_equal(systems.rudin_shapiro_lag_sums(L, n_max),
-                          systems._lag_sums(s, s, n_max))
+    # shorter than n_max or none; (2^20, 2^18) is two blocks of 2^19 signs, and
+    # (2^20 + 12345, 2^18 - 1) four of 2^18 and a remainder.  The reference is one
+    # correlation of the whole prefix, zero-padded to G >= L + n_max so that it does
+    # not wrap; by the bound of ``_lag_sums`` with ||s||_1 = L and ||s||_2 = sqrt L,
+    # each sum is within (4 g + 2 eps) L^1.5 < 0.2 of its integer
+    s = systems.rudin_shapiro_names(L).astype(float)
+    G = 1 << (L + n_max).bit_length()
+    S = np.fft.rfft(s, G)
+    ref = np.rint(np.fft.irfft(np.conj(S) * S, G)[:n_max + 1]).astype(np.int64)
+    assert np.array_equal(systems.rudin_shapiro_lag_sums(L, n_max), ref)
 
 
 # S_2L(2n) = (1 + (-1)^n) S_L(n): the even positions r_2i = r_i and the odd ones
