@@ -1,0 +1,122 @@
+"""Run CI's memory and exit-code rows, each in a child, and check them.
+
+A row is (argv after the interpreter, expected exit, MiB cap or None,
+RLIMIT_AS KiB or None). The rows run in order in one temporary directory with
+OPENBLAS_NUM_THREADS=1. A row passes when its exit code matches, its peak RSS
+is at or below its cap, and, if it expects exit 2, it prints exactly one
+`error: ` line to stderr and leaves no new file. One line per row is printed;
+the exit is 1 if any row failed.
+
+    PYTHONPATH=src python3 tools/ci_caps.py
+
+This parent imports neither numpy nor atlab: a child's ru_maxrss starts at its
+forking parent's RSS (see perfbench/launcher.py). Each row's peak is the
+child's own os.wait4 rusage; RUSAGE_CHILDREN is a running maximum over all
+children, so one large row would hide every later row.
+"""
+
+import os
+import resource
+import shlex
+import subprocess
+import sys
+import tempfile
+
+CLI = ["-m", "atlab.cli"]
+MC = ["--r", "0.5", "--samples", "16777216", "--seed", "1"]
+SQRT = ["--in", "sqrt1024.json", "--k", "12"]
+
+ROWS = [
+    # a Monte Carlo run holds one uint8 per sample and two 2^16-sample blocks,
+    # about 53 MiB of RSS at the 2^24 cap (180 MiB while it stored the x0 draw);
+    # a full-size float64 array coming back (+128 MiB) passes 96
+    ([*CLI, "gaussian", "product", "--level", "4", *MC], 0, 96, None),
+    ([*CLI, "gaussian", "orthant", *MC], 0, 96, None),
+    # at 2 * samples * horizon = MAX_NAME_BITS = 2^26 the search holds its names as
+    # packed step rows, 8 MiB, and unpacks one candidate's 64 rows at a time:
+    # about 55 MiB of RSS (111 MiB while it held one uint8 per name bit, which fails 80)
+    ([*CLI, "funny", "--system", "coin", "--k", "64", "--horizon", "1024",
+      "--samples", "32768", "--seed", "1"], 0, 80, None),
+    # at names * length = MAX_NAME_BITS = 2^26 the nil sampler holds the packed step
+    # rows, 8 MiB, and write_names unpacks 1 MiB of names at a time: about 48 MiB of
+    # RSS (115 MiB while the batch was unpacked to one uint8 per name bit and repacked)
+    ([*CLI, "system", "nil", "--names", "65536", "--length", "1024", "--nmax", "4"],
+     0, 64, None),
+    # the 2^26-sign Rudin-Shapiro prefix is built by doubling (the last two prefixes,
+    # 96 MiB) and the sampler holds it with its bits (128 MiB): about 164 MiB of RSS
+    # (228 MiB while a substitution built letter and sign arrays of the full length)
+    ([*CLI, "funny", "--system", "rudin-shapiro", "--log2-length", "26", "--samples", "16",
+      "--k", "4", "--horizon", "8"], 0, 192, None),
+    # at the largest nmax, 2^22, the lag sums build P and Q (2^23 signs each) and run
+    # one zero-padded 2^24-point correlation at a time: about 434 MiB of RSS (466 MiB
+    # while _lag_sums cut its input into blocks and held two block spectra per step)
+    (["-c", "from atlab import systems; systems.rudin_shapiro_lag_sums(2**62, 2**22)"],
+     0, 512, None),
+    # the widest sqrt table peaks at about 1.2 GiB of RSS while it is rendered to JSON,
+    # so under ulimit -v 1200000 an allocation fails: one error line and exit 2, no
+    # file written (a 22-line traceback and exit 1 while main let MemoryError through)
+    ([*CLI, "measure", "sqrt", "--N", "4194304", "--out", "s.json"], 2, None, 1200000),
+    ([*CLI, "measure", "sqrt", "--N", "1024", "--c", "0.3", "--out", "sqrt1024.json"],
+     0, None, None),
+    # the pair bound stops the exact search at k = 12, window = 24 on a sqrt table
+    # after its first chunk of 2^16 forms (exit 3, where the full scan exceeded its budget),
+    # and the flip/move heuristic runs 2000 moves; about 74 MiB of RSS, much of it
+    # a bound and a rank for each of the C(23, 11) subsets that hold 0
+    ([*CLI, "certify", *SQRT, "--window", "24", "--budget", "2000"], 3, 256, None),
+    # at the 2^22 window cap the flip/move heuristic scores its moves 2^16 / k rows at a
+    # time and holds the lags, x and h, about 155 MiB of RSS; whole window x k arrays
+    # per step peaked at 1335 MiB
+    ([*CLI, "certify", *SQRT, "--budget", "1", "--window", "4194304"], 3, 400, None),
+    # the constant chain's 10^6-term series is summed in 2^16-term blocks, about
+    # 31.5 MiB of RSS; the full-length expression it replaced peaked at 53
+    ([*CLI, "gaussian", "constants"], 0, 45, None),
+    # a spec check at N = 16384: the grid bound reads d_N on G = 64N = 2^20 points,
+    # 48 of the 82-86 MiB of RSS; a grid twice as fine adds 48 MiB more and passes 112
+    ([*CLI, "measure", "riesz", "--N", "16384", "--a", "0.5,0.5,0.5", "--freq", "1,3,9",
+      "--out", "riesz16384.json"], 0, None, None),
+    ([*CLI, "gaussian", "cocycle", "--spec", "riesz16384.json"], 0, 112, None),
+    # the cocycle table takes 2^16 exponentials at a time, about 47 MiB of RSS at
+    # nmax = 65536; all 65536 x 202 at once (M = 201) add over 100 MiB and pass 64
+    ([*CLI, "gaussian", "cocycle", "--nmax", "65536"], 0, 64, None),
+    # the lag sums of L = 2^40 signs build P and Q of B = 8192 signs, B following nmax:
+    # about 31 MiB of RSS; B at 2^20, whatever nmax, peaks at 135 MiB and passes 45
+    ([*CLI, "system", "rudin-shapiro", "--L", str(2**40), "--nmax", "4096"], 0, 45, None),
+]
+
+
+def run_row(argv, code, cap, as_kib, cwd) -> bool:
+    """Run one row in cwd, print its line and return whether it passed."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (as_kib * 1024, as_kib * 1024))
+    # the rows run elsewhere, so a relative PYTHONPATH (src) is made absolute
+    path = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(path)}
+    before = set(os.listdir(cwd))
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, stdout=subprocess.DEVNULL,
+                                stderr=err, env=env, preexec_fn=limit if as_kib else None)
+        _, status, usage = os.wait4(proc.pid, 0)
+        # the child is reaped; record its status so Popen does not wait again
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        lines = err.read().decode(errors="replace").splitlines()
+    peak = usage.ru_maxrss / 1024  # KiB on Linux
+    ok = proc.returncode == code and (cap is None or peak <= cap)
+    if code == 2:
+        ok = (ok and len(lines) == 1 and lines[0].startswith("error: ")
+              and set(os.listdir(cwd)) <= before)
+    print(f"{'ok' if ok else 'FAIL'}: {shlex.join(argv)}: exit {proc.returncode} "
+          f"(want {code}), peak {peak:.1f} MiB (cap {cap})", flush=True)
+    if not ok:
+        print("\n".join(lines), flush=True)
+    return ok
+
+
+def main(rows=ROWS) -> int:
+    with tempfile.TemporaryDirectory() as cwd:
+        results = [run_row(*row, cwd) for row in rows]
+    return 0 if all(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
