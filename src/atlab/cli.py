@@ -9,25 +9,20 @@ bad input, and `main` turns it, or an OSError, into one `error:` line.
 takes one `NameSource` subclass and one `_SYSTEMS` entry (and, if it defines
 `rows`, one `_ROW_SYSTEMS` entry).  `system` prints the source's `rows` and
 samples its names; `funny` samples names from it.
-Every subcommand reads `fourier`; the other modules are imported by the
-commands that use them, so `measure` loads `fourier` alone and `certify` adds
-`sbh`.  Each command calls `module.func` when it runs, so a rebound (e.g.
-traced) function is the one that runs.
+`import atlab.cli` loads the standard library alone: numpy and every atlab
+module are imported by the commands that use them, so `--help`, a usage error
+or a bad `--config` key exits before numpy loads, `measure` loads `fourier`
+alone and `certify` adds `sbh`.  Each command calls `module.func` when it runs,
+so a rebound (e.g. traced) function is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import inspect
 import json
 import math
 import sys
-
-import numpy as np
-
-from . import fourier
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +74,33 @@ def correlation_csv(rows) -> str:
 # subcommands: straight-line code that raises ValueError on bad input
 
 
-def _read_in(args):
+def _read_in(fourier, args):
     """The table read from --in, which the transform kinds of `measure` need."""
     if not args.infile:
         raise ValueError(f"measure {args.kind} needs --in")
     return fourier.read_measure(args.infile)
 
 
-# kind -> builder of the table from the parsed args; the builders look up
-# fourier.* when called, so a rebound (e.g. traced) attribute runs
+# kind -> builder of the table from the `fourier` module and the parsed args;
+# the builders look up fourier.* when called, so a rebound (e.g. traced)
+# attribute runs
 _MEASURES = {
-    "lebesgue": lambda a: fourier.lebesgue_table(a.N),
-    "dirac": lambda a: fourier.dirac_table(a.N),
-    "riesz": lambda a: fourier.riesz_product([float(x) for x in a.a.split(",")],
-                                             [int(x) for x in a.freq.split(",")], a.N),
-    "sqrt": lambda a: fourier.sqrt_template(a.c, a.N),
-    "arcsine": lambda a: fourier.arcsine_transform(_read_in(a)),
-    "arcsine4": lambda a: fourier.arcsine_fourth_transform(_read_in(a)),
-    "subsample": lambda a: fourier.power_subsample(_read_in(a), a.m),
+    "lebesgue": lambda fourier, a: fourier.lebesgue_table(a.N),
+    "dirac": lambda fourier, a: fourier.dirac_table(a.N),
+    "riesz": lambda fourier, a: fourier.riesz_product([float(x) for x in a.a.split(",")],
+                                                      [int(x) for x in a.freq.split(",")],
+                                                      a.N),
+    "sqrt": lambda fourier, a: fourier.sqrt_template(a.c, a.N),
+    "arcsine": lambda fourier, a: fourier.arcsine_transform(_read_in(fourier, a)),
+    "arcsine4": lambda fourier, a: fourier.arcsine_fourth_transform(_read_in(fourier, a)),
+    "subsample": lambda fourier, a: fourier.power_subsample(_read_in(fourier, a), a.m),
 }
 
 
 def cmd_measure(args) -> int:
+    import numpy as np
+
+    from . import fourier
     # a wider table could not be read back by --in or certify
     if not 0 <= args.N <= fourier.MAX_HALF_WIDTH:
         raise ValueError(f"need 0 <= --N <= {fourier.MAX_HALF_WIDTH}, got {args.N}")
@@ -108,7 +108,7 @@ def cmd_measure(args) -> int:
     max_grid = 4 * fourier.MAX_HALF_WIDTH + 4
     if args.density_grid is not None and not 1 <= args.density_grid <= max_grid:
         raise ValueError(f"need 1 <= --density-grid <= {max_grid}, got {args.density_grid}")
-    t = _MEASURES[args.kind](args)
+    t = _MEASURES[args.kind](fourier, args)
     _emit(render_json(fourier.table_to_json_obj(t)), args)
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
@@ -128,7 +128,9 @@ _EXITCODE = {"CERTIFIED_SBH": 0, "CERTIFIED_NOT_SBH": 3, "UNDECIDED": 4}
 
 
 def cmd_certify(args) -> int:
-    from . import sbh
+    import dataclasses
+
+    from . import fourier, sbh
     if args.window > fourier.MAX_HALF_WIDTH:
         raise ValueError(f"need --window <= {fourier.MAX_HALF_WIDTH}, got {args.window}")
     t = fourier.read_measure(args.infile)
@@ -178,6 +180,8 @@ def _system(args):
     """A builder of args.system's source, with --alpha and --phi parsed in place: it
     gets each option named like a constructor parameter (`funny` has no --L,
     which shapes only the rows, so there it keeps its default)."""
+    import inspect
+
     from . import systems
     if not 0 <= args.log2_length <= systems.MAX_LOG2_LENGTH:
         raise ValueError(f"need 0 <= --log2-length <= {systems.MAX_LOG2_LENGTH}, "
@@ -193,7 +197,7 @@ def _system(args):
 
 
 def cmd_system(args) -> int:
-    from . import systems
+    from . import fourier, systems
     make_source = _system(args)
     if not 0 <= args.nmax <= fourier.MAX_HALF_WIDTH or args.names < 0 or args.length < 1:
         raise ValueError(f"need 0 <= --nmax <= {fourier.MAX_HALF_WIDTH}, --names >= 0 "
@@ -215,7 +219,9 @@ def cmd_system(args) -> int:
 
 
 def cmd_gaussian(args) -> int:
-    from . import gaussian
+    import dataclasses
+
+    from . import fourier, gaussian
     mode = args.mode
     if mode == "constants":
         _emit(render_json(dataclasses.asdict(gaussian.gnoat_constant_check())), args)

@@ -66,14 +66,25 @@ def sbh_form(t: FourierTable, indices, signs) -> float:
     return float(s @ np.real(t.gram(idx)) @ s) / idx.size
 
 
+def _k_form(t: FourierTable, indices, signs) -> int:
+    """k times the form, in units of 2^-1074, exactly: the signed Gram entries
+    s_i s_j Re c(n_i - n_j), s = (-1)^eta, grouped by lag, sum_d m_d Re c(d) with
+    m_d the sum of s_i s_j over the ordered pairs at |n_i - n_j| = d <= N."""
+    idx = np.asarray(indices, dtype=np.int64)
+    s = 1 - 2 * np.asarray(signs, dtype=np.int64)
+    lags = np.abs(idx[:, None] - idx[None, :]).ravel()
+    inside = lags <= t.half_width
+    # each m_d is a sum of at most k^2 terms +-1, so its float64 total is exact
+    m = np.bincount(lags[inside], weights=np.outer(s, s).ravel()[inside]).astype(np.int64)
+    d = np.flatnonzero(m)
+    return sum(md * _ulps(x) for md, x in zip(m[d].tolist(), t.coeffs.real[d].tolist()))
+
+
 def _clears_eps0(t: FourierTable, indices, signs) -> bool:
-    """Whether the form less ((k - 1)/k) tail_bound exceeds 1 + eps0, exactly:
-    k times the form is the sum of the signed Gram entries +-Re c(n_i - n_j)."""
-    s = [1 - 2 * e for e in signs]
-    g = np.real(t.gram(np.asarray(indices))).tolist()
-    k_form = sum(a * b * _ulps(x) for a, row in zip(s, g) for b, x in zip(s, row))
-    k = len(s)
-    return _above_eps0(k_form - (k - 1) * _ulps(t.tail_bound) - k * _ULP, k * _ULP)
+    """Whether the form less ((k - 1)/k) tail_bound exceeds 1 + eps0, exactly."""
+    k = len(indices)
+    return _above_eps0(_k_form(t, indices, signs) - (k - 1) * _ulps(t.tail_bound) - k * _ULP,
+                       k * _ULP)
 
 
 def _sign_matrix(k: int) -> np.ndarray:

@@ -12,7 +12,6 @@ import functools
 import math
 import operator
 import struct
-from fractions import Fraction
 
 import numpy as np
 
@@ -267,7 +266,9 @@ def ac_cocycle_table(alpha: float, delta: float, delta0: float, N: int,
 
 def _reject_rational(x: float, name: str) -> None:
     # the base rotation must be far from a rational one of small denominator;
-    # larger rational approximations are harmless for the integral formulas below
+    # larger rational approximations are harmless for the integral formulas below.
+    # Only the nil systems check this, so only they load `fractions`
+    from fractions import Fraction
     _require_finite(**{name: x})
     fr = Fraction(x).limit_denominator(4)
     if abs(x - float(fr)) < 1e-12:

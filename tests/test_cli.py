@@ -141,7 +141,7 @@ def test_measure_missing_input_exit_2(capsys):
                                            ("cannot allocate", "error: cannot allocate\n")],
                          ids=["empty", "message"])
 def test_out_of_memory_exit_2(tmp_path, monkeypatch, capsys, message, line):
-    def builder(args):
+    def builder(fourier, args):
         raise MemoryError(message)
 
     monkeypatch.setitem(cli._MEASURES, "sqrt", builder)
@@ -585,15 +585,15 @@ def test_gaussian_nonpositive_lag_exit_2(capsys, mode, n):
 
 
 def test_cli_import_loads_no_scipy():
-    """`import atlab.cli` loads no scipy (a test-only dependency) and no numpy.fft
-    (about 0.1 s, for grid densities and Rudin-Shapiro lag sums), which loads on
-    first use only."""
+    """`import atlab.cli` loads no scipy (a test-only dependency) and no numpy
+    (about 0.1 s of a cold start and 13 MiB of RSS), nor `dataclasses` or
+    `inspect`: the commands that use them import them."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     code = ("import sys, atlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-            " or m.startswith('numpy.fft')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0]"
+            " in ('scipy', 'numpy', 'dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
@@ -606,22 +606,22 @@ _LOADED = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]) if sys.ar
 
 @pytest.mark.parametrize("argv, loaded", [
     (None, []),
-    (["measure", "sqrt", "--N", "8", "--density-csv", "{tmp}/d.csv"], []),
-    (["certify", "--in", "{tmp}/t.json", "--k", "4", "--budget", "10"], ["sbh"]),
+    (["measure", "sqrt", "--N", "8", "--density-csv", "{tmp}/d.csv"], ["fourier"]),
+    (["certify", "--in", "{tmp}/t.json", "--k", "4", "--budget", "10"], ["fourier", "sbh"]),
     (["system", "nil", "--nmax", "4", "--names", "2", "--length", "8",
-      "--names-out", "{tmp}/n.bin"], ["systems"]),
-    (["system", "rotation", "--nmax", "4"], ["bessel", "systems"]),
-    (["gaussian", "orthant", "--samples", "100"], ["gaussian"]),
-    (["gaussian", "constants"], ["gaussian", "sbh"]),
-    (["gaussian", "cocycle", "--nmax", "4"], ["gaussian"]),
+      "--names-out", "{tmp}/n.bin"], ["fourier", "systems"]),
+    (["system", "rotation", "--nmax", "4"], ["bessel", "fourier", "systems"]),
+    (["gaussian", "orthant", "--samples", "100"], ["fourier", "gaussian"]),
+    (["gaussian", "constants"], ["fourier", "gaussian", "sbh"]),
+    (["gaussian", "cocycle", "--nmax", "4"], ["fourier", "gaussian"]),
 ], ids=["import", "measure", "certify", "system", "system-rotation", "gaussian-orthant",
         "gaussian-constants", "gaussian-cocycle"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
-    """`import atlab.cli` loads `fourier` alone; each subcommand adds the modules
-    it runs: `measure` none, `certify` only `sbh`, `system` only `systems`,
-    plus `bessel` for the rotation cocycle's correlations, `gaussian` only
-    `gaussian`, plus `sbh` for the constants' epsilon0; the cocycle's square
-    wave is `fourier`'s."""
+    """`import atlab.cli` loads no other atlab module; each subcommand adds the
+    modules it runs: `measure` only `fourier`, `certify` `fourier` and `sbh`,
+    `system` `fourier` and `systems`, plus `bessel` for the rotation cocycle's
+    correlations, `gaussian` `fourier` and `gaussian`, plus `sbh` for the
+    constants' epsilon0; the cocycle's square wave is `fourier`'s."""
     fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -630,8 +630,30 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     proc = subprocess.run([sys.executable, "-c", _LOADED, *args],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode in (0, 3, 4), proc.stderr  # certify's verdicts exit 3 and 4
-    expected = sorted(["atlab", "atlab.cli", "atlab.fourier", *(f"atlab.{m}" for m in loaded)])
+    expected = sorted(["atlab", "atlab.cli", *(f"atlab.{m}" for m in loaded)])
     assert proc.stdout.splitlines()[-1] == repr(expected)
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--help"], 0),
+    (["measure", "--help"], 0),
+    (["nosuch"], 2),
+    (["measure", "lebesgue", "--config", "bad.cfg"], 2),
+], ids=["help", "subcommand-help", "unknown-subcommand", "config-key"])
+def test_exit_before_a_command_loads_no_numpy(tmp_path, argv, exit_code):
+    """`--help`, an argparse usage error and a bad `--config` key end before any
+    command runs, so they load neither numpy nor an atlab module past `cli`."""
+    (tmp_path / "bad.cfg").write_text("no_such_option = 1\n")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import atexit, sys, atlab.cli; atexit.register(lambda: print(sorted("
+            "m for m in sys.modules if m.split('.')[0] in ('numpy', 'atlab')), file=sys.stderr)); "
+            "sys.exit(atlab.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "['atlab', 'atlab.cli']"
 
 
 def test_certify_heuristic_loads_no_numpy_random(tmp_path):
@@ -667,6 +689,28 @@ def test_certify_loads_no_exact_arithmetic_module(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "CERTIFIED_NOT_SBH"
     assert proc.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("argv, exit_code, loaded", [
+    (["system", "rotation", "--nmax", "4"], 0, "[]"),
+    (["funny", "--system", "coin", "--samples", "100", "--k", "4", "--horizon", "16"], 0, "[]"),
+    (["system", "nil", "--nmax", "4", "--beta", "0.5"], 2, "['fractions']"),
+], ids=["rotation", "funny-coin", "nil-rational-beta"])
+def test_only_the_nil_check_loads_fractions(tmp_path, argv, exit_code, loaded):
+    """`fractions` serves only the nil systems' check for a rational rotation, so
+    other systems never load it, and `system nil` still rejects --beta 0.5."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]); "
+            "print(sorted({'fractions'} & set(sys.modules)), file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == exit_code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == loaded
+    if exit_code == 2:
+        assert lines[:-1] == ["error: beta is rational to within 1e-12 (1/2)"]
 
 
 def test_certify_heuristic_on_a_wide_window(tmp_path, capsys):

@@ -679,3 +679,44 @@ def test_exact_decision_matches_a_fraction_reference(data, exact):
     rep = sbh.certify(t, k=kk, window=data.draw(st.integers(kk, 6)),
                       heuristic_budget=data.draw(st.sampled_from([0, 30])))
     assert rep.verdict == exact.verdict(t, rep)
+
+
+def _clears_eps0_by_pairs(t, indices, signs) -> tuple[int, bool]:
+    """The k^2 reference of `_k_form` and `_clears_eps0`: every signed Gram entry
+    +-Re c(n_i - n_j) in units of 2^-1074, then the same comparison."""
+    s = [1 - 2 * e for e in signs]
+    g = np.real(t.gram(np.asarray(indices))).tolist()
+    k_form = sum(a * b * sbh._ulps(x) for a, row in zip(s, g) for b, x in zip(s, row))
+    k = len(s)
+    return k_form, sbh._above_eps0(k_form - (k - 1) * sbh._ulps(t.tail_bound) - k * sbh._ULP,
+                                   k * sbh._ULP)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_k_form_by_lag_matches_the_pair_sum(data, exact):
+    # random real and complex tables, witnesses and tails: arithmetic progressions
+    # repeat each lag up to k - 1 times, indices past N give lags the table does
+    # not hold, and some tails put the witness within a few ulps of 1 + eps0; each
+    # witness and its first index alone (k = 1) give the reference's integer
+    N = data.draw(st.integers(0, 12))
+    cplx = data.draw(st.booleans())
+    part = st.floats(-0.7, 0.7)
+    nn = [1.0] + [complex(data.draw(part), data.draw(part) if cplx else 0.0) for _ in range(N)]
+    k = data.draw(st.integers(1, 24))
+    if data.draw(st.booleans()):
+        start, step = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 3))
+        idx = [start + step * i for i in range(k)]
+    else:
+        idx = sorted(data.draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True)))
+    signs = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    T = data.draw(st.floats(0.0, 0.5))
+    k_form, _ = _clears_eps0_by_pairs(fourier.FourierTable.from_nonneg(nn), idx, signs)
+    excess = Fraction(k_form, sbh._ULP) - k * (1 + exact.eps0)
+    if k > 1 and excess > 0 and data.draw(st.booleans()):
+        T = _ulps_away(float(excess / (k - 1)), data.draw(st.integers(-4, 4)))
+    t = fourier.FourierTable.from_nonneg(nn, tail_bound=T)
+    for i, e in ((idx, signs), (idx[:1], signs[:1])):
+        want, clears = _clears_eps0_by_pairs(t, i, e)
+        assert sbh._k_form(t, i, e) == want
+        assert sbh._clears_eps0(t, i, e) == clears

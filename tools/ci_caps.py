@@ -27,6 +27,9 @@ MC = ["--r", "0.5", "--samples", "16777216", "--seed", "1"]
 SQRT = ["--in", "sqrt1024.json", "--k", "12"]
 
 ROWS = [
+    # `import atlab.cli` loads the standard library alone, about 14.7 MiB of RSS;
+    # a top-level numpy import in cli.py (27.7 MiB) fails this row
+    (["-c", "import atlab.cli"], 0, 20, None),
     # a Monte Carlo run holds one uint8 per sample and two 2^16-sample blocks,
     # about 53 MiB of RSS at the 2^24 cap (180 MiB while it stored the x0 draw);
     # a full-size float64 array coming back (+128 MiB) passes 96
