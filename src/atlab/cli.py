@@ -9,6 +9,10 @@ bad input, and `main` turns it, or an OSError, into one `error:` line.
 takes one `NameSource` subclass and one `_SYSTEMS` entry (and, if it defines
 `rows`, one `_ROW_SYSTEMS` entry).  `system` prints the source's `rows` and
 samples its names; `funny` samples names from it.
+Every output goes through one text sink, `_emit`, which writes to `--out`, stdout
+or both in one pass.  A command computes and checks every value first, then hands
+`_emit` its text as one str or in pieces (a table 2^16 coefficients, a CSV 2^16
+rows, `funny` a line), so no output is held whole and bad input leaves no file.
 `import atlab.cli` loads the standard library alone: numpy and every atlab
 module are imported by the commands that use them, so `--help`, a usage error
 or a bad `--config` key exits before numpy loads, `measure` loads `fourier`
@@ -21,33 +25,28 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 
 # ---------------------------------------------------------------------------
-# serialization: the standard library's json and repr print each float in its
-# shortest round-trip form; allow_nan=False turns a non-finite value into a
-# ValueError (exit 2), never a NaN certificate
+# serialization: json and repr print a float in its shortest round-trip form;
+# allow_nan=False makes a non-finite value exit 2, never a NaN certificate
 
 
 def render_json(obj) -> str:
-    return json.dumps(obj, allow_nan=False)
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
-def _emit(payload: str, args) -> None:
-    if not payload.endswith("\n"):
-        payload += "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    if args.stdout or not args.out:
-        sys.stdout.write(payload)
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
+def _emit(payload, out, stdout=False) -> None:
+    """The one text sink: payload is one str or an iterable of str pieces."""
+    pieces = (payload,) if isinstance(payload, str) else payload
+    if not out:
+        return sys.stdout.writelines(pieces)
+    with open(out, "w") as fh:
+        for piece in pieces:
+            fh.write(piece)
+            if stdout:
+                sys.stdout.write(piece)
 
 
 def _parse_alpha(s: str) -> float:
@@ -56,18 +55,18 @@ def _parse_alpha(s: str) -> float:
     if s in named:
         return named[s]
     x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"alpha must be finite, got {s}")
+    # each double with |alpha| >= 2^52 is an integer (the identity), and 2 pi alpha j overflows
+    if not abs(x) < 2**52:
+        raise ValueError(f"need |alpha| < 2**52, got {s}")
     return x
 
 
-def correlation_csv(rows) -> str:
-    """rows: iterables of (n, complex value, method, error_bar)."""
-    out = ["n,re,im,method,error_bar"]
-    for n, v, method, err in rows:
-        v = complex(v)
-        out.append(f"{n},{v.real!r},{v.imag!r},{method},{float(err)!r}")
-    return "\n".join(out) + "\n"
+def correlation_csv(rows):
+    """rows: a list of (n, complex value, method, error_bar); 2^16 rows a piece."""
+    yield "n,re,im,method,error_bar\n"
+    for i in range(0, len(rows), 2**16):
+        yield "".join(f"{n},{(c := complex(v)).real!r},{c.imag!r},{method},{float(err)!r}\n"
+                      for n, v, method, err in rows[i:i + 2**16])
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +108,16 @@ def cmd_measure(args) -> int:
     if args.density_grid is not None and not 1 <= args.density_grid <= max_grid:
         raise ValueError(f"need 1 <= --density-grid <= {max_grid}, got {args.density_grid}")
     t = _MEASURES[args.kind](fourier, args)
-    _emit(render_json(fourier.table_to_json_obj(t)), args)
+    _emit(fourier.table_json_pieces(t), args.out, args.stdout)
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
         thetas = np.arange(grid) / grid
         density = t.density(grid)
-        with open(args.density_csv, "w") as fh:
-            fh.write("theta,density\n")
-            # tolist() gives Python floats, whose repr is the shortest round-trip
-            # form; 2^16 rows at a time keep the text small
-            for i in range(0, grid, 2**16):
-                rows = zip(thetas[i:i + 2**16].tolist(), density[i:i + 2**16].tolist())
-                fh.write("".join(f"{th!r},{v!r}\n" for th, v in rows))
+        # tolist() gives Python floats, whose repr is the shortest round-trip form
+        _emit((("theta,density\n" if i == 0 else "")
+               + "".join(f"{th!r},{v!r}\n" for th, v in zip(thetas[i:i + 2**16].tolist(),
+                                                             density[i:i + 2**16].tolist()))
+               for i in range(0, grid, 2**16)), args.density_csv)
     return 0
 
 
@@ -137,7 +134,7 @@ def cmd_certify(args) -> int:
     if not args.subsample_scan:
         rep = sbh.certify(t, k=args.k, window=args.window, seed=args.seed,
                           heuristic_budget=args.budget)
-        _emit(render_json(dataclasses.asdict(rep)), args)
+        _emit(render_json(dataclasses.asdict(rep)), args.out, args.stdout)
         return _EXITCODE[rep.verdict]
     try:
         lo, hi = (int(x) for x in args.subsample_scan.split(".."))
@@ -155,7 +152,7 @@ def cmd_certify(args) -> int:
                           seed=args.seed, heuristic_budget=args.budget)
         reports.append({"m": m, "report": dataclasses.asdict(rep)})
     found = next((r["m"] for r in reports if r["report"]["verdict"] == "CERTIFIED_SBH"), None)
-    _emit(render_json({"first_certified_m": found, "scan": reports}), args)
+    _emit(render_json({"first_certified_m": found, "scan": reports}), args.out, args.stdout)
     return 0 if found is not None else 4
 
 
@@ -212,7 +209,7 @@ def cmd_system(args) -> int:
     source = make_source()
     csv = correlation_csv(source.rows(args.nmax))
     steps = source.sample_names(args.names, args.length, args.seed) if args.names else None
-    _emit(csv, args)
+    _emit(csv, args.out, args.stdout)
     if steps is not None:
         systems.write_names(steps, args.names, args.names_out or "names.bin")
     return 0
@@ -224,7 +221,8 @@ def cmd_gaussian(args) -> int:
     from . import fourier, gaussian
     mode = args.mode
     if mode == "constants":
-        _emit(render_json(dataclasses.asdict(gaussian.gnoat_constant_check())), args)
+        _emit(render_json(dataclasses.asdict(gaussian.gnoat_constant_check())), args.out,
+              args.stdout)
         return 0
     if mode == "cocycle" and not 0 <= args.nmax <= fourier.MAX_HALF_WIDTH:
         raise ValueError(f"need 0 <= --nmax <= {fourier.MAX_HALF_WIDTH}, got {args.nmax}")
@@ -240,13 +238,13 @@ def cmd_gaussian(args) -> int:
     else:
         spec, lag = gaussian.GaussianSpec([1.0, args.r]), 1
     if mode == "cocycle":
-        obj = fourier.table_to_json_obj(gaussian.cocycle_correlation_table(spec, args.M,
-                                                                           args.nmax))
+        table = gaussian.cocycle_correlation_table(spec, args.M, args.nmax)
+        text = fourier.table_json_pieces(table)
     else:
         level = 1 if mode == "orthant" else args.level
-        obj = dataclasses.asdict(gaussian.product_orthant_mc(spec, lag, level,
-                                                             args.samples, args.seed))
-    _emit(render_json(obj), args)
+        rep = gaussian.product_orthant_mc(spec, lag, level, args.samples, args.seed)
+        text = render_json(dataclasses.asdict(rep))
+    _emit(text, args.out, args.stdout)
     return 0
 
 
@@ -260,8 +258,8 @@ def cmd_funny(args) -> int:
     if 2 * args.samples > systems.MAX_NAMES:
         raise ValueError(f"need 2 * --samples <= {systems.MAX_NAMES}, got 2 * {args.samples}")
     rep = funny.funny_word_search(src, fam, args.eps, args.samples, args.seed)
-    _emit("".join(render_json({**row.to_json_obj(), "caveat": rep.caveat}) + "\n"
-                  for row in rep.rows), args)
+    _emit((render_json({**row.to_json_obj(), "caveat": rep.caveat}) for row in rep.rows),
+          args.out, args.stdout)
     if rep.violations():
         print("note: bound exceeded by at least one candidate (degenerate dynamics?)",
               file=sys.stderr)
@@ -407,9 +405,11 @@ def main(argv=None) -> int:
             args = ap.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input, unreadable or unwritable file
-        return _fail(str(exc))
+        msg = str(exc)
     except MemoryError as exc:  # an allocation the machine cannot give
-        return _fail(str(exc) or "out of memory")
+        msg = str(exc) or "out of memory"
+    print(f"error: {msg}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

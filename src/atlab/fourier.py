@@ -398,15 +398,15 @@ def square_wave_coeffs(M: int) -> SquareWaveCoeffs:
 # JSON measure format: {"label", "half_width", "tail_bound",
 #                       "coeffs": [[n, re, im], ...]}  with n >= 0 only.
 
-def table_to_json_obj(t: FourierTable) -> dict:
-    nn = t.coeffs
-    return {
-        "label": t.label,
-        "half_width": t.half_width,
-        "tail_bound": t.tail_bound,
-        "coeffs": [[int(n), float(nn[n].real), float(nn[n].imag)]
-                   for n in range(t.half_width + 1)],
-    }
+def table_json_pieces(t: FourierTable):
+    """The text of ``t``'s measure file, 2^16 coefficients a piece (one JSON line)."""
+    yield json.dumps({"label": t.label, "half_width": t.half_width, "tail_bound": t.tail_bound,
+                      "coeffs": []}, allow_nan=False)[:-2]  # up to the coefficients' "["
+    for i in range(0, t.half_width + 1, 2**16):
+        c = t.coeffs[i:i + 2**16]  # finite; tolist() gives floats, which json prints by repr
+        rows = json.dumps(list(zip(range(i, i + c.size), c.real.tolist(), c.imag.tolist())))
+        yield (", " if i else "") + rows[1:-1]
+    yield "]}\n"
 
 
 def _json_number(x) -> float:
@@ -452,7 +452,7 @@ def table_from_json_obj(obj: dict) -> FourierTable:
 def write_measure(t: FourierTable, path) -> None:
     """Write ``t`` in the bytes that ``atlab measure --out`` writes."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(table_to_json_obj(t), allow_nan=False) + "\n")
+        fh.writelines(table_json_pieces(t))
 
 
 def read_measure(path) -> FourierTable:

@@ -85,6 +85,30 @@ def test_measure_density_csv_in_blocks(tmp_path, capsys):
     assert np.array_equal(rows[:, 1], fourier.sqrt_template(0.3, 64).density(grid))
 
 
+def test_system_csv_across_a_piece_boundary(capsys):
+    # 70001 rows: one full piece of 2^16 rows and a partial one
+    code, out, _ = run(["system", "distal", "--nmax", "70000"], capsys)
+    assert code == 0
+    assert out == "n,re,im,method,error_bar\n" + "".join(f"{n},0.0,0.0,exact,0.0\n"
+                                                         for n in range(70001))
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "sqrt", "--N", "70000"],
+    ["system", "rotation", "--nmax", "8"],
+    ["funny", "--system", "coin", "--k", "4", "--horizon", "16", "--samples", "100"],
+], ids=["measure", "system", "funny"])
+def test_out_and_stdout_get_the_same_bytes(tmp_path, capsys, argv):
+    path = tmp_path / "out.txt"
+    code, printed, _ = run(argv, capsys)
+    assert code == 0 and printed.endswith("\n")
+    assert run([*argv, "--out", str(path)], capsys)[:2] == (0, "")
+    assert path.read_bytes() == printed.encode()
+    path.unlink()
+    assert run([*argv, "--out", str(path), "--stdout"], capsys)[:2] == (0, printed)
+    assert path.read_bytes() == printed.encode()
+
+
 def test_measure_riesz_skips_frequencies_past_the_table(capsys):
     # 3^20 sign patterns would take hours; only the frequencies 1, 3 and 9 reach
     # |n| <= 8, and the label still names all twenty
@@ -96,7 +120,8 @@ def test_measure_riesz_skips_frequencies_past_the_table(capsys):
     assert time.perf_counter() - t0 < 5.0
     obj = json.loads(out)
     assert obj["label"] == f"riesz(a={[0.5] * 20}, freq={freqs})"
-    three = fourier.table_to_json_obj(fourier.riesz_product([0.5] * 3, [1, 3, 9], 8))
+    three = json.loads("".join(fourier.table_json_pieces(fourier.riesz_product([0.5] * 3,
+                                                                                [1, 3, 9], 8))))
     assert {**obj, "label": three["label"]} == three
     # and those are the coefficients of the three-factor product, sampled at 64 points
     x = np.arange(64) / 64
@@ -438,6 +463,9 @@ def test_system_bad_parameters_exit_2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["system", "rotation", "--alpha", "nan"],
+    # 2 pi alpha j overflows; every such double is an integer, a rotation by 0
+    ["system", "rotation", "--alpha", "1e308", "--nmax", "3"],
+    ["funny", "--system", "rotation", "--alpha", "1e308", "--delta", "0.2"],
     ["system", "nil", "--alpha", "inf"],
     ["system", "nil", "--beta", "inf"],
     ["system", "nil", "--gamma", "nan"],
@@ -898,7 +926,7 @@ def test_floats_round_trip_exactly():
     assert json.loads(cli.render_json(xs)) == xs
     # numpy scalars too, whose repr in numpy 2 is np.float64(...)
     rows = [(n, np.complex128(x - 1j * x), "exact", np.float64(x)) for n, x in enumerate(xs)]
-    for x, line in zip(xs, cli.correlation_csv(rows).splitlines()[1:]):
+    for x, line in zip(xs, "".join(cli.correlation_csv(rows)).splitlines()[1:]):
         _, re, im, _, err = line.split(",")
         assert (float(re), float(im), float(err)) == (x, -x, x)
     with pytest.raises(ValueError):  # main maps it to exit 2

@@ -35,11 +35,72 @@ def tables(draw):
 @given(t=tables())
 def test_measure_json_round_trip(t):
     """The JSON `atlab measure` prints reads back to the same table, exactly."""
-    back = fourier.table_from_json_obj(json.loads(cli.render_json(fourier.table_to_json_obj(t))))
+    back = fourier.table_from_json_obj(json.loads("".join(fourier.table_json_pieces(t))))
     assert back.half_width == t.half_width
     assert back.tail_bound == t.tail_bound
     assert back.label == t.label
     assert np.array_equal(back.coeffs, t.coeffs)
+
+
+def ref_json_obj(t):
+    """The measure object as written before the table text came in pieces: the
+    byte reference of `fourier.table_json_pieces`."""
+    nn = t.coeffs
+    return {
+        "label": t.label,
+        "half_width": t.half_width,
+        "tail_bound": t.tail_bound,
+        "coeffs": [[int(n), float(nn[n].real), float(nn[n].imag)]
+                   for n in range(t.half_width + 1)],
+    }
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.0, -1.0]
+
+
+@st.composite
+def edge_tables(draw):
+    """Tables with -0.0, subnormal and +-1 parts, and labels that JSON escapes."""
+    N = draw(st.integers(0, 30))
+    part = st.one_of(st.sampled_from(_SPECIAL), st.floats(-0.7, 0.7))
+    # |c(n)| <= 1: a part of size 1 goes with an imaginary part of size at most 5e-324
+    small = st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+    pairs = st.lists(part.flatmap(lambda re: st.tuples(
+        st.just(re), small if abs(re) > 0.7 else part.filter(lambda im: abs(im) <= 0.7))),
+        min_size=N, max_size=N)
+    nn = [complex(1.0, 0.0)] + [complex(re, im) for re, im in draw(pairs)]
+    tail = draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1e300)))
+    label = draw(st.one_of(st.text(max_size=12),
+                           st.sampled_from(['say "hi"', "back\\slash", "caf\u00e9 \u2603 \U0001f600",
+                                            "tab\tnew\nline"])))
+    return fourier.FourierTable.from_nonneg(nn, tail_bound=tail, label=label)
+
+
+def _pieces_match_reference(t):
+    pieces = list(fourier.table_json_pieces(t))
+    assert all(type(p) is str for p in pieces)
+    assert "".join(pieces) == json.dumps(ref_json_obj(t), allow_nan=False) + "\n"
+    return pieces
+
+
+@PROPS
+@given(t=edge_tables())
+@example(t=fourier.FourierTable.from_nonneg([1.0, -0.0, 5e-324 - 0.0j, -1.0], tail_bound=0,
+                                            label='q"\\\u00e9'))
+def test_table_pieces_are_the_reference_bytes(t):
+    """The joined pieces are json.dumps of the measure object, byte for byte."""
+    _pieces_match_reference(t)
+
+
+@pytest.mark.parametrize("N", [2**16 - 1, 2**16, 2**16 + 1])
+def test_table_pieces_across_a_piece_boundary(N):
+    vals = np.array(_SPECIAL + [0.3, -0.5])
+    nn = vals[np.arange(N + 1) % vals.size] + 1j * (-0.0)
+    nn[0] = 1.0
+    t = fourier.FourierTable.from_nonneg(nn, tail_bound=1e-300, label="edge")
+    pieces = _pieces_match_reference(t)
+    # the head, one piece per 2^16 coefficients, and the closing brackets
+    assert len(pieces) == 2 + -(-(N + 1) // 2**16)
 
 
 @PROPS

@@ -55,10 +55,20 @@ ROWS = [
     # while _lag_sums cut its input into blocks and held two block spectra per step)
     (["-c", "from atlab import systems; systems.rudin_shapiro_lag_sums(2**62, 2**22)"],
      0, 512, None),
-    # the widest sqrt table peaks at about 1.2 GiB of RSS while it is rendered to JSON,
+    # the widest sqrt table is written 2^16 coefficients at a time: about 225 MiB of
+    # RSS (1212 MiB while the whole table was rendered to one JSON string)
+    ([*CLI, "measure", "sqrt", "--N", "4194304", "--out", "s.json"], 0, 256, None),
+    # reading that file back, json.load holds every row as Python objects, over 1 GiB,
     # so under ulimit -v 1200000 an allocation fails: one error line and exit 2, no
     # file written (a 22-line traceback and exit 1 while main let MemoryError through)
-    ([*CLI, "measure", "sqrt", "--N", "4194304", "--out", "s.json"], 2, None, 1200000),
+    ([*CLI, "certify", "--in", "s.json", "--out", "c.json"], 2, None, 1200000),
+    # the widest Riesz table, 15 factors at 3^0..3^14: the level walk holds all 3^15 sign
+    # patterns, about 423 MiB of RSS (1193 MiB with the whole JSON string)
+    ([*CLI, "measure", "riesz", "--N", "4194304", "--a", ",".join(["0.5"] * 15),
+      "--freq", ",".join(str(3**j) for j in range(15))], 0, 480, None),
+    # 2^20 Rudin-Shapiro rows of L = 2^62 signs, written 2^16 rows at a time: about
+    # 235 MiB of RSS, the lag sums and the row tuples (459 MiB with the whole CSV string)
+    ([*CLI, "system", "rudin-shapiro", "--L", str(2**62), "--nmax", "1048576"], 0, 256, None),
     ([*CLI, "measure", "sqrt", "--N", "1024", "--c", "0.3", "--out", "sqrt1024.json"],
      0, None, None),
     # the pair bound stops the exact search at k = 12, window = 24 on a sqrt table
