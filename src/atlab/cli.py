@@ -11,8 +11,8 @@ takes one `NameSource` subclass and one `_SYSTEMS` entry (and, if it defines
 samples its names; `funny` samples names from it.
 Every output goes through one text sink, `_emit`, which writes to `--out`, stdout
 or both in one pass.  A command computes and checks every value first, then hands
-`_emit` its text as one str or in pieces (a table 2^16 coefficients, a CSV 2^16
-rows, `funny` a line), so no output is held whole and bad input leaves no file.
+`_emit` its text as one str or in pieces (2^16 table coefficients or CSV rows, or
+a `funny` line), so no output is held whole and a failed check leaves no file.
 `import atlab.cli` loads the standard library alone: numpy and every atlab
 module are imported by the commands that use them, so `--help`, a usage error
 or a bad `--config` key exits before numpy loads, `measure` loads `fourier`
