@@ -11,8 +11,9 @@ takes one `NameSource` subclass and one `_SYSTEMS` entry (and, if it defines
 samples its names; `funny` samples names from it.
 Every output goes through one text sink, `_emit`, which writes to `--out`, stdout
 or both in one pass.  A command computes and checks every value first, then hands
-`_emit` its text as one str or in pieces (2^16 table coefficients or CSV rows, or
-a `funny` line), so no output is held whole and a failed check leaves no file.
+`_emit` its text in pieces (2^16 table coefficients or CSV rows, or a `funny`
+line), so no output is held whole and a failed check leaves no file; an unwritable
+`--density-csv` still leaves `--out` written.
 `import atlab.cli` loads the standard library alone: numpy and every atlab
 module are imported by the commands that use them, so `--help`, a usage error
 or a bad `--config` key exits before numpy loads, `measure` loads `fourier`
@@ -108,12 +109,12 @@ def cmd_measure(args) -> int:
     if args.density_grid is not None and not 1 <= args.density_grid <= max_grid:
         raise ValueError(f"need 1 <= --density-grid <= {max_grid}, got {args.density_grid}")
     t = _MEASURES[args.kind](fourier, args)
-    _emit(fourier.table_json_pieces(t), args.out, args.stdout)
     if args.density_csv:
         grid = args.density_grid or max(4 * t.half_width + 4, 256)
-        thetas = np.arange(grid) / grid
-        density = t.density(grid)
-        # tolist() gives Python floats, whose repr is the shortest round-trip form
+        thetas, density = np.arange(grid) / grid, t.density(grid)
+    _emit(fourier.table_json_pieces(t), args.out, args.stdout)
+    if args.density_csv:
+        # Python floats from tolist() print in shortest round-trip form
         _emit((("theta,density\n" if i == 0 else "")
                + "".join(f"{th!r},{v!r}\n" for th, v in zip(thetas[i:i + 2**16].tolist(),
                                                              density[i:i + 2**16].tolist()))

@@ -12,8 +12,9 @@ uniform grids theta_j = j/G, by one zero-padded inverse FFT of length
 m G >= 2N + 1 (:meth:`FourierTable.density`).
 :func:`density_sup` turns the grid maximum into a certified bound by adding
 the tail, a Bernstein derivative margin and a stated FFT rounding term;
-``_density_min_lower`` turns a finer grid's minimum into a lower bound on
-min d_N, which bounds the least Toeplitz eigenvalue from below.
+``_density_min_lower`` reads a grid of about 64N points as rotated coarse grids
+of 2N + 1 or more points, in O(N) memory, and turns its minimum into a lower
+bound on min d_N, which bounds the least Toeplitz eigenvalue from below.
 
 :meth:`FourierTable.gram` gathers the Gram matrix [c(n_i - n_j)] of any
 index family; the SBH forms, the Toeplitz PSD check and Gaussian sampling
@@ -336,15 +337,25 @@ def _density_min_lower(t: FourierTable) -> float:
     is at least the grid minimum - h^2/8 ||d_N''||_inf.  Bernstein's inequality
     for a trigonometric polynomial of degree N gives ||d_N''||_inf <=
     (2 pi N)^2 ||d_N||_inf and, over half a grid step,
-    ||d_N||_inf <= (max |grid value| + rounding) / (1 - pi N / G).  The computed
-    grid values are within ``_fft_rounding`` of the exact ones.  O(N log N).
+    ||d_N||_inf <= (max |grid value| + rounding) / (1 - pi N / G).
+
+    The grid is read as R = G / L >= 16 rotated coarse grids, L the power of two
+    >= 2N + 1: c(n) e(nr/G), e(x) = e^{2 pi i x}, is the measure translated by
+    r/G, and its ``density(L)`` is d_N((qR + r)/G), q < L.  A phase
+    e((nr mod G)/G) has relative error delta <= about 15 eps, which moves a value
+    by delta sum |c(n)| <= delta sqrt(L) ||c||_2; the length-L FFT adds at most
+    log2(L) 8 eps sqrt(L) ||c||_2.  ``_fft_rounding(t, G)`` >= 32 (log2(L) + 4)
+    eps sqrt(L) ||c||_2 covers both.  O(G log L) time, O(N) memory.
     """
     N = t.half_width
     G = 1 << max(6, (64 * N - 1).bit_length())
-    vals = t.density(G)
+    L, n, lo, hi = 1 << (2 * N).bit_length(), np.arange(N + 1), math.inf, 0.0
+    for r in range(G // L):
+        vals = FourierTable(t.coeffs * np.exp((2j * math.pi / G) * (n * r % G))).density(L)
+        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     rounding = _fft_rounding(t, G)
-    sup = (float(np.max(np.abs(vals))) + rounding) / (1.0 - math.pi * N / G)
-    return float(np.min(vals)) - rounding - 0.5 * (math.pi * N / G) ** 2 * sup
+    sup = (max(hi, -lo) + rounding) / (1.0 - math.pi * N / G)
+    return lo - rounding - 0.5 * (math.pi * N / G) ** 2 * sup
 
 
 def is_positive_definite(t: FourierTable, k: int) -> tuple[bool, float]:
