@@ -81,9 +81,8 @@ def _read_in(fourier, args):
     return fourier.read_measure(args.infile)
 
 
-# kind -> builder of the table from the `fourier` module and the parsed args;
-# the builders look up fourier.* when called, so a rebound (e.g. traced)
-# attribute runs
+# kind -> builder of the table from the `fourier` module and the parsed args,
+# which looks up fourier.* attributes when called
 _MEASURES = {
     "lebesgue": lambda fourier, a: fourier.lebesgue_table(a.N),
     "dirac": lambda fourier, a: fourier.dirac_table(a.N),
@@ -114,7 +113,7 @@ def cmd_measure(args) -> int:
         thetas, density = np.arange(grid) / grid, t.density(grid)
     _emit(fourier.table_json_pieces(t), args.out, args.stdout)
     if args.density_csv:
-        # Python floats from tolist() print in shortest round-trip form
+        # tolist() gives Python floats; repr round-trips them
         _emit((("theta,density\n" if i == 0 else "")
                + "".join(f"{th!r},{v!r}\n" for th, v in zip(thetas[i:i + 2**16].tolist(),
                                                              density[i:i + 2**16].tolist()))

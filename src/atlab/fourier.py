@@ -8,13 +8,11 @@ transforms propagate that bound so every downstream certificate stays honest
 about truncation.
 
 The truncated density d(theta) = sum c(n) e^{2 pi i n theta} is read only on
-uniform grids theta_j = j/G, by one zero-padded inverse FFT of length
-m G >= 2N + 1 (:meth:`FourierTable.density`).
-:func:`density_sup` turns the grid maximum into a certified bound by adding
-the tail, a Bernstein derivative margin and a stated FFT rounding term;
-``_density_min_lower`` reads a grid of about 64N points as rotated coarse grids
-of 2N + 1 or more points, in O(N) memory, and turns its minimum into a lower
-bound on min d_N, which bounds the least Toeplitz eigenvalue from below.
+uniform grids j/G, by one zero-padded inverse FFT of length mG >= 2N + 1
+(:meth:`FourierTable.density`).  :func:`density_sup` adds the tail, a
+Bernstein derivative margin and a stated FFT rounding term to the grid maximum;
+``_density_min_lower`` bounds min d_N, and so the least Toeplitz eigenvalue,
+from below on a fine grid, read as rotated coarse grids.
 
 :meth:`FourierTable.gram` gathers the Gram matrix [c(n_i - n_j)] of any
 index family; the SBH forms, the Toeplitz PSD check and Gaussian sampling
@@ -183,8 +181,7 @@ def _fft_rounding(t: FourierTable, grid_size: int) -> float:
     log2(G) eta sqrt(G) ||a||_2, with eta = mu + gamma_4 (sqrt(2) + mu), i.e.
     about 5.7 u plus the twiddle-factor error mu.  We take eta = 8 eps = 16 u,
     a generous constant, and the max-norm error is at most the 2-norm one.
-    ``grid_size`` is the FFT length m G of :meth:`FourierTable.density` (m = 1 on
-    the grids of density_sup and _density_min_lower, which have G >= 2N + 1).
+    ``grid_size`` is the FFT length mG of :meth:`FourierTable.density`.
     Nothing folds on any grid, so ||a||_2 = ||c||_2, the norm of c(-N..N):
     sqrt(|c(0)|^2 + 2 sum_{n>=1} |c(n)|^2).
     """
@@ -196,15 +193,13 @@ def _fft_rounding(t: FourierTable, grid_size: int) -> float:
 def density_sup(t: FourierTable, grid_size: int) -> DensityBoundReport:
     """Certified upper bound for sup of the (truncated) density.
 
-    The density is evaluated on the grid j / grid_size by one inverse FFT
-    (see :meth:`FourierTable.density`), and
+    On the grid j / grid_size of :meth:`FourierTable.density`,
 
         certified_upper = grid max + tail_bound + margin + rounding,
 
     where margin = 2 pi sum |n||c(n)| / (2 grid_size) promotes the grid
     maximum to a sup via the Bernstein-type estimate |d'| <= 2 pi sum |n||c(n)|
-    and rounding = ceil(log2 grid_size) 8 eps sqrt(grid_size) ||c||_2 bounds
-    the FFT's floating-point error.
+    and rounding = ``_fft_rounding(t, grid_size)`` bounds the FFT's error.
     """
     N = t.half_width
     if grid_size < 4 * N + 4:
@@ -307,13 +302,8 @@ def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
 
 
 def sqrt_template(c: float, N: int) -> FourierTable:
-    """Coefficient template c(n) = c/sqrt(|n|).
-
-    This is only a template: positive semidefiniteness is NOT guaranteed and
-    must be certified before the table is treated as a measure, as
-    ``GaussianSpec.from_fourier_table`` does: by the grid bound
-    ``_density_min_lower``, with :func:`is_positive_definite` only as the
-    fallback.
+    """Coefficient template c(n) = c/sqrt(|n|), not necessarily positive
+    semidefinite: ``GaussianSpec.from_fourier_table`` certifies that it is PSD.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError("need 0 <= c <= 1")
@@ -327,25 +317,20 @@ def sqrt_template(c: float, N: int) -> FourierTable:
 
 
 def _density_min_lower(t: FourierTable) -> float:
-    """A lower bound on min_theta d_N(theta), which also bounds from below the least
-    eigenvalue of every k x k Toeplitz matrix [c(i - j)] with k <= N + 1: its
-    quadratic form is the integral of |sum_j x_j e^{2 pi i j theta}|^2 d_N(theta)
-    (Grenander and Szego, Toeplitz Forms, 1958).
+    """A lower bound on min d_N, so on the least eigenvalue of each Toeplitz matrix
+    [c(i - j)] of size k <= N + 1, whose quadratic form integrates
+    |sum_j x_j e(j theta)|^2 d_N(theta), e(x) = e^{2 pi i x} (Grenander and Szego).
 
-    d_N is read on the grid j/G, G the power of two >= 64N (at least 64), h = 1/G.
-    At a minimiser d_N' = 0 and some grid point lies within h/2, so the minimum
-    is at least the grid minimum - h^2/8 ||d_N''||_inf.  Bernstein's inequality
-    for a trigonometric polynomial of degree N gives ||d_N''||_inf <=
-    (2 pi N)^2 ||d_N||_inf and, over half a grid step,
-    ||d_N||_inf <= (max |grid value| + rounding) / (1 - pi N / G).
-
-    The grid is read as R = G / L >= 16 rotated coarse grids, L the power of two
-    >= 2N + 1: c(n) e(nr/G), e(x) = e^{2 pi i x}, is the measure translated by
-    r/G, and its ``density(L)`` is d_N((qR + r)/G), q < L.  A phase
-    e((nr mod G)/G) has relative error delta <= about 15 eps, which moves a value
-    by delta sum |c(n)| <= delta sqrt(L) ||c||_2; the length-L FFT adds at most
-    log2(L) 8 eps sqrt(L) ||c||_2.  ``_fft_rounding(t, G)`` >= 32 (log2(L) + 4)
-    eps sqrt(L) ||c||_2 covers both.  O(G log L) time, O(N) memory.
+    d_N is read on j/G, G the power of two >= 64N (at least 64), h = 1/G.  A grid
+    point lies within h/2 of a minimiser, where d_N' = 0, so min d_N >= grid min
+    - h^2/8 ||d_N''||, and ||d_N''|| <= (2 pi N)^2 ||d_N|| (Bernstein) with
+    ||d_N|| <= (max |grid value| + rounding) / (1 - pi N / G), sup norms.  The grid
+    is R = G/L >= 16 grids, L the power of two >= 2N + 1: c(n) e(nr/G) is d_N
+    translated by r/G, so its ``density(L)`` is d_N((qR + r)/G), q < L.  A phase
+    e((nr mod G)/G) errs by delta <= about 15 eps, moving a value by delta sum
+    |c(n)| <= delta sqrt(L) ||c||_2; the length-L FFT adds log2(L) 8 eps sqrt(L)
+    ||c||_2.  R >= 16 makes ``_fft_rounding(t, G)`` >= 32 (log2(L) + 4) eps sqrt(L)
+    ||c||_2, which covers both.  O(G log L) time, O(N) memory.
     """
     N = t.half_width
     G = 1 << max(6, (64 * N - 1).bit_length())

@@ -67,9 +67,8 @@ class GaussianSpec:
         finite-range process of the stored coefficients, not the measure's.
         PSD is certified by the grid bound ``fourier._density_min_lower`` on
         min d_N, which bounds the least eigenvalue of T_{N+1} from below in
-        O(N log N) time and O(N) memory (it reads its grid of about 64N points as
-        rotated coarse grids); only when that bound is negative does the check
-        fall back to ``is_positive_definite``, numpy's O(N^3) ``eigvalsh`` of T_{N+1}, and
+        O(N log N) time and O(N) memory; only a negative bound makes the check
+        fall back to ``is_positive_definite``, numpy's O(N^3) ``eigvalsh``, and
         only for N <= ``MAX_EIGVALSH_HALF_WIDTH``: a wider table raises ValueError.
         """
         nn = t.coeffs

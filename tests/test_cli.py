@@ -175,6 +175,20 @@ def test_out_of_memory_exit_2(tmp_path, monkeypatch, capsys, message, line):
     assert not out.exists()
 
 
+def test_density_csv_out_of_memory_leaves_no_out_file(tmp_path, monkeypatch, capsys):
+    # the density grid is computed before --out is written, so a grid too large
+    # for the machine leaves neither file
+    def density(self, grid_size):
+        raise MemoryError()
+
+    monkeypatch.setattr(fourier.FourierTable, "density", density)
+    out, csv = tmp_path / "o.json", tmp_path / "d.csv"
+    code, _, err = run(["measure", "lebesgue", "--N", "2", "--out", str(out),
+                        "--density-csv", str(csv)], capsys)
+    assert (code, err) == (2, "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_lebesgue_exit_0(tmp_path, capsys):
     mfile = tmp_path / "leb.json"
     run(["measure", "lebesgue", "--N", "8", "--out", str(mfile)], capsys)

@@ -4,6 +4,8 @@ Every property runs under one deterministic hypothesis profile, so the suite
 draws the same examples on every run.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -304,6 +306,65 @@ def test_spec_accepts_exactly_as_eigvalsh(t):
         assert "positive semidefinite" in str(exc)
         new = False
     assert new == old
+
+
+def _min_lower_grid(N):
+    """G of ``_density_min_lower``: the power of two >= 64N, at least 64."""
+    return 1 << max(6, (64 * N - 1).bit_length())
+
+
+def _one_grid_min_lower(t):
+    """The grid bound with all G points read by one inverse FFT: the reference
+    for the rotated coarse grids of ``_density_min_lower``."""
+    N, G = t.half_width, _min_lower_grid(t.half_width)
+    vals = t.density(G)
+    rounding = fourier._fft_rounding(t, G)
+    sup = (float(np.max(np.abs(vals))) + rounding) / (1.0 - np.pi * N / G)
+    return float(np.min(vals)) - rounding - 0.5 * (np.pi * N / G) ** 2 * sup
+
+
+@PROPS
+@given(t=psd_certificate_tables())
+@example(t=fourier.lebesgue_table(0))
+@example(t=fourier.dirac_table(1))
+@example(t=fourier.FourierTable.from_nonneg(np.array([1.0, 0.3 + 0.4j])))
+@example(t=fourier.FourierTable.from_nonneg(np.array([1.0, 0.6, 0.9])))
+@example(t=fourier.FourierTable.from_nonneg(np.array([1.0, 0.3 - 0.2j, -0.4j])))
+def test_rotated_grids_match_one_grid_bound(t):
+    # both read d_N on the same G points, each within _fft_rounding of exact
+    rounding = fourier._fft_rounding(t, _min_lower_grid(t.half_width))
+    assert abs(fourier._density_min_lower(t) - _one_grid_min_lower(t)) <= 2 * rounding
+
+
+@pytest.mark.parametrize("t", FIXED_TABLES, ids=lambda t: t.label.split("(")[0])
+def test_rotated_grid_values_far_below_stated_bound(t, monkeypatch):
+    # the r-th density(L) call of _density_min_lower reads d_N((qR + r)/G), q < L
+    calls = []
+    density = fourier.FourierTable.density
+    monkeypatch.setattr(fourier.FourierTable, "density",
+                        lambda self, L: calls.append(density(self, L)) or calls[-1])
+    fourier._density_min_lower(t)
+    N, G, R = t.half_width, _min_lower_grid(t.half_width), len(calls)
+    assert R >= 16 and G // R >= 2 * N + 1
+    assert all(vals.shape == (G // R,) for vals in calls)
+    with mpmath.workdps(40):
+        for r in (1, R - 1):
+            ref = _mp_density(t, G, range(r, G, R))
+            err = max(abs(mpmath.mpf(float(v)) - x) for v, x in zip(calls[r], ref))
+            assert float(err) <= fourier._fft_rounding(t, G) / 100
+
+
+def test_density_min_lower_memory_is_linear_in_n():
+    # at N = 2^14 the 2^20 grid points are read as 16 grids of 2^16, about 4 MiB;
+    # a single 2^20-point grid holds two complex arrays, 32 MiB
+    t = fourier.sqrt_template(0.3, 2**14)
+    tracemalloc.start()
+    try:
+        fourier._density_min_lower(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _riesz_recursive(amplitudes, frequencies, N):

@@ -83,11 +83,17 @@ ROWS = [
     # the constant chain's 10^6-term series is summed in 2^16-term blocks, about
     # 31.5 MiB of RSS; the full-length expression it replaced peaked at 53
     ([*CLI, "gaussian", "constants"], 0, 45, None),
-    # a spec check at N = 16384: the grid bound reads d_N on G = 64N = 2^20 points,
-    # 48 of the 82-86 MiB of RSS; a grid twice as fine adds 48 MiB more and passes 112
+    # a spec check at N = 16384: the grid bound reads d_N on G = 64N = 2^20 points as
+    # 16 rotated grids of 2^16, about 40 MiB of RSS; a return to one 2^20-point grid
+    # reads 82-86 MiB, which 112 still passes, and the N = 131072 row below fails it
     ([*CLI, "measure", "riesz", "--N", "16384", "--a", "0.5,0.5,0.5", "--freq", "1,3,9",
       "--out", "riesz16384.json"], 0, None, None),
     ([*CLI, "gaussian", "cocycle", "--spec", "riesz16384.json"], 0, 112, None),
+    # at N = 131072 the 2^23 grid points are read as 16 grids of 2^19, about 81 MiB of
+    # RSS; one 2^23-point grid holds two 128 MiB complex arrays, 429 MiB
+    ([*CLI, "measure", "riesz", "--N", "131072", "--a", "0.5,0.5,0.5", "--freq", "1,3,9",
+      "--out", "riesz131072.json"], 0, None, None),
+    ([*CLI, "gaussian", "cocycle", "--spec", "riesz131072.json"], 0, 128, None),
     # the cocycle table takes 2^16 exponentials at a time, about 47 MiB of RSS at
     # nmax = 65536; all 65536 x 202 at once (M = 201) add over 100 MiB and pass 64
     ([*CLI, "gaussian", "cocycle", "--nmax", "65536"], 0, 64, None),
