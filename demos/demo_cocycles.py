@@ -35,5 +35,5 @@ print(f"  n=1 closed-form series: {series:.6g}  (matches the piecewise value)")
 print()
 
 print("distal extension: the fiber integral vanishes identically")
-rows = systems.DistalSource(alpha).rows(5)
-print("  n = 1..5:", [complex(v) for _, v, _, _ in rows[1:]])
+values, _, _ = systems.DistalSource(alpha).table(5)
+print("  n = 1..5:", [complex(v) for v in values[1:]])

@@ -7,7 +7,7 @@ bad input, and `main` turns it, or an OSError, into one `error:` line.
 `measure` picks its kind from `_MEASURES`: adding a kind takes one entry there.
 `system` and `funny` share one table of systems, `_SYSTEMS`: adding a system
 takes one `NameSource` subclass and one `_SYSTEMS` entry (and, if it defines
-`rows`, one `_ROW_SYSTEMS` entry).  `system` prints the source's `rows` and
+`table`, one `_ROW_SYSTEMS` entry).  `system` prints the source's `table` and
 samples its names; `funny` samples names from it.
 Every output goes through one text sink, `_emit`, which writes to `--out`, stdout
 or both in one pass.  A command computes and checks every value first, then hands
@@ -62,12 +62,15 @@ def _parse_alpha(s: str) -> float:
     return x
 
 
-def correlation_csv(rows):
-    """rows: a list of (n, complex value, method, error_bar); 2^16 rows a piece."""
+def correlation_csv(values, method, error_bar):
+    """The CSV rows of values = c(0..nmax), 2^16 a piece; method and error_bar are each
+    one value for every lag or an array like values."""
+    import numpy as np
+    cols = [values, *(np.broadcast_to(x, len(values)) for x in (method, error_bar))]
     yield "n,re,im,method,error_bar\n"
-    for i in range(0, len(rows), 2**16):
-        yield "".join(f"{n},{(c := complex(v)).real!r},{c.imag!r},{method},{float(err)!r}\n"
-                      for n, v, method, err in rows[i:i + 2**16])
+    for i in range(0, len(values), 2**16):
+        yield "".join(f"{n},{v.real!r},{v.imag!r},{m},{e!r}\n" for n, v, m, e in
+                      zip(range(i, len(values)), *(c[i:i + 2**16].tolist() for c in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +84,7 @@ def _read_in(fourier, args):
     return fourier.read_measure(args.infile)
 
 
-# kind -> builder of the table from the `fourier` module and the parsed args,
-# which looks up fourier.* attributes when called
+# kind -> builder of the table from the `fourier` module and the parsed args
 _MEASURES = {
     "lebesgue": lambda fourier, a: fourier.lebesgue_table(a.N),
     "dirac": lambda fourier, a: fourier.dirac_table(a.N),
@@ -157,8 +159,7 @@ def cmd_certify(args) -> int:
 
 
 # name -> the name of its NameSource subclass in `systems`, looked up when a
-# command runs.  The row methods call the systems.* functions as module globals,
-# so a rebound (e.g. traced) function runs
+# command runs
 _SYSTEMS = {
     "rudin-shapiro": "RudinShapiroSource",
     "nil": "NilRotationSource",
@@ -168,15 +169,15 @@ _SYSTEMS = {
     "coin": "CoinSource",
     "constant": "ConstantSource",
 }
-# the systems whose source defines `rows`, which `system` offers (a test pins
-# this against the classes, so the parser needs no import of `systems`)
+# the systems whose source defines `table`, which `system` offers (a test pins this,
+# so the parser needs no import of `systems`)
 _ROW_SYSTEMS = ("rudin-shapiro", "nil", "rotation", "distal", "odometer")
 
 
 def _system(args):
     """A builder of args.system's source, with --alpha and --phi parsed in place: it
-    gets each option named like a constructor parameter (`funny` has no --L,
-    which shapes only the rows, so there it keeps its default)."""
+    gets each option named like a constructor parameter (`funny` has no --L, so
+    there L keeps its default)."""
     import inspect
 
     from . import systems
@@ -207,7 +208,7 @@ def cmd_system(args) -> int:
     if args.names > systems.MAX_NAMES:
         raise ValueError(f"need --names <= {systems.MAX_NAMES}, got {args.names}")
     source = make_source()
-    csv = correlation_csv(source.rows(args.nmax))
+    csv = correlation_csv(*source.table(args.nmax))
     steps = source.sample_names(args.names, args.length, args.seed) if args.names else None
     _emit(csv, args.out, args.stdout)
     if steps is not None:
@@ -333,7 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     s.add_argument("system", choices=list(_ROW_SYSTEMS))
     s.add_argument("--L", type=int, default=2**20)
     s.add_argument("--nmax", type=int, default=16)
-    # unused (the distal rows are 0 at every scale): the benchmark's distal job passes it
+    # unused (distal tables are 0 at every scale): the benchmark's distal job passes it
     s.add_argument("--m-scale", type=int, default=1)
     s.add_argument("--names", type=int, default=0)
     s.add_argument("--length", type=int, default=256)

@@ -11,8 +11,8 @@ The truncated density d(theta) = sum c(n) e^{2 pi i n theta} is read only on
 uniform grids j/G, by one zero-padded inverse FFT of length mG >= 2N + 1
 (:meth:`FourierTable.density`).  :func:`density_sup` adds the tail, a
 Bernstein derivative margin and a stated FFT rounding term to the grid maximum;
-``_density_min_lower`` bounds min d_N, and so the least Toeplitz eigenvalue,
-from below on a fine grid, read as rotated coarse grids.
+``_density_min_lower`` bounds min d_N, so the least Toeplitz eigenvalue, from
+below on a fine grid read as rotated coarse grids.
 
 :meth:`FourierTable.gram` gathers the Gram matrix [c(n_i - n_j)] of any
 index family; the SBH forms, the Toeplitz PSD check and Gaussian sampling
@@ -40,7 +40,7 @@ _TOL = 1e-12
 # largest half_width a measure file may declare, and the widest table a command
 # builds (`system` and `gaussian cocycle --nmax`).  The table then holds
 # 2^22 + 1 complex coefficients (64 MiB) and density_sup's grid of 4N + 4
-# = 2^24 + 4 points needs about 256 MiB per complex array.
+# = 2^24 + 4 points needs 256 MiB per complex array.
 MAX_HALF_WIDTH = 2**22
 
 
@@ -321,22 +321,23 @@ def _density_min_lower(t: FourierTable) -> float:
     [c(i - j)] of size k <= N + 1, whose quadratic form integrates
     |sum_j x_j e(j theta)|^2 d_N(theta), e(x) = e^{2 pi i x} (Grenander and Szego).
 
-    d_N is read on j/G, G the power of two >= 64N (at least 64), h = 1/G.  A grid
-    point lies within h/2 of a minimiser, where d_N' = 0, so min d_N >= grid min
+    d_N is read on j/G, G the power of two >= 64N (>= 64), h = 1/G.  A grid
+    point is within h/2 of a minimiser, where d_N' = 0, so min d_N >= grid min
     - h^2/8 ||d_N''||, and ||d_N''|| <= (2 pi N)^2 ||d_N|| (Bernstein) with
     ||d_N|| <= (max |grid value| + rounding) / (1 - pi N / G), sup norms.  The grid
     is R = G/L >= 16 grids, L the power of two >= 2N + 1: c(n) e(nr/G) is d_N
     translated by r/G, so its ``density(L)`` is d_N((qR + r)/G), q < L.  A phase
-    e((nr mod G)/G) errs by delta <= about 15 eps, moving a value by delta sum
-    |c(n)| <= delta sqrt(L) ||c||_2; the length-L FFT adds log2(L) 8 eps sqrt(L)
-    ||c||_2.  R >= 16 makes ``_fft_rounding(t, G)`` >= 32 (log2(L) + 4) eps sqrt(L)
-    ||c||_2, which covers both.  O(G log L) time, O(N) memory.
+    e(nr/G) needs no reduction (nr < NR < G/2) and errs by delta <= about 15 eps,
+    moving values by delta sum |c(n)| <= delta sqrt(L) ||c||_2; the FFT adds
+    log2(L) 8 eps sqrt(L) ||c||_2.  R >= 16 makes ``_fft_rounding(t, G)``
+    >= 32 (log2(L) + 4) eps sqrt(L) ||c||_2, covering both.  O(G log L) time,
+    O(N) memory.
     """
     N = t.half_width
     G = 1 << max(6, (64 * N - 1).bit_length())
     L, n, lo, hi = 1 << (2 * N).bit_length(), np.arange(N + 1), math.inf, 0.0
     for r in range(G // L):
-        vals = FourierTable(t.coeffs * np.exp((2j * math.pi / G) * (n * r % G))).density(L)
+        vals = FourierTable(t.coeffs * np.exp((2j * math.pi / G) * (n * r))).density(L)
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     rounding = _fft_rounding(t, G)
     sup = (max(hi, -lo) + rounding) / (1.0 - math.pi * N / G)

@@ -367,13 +367,12 @@ def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
 # --length`, and funny's 2 samples x horizon): 8 MiB as packed step rows
 MAX_NAME_BITS = 2**26
 # largest count of a name batch the CLI samples (`system --names`, and funny's 2
-# samples): the orbit samplers hold a few float64 entries per name (nil 7, 56 MiB)
+# samples): the orbit samplers hold a few float64 entries per name (rotation 8, 64 MiB)
 MAX_NAMES = 2**20
 
-# names per block of the samplers that evaluate or draw a block of names at once:
-# their float and complex temporaries (up to 32 bytes an entry) hold
-# _ROW_BLOCK x length entries; a multiple of 8, so each block packs into whole
-# bytes of the step rows
+# names per block of CoinSource, which draws a block of names at once into
+# _ROW_BLOCK x length floats; a multiple of 8, so each block packs into whole bytes
+# of the step rows
 _ROW_BLOCK = 256
 
 
@@ -406,12 +405,14 @@ class NameSource:
     directly, one bit per sampled step; funny's search unpacks only the rows of
     the index set it reads, and ``write_names`` a block of names at a time.
 
-    Sources of systems with a correlation table also define ``rows(nmax)``:
-    the rows (n, value, method, error_bar), n = 0..nmax, that ``atlab system``
-    prints.  The value is c(n) = <F o T^n, F> to within error_bar, except the
-    distal row 0, which is the fiber integral, 0.  The rows check domains that
-    the constructors leave open (0 < beta < 1, 0 <= delta < 1 - delta0), so
-    names can be sampled where the rows raise.
+    Sources of systems with a correlation table also define ``table(nmax)``:
+    the columns (values, method, error_bar) of lags n = 0..nmax that ``atlab
+    system`` prints.  values is the kernel's array of c(n) = <F o T^n, F>, each
+    to within its error_bar, except the distal c(0), which is the fiber
+    integral, 0; method and error_bar are each one str or float for every lag,
+    or an array of nmax + 1.  ``table`` checks domains that the constructors
+    leave open (0 < beta < 1, 0 <= delta < 1 - delta0), so names can be sampled
+    where it raises.
     """
 
     def sample_names(self, count: int, length: int, seed: int) -> np.ndarray:
@@ -432,41 +433,35 @@ class RotationCocycleSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x = rng.random(count)[:, None]
-        y = rng.random(count)[:, None]
-        j = np.arange(length)[None, :]
-        shift = j * (j - 1) / 2.0 * self.alpha
+        x, y = rng.random((2, count))
+        js = np.arange(length)
+        shift = js * (js - 1) / 2.0 * self.alpha
         if self.delta != 0.0:
             # g^(j)(x) = (delta/2pi) Im(e^{2 pi i x} S_j), S_j = sum_{i<j} e^{2 pi i alpha i};
             # a cumulative sum, since the geometric-series quotient is 0/0 at alpha = 0
-            S = np.zeros(j.shape, dtype=complex)
-            S[:, 1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * j[:, :-1]), axis=1)
+            S = np.zeros(length, dtype=complex)
+            S[1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * js[:-1]))
             phase = np.exp(2j * np.pi * x)
-            wave = np.empty((min(count, _ROW_BLOCK), length), dtype=complex)
+            wave = np.empty(count, dtype=complex)
         packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        v = np.empty((min(count, _ROW_BLOCK), length))
-        scratch = np.empty_like(v)
-        flags = np.empty(v.shape, dtype=bool)
-        # the bits of y + j x + j (j - 1) alpha / 2 + g^(j)(x), one name block at a
-        # time, packed into its bytes of the step rows, as in CoinSource
-        for r0 in range(0, count, _ROW_BLOCK):
-            rows = slice(r0, r0 + _ROW_BLOCK)
-            n = x[rows].shape[0]
-            drift = np.multiply(j, x[rows], out=v[:n])
-            drift += shift
+        v, t = np.empty(count), np.empty(count)
+        flags = np.empty(count, dtype=bool)
+        # step j's bits, of y + j x + j (j - 1) alpha / 2 + g^(j)(x), are packed into row j
+        for j, row in enumerate(packed):
+            np.multiply(j, x, out=v)
+            v += shift[j]
             if self.delta != 0.0:
-                w = np.multiply(phase[rows], S, out=wave[:n])
-                drift += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
-            drift += y[rows]
-            np.greater_equal(_frac(drift, scratch[:n]), 0.5, out=flags[:n])
-            packed[:, r0 // 8:(r0 + n + 7) // 8] = _pack_columns(flags[:n]).T
+                w = np.multiply(phase, S[j], out=wave)
+                v += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
+            v += y
+            row[:] = np.packbits(np.greater_equal(_frac(v, t), 0.5, out=flags))
         return packed
 
-    def rows(self, nmax):
-        err = square_wave_coeffs(self.M).truncation_error
+    def table(self, nmax):
         vs = rotation_ac_cocycle_correlations(self.alpha, self.delta, self.delta0, nmax, self.M)
-        return [(n, v, "quadrature", err) if n else (0, v, "exact", 0.0)
-                for n, v in enumerate(vs)]
+        n = np.arange(nmax + 1)
+        return (vs, np.where(n, "quadrature", "exact"),
+                np.where(n, square_wave_coeffs(self.M).truncation_error, 0.0))
 
 
 class NilRotationSource(NameSource):
@@ -483,9 +478,7 @@ class NilRotationSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x = rng.random(count)
-        y = rng.random(count)
-        z = rng.random(count)
+        x, y, z = rng.random((3, count))
         # step j's bits are packed into row j, one step at a time
         packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         fx, fy, t, u = (np.empty(count) for _ in range(4))
@@ -510,21 +503,20 @@ class NilRotationSource(NameSource):
             _frac(t, y)
         return packed
 
-    def rows(self, nmax):
-        err = square_wave_coeffs(self.M).truncation_error
+    def table(self, nmax):
         vs = nil_rotation_correlations(self.alpha, self.beta, self.gamma, nmax, self.M)
-        return [(n, v, "exact" if v == 0 else "series", err if n else 0.0)
-                for n, v in enumerate(vs)]
+        return (vs, np.where(vs == 0, "exact", "series"),
+                np.where(np.arange(nmax + 1), square_wave_coeffs(self.M).truncation_error, 0.0))
 
 
 class DistalSource(NameSource):
     """Two-step skew product (x, y, z) -> (x + alpha, y + x, z + y);
     P0 = last coordinate in [0, 1/2).  Lebesgue fiber spectrum.
 
-    The rows are the fiber integrals int_0^1 e^{i pi chi_[0,1/2)(K y mod 1)} dy,
-    K = m n for any scale m, and each is exactly 0: for K != 0 the circle
+    The table's values are the fiber integrals int_0^1 e^{i pi chi_[0,1/2)(K y mod 1)}
+    dy, K = m n for any scale m, and each is exactly 0: for K != 0 the circle
     splits into 2|K| intervals of length 1/(2|K|) on which the integrand is
-    -1 and +1 in turn, so they cancel in pairs; at K = 0 the row is the mean
+    -1 and +1 in turn, so they cancel in pairs; at K = 0 the value is the mean
     of the square wave itself, also 0.
     """
 
@@ -533,9 +525,7 @@ class DistalSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x = rng.random(count)
-        y = rng.random(count)
-        z = rng.random(count)
+        x, y, z = rng.random((3, count))
         # step j's bits are packed into row j, as in NilRotationSource
         packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         t = np.empty(count)
@@ -550,8 +540,8 @@ class DistalSource(NameSource):
             _frac(t, x)
         return packed
 
-    def rows(self, nmax):
-        return [(n, 0.0, "exact", 0.0) for n in range(nmax + 1)]
+    def table(self, nmax):
+        return np.zeros(nmax + 1), "exact", 0.0
 
 
 class OdometerExtensionSource(NameSource):
@@ -584,15 +574,14 @@ class OdometerExtensionSource(NameSource):
             row[:] = np.packbits(bits)
         return packed
 
-    def rows(self, nmax):
-        return [(n, v, "exact", 0.0) for n, v in
-                enumerate(two_point_extension_correlations(self.phi, nmax))]
+    def table(self, nmax):
+        return two_point_extension_correlations(self.phi, nmax), "exact", 0.0
 
 
 class RudinShapiroSource(NameSource):
     """Shift orbit of the Rudin-Shapiro fixed point.  Names start at uniform
     offsets into the first 2^log2_length signs (approximating the unique
-    invariant measure); the rows are Birkhoff averages over the first L."""
+    invariant measure); the table holds Birkhoff averages over the first L."""
 
     def __init__(self, log2_length: int = 21, L: int = 2**20):
         self.log2_length = log2_length
@@ -600,7 +589,7 @@ class RudinShapiroSource(NameSource):
 
     @functools.cached_property
     def _prefix_bits(self) -> np.ndarray:
-        # built on the first sample_names: rows alone never hold this prefix
+        # built on the first sample_names: table() alone never builds this prefix
         return (rudin_shapiro_names(2 ** self.log2_length) < 0).view(np.uint8)
 
     def sample_names(self, count, length, seed):
@@ -618,11 +607,11 @@ class RudinShapiroSource(NameSource):
             row[:] = np.packbits(np.take(prefix[j:], starts, out=bits, mode="clip"))
         return packed
 
-    def rows(self, nmax):
+    def table(self, nmax):
         if self.L < max(1, 4 * nmax):
             raise ValueError(f"need L >= max(1, 4 * nmax), got L = {self.L}, nmax = {nmax}")
-        c = rudin_shapiro_lag_sums(self.L, nmax) / (self.L - np.arange(nmax + 1))
-        return [(n, v, "empirical", 5.0 / math.sqrt(self.L)) for n, v in enumerate(c)]
+        return (rudin_shapiro_lag_sums(self.L, nmax) / (self.L - np.arange(nmax + 1)),
+                "empirical", 5.0 / math.sqrt(self.L))
 
 
 class CoinSource(NameSource):

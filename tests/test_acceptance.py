@@ -120,9 +120,9 @@ def test_criterion_05_nil_rotation():
 def test_criterion_06_distal_integral():
     """Distal rows: exact zero for 1 <= n <= 100, < 1 s."""
     t0 = time.perf_counter()
-    rows = systems.DistalSource().rows(100)
+    values = systems.DistalSource().table(100)[0]
     for n in range(1, 101):
-        assert rows[n][1] == 0.0
+        assert values[n] == 0.0
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -85,12 +85,37 @@ def test_measure_density_csv_in_blocks(tmp_path, capsys):
     assert np.array_equal(rows[:, 1], fourier.sqrt_template(0.3, 64).density(grid))
 
 
+# stdout sha256 of `system ... --nmax NMAX` as printed when each source built one
+# tuple per lag: values, methods and error bars that vary, so a column that slips
+# at the 2^16-row piece boundary shows
+_PIECE_SHA256 = {
+    ("odometer", "--phi", "0,1,1,0,1,0,0,1"): (
+        "64d55641851cd888e139add23794ee0150709b85767ec743c02a7a4099061efe",
+        "9ca988b07d20a8baac039fc70cf2b762195ef6c7679e5aa84fef690f0f0a9ec6",
+        "2f4787efa53b296a76f351b94449d24b1e632b1279259fd7b8affcd9d9d5c0a1"),
+    ("rudin-shapiro",): (
+        "b555cf983c72e2dfff564c043aad2898a217ac1b34a5ee39fc3d87a3155f291b",
+        "2801ea6046fb1cddb17ecba65a932168d9a46b8bdf8188f52540c7bc1510035e",
+        "d52ac7c3de5dac5aa02a689b464f1bde3992554b0e55e54128feef8337ff54ae"),
+    ("nil", "--beta", "0.0618034"): (  # 17 series values, then exact zeros
+        "f09996256e6d03008fae29edbac02dbac35af2c9ed5ced677918f2b4ef01341c",
+        "5750457b0321c49d51a6b5e0b47bfc15dec18a74a833eb1b85269feb7ad9644d",
+        "d240e9011ba97fa65fd16c884af400918ddfab2145686ede69750951506da21a"),
+}
+
+
 def test_system_csv_across_a_piece_boundary(capsys):
     # 70001 rows: one full piece of 2^16 rows and a partial one
     code, out, _ = run(["system", "distal", "--nmax", "70000"], capsys)
     assert code == 0
     assert out == "n,re,im,method,error_bar\n" + "".join(f"{n},0.0,0.0,exact,0.0\n"
                                                          for n in range(70001))
+    # 2^16, 2^16 + 1 and 2^16 + 2 rows: one piece exactly, then a partial second piece
+    for (name, *extra), digests in _PIECE_SHA256.items():
+        for nmax, digest in zip((2**16 - 1, 2**16, 2**16 + 1), digests):
+            code, out, _ = run(["system", name, "--nmax", str(nmax), *extra], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, nmax)
 
 
 @pytest.mark.parametrize("argv", [
@@ -771,9 +796,9 @@ def test_certify_heuristic_on_a_wide_window(tmp_path, capsys):
 
 
 def test_row_systems_are_the_sources_with_rows():
-    """The static tuple behind `system`'s choices names exactly the sources with `rows`."""
+    """The static tuple behind `system`'s choices names exactly the sources with `table`."""
     assert list(cli._ROW_SYSTEMS) == [name for name, cls in cli._SYSTEMS.items()
-                                      if hasattr(getattr(systems, cls), "rows")]
+                                      if hasattr(getattr(systems, cls), "table")]
 
 
 @pytest.mark.parametrize("argv", [
@@ -938,11 +963,16 @@ def test_system_choices_are_the_sources_with_rows():
 def test_floats_round_trip_exactly():
     xs = [1.0 / 3.0, 2.1685067667181943e-09, 0.1065397273290956, -1e-300]
     assert json.loads(cli.render_json(xs)) == xs
-    # numpy scalars too, whose repr in numpy 2 is np.float64(...)
-    rows = [(n, np.complex128(x - 1j * x), "exact", np.float64(x)) for n, x in enumerate(xs)]
-    for x, line in zip(xs, "".join(cli.correlation_csv(rows)).splitlines()[1:]):
+    # numpy arrays and scalars too, whose repr in numpy 2 is np.float64(...)
+    values = np.array([x - 1j * x for x in xs])
+    for x, line in zip(xs, "".join(cli.correlation_csv(values, "exact", np.array(xs)))
+                       .splitlines()[1:]):
         _, re, im, _, err = line.split(",")
         assert (float(re), float(im), float(err)) == (x, -x, x)
+    for x, line in zip(xs, "".join(cli.correlation_csv(values, "exact", np.float64(xs[1])))
+                       .splitlines()[1:]):
+        _, re, im, _, err = line.split(",")
+        assert (float(re), float(im), float(err)) == (x, -x, xs[1])
     with pytest.raises(ValueError):  # main maps it to exit 2
         cli.render_json({"sup": float("nan")})
 

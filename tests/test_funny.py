@@ -91,7 +91,7 @@ def test_theta_l2_empirical_matches_exact_oracle():
     phi = [1, 0, 1, 1]
     src = systems.OdometerExtensionSource(phi)
     idx = (0, 1, 3, 6)
-    nn = np.array([v for _, v, _, _ in src.rows(6)], dtype=complex)
+    nn = np.array(src.table(6)[0], dtype=complex)
     t = fourier.FourierTable.from_nonneg(nn)
     w = funny.FunnyWord(idx, (0, 1, 1, 0))
     est, se = theta_l2_estimate(src, w, samples=10**5, seed=6)

@@ -723,22 +723,44 @@ def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
 
 def test_nil_rows_end_in_exact_zeros_quickly():
     t0 = time.perf_counter()
-    rows = systems.NilRotationSource(beta=0.0618034).rows(4096)
+    values, methods, _ = systems.NilRotationSource(beta=0.0618034).table(4096)
     assert time.perf_counter() - t0 < 1.0
-    assert [n for n, v, _, _ in rows if v != 0] == list(range(17))
-    assert all(method == "exact" for _, v, method, _ in rows[17:])
+    assert [n for n, v in enumerate(values) if v != 0] == list(range(17))
+    assert all(method == "exact" for method in methods[17:])
 
 
 @pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1],
                          ids=["sqrt2-1", "golden"])
 def test_rotation_cocycle_hermitian_in_n(alpha):
-    # the rows and the table hold the same values, and the table extends them
-    # to negative lags by c(-n) = conj(c(n))
-    rows = systems.RotationCocycleSource(alpha=alpha, delta=0.3, delta0=0.5, M=21).rows(8)
+    # the source's table and the FourierTable hold the same values, and the
+    # FourierTable extends them to negative lags by c(-n) = conj(c(n))
+    values = systems.RotationCocycleSource(alpha=alpha, delta=0.3, delta0=0.5, M=21).table(8)[0]
     table = systems.ac_cocycle_table(alpha, 0.3, 0.5, 8, M=21)
     for n in range(1, 9):
-        assert table.at(n) == rows[n][1]
-        assert table.at(-n) == rows[n][1].conjugate()
+        assert table.at(n) == values[n]
+        assert table.at(-n) == values[n].conjugate()
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 37])
+def test_source_table_values_are_the_kernel_arrays(nmax):
+    """Each source's table(nmax)[0] is its kernel's array, bit for bit."""
+    phi = [1, 0, 1, 1, 0, 0, 1, 0]
+    L = 4096
+    cases = [
+        (systems.RotationCocycleSource(alpha=0.3, delta=0.2, M=41),
+         systems.rotation_ac_cocycle_correlations(0.3, 0.2, 0.5, nmax, 41)),
+        (systems.NilRotationSource(beta=0.0618034),
+         systems.nil_rotation_correlations(systems.SQRT2_M1, 0.0618034, 0.0, nmax, 201)),
+        (systems.DistalSource(), np.zeros(nmax + 1)),
+        (systems.OdometerExtensionSource(phi),
+         systems.two_point_extension_correlations(phi, nmax)),
+        (systems.RudinShapiroSource(L=L),
+         systems.rudin_shapiro_lag_sums(L, nmax) / (L - np.arange(nmax + 1))),
+    ]
+    for src, ref in cases:
+        values = src.table(nmax)[0]
+        assert values.dtype == ref.dtype and values.shape == (nmax + 1,)
+        assert values.tobytes() == ref.tobytes(), type(src).__name__
 
 
 def test_nil_beta_near_one_small():
@@ -748,15 +770,16 @@ def test_nil_beta_near_one_small():
 
 
 def test_distal_integral_zero():
-    # against the alternating pieces of length 1/(2K), K = m n, summed as the rows
+    # against the alternating pieces of length 1/(2K), K = m n, summed as the table
     # once did at each scale m
-    rows = systems.DistalSource().rows(100)
+    values, method, err = systems.DistalSource().table(100)
+    assert len(values) == 101
     for n in range(0, 101):
         for m_scale in (1, 2, 3):
             K = abs(m_scale * n)
             pieces = np.where(np.arange(2 * K) % 2 == 0, -1.0, 1.0) / (2.0 * max(K, 1))
-            assert rows[n] == (n, complex(np.sum(pieces)), "exact", 0.0)
-            assert rows[n][1] == 0.0
+            assert (values[n], method, err) == (complex(np.sum(pieces)), "exact", 0.0)
+            assert values[n] == 0.0
 
 
 def test_name_sources_shapes_and_determinism():
@@ -828,11 +851,13 @@ def test_rotation_names_match_direct_iteration(alpha):
     systems.RudinShapiroSource(log2_length=16, L=2**16),
 ], ids=["rotation-0", "rotation-0.3", "nil", "distal", "odometer", "rudin-shapiro"])
 def test_sampled_names_estimate_the_source_rows(src):
-    """The names a source samples and the rows it prints describe one system:
-    each lag's sign correlation is within 5 sigma plus the row's error bar."""
+    """The names a source samples and the table it prints describe one system:
+    each lag's sign correlation is within 5 sigma plus the lag's error bar."""
     count, nmax = 40000, 7
     signs = names_to_signs(sample(src, count, nmax + 1, seed=23))
-    for n, value, _method, err in src.rows(nmax)[1:]:
+    values, _method, errs = src.table(nmax)
+    for n, value, err in zip(range(1, nmax + 1), values[1:],
+                             np.broadcast_to(errs, values.shape)[1:]):
         emp = float(np.mean(signs[:, :-n] * signs[:, n:]))
         assert abs(emp - value) <= 5.0 / math.sqrt(count) + err, n
 

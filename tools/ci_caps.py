@@ -66,9 +66,13 @@ ROWS = [
     # patterns, about 423 MiB of RSS (1193 MiB with the whole JSON string)
     ([*CLI, "measure", "riesz", "--N", "4194304", "--a", ",".join(["0.5"] * 15),
       "--freq", ",".join(str(3**j) for j in range(15))], 0, 480, None),
-    # 2^20 Rudin-Shapiro rows of L = 2^62 signs, written 2^16 rows at a time: about
-    # 235 MiB of RSS, the lag sums and the row tuples (459 MiB with the whole CSV string)
-    ([*CLI, "system", "rudin-shapiro", "--L", str(2**62), "--nmax", "1048576"], 0, 256, None),
+    # 2^20 Rudin-Shapiro lags of L = 2^62 signs, formatted from the table's arrays 2^16
+    # rows at a time: about 139 MiB of RSS, nearly all the lag sums (235 MiB with one
+    # tuple per lag, which fails 176; 459 MiB with the whole CSV string)
+    ([*CLI, "system", "rudin-shapiro", "--L", str(2**62), "--nmax", "1048576"], 0, 176, None),
+    # the widest distal table is one float64 array of zeros, 32 MiB, and its method and
+    # error bar one value each: about 45 MiB of RSS (519 MiB with one tuple per lag)
+    ([*CLI, "system", "distal", "--nmax", "4194304"], 0, 96, None),
     ([*CLI, "measure", "sqrt", "--N", "1024", "--c", "0.3", "--out", "sqrt1024.json"],
      0, None, None),
     # the pair bound stops the exact search at k = 12, window = 24 on a sqrt table
