@@ -770,7 +770,7 @@ def test_nil_beta_near_one_small():
 
 
 def test_distal_integral_zero():
-    # against the alternating pieces of length 1/(2K), K = m n, summed as the table
+    # against the alternating pieces of length 1/(2K), K = m n, summed as the rows
     # once did at each scale m
     values, method, err = systems.DistalSource().table(100)
     assert len(values) == 101
