@@ -160,11 +160,19 @@ def rudin_shapiro_lag_sums(L: int, nmax: int) -> np.ndarray:
 
 
 def _parity_prefix(phi: np.ndarray) -> np.ndarray:
-    """par[i] = parity of phi[0] + ... + phi[i - 1] over two periods of phi, as uint8."""
-    odd = (phi & 1).astype(np.uint8)
-    par = np.zeros(2 * phi.size + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate(np.concatenate([odd, odd]), out=par[1:])
+    """par[i] = parity of phi[0] + ... + phi[i - 1] over three periods of phi, as uint8:
+    for v < m and n < 2m, S_n(v) = sum_{j<n} phi((v + j) mod m) is odd iff par[v + n] ^ par[v]."""
+    par = np.zeros(3 * phi.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(np.tile((phi & 1).astype(np.uint8), 3), out=par[1:])
     return par
+
+
+def _repeat_period(a: np.ndarray, period: int) -> np.ndarray:
+    """a[j] = a[j mod period] for j >= period, in place, doubling the filled prefix; returns a."""
+    while period < len(a):
+        a[period:2 * period] = a[:min(period, len(a) - period)]
+        period *= 2
+    return a
 
 
 def two_point_extension_correlations(phi_table, nmax: int) -> np.ndarray:
@@ -176,11 +184,10 @@ def two_point_extension_correlations(phi_table, nmax: int) -> np.ndarray:
     only pushes carries upward, phi(T^j x) depends on x mod 2^d alone and
     the correlation is an exact average over the 2^d cylinders.
 
-    Only the parity of the cocycle sum S_n(v) = sum_{j<n} phi(v + j) matters.
-    With par the xor-prefix of phi's parities over two periods and
-    n = full m + rem, S_n(v) is odd iff par[v + rem] ^ par[v] ^ (full total)
-    is 1, so each lag is one xor of two length-m slices.  The value
-    (m - 2 odd) / m is exact, since m = 2^d.
+    Only the parity of the cocycle sum S_n(v) = sum_{j<n} phi(v + j) matters, and
+    S_{n + 2m}(v) - S_n(v) is twice phi's total, so c(n) has period 2m: each lag n < 2m
+    is one xor of two length-m slices of ``_parity_prefix``, ``_repeat_period`` fills
+    the rest, and the value (m - 2 odd) / m is exact, since m = 2^d.
     """
     phi = np.asarray(phi_table, dtype=np.int64)
     m = phi.size
@@ -193,13 +200,10 @@ def two_point_extension_correlations(phi_table, nmax: int) -> np.ndarray:
     par = _parity_prefix(phi)
     flips = np.empty(m, dtype=np.uint8)
     out = np.empty(nmax + 1)
-    for n in range(nmax + 1):
-        full, rem = divmod(n, m)
-        odd = np.count_nonzero(np.bitwise_xor(par[rem:rem + m], par[:m], out=flips))
-        if full & 1 and par[m]:  # full * total is odd; par[m] is the total's parity
-            odd = m - odd
+    for n in range(min(nmax + 1, 2 * m)):
+        odd = np.count_nonzero(np.bitwise_xor(par[n:n + m], par[:m], out=flips))
         out[n] = (m - 2 * odd) / m
-    return out
+    return _repeat_period(out, 2 * m)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +211,8 @@ def two_point_extension_correlations(phi_table, nmax: int) -> np.ndarray:
 
 
 def _rotation_sums(alpha: float, nmax: int) -> np.ndarray:
+    """S_n = sum_{j<n} e^{2 pi i j alpha}, n = 1..nmax, as a cumulative sum, since
+    the geometric-series quotient is 0/0 at alpha = 0."""
     return np.cumsum(np.exp(2j * np.pi * alpha * np.arange(nmax)))
 
 
@@ -437,10 +443,9 @@ class RotationCocycleSource(NameSource):
         js = np.arange(length)
         shift = js * (js - 1) / 2.0 * self.alpha
         if self.delta != 0.0:
-            # g^(j)(x) = (delta/2pi) Im(e^{2 pi i x} S_j), S_j = sum_{i<j} e^{2 pi i alpha i};
-            # a cumulative sum, since the geometric-series quotient is 0/0 at alpha = 0
+            # g^(j)(x) = (delta/2pi) Im(e^{2 pi i x} S_j), S_j = sum_{i<j} e^{2 pi i alpha i}
             S = np.zeros(length, dtype=complex)
-            S[1:] = np.cumsum(np.exp(2j * np.pi * self.alpha * js[:-1]))
+            S[1:] = _rotation_sums(self.alpha, length - 1)
             phase = np.exp(2j * np.pi * x)
             wave = np.empty(count, dtype=complex)
         packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
@@ -459,9 +464,9 @@ class RotationCocycleSource(NameSource):
 
     def table(self, nmax):
         vs = rotation_ac_cocycle_correlations(self.alpha, self.delta, self.delta0, nmax, self.M)
-        n = np.arange(nmax + 1)
-        return (vs, np.where(n, "quadrature", "exact"),
-                np.where(n, square_wave_coeffs(self.M).truncation_error, 0.0))
+        lag = np.arange(nmax + 1) != 0
+        return (vs, np.array(["exact", "quadrature"], dtype=object)[lag.view(np.uint8)],
+                np.where(lag, square_wave_coeffs(self.M).truncation_error, 0.0))
 
 
 class NilRotationSource(NameSource):
@@ -505,7 +510,7 @@ class NilRotationSource(NameSource):
 
     def table(self, nmax):
         vs = nil_rotation_correlations(self.alpha, self.beta, self.gamma, nmax, self.M)
-        return (vs, np.where(vs == 0, "exact", "series"),
+        return (vs, np.array(["series", "exact"], dtype=object)[(vs == 0).view(np.uint8)],
                 np.where(np.arange(nmax + 1), square_wave_coeffs(self.M).truncation_error, 0.0))
 
 
@@ -558,21 +563,16 @@ class OdometerExtensionSource(NameSource):
         m = self.phi.size
         v0 = rng.integers(0, m, size=count)
         g0 = rng.integers(0, 2, size=count)
-        # bit j = the parity of g0 + S_j(v0), S_j the sum of phi along the orbit:
-        # g0 ^ par[v0] ^ par[v0 + rem] ^ (full total & 1) for j = full m + rem, as
-        # in two_point_extension_correlations; step j's bits are packed into row j
+        # bit j = g0 ^ par[v0] ^ par[v0 + j], the parity of g0 + S_j(v0); the rows have period 2m
         par = _parity_prefix(self.phi)
         start = g0.astype(np.uint8) ^ par[v0]
         packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
         bits = np.empty(count, dtype=np.uint8)
-        for j, row in enumerate(packed):
-            full, rem = divmod(j, m)
-            np.take(par[rem:], v0, out=bits, mode="clip")
+        for j, row in zip(range(2 * m), packed):
+            np.take(par[j:], v0, out=bits, mode="clip")
             bits ^= start
-            if full & 1 and par[m]:
-                bits ^= 1
             row[:] = np.packbits(bits)
-        return packed
+        return _repeat_period(packed, 2 * m)
 
     def table(self, nmax):
         return two_point_extension_correlations(self.phi, nmax), "exact", 0.0

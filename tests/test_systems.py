@@ -320,11 +320,33 @@ def two_point_reference(phi_table, n):
 @example(phi=[1, 0, 0, 0], lags=[0, 1, 3, 4, 5, 8, 9, 13])  # odd total, n >= m
 @example(phi=[3], lags=[0, 1, 2, 7])  # m = 1: every lag is a whole number of periods
 @example(phi=[-1, 2, 0, 5, 1, 1, 0, -4], lags=[8, 16, 17, 23, 600])
+# the edges of the copies past the first period 2m: nmax = 2m 2^k - 1, 2m 2^k, 2m 2^k + 1
+@example(phi=[1, 0, 0, 0], lags=[0, 7, 8, 9, 15])  # odd total
+@example(phi=[1, 0, 0, 0], lags=[3, 12, 16])
+@example(phi=[1, 0, 0, 0], lags=[1, 8, 16, 17])
+@example(phi=[0, 1, 1, 0], lags=[5, 8, 17, 31])  # even total
+@example(phi=[0, 1, 1, 0], lags=[2, 16, 32])
+@example(phi=[0, 1, 1, 0], lags=[6, 9, 31, 32, 33])
+@example(phi=[3], lags=[0, 1, 2, 3, 4, 5, 7])  # m = 1, odd total: nmax 7 = 2 * 2^2 - 1
 def test_two_point_correlations_match_per_lag_reference(phi, lags):
     # the kernel returns the whole table c(0..nmax); every looked-up lag matches
     table = systems.two_point_extension_correlations(phi, max(lags))
     assert table.shape == (max(lags) + 1,)
     assert table[lags].tolist() == [two_point_reference(phi, n) for n in lags]
+
+
+@pytest.mark.parametrize("kernel, lags_or_steps", [
+    ("count_nonzero", lambda phi, n: systems.two_point_extension_correlations(phi, n)),
+    ("packbits", lambda phi, n: systems.OdometerExtensionSource(phi).sample_names(5, n, seed=1)),
+], ids=["table", "names"])
+def test_odometer_computes_one_period_of_2m(monkeypatch, kernel, lags_or_steps):
+    # c(n) and the step rows depend on n mod 2m alone: for m = 4, 1000 lags or steps
+    # take at most 2m = 8 flip counts or packed rows, and the rest are copies
+    calls = []
+    counted = getattr(np, kernel)
+    monkeypatch.setattr(np, kernel, lambda *a, **k: calls.append(1) or counted(*a, **k))
+    lags_or_steps([0, 1, 1, 0], 1000)
+    assert 1 <= len(calls) <= 8
 
 
 def test_two_point_correlations_reject_negative_lag():
@@ -1053,8 +1075,17 @@ def test_coin_names_match_reference(p0, count, length, seed):
 @example(phi=[3], count=1, length=1, seed=0)  # m = 1: every step is a whole period
 @example(phi=[1, 0, 0, 0], count=5, length=40, seed=1)  # odd total, steps past m
 @example(phi=[2**62, 2**62, 2**62, 1], count=3, length=40, seed=2)  # sums wrap int64
+# the edges of the copies past the first period 2m: length = 2m 2^k - 1, 2m 2^k, 2m 2^k + 1
+@example(phi=[1, 0, 0, 0], count=9, length=15, seed=3)  # odd total
+@example(phi=[1, 0, 0, 0], count=9, length=16, seed=4)
+@example(phi=[1, 0, 0, 0], count=9, length=17, seed=5)
+@example(phi=[0, 1, 1, 0], count=13, length=31, seed=6)  # even total
+@example(phi=[0, 1, 1, 0], count=13, length=32, seed=7)
+@example(phi=[0, 1, 1, 0], count=13, length=33, seed=8)
+@example(phi=[-1, 2, 0, 5, 1, 1, 0, -4], count=8, length=65, seed=9)
 def test_odometer_names_match_reference(phi, count, length, seed):
     src = systems.OdometerExtensionSource(phi)
+    assert_packed_layout(src.sample_names(count, length, seed), count, length)
     assert_same_names(sample(src, count, length, seed),
                       odometer_names_reference(src, count, length, seed))
 

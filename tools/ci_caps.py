@@ -73,6 +73,15 @@ ROWS = [
     # the widest distal table is one float64 array of zeros, 32 MiB, and its method and
     # error bar one value each: about 45 MiB of RSS (519 MiB with one tuple per lag)
     ([*CLI, "system", "distal", "--nmax", "4194304"], 0, 96, None),
+    # the widest nil table labels its lags from one two-entry object array of str, 8 bytes
+    # a lag: about 127 MiB of RSS (191 MiB with a <U6 array of 24 bytes a lag, which fails 160)
+    ([*CLI, "system", "nil", "--nmax", "4194304"], 0, 160, None),
+    # at names * length = MAX_NAME_BITS = 2^26 the odometer sampler packs the 2m = 8 step
+    # rows of one period and copies them forward in place, and write_names unpacks 8 names
+    # at a time, 64 MiB: about 124 MiB of RSS (163 MiB while the rows were tiled through
+    # an index array of every step, which fails 144)
+    ([*CLI, "system", "odometer", "--phi", "0,1,1,0", "--names", "8", "--length", "8388608",
+      "--nmax", "4"], 0, 144, None),
     ([*CLI, "measure", "sqrt", "--N", "1024", "--c", "0.3", "--out", "sqrt1024.json"],
      0, None, None),
     # the pair bound stops the exact search at k = 12, window = 24 on a sqrt table
