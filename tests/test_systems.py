@@ -336,7 +336,7 @@ def test_two_point_correlations_match_per_lag_reference(phi, lags):
 
 
 @pytest.mark.parametrize("kernel, lags_or_steps", [
-    ("count_nonzero", lambda phi, n: systems.two_point_extension_correlations(phi, n)),
+    ("count_nonzero", systems.two_point_extension_correlations),
     ("packbits", lambda phi, n: systems.OdometerExtensionSource(phi).sample_names(5, n, seed=1)),
 ], ids=["table", "names"])
 def test_odometer_computes_one_period_of_2m(monkeypatch, kernel, lags_or_steps):

@@ -78,8 +78,8 @@ ROWS = [
     ([*CLI, "system", "nil", "--nmax", "4194304"], 0, 160, None),
     # at names * length = MAX_NAME_BITS = 2^26 the odometer sampler packs the 2m = 8 step
     # rows of one period and copies them forward in place, and write_names unpacks 8 names
-    # at a time, 64 MiB: about 124 MiB of RSS (163 MiB while the rows were tiled through
-    # an index array of every step, which fails 144)
+    # at a time, 64 MiB: about 124 MiB of RSS (tiling the period through an index array
+    # of every step reads 163 MiB and fails 144)
     ([*CLI, "system", "odometer", "--phi", "0,1,1,0", "--names", "8", "--length", "8388608",
       "--nmax", "4"], 0, 144, None),
     ([*CLI, "measure", "sqrt", "--N", "1024", "--c", "0.3", "--out", "sqrt1024.json"],
