@@ -183,18 +183,32 @@ def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
-    # packed step rows, training names first: a candidate's k rows are one gather,
-    # unpacked to its k x 2 samples bits
+    # packed step rows, training names first: a candidate's rows are gathered 8 at
+    # a time, and only their held-out bits are unpacked
     steps = src.sample_names(2 * samples, family.horizon, seed)
     # dbar = mismatches / k is below eps exactly where this table is True: the
     # same doubles np.mean compares
     below = np.arange(family.k + 1) / family.k < epsilon
+    # the training bits are the first `cut` bytes of a row and the top `rem`
+    # bits of the byte after them, where the held-out half starts
+    cut, rem = divmod(samples, 8)
     rows = []
     for lam in candidates:
-        sub = np.unpackbits(steps[list(lam)], axis=1, count=2 * samples)
-        # majority vote; ties go to 0 for determinism
-        word = 2 * np.count_nonzero(sub[:, :samples], axis=1) > samples
-        mismatches = np.count_nonzero(sub[:, samples:] != word[:, None], axis=0)
+        word = np.empty(family.k, dtype=bool)
+        mismatches = np.zeros(samples, dtype=np.intp)
+        for j in range(0, family.k, 8):
+            sub = steps[list(lam[j:j + 8])]
+            ones = np.bitwise_count(sub[:, :cut]).sum(axis=1, dtype=np.intp)
+            if rem:
+                ones += np.bitwise_count(sub[:, cut] >> (8 - rem))
+            # majority vote; ties go to 0 for determinism
+            w = word[j:j + 8]
+            np.greater(2 * ones, samples, out=w)
+            # a held-out bit flipped where the word's bit is 1 is a mismatch
+            held = sub[:, cut:]
+            held ^= np.where(w, np.uint8(0xFF), np.uint8(0))[:, None]
+            mismatches += np.unpackbits(held, axis=1, count=samples + rem)[:, rem:].sum(
+                axis=0, dtype=np.intp)
         mass = np.count_nonzero(below[mismatches]) / samples
         se = math.sqrt(max(mass * (1.0 - mass), 1.0 / samples) / samples)
         rows.append(SearchRow(

@@ -11,8 +11,8 @@ from .fourier import FourierTable, _density_min_lower, is_positive_definite, squ
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# largest Monte Carlo run the CLI starts: one uint8 per sample, 16 MiB at any
-# level, plus two _MC_BLOCK-sample float64 blocks
+# largest Monte Carlo run the CLI starts: three bits of state per sample, 6 MiB
+# at any level, plus two _MC_BLOCK-sample float64 blocks
 MAX_MC_SAMPLES = 2**24
 
 # largest half width whose spec check falls back to eigvalsh of T_{N+1}: that
@@ -20,7 +20,8 @@ MAX_MC_SAMPLES = 2**24
 MAX_EIGVALSH_HALF_WIDTH = 2048
 
 # samples per block of a Monte Carlo level's x0 and z draws; the two float64
-# buffers stay in cache
+# buffers stay in cache, and a multiple of 8 makes each block whole bytes of the
+# packed state
 _MC_BLOCK = 2**16
 
 # terms per piece of a series summed by _pairwise_series: each piece's float64
@@ -175,9 +176,10 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     rng, rng0 = np.random.default_rng(seq), np.random.default_rng(seq)
     scale = math.sqrt(1.0 - r * r)
     # a product is > 0 exactly when no factor is 0 and an even number are
-    # negative: per sample, bit 0 is the parity of x0 < 0, bit 1 that of
-    # xn < 0, and bit 2 is set once a factor is 0; the hits are the zeros
-    state = np.zeros(samples, dtype=np.uint8)
+    # negative: per sample, its bit of neg0 is the parity of x0 < 0, of negn
+    # that of xn < 0, and of zero set once a factor is 0; the planes are packed
+    # 8 samples a byte, pad bits 0, and the hits are the samples with no bit set
+    neg0, negn, zero = (np.zeros(-(-samples // 8), dtype=np.uint8) for _ in range(3))
     x0 = np.empty(min(samples, _MC_BLOCK))
     xn = np.empty_like(x0)
     for _ in range(level):
@@ -190,10 +192,10 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
             bn = rng.standard_normal(out=xn[:b0.size])
             bn *= scale
             bn += r * b0  # r x0 + sqrt(1 - r^2) z
-            s = state[lo:lo + _MC_BLOCK]
-            s ^= b0 < 0
-            s ^= (bn < 0).view(np.uint8) << 1
-            s |= ((b0 == 0) | (bn == 0)).view(np.uint8) << 2
+            s = slice(lo // 8, (lo + _MC_BLOCK) // 8)
+            neg0[s] ^= np.packbits(b0 < 0)
+            negn[s] ^= np.packbits(bn < 0)
+            zero[s] |= np.packbits((b0 == 0) | (bn == 0))
     a = math.asin(r)
     if level == 1:
         formula = 0.25 + a / (2.0 * math.pi)
@@ -201,7 +203,10 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
         formula = 0.25 + a * a / math.pi**2
     else:
         formula = 0.25 + 4.0 * a**4 / math.pi**4
-    return _mc_report(samples - int(np.count_nonzero(state)), formula, samples, seed)
+    neg0 |= negn
+    neg0 |= zero
+    misses = int(np.bitwise_count(neg0, out=neg0).sum())
+    return _mc_report(samples - misses, formula, samples, seed)
 
 
 def cocycle_variances(spec: GaussianSpec, n_max: int) -> np.ndarray:

@@ -376,10 +376,10 @@ MAX_NAME_BITS = 2**26
 # samples): the orbit samplers hold a few float64 entries per name (rotation 8, 64 MiB)
 MAX_NAMES = 2**20
 
-# names per block of CoinSource, which draws a block of names at once into
-# _ROW_BLOCK x length floats; a multiple of 8, so each block packs into whole bytes
-# of the step rows
-_ROW_BLOCK = 256
+# doubles per draw of CoinSource: whole names, a multiple of 8 of them so that
+# each draw packs into whole bytes of the step rows, while 8 names fit; a longer
+# name is drawn alone, in pieces of this many steps
+_COIN_DOUBLES = 2**16
 
 
 def _frac(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -399,6 +399,14 @@ def _pack_columns(bits: np.ndarray) -> np.ndarray:
         rows = bits[b::8]
         packed[:rows.shape[0]] |= rows << (7 - b)
     return packed
+
+
+def _truncation_errors(M: int, nmax: int) -> np.ndarray:
+    """The error_bar column of a series table summed over odd |m| <= M: the
+    square wave's truncation error at every lag but 0, whose c(0) = 1 is exact."""
+    err = np.full(nmax + 1, square_wave_coeffs(M).truncation_error)
+    err[0] = 0.0
+    return err
 
 
 class NameSource:
@@ -466,7 +474,7 @@ class RotationCocycleSource(NameSource):
         vs = rotation_ac_cocycle_correlations(self.alpha, self.delta, self.delta0, nmax, self.M)
         lag = np.arange(nmax + 1) != 0
         return (vs, np.array(["exact", "quadrature"], dtype=object)[lag.view(np.uint8)],
-                np.where(lag, square_wave_coeffs(self.M).truncation_error, 0.0))
+                _truncation_errors(self.M, nmax))
 
 
 class NilRotationSource(NameSource):
@@ -511,7 +519,7 @@ class NilRotationSource(NameSource):
     def table(self, nmax):
         vs = nil_rotation_correlations(self.alpha, self.beta, self.gamma, nmax, self.M)
         return (vs, np.array(["series", "exact"], dtype=object)[(vs == 0).view(np.uint8)],
-                np.where(np.arange(nmax + 1), square_wave_coeffs(self.M).truncation_error, 0.0))
+                _truncation_errors(self.M, nmax))
 
 
 class DistalSource(NameSource):
@@ -624,15 +632,28 @@ class CoinSource(NameSource):
 
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        # drawing name block after name block gives the stream of one (count,
-        # length) draw; each block is packed into its bytes of the step rows
-        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        u = np.empty((min(count, _ROW_BLOCK), length))
-        heads = np.empty(u.shape, dtype=bool)
-        for r0 in range(0, count, _ROW_BLOCK):
-            n = min(_ROW_BLOCK, count - r0)
-            np.greater_equal(rng.random(out=u[:n]), self.p0, out=heads[:n])
-            packed[:, r0 // 8:(r0 + n + 7) // 8] = _pack_columns(heads[:n]).T
+        # drawing name after name, whole or piece by piece, gives the stream of
+        # one (count, length) draw; each draw is ORed into its bits of the step rows
+        packed = np.zeros((length, -(-count // 8)), dtype=np.uint8)
+        if 8 * length <= _COIN_DOUBLES:  # a block of names packs into whole bytes of each row
+            block = 8 * (_COIN_DOUBLES // (8 * max(length, 1)))
+            u = np.empty((min(count, block), length))
+            heads = np.empty(u.shape, dtype=bool)
+            for r0 in range(0, count, block):
+                n = min(block, count - r0)
+                np.greater_equal(rng.random(out=u[:n]), self.p0, out=heads[:n])
+                packed[:, r0 // 8:(r0 + n + 7) // 8] = _pack_columns(heads[:n]).T
+            return packed
+        u = np.empty(min(length, _COIN_DOUBLES))
+        heads = np.empty(u.size, dtype=bool)
+        bits = np.empty(u.size, dtype=np.uint8)
+        for i in range(count):
+            column = packed[:, i // 8]  # name i is bit 7 - i % 8 of this column
+            for lo in range(0, length, _COIN_DOUBLES):
+                piece = rng.random(out=u[:length - lo])
+                np.greater_equal(piece, self.p0, out=heads[:piece.size])
+                column[lo:lo + piece.size] |= np.left_shift(
+                    heads[:piece.size].view(np.uint8), 7 - i % 8, out=bits[:piece.size])
         return packed
 
 
@@ -655,9 +676,9 @@ _NAMES_MAGIC = b"ATNB"
 def write_names(steps: np.ndarray, count: int, path) -> None:
     """Write the ``count`` names of packed step rows (``NameSource.sample_names``)
     as a batch: each block of names is unpacked to its (length, block) bits and
-    packed along the steps, so at most 1 MiB (or 8 names) of bits is unpacked."""
+    packed along the steps, so at most 256 KiB (or 8 names) of bits is unpacked."""
     length = steps.shape[0]
-    block = max(1, 2**17 // max(length, 1))  # bytes of a step row per block
+    block = max(1, 2**15 // max(length, 1))  # bytes of a step row per block
     with open(path, "wb") as fh:
         fh.write(_NAMES_MAGIC)
         fh.write(struct.pack("<QQ", count, length))

@@ -894,11 +894,11 @@ def test_rotation_source_delta_zero_correlations_vanish():
 
 
 def test_names_round_trip(tmp_path):
-    # counts and lengths off multiples of 8; write_names takes 8 * (2^17 // length)
-    # names at a time, so 150 names of 2^14 + 5 steps are blocks of 56, 56 and 38,
-    # and 21 names of 2^17 + 3 steps blocks of 8, 8 and 5
+    # counts and lengths off multiples of 8; write_names takes 8 * (2^15 // length)
+    # names at a time, so 150 names of 2^12 + 5 steps are blocks of 56, 56 and 38,
+    # and 21 names of 2^15 + 3 steps blocks of 8, 8 and 5
     path = tmp_path / "names.bin"
-    for count, length in [(13, 37), (1, 1), (8, 16), (150, 2**14 + 5), (21, 2**17 + 3),
+    for count, length in [(13, 37), (1, 1), (8, 16), (150, 2**12 + 5), (21, 2**15 + 3),
                           (0, 5), (3, 0)]:
         steps = systems.CoinSource().sample_names(count, length, seed=2)
         systems.write_names(steps, count, path)
@@ -995,10 +995,18 @@ def rudin_shapiro_names_reference(src, count, length, seed):
     return (signs[starts[:, None] + np.arange(length)[None, :]] < 0).astype(np.uint8)
 
 
-_BLOCK = systems._ROW_BLOCK
-# count 1, small counts, and counts around one and two row blocks
-_COUNTS = st.one_of(st.integers(1, 40), st.integers(_BLOCK - 2, 2 * _BLOCK + 3))
+def _block(length):
+    """Names per draw of CoinSource for names of ``length`` steps, while 8 fit in a draw."""
+    return 8 * (systems._COIN_DOUBLES // (8 * max(length, 1)))
+
+
 _LENGTHS = st.integers(1, 40)
+# count 1, small counts, and counts around one and two coin draws of the longest names
+_COUNTS = st.one_of(st.integers(1, 40), st.integers(_block(40) - 2, 2 * _block(40) + 3))
+# (count, length): coin counts around one and two draws of names of that length
+_COIN_CASES = _LENGTHS.flatmap(lambda length: st.tuples(
+    st.one_of(st.integers(1, 40), st.integers(_block(length) - 2, 2 * _block(length) + 3)),
+    st.just(length)))
 _ALPHAS = st.one_of(st.floats(-3.0, 3.0),
                     st.sampled_from([0.0, systems.SQRT2_M1, -systems.GOLDEN_M1, 1.25]))
 _SEEDS = st.integers(0, 2**32 - 1)
@@ -1024,9 +1032,9 @@ def assert_same_names(got, ref):
 @given(alpha=_ALPHAS, delta=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
        count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
 @example(alpha=0.0, delta=0.3, count=1, length=1, seed=0)
-@example(alpha=-0.4, delta=0.3, count=_BLOCK + 1, length=17, seed=1)
-@example(alpha=2.7, delta=-0.6, count=2 * _BLOCK + 3, length=3, seed=2)
-@example(alpha=systems.SQRT2_M1, delta=0.0, count=_BLOCK, length=40, seed=3)
+@example(alpha=-0.4, delta=0.3, count=_block(17) + 1, length=17, seed=1)
+@example(alpha=2.7, delta=-0.6, count=2 * _block(3) + 3, length=3, seed=2)
+@example(alpha=systems.SQRT2_M1, delta=0.0, count=_block(40), length=40, seed=3)
 def test_rotation_names_match_reference(alpha, delta, count, length, seed):
     src = systems.RotationCocycleSource(alpha=alpha, delta=delta)
     assert_same_names(sample(src, count, length, seed),
@@ -1037,7 +1045,7 @@ def test_rotation_names_match_reference(alpha, delta, count, length, seed):
 @given(alpha=_ALPHAS, beta=st.floats(-2.5, 2.5), gamma=st.floats(-2.0, 2.0),
        count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
 @example(alpha=systems.SQRT2_M1, beta=0.7, gamma=0.0, count=1, length=1, seed=0)
-@example(alpha=-1.3, beta=0.3001, gamma=-0.25, count=_BLOCK + 3, length=29, seed=1)
+@example(alpha=-1.3, beta=0.3001, gamma=-0.25, count=_block(29) + 3, length=29, seed=1)
 def test_nil_names_match_reference(alpha, beta, gamma, count, length, seed):
     try:
         src = systems.NilRotationSource(alpha=alpha, beta=beta, gamma=gamma)
@@ -1050,7 +1058,7 @@ def test_nil_names_match_reference(alpha, beta, gamma, count, length, seed):
 @_SAMPLER_SETTINGS
 @given(alpha=_ALPHAS, count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
 @example(alpha=systems.SQRT2_M1, count=1, length=1, seed=0)
-@example(alpha=-2.2, count=2 * _BLOCK + 1, length=11, seed=1)
+@example(alpha=-2.2, count=2 * _block(11) + 1, length=11, seed=1)
 def test_distal_names_match_reference(alpha, count, length, seed):
     src = systems.DistalSource(alpha=alpha)
     assert_same_names(sample(src, count, length, seed),
@@ -1058,12 +1066,19 @@ def test_distal_names_match_reference(alpha, count, length, seed):
 
 
 @_SAMPLER_SETTINGS
-@given(p0=st.floats(0.01, 0.99), count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
-@example(p0=0.5, count=1, length=1, seed=0)
-@example(p0=0.3, count=_BLOCK + 1, length=7, seed=1)
-@example(p0=0.7, count=2 * _BLOCK + 3, length=5, seed=2)
-def test_coin_names_match_reference(p0, count, length, seed):
+@given(p0=st.floats(0.01, 0.99), case=_COIN_CASES, seed=_SEEDS)
+@example(p0=0.5, case=(1, 1), seed=0)
+@example(p0=0.3, case=(_block(7) + 1, 7), seed=1)
+@example(p0=0.7, case=(2 * _block(5) + 3, 5), seed=2)
+# the two regimes meet at 2^13 steps: 8 names a draw there, one name in two
+# pieces a step later, and three whole pieces and a one-step piece further on
+@example(p0=0.5, case=(19, 2**13), seed=3)
+@example(p0=0.6, case=(11, 2**13 + 1), seed=4)
+@example(p0=0.4, case=(3, 3 * systems._COIN_DOUBLES + 1), seed=5)
+def test_coin_names_match_reference(p0, case, seed):
+    count, length = case
     src = systems.CoinSource(p0=p0)
+    assert_packed_layout(src.sample_names(count, length, seed), count, length)
     assert_same_names(sample(src, count, length, seed),
                       coin_names_reference(src, count, length, seed))
 
@@ -1093,7 +1108,7 @@ def test_odometer_names_match_reference(phi, count, length, seed):
 @_SAMPLER_SETTINGS
 @given(log2_length=st.integers(1, 12), count=_COUNTS, length=_LENGTHS, seed=_SEEDS)
 @example(log2_length=1, count=1, length=1, seed=0)  # one possible start
-@example(log2_length=6, count=2 * _BLOCK + 3, length=40, seed=1)
+@example(log2_length=6, count=2 * _block(40) + 3, length=40, seed=1)
 def test_rudin_shapiro_names_match_reference(log2_length, count, length, seed):
     assume(length < 2**log2_length)
     src = systems.RudinShapiroSource(log2_length=log2_length)
@@ -1115,8 +1130,8 @@ _LAYOUT_SOURCES = {
 @_SAMPLER_SETTINGS
 @given(source=st.sampled_from(sorted(_LAYOUT_SOURCES)),
        count=st.one_of(st.sampled_from([1, 7, 8, 9]), _COUNTS), length=_LENGTHS, seed=_SEEDS)
-@example(source="coin", count=_BLOCK - 1, length=5, seed=0)
-@example(source="rotation", count=2 * _BLOCK + 3, length=9, seed=1)
+@example(source="coin", count=_block(5) - 1, length=5, seed=0)
+@example(source="rotation", count=2 * _block(9) + 3, length=9, seed=1)
 @example(source="nil", count=9, length=3, seed=2)
 def test_sampled_names_are_packed_step_rows(source, count, length, seed):
     src = _LAYOUT_SOURCES[source]
@@ -1180,3 +1195,29 @@ def test_sampler_peak_memory_below_unpacked_output(src):
     finally:
         tracemalloc.stop()
     assert peak < count * length
+
+
+def test_coin_sampler_peak_memory_of_long_names():
+    # names past 2^13 steps are drawn one at a time, 2^16 doubles a piece, and ORed
+    # into the zeroed step rows (2 MiB here): about 3.4 MiB, where 64 whole names
+    # drawn at once held 128 MiB of doubles
+    tracemalloc.start()
+    try:
+        systems.CoinSource().sample_names(64, 2**18, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def test_write_names_peak_memory(tmp_path):
+    # write_names unpacks 2^15 // length bytes of each step row at a time, 256 KiB of
+    # bits: about 0.5 MiB for 65536 names of 1024 steps, and 2 MiB with 1 MiB blocks
+    steps = systems.CoinSource().sample_names(65536, 1024, seed=6)
+    tracemalloc.start()
+    try:
+        systems.write_names(steps, 65536, tmp_path / "names.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -30,19 +30,28 @@ ROWS = [
     # `import atlab.cli` loads the standard library alone, about 14.7 MiB of RSS;
     # a top-level numpy import in cli.py (27.7 MiB) fails this row
     (["-c", "import atlab.cli"], 0, 20, None),
-    # a Monte Carlo run holds one uint8 per sample and two 2^16-sample blocks,
-    # about 53 MiB of RSS at the 2^24 cap (180 MiB while it stored the x0 draw);
-    # a full-size float64 array coming back (+128 MiB) passes 96
+    # a Monte Carlo run holds three packed bits per sample and two 2^16-sample
+    # blocks, about 43 MiB of RSS at the 2^24 cap (52 MiB with one uint8 per sample,
+    # 180 MiB while it stored the x0 draw); a full-size float64 array coming back
+    # (+128 MiB) fails 96
     ([*CLI, "gaussian", "product", "--level", "4", *MC], 0, 96, None),
     ([*CLI, "gaussian", "orthant", *MC], 0, 96, None),
     # at 2 * samples * horizon = MAX_NAME_BITS = 2^26 the search holds its names as
-    # packed step rows, 8 MiB, and unpacks one candidate's 64 rows at a time:
-    # about 55 MiB of RSS (111 MiB while it held one uint8 per name bit, which fails 80)
+    # packed step rows, 8 MiB, the coin sampler draws 64 names at a time, and the
+    # search unpacks the held-out bits of 8 of a candidate's 64 rows at a time:
+    # about 45 MiB of RSS (55 MiB with 256-name draws and all 64 rows unpacked at
+    # once, 111 MiB while it held one uint8 per name bit, which fails 80)
     ([*CLI, "funny", "--system", "coin", "--k", "64", "--horizon", "1024",
       "--samples", "32768", "--seed", "1"], 0, 80, None),
+    # names of 2^23 steps are drawn one at a time, 2^16 doubles a piece, into the
+    # 8 MiB of step rows: about 44 MiB of RSS (636 MiB while 8 whole names were
+    # drawn at once as 512 MiB of doubles)
+    ([*CLI, "funny", "--system", "coin", "--k", "4", "--horizon", "8388608",
+      "--samples", "4", "--n-random", "0", "--seed", "1"], 0, 96, None),
     # at names * length = MAX_NAME_BITS = 2^26 the nil sampler holds the packed step
-    # rows, 8 MiB, and write_names unpacks 1 MiB of names at a time: about 48 MiB of
-    # RSS (115 MiB while the batch was unpacked to one uint8 per name bit and repacked)
+    # rows, 8 MiB, and write_names unpacks 256 KiB of names at a time: about 48 MiB of
+    # RSS, set by the sampler (115 MiB while the batch was unpacked to one uint8 per
+    # name bit and repacked)
     ([*CLI, "system", "nil", "--names", "65536", "--length", "1024", "--nmax", "4"],
      0, 64, None),
     # the 2^26-sign Rudin-Shapiro prefix is built by doubling (the last two prefixes,
@@ -74,8 +83,10 @@ ROWS = [
     # error bar one value each: about 45 MiB of RSS (519 MiB with one tuple per lag)
     ([*CLI, "system", "distal", "--nmax", "4194304"], 0, 96, None),
     # the widest nil table labels its lags from one two-entry object array of str, 8 bytes
-    # a lag: about 127 MiB of RSS (191 MiB with a <U6 array of 24 bytes a lag, which fails 160)
-    ([*CLI, "system", "nil", "--nmax", "4194304"], 0, 160, None),
+    # a lag, and fills its error bars with no int64 index array: about 112 MiB of RSS
+    # (127 MiB with the index array, which fails 120; 191 MiB with a <U6 array of 24
+    # bytes a lag)
+    ([*CLI, "system", "nil", "--nmax", "4194304"], 0, 120, None),
     # at names * length = MAX_NAME_BITS = 2^26 the odometer sampler packs the 2m = 8 step
     # rows of one period and copies them forward in place, and write_names unpacks 8 names
     # at a time, 64 MiB: about 124 MiB of RSS (tiling the period through an index array
