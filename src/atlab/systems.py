@@ -633,7 +633,8 @@ class CoinSource(NameSource):
     def sample_names(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # drawing name after name, whole or piece by piece, gives the stream of
-        # one (count, length) draw; each draw is ORed into its bits of the step rows
+        # one (count, length) draw: a block of whole names fills its bytes of the
+        # step rows, and a piece of a long name is ORed into its bit of them
         packed = np.zeros((length, -(-count // 8)), dtype=np.uint8)
         if 8 * length <= _COIN_DOUBLES:  # a block of names packs into whole bytes of each row
             block = 8 * (_COIN_DOUBLES // (8 * max(length, 1)))

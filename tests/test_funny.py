@@ -305,7 +305,7 @@ def test_funny_word_search_ties_go_to_zero():
 
 def test_funny_word_search_peak_memory():
     # the names stay packed, 1024 x 2500 bytes, and each candidate unpacks the
-    # held-out bits of 8 of its 64 rows at a time: about 3.9 MiB, against 6 MiB
+    # held-out bits of 8 of its 64 rows at a time: about 3.1 MiB, against 5.2 MiB
     # when all 64 rows were unpacked at once and 22 MiB when the search held the
     # names as uint8
     fam = funny.LambdaFamily(k=64, horizon=1024, n_random=32)
