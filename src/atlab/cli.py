@@ -13,7 +13,8 @@ Every output goes through one text sink, `_emit`, which writes to `--out`, stdou
 or both in one pass.  A command computes and checks every value first, then hands
 `_emit` its text in pieces (2^16 table coefficients or CSV rows, or a `funny`
 line), so no output is held whole and a failed check leaves no file; an unwritable
-`--density-csv` still leaves `--out` written.
+`--density-csv` still leaves `--out` written.  `system --names` writes its batch
+block by block before the CSV and removes it if either fails.
 `import atlab.cli` loads the standard library alone: numpy and every atlab
 module are imported by the commands that use them, so `--help`, a usage error
 or a bad `--config` key exits before numpy loads, `measure` loads `fourier`
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 
@@ -209,10 +211,16 @@ def cmd_system(args) -> int:
         raise ValueError(f"need --names <= {systems.MAX_NAMES}, got {args.names}")
     source = make_source()
     csv = correlation_csv(*source.table(args.nmax))
-    steps = source.sample_names(args.names, args.length, args.seed) if args.names else None
-    _emit(csv, args.out, args.stdout)
-    if steps is not None:
-        systems.write_names(steps, args.names, args.names_out or "names.bin")
+    path = args.names_out or "names.bin"
+    if args.names:  # streamed block by block; a failed batch removes its file
+        systems.write_name_blocks(source.name_blocks(args.names, args.length, args.seed),
+                                  args.names, args.length, path)
+    try:
+        _emit(csv, args.out, args.stdout)
+    except BaseException:
+        if args.names:
+            os.remove(path)
+        raise
     return 0
 
 

@@ -177,39 +177,62 @@ def funny_word_search(src: NameSource, family: LambdaFamily, epsilon: float,
                       samples: int, seed: int) -> SearchReport:
     """Probe the necessary AT condition: for each candidate index set, pick
     the word by coordinatewise majority on a training half and estimate
-    mu{dbar < eps} on the held-out half; the score is |Lambda| * mass."""
+    mu{dbar < eps} on the held-out half; the score is |Lambda| * mass.
+
+    The names come as blocks of packed step rows (``NameSource.name_blocks``),
+    training names first, and each block is read once: the training bits add
+    into one count of ones per step read, which gives every majority word, and the
+    held-out bits of a candidate's rows, gathered 8 at a time, are XORed with
+    its word and unpacked into one mismatch count per name of the block."""
     bound = non_at_bound(epsilon)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     candidates = family.candidates(rng)
-    # packed step rows, training names first: a candidate's rows are gathered 8 at
-    # a time, and only their held-out bits are unpacked
-    steps = src.sample_names(2 * samples, family.horizon, seed)
     # dbar = mismatches / k is below eps exactly where this table is True: the
     # same doubles np.mean compares
     below = np.arange(family.k + 1) / family.k < epsilon
-    # the training bits are the first `cut` bytes of a row and the top `rem`
-    # bits of the byte after them, where the held-out half starts
-    cut, rem = divmod(samples, 8)
+    # the steps some candidate reads (np.unique would load numpy.ma), and their
+    # training ones
+    read = np.zeros(family.horizon, dtype=bool)
+    read[np.array(candidates)] = True
+    used = np.flatnonzero(read)
+    del read
+    ones = np.zeros(used.size, dtype=np.intp)
+    words = np.empty((len(candidates), family.k), dtype=bool)
+    flips = None  # 0xFF where a word's bit is 1, set once the training half is counted
+    hits = [0] * len(candidates)
+    lo = 0
+    for block in src.name_blocks(2 * samples, family.horizon, seed):
+        n = min(8 * block.shape[1], 2 * samples - lo)
+        # the block's training bits are its first `cut` bytes of a row and the top
+        # `rem` bits of the byte after them, where its held-out names start
+        cut, rem = divmod(min(max(samples - lo, 0), n), 8)
+        step = max(1, 2**16 // max(cut, 1))  # used steps counted at a time, 64 KiB
+        for r in range(0, used.size, step):
+            train = block[used[r:r + step], :cut]
+            ones[r:r + step] += np.bitwise_count(train, out=train).sum(axis=1, dtype=np.intp)
+        if rem:
+            ones += np.bitwise_count(block[used, cut] >> (8 - rem))
+        lo += n
+        if lo <= samples:
+            continue
+        if flips is None:
+            for lam, word in zip(candidates, words):
+                # majority vote; ties go to 0 for determinism
+                np.greater(2 * ones[np.searchsorted(used, lam)], samples, out=word)
+            flips = words.view(np.uint8) * np.uint8(0xFF)
+        for i, lam in enumerate(candidates):
+            mismatches = 0
+            for j in range(0, family.k, 8):
+                held = block[list(lam[j:j + 8]), cut:]
+                held ^= flips[i, j:j + 8, None]
+                mismatches += np.unpackbits(held, axis=1, count=n - 8 * cut)[:, rem:].sum(
+                    axis=0, dtype=np.intp)
+            hits[i] += np.count_nonzero(below[mismatches])
     rows = []
-    for lam in candidates:
-        word = np.empty(family.k, dtype=bool)
-        mismatches = np.zeros(samples, dtype=np.intp)
-        for j in range(0, family.k, 8):
-            sub = steps[list(lam[j:j + 8])]
-            ones = np.bitwise_count(sub[:, :cut]).sum(axis=1, dtype=np.intp)
-            if rem:
-                ones += np.bitwise_count(sub[:, cut] >> (8 - rem))
-            # majority vote; ties go to 0 for determinism
-            w = word[j:j + 8]
-            np.greater(2 * ones, samples, out=w)
-            # a held-out bit flipped where the word's bit is 1 is a mismatch
-            held = sub[:, cut:]
-            held ^= np.where(w, np.uint8(0xFF), np.uint8(0))[:, None]
-            mismatches += np.unpackbits(held, axis=1, count=samples + rem)[:, rem:].sum(
-                axis=0, dtype=np.intp)
-        mass = np.count_nonzero(below[mismatches]) / samples
+    for lam, word, hit in zip(candidates, words, hits):
+        mass = hit / samples
         se = math.sqrt(max(mass * (1.0 - mass), 1.0 / samples) / samples)
         rows.append(SearchRow(
             indices=lam, word=tuple(int(b) for b in word), mass_below=mass,

@@ -11,8 +11,9 @@ from .fourier import FourierTable, _density_min_lower, is_positive_definite, squ
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# largest Monte Carlo run the CLI starts: three bits of state per sample, 6 MiB
-# at any level, plus two _MC_BLOCK-sample float64 blocks
+# largest Monte Carlo run the CLI starts: it bounds the time and, at levels 2
+# and 4, the three bits of state a sample, 6 MiB; every level holds two
+# _MC_BLOCK-sample float64 blocks, and level 1 nothing else
 MAX_MC_SAMPLES = 2**24
 
 # largest half width whose spec check falls back to eigvalsh of T_{N+1}: that
@@ -176,13 +177,16 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     rng, rng0 = np.random.default_rng(seq), np.random.default_rng(seq)
     scale = math.sqrt(1.0 - r * r)
     # a product is > 0 exactly when no factor is 0 and an even number are
-    # negative: per sample, its bit of neg0 is the parity of x0 < 0, of negn
-    # that of xn < 0, and of zero set once a factor is 0; the planes are packed
-    # 8 samples a byte, pad bits 0, and the hits are the samples with no bit set
-    neg0, negn, zero = (np.zeros(-(-samples // 8), dtype=np.uint8) for _ in range(3))
+    # negative: per sample, the bits of a block are the parity of x0 < 0, that of
+    # xn < 0 and whether a factor is 0, packed 8 samples a byte, pad bits 0.  The
+    # levels before the last fold them into three planes of ceil(S/8) bytes
+    # (none at level 1); the last level folds each block into the miss count,
+    # a miss being a sample with any bit set
+    planes = [np.zeros(-(-samples // 8), dtype=np.uint8) for _ in range(3 * (level > 1))]
+    misses = 0
     x0 = np.empty(min(samples, _MC_BLOCK))
     xn = np.empty_like(x0)
-    for _ in range(level):
+    for i in range(level):
         # float64 normals carry no state between calls, so blocks keep the stream
         rng0.bit_generator.state = rng.bit_generator.state
         for lo in range(0, samples, _MC_BLOCK):
@@ -192,10 +196,19 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
             bn = rng.standard_normal(out=xn[:b0.size])
             bn *= scale
             bn += r * b0  # r x0 + sqrt(1 - r^2) z
-            s = slice(lo // 8, (lo + _MC_BLOCK) // 8)
-            neg0[s] ^= np.packbits(b0 < 0)
-            negn[s] ^= np.packbits(bn < 0)
-            zero[s] |= np.packbits((b0 == 0) | (bn == 0))
+            neg0, negn = np.packbits(b0 < 0), np.packbits(bn < 0)
+            zero = np.packbits((b0 == 0) | (bn == 0))
+            if planes:
+                s = slice(lo // 8, (lo + _MC_BLOCK) // 8)
+                neg0 ^= planes[0][s]
+                negn ^= planes[1][s]
+                zero |= planes[2][s]
+                if i < level - 1:
+                    planes[0][s], planes[1][s], planes[2][s] = neg0, negn, zero
+                    continue
+            neg0 |= negn
+            neg0 |= zero
+            misses += int(np.bitwise_count(neg0, out=neg0).sum())
     a = math.asin(r)
     if level == 1:
         formula = 0.25 + a / (2.0 * math.pi)
@@ -203,9 +216,6 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
         formula = 0.25 + a * a / math.pi**2
     else:
         formula = 0.25 + 4.0 * a**4 / math.pi**4
-    neg0 |= negn
-    neg0 |= zero
-    misses = int(np.bitwise_count(neg0, out=neg0).sum())
     return _mc_report(samples - misses, formula, samples, seed)
 
 

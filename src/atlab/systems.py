@@ -11,6 +11,7 @@ import bisect
 import functools
 import math
 import operator
+import os
 import struct
 
 import numpy as np
@@ -31,8 +32,8 @@ def _require_finite(**params: float) -> None:
 # Rudin-Shapiro sequence
 
 
-# largest log2 of a Rudin-Shapiro prefix the CLI builds (names only): 2^26 int8
-# signs are 64 MiB, and the last doubling holds half of them besides
+# largest log2 of a Rudin-Shapiro prefix the CLI builds (names only): 2^26 sign
+# bits, one uint8 each, 64 MiB
 MAX_LOG2_LENGTH = 26
 # largest L of the Rudin-Shapiro lag sums, so that L - n stays an int64
 MAX_LENGTH = 2**62
@@ -370,16 +371,29 @@ def nil_rotation_n1_series(alpha: float, beta: float, gamma: float,
 
 
 # largest count x length of a name batch the CLI samples (`system --names
-# --length`, and funny's 2 samples x horizon): 8 MiB as packed step rows
+# --length`, and funny's 2 samples x horizon): it bounds the sampling time and a
+# block's step rows, which past 2^9 steps hold 2^11 names (8 MiB at most)
 MAX_NAME_BITS = 2**26
 # largest count of a name batch the CLI samples (`system --names`, and funny's 2
-# samples): the orbit samplers hold a few float64 entries per name (rotation 8, 64 MiB)
+# samples): it bounds the time and the per-name start values drawn before the
+# first block (three float64 a name for nil and distal, 24 MiB)
 MAX_NAMES = 2**20
 
 # doubles per draw of CoinSource: whole names, a multiple of 8 of them so that
 # each draw packs into whole bytes of the step rows, while 8 names fit; a longer
 # name is drawn alone, in pieces of this many steps
 _COIN_DOUBLES = 2**16
+
+
+def _block_rows(count: int, length: int):
+    """(slice, step rows) of each block of ``NameSource.name_blocks``: 8 k names
+    whose rows take at most 2^17 bytes, but at least 2^11 names, so each per-step
+    numpy call covers that many.  The rows view one buffer, reused by every block."""
+    step = 8 * max(2**17 // max(length, 1), 2**8)
+    buf = np.empty(length * -(-min(count, step) // 8), dtype=np.uint8)
+    for lo in range(0, count, step):
+        cols = -(-(min(lo + step, count) - lo) // 8)
+        yield slice(lo, min(lo + step, count)), buf[:length * cols].reshape(length, cols)
 
 
 def _frac(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -410,14 +424,17 @@ def _truncation_errors(M: int, nmax: int) -> np.ndarray:
 
 
 class NameSource:
-    """Producer of P-name samples; subclasses fill in ``sample_names``.
+    """Producer of P-name samples; subclasses fill in ``name_blocks``.
 
-    ``sample_names(count, length, seed)`` returns packed step rows: a
-    C-contiguous (length, ceil(count / 8)) uint8 array whose row j is
-    ``np.packbits`` of step j's bits over the names, big bit order, with the
-    pad bits of the last byte 0.  Every sampler here writes this layout
-    directly, one bit per sampled step; funny's search unpacks only the rows of
-    the index set it reads, and ``write_names`` a block of names at a time.
+    ``name_blocks(count, length, seed)`` yields the packed step rows of
+    consecutive blocks of the names (``_block_rows``): for a block of n names,
+    a C-contiguous (length, ceil(n / 8)) uint8 array whose row j is
+    ``np.packbits`` of step j's bits over those names, big bit order, pad bits
+    0.  Each block overwrites the last one's array.  The per-name start values
+    (the coin's names themselves) are drawn as for one whole batch, so the
+    split does not change a bit.  ``sample_names`` returns the blocks joined,
+    the step rows of the whole batch; funny's search and ``write_name_blocks``
+    read one block at a time.
 
     Sources of systems with a correlation table also define ``table(nmax)``:
     the columns (values, method, error_bar) of lags n = 0..nmax that ``atlab
@@ -429,8 +446,16 @@ class NameSource:
     where it raises.
     """
 
-    def sample_names(self, count: int, length: int, seed: int) -> np.ndarray:
+    def name_blocks(self, count: int, length: int, seed: int):
         raise NotImplementedError
+
+    def sample_names(self, count: int, length: int, seed: int) -> np.ndarray:
+        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
+        lo = 0
+        for rows in self.name_blocks(count, length, seed):
+            packed[:, lo:lo + rows.shape[1]] = rows
+            lo += rows.shape[1]
+        return packed
 
 
 class RotationCocycleSource(NameSource):
@@ -445,30 +470,32 @@ class RotationCocycleSource(NameSource):
         self.delta0 = delta0
         self.M = M
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x, y = rng.random((2, count))
+        xs, ys = rng.random((2, count))
         js = np.arange(length)
         shift = js * (js - 1) / 2.0 * self.alpha
         if self.delta != 0.0:
             # g^(j)(x) = (delta/2pi) Im(e^{2 pi i x} S_j), S_j = sum_{i<j} e^{2 pi i alpha i}
             S = np.zeros(length, dtype=complex)
             S[1:] = _rotation_sums(self.alpha, length - 1)
-            phase = np.exp(2j * np.pi * x)
-            wave = np.empty(count, dtype=complex)
-        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        v, t = np.empty(count), np.empty(count)
-        flags = np.empty(count, dtype=bool)
-        # step j's bits, of y + j x + j (j - 1) alpha / 2 + g^(j)(x), are packed into row j
-        for j, row in enumerate(packed):
-            np.multiply(j, x, out=v)
-            v += shift[j]
+        for s, packed in _block_rows(count, length):
+            x, y = xs[s], ys[s]
             if self.delta != 0.0:
-                w = np.multiply(phase, S[j], out=wave)
-                v += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
-            v += y
-            row[:] = np.packbits(np.greater_equal(_frac(v, t), 0.5, out=flags))
-        return packed
+                phase = np.exp(2j * np.pi * x)
+                wave = np.empty(x.size, dtype=complex)
+            v, t = np.empty(x.size), np.empty(x.size)
+            flags = np.empty(x.size, dtype=bool)
+            # step j's bits, of y + j x + j (j - 1) alpha / 2 + g^(j)(x), are packed into row j
+            for j, row in enumerate(packed):
+                np.multiply(j, x, out=v)
+                v += shift[j]
+                if self.delta != 0.0:
+                    w = np.multiply(phase, S[j], out=wave)
+                    v += np.multiply(self.delta / (2.0 * math.pi), w.imag, out=w.imag)
+                v += y
+                row[:] = np.packbits(np.greater_equal(_frac(v, t), 0.5, out=flags))
+            yield packed
 
     def table(self, nmax):
         vs = rotation_ac_cocycle_correlations(self.alpha, self.delta, self.delta0, nmax, self.M)
@@ -489,32 +516,33 @@ class NilRotationSource(NameSource):
         self.gamma = gamma
         self.M = M
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x, y, z = rng.random((3, count))
-        # step j's bits are packed into row j, one step at a time
-        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        fx, fy, t, u = (np.empty(count) for _ in range(4))
-        flags = np.empty(count, dtype=bool)
-        for row in packed:
-            row[:] = np.packbits(np.greater_equal(_frac(z, t), 0.5, out=flags))
-            # z <- {z + alpha {y} - ({x} + alpha) floor({y} + beta) + gamma}
-            _frac(x, fx)
-            _frac(y, fy)
-            np.add(fy, self.beta, out=t)
-            np.floor(t, out=t)
-            np.add(fx, self.alpha, out=u)
-            np.multiply(u, t, out=u)
-            np.multiply(self.alpha, fy, out=t)
-            np.subtract(t, u, out=t)
-            np.add(t, self.gamma, out=t)
-            np.add(z, t, out=t)
-            _frac(t, z)
-            np.add(x, self.alpha, out=t)
-            _frac(t, x)
-            np.add(y, self.beta, out=t)
-            _frac(t, y)
-        return packed
+        xs, ys, zs = rng.random((3, count))
+        for s, packed in _block_rows(count, length):
+            x, y, z = xs[s], ys[s], zs[s]  # views, advanced in place
+            # step j's bits are packed into row j, one step at a time
+            fx, fy, t, u = (np.empty(x.size) for _ in range(4))
+            flags = np.empty(x.size, dtype=bool)
+            for row in packed:
+                row[:] = np.packbits(np.greater_equal(_frac(z, t), 0.5, out=flags))
+                # z <- {z + alpha {y} - ({x} + alpha) floor({y} + beta) + gamma}
+                _frac(x, fx)
+                _frac(y, fy)
+                np.add(fy, self.beta, out=t)
+                np.floor(t, out=t)
+                np.add(fx, self.alpha, out=u)
+                np.multiply(u, t, out=u)
+                np.multiply(self.alpha, fy, out=t)
+                np.subtract(t, u, out=t)
+                np.add(t, self.gamma, out=t)
+                np.add(z, t, out=t)
+                _frac(t, z)
+                np.add(x, self.alpha, out=t)
+                _frac(t, x)
+                np.add(y, self.beta, out=t)
+                _frac(t, y)
+            yield packed
 
     def table(self, nmax):
         vs = nil_rotation_correlations(self.alpha, self.beta, self.gamma, nmax, self.M)
@@ -536,22 +564,23 @@ class DistalSource(NameSource):
     def __init__(self, alpha: float = SQRT2_M1):
         self.alpha = alpha
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        x, y, z = rng.random((3, count))
-        # step j's bits are packed into row j, as in NilRotationSource
-        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        t = np.empty(count)
-        flags = np.empty(count, dtype=bool)
-        for row in packed:
-            row[:] = np.packbits(np.greater_equal(_frac(z, t), 0.5, out=flags))
-            np.add(z, y, out=t)
-            _frac(t, z)
-            np.add(y, x, out=t)
-            _frac(t, y)
-            np.add(x, self.alpha, out=t)
-            _frac(t, x)
-        return packed
+        xs, ys, zs = rng.random((3, count))
+        for s, packed in _block_rows(count, length):
+            x, y, z = xs[s], ys[s], zs[s]
+            # step j's bits are packed into row j, as in NilRotationSource
+            t = np.empty(x.size)
+            flags = np.empty(x.size, dtype=bool)
+            for row in packed:
+                row[:] = np.packbits(np.greater_equal(_frac(z, t), 0.5, out=flags))
+                np.add(z, y, out=t)
+                _frac(t, z)
+                np.add(y, x, out=t)
+                _frac(t, y)
+                np.add(x, self.alpha, out=t)
+                _frac(t, x)
+            yield packed
 
     def table(self, nmax):
         return np.zeros(nmax + 1), "exact", 0.0
@@ -566,21 +595,23 @@ class OdometerExtensionSource(NameSource):
         if m == 0 or m & (m - 1):
             raise ValueError("phi_table length must be a power of two")
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         m = self.phi.size
-        v0 = rng.integers(0, m, size=count)
-        g0 = rng.integers(0, 2, size=count)
-        # bit j = g0 ^ par[v0] ^ par[v0 + j], the parity of g0 + S_j(v0); the rows have period 2m
+        v0s = rng.integers(0, m, size=count)
+        g0s = rng.integers(0, 2, size=count)
         par = _parity_prefix(self.phi)
-        start = g0.astype(np.uint8) ^ par[v0]
-        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        bits = np.empty(count, dtype=np.uint8)
-        for j, row in zip(range(2 * m), packed):
-            np.take(par[j:], v0, out=bits, mode="clip")
-            bits ^= start
-            row[:] = np.packbits(bits)
-        return _repeat_period(packed, 2 * m)
+        for s, packed in _block_rows(count, length):
+            # bit j = g0 ^ par[v0] ^ par[v0 + j], the parity of g0 + S_j(v0); the rows
+            # have period 2m
+            v0 = v0s[s]
+            start = g0s[s].astype(np.uint8) ^ par[v0]
+            bits = np.empty(v0.size, dtype=np.uint8)
+            for j, row in zip(range(2 * m), packed):
+                np.take(par[j:], v0, out=bits, mode="clip")
+                bits ^= start
+                row[:] = np.packbits(bits)
+            yield _repeat_period(packed, 2 * m)
 
     def table(self, nmax):
         return two_point_extension_correlations(self.phi, nmax), "exact", 0.0
@@ -597,23 +628,32 @@ class RudinShapiroSource(NameSource):
 
     @functools.cached_property
     def _prefix_bits(self) -> np.ndarray:
-        # built on the first sample_names: table() alone never builds this prefix
-        return (rudin_shapiro_names(2 ** self.log2_length) < 0).view(np.uint8)
+        # the bits r < 0 of the prefix, built by the first block (table() never
+        # builds them) in place: with r[:n] set, r[n + i] = r[i] and
+        # r[n + n/2 + i] = -r[n/2 + i] for i < n/2 (n + n/2 + i has one more '11')
+        s = np.zeros(2 ** self.log2_length, dtype=np.uint8)
+        n = 2
+        while n < s.size:
+            s[n:n + n // 2] = s[:n // 2]
+            np.bitwise_xor(s[n // 2:n], 1, out=s[n + n // 2:2 * n])
+            n *= 2
+        return s
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         if length >= 2 ** self.log2_length:
             raise ValueError(f"names of length {length} need 2^log2_length > {length}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         prefix = self._prefix_bits
         starts = rng.integers(0, prefix.size - length, size=count)
-        # step j's bits, gathered from prefix[starts + j], are packed into row j:
-        # no (count, length) index array; starts + j < prefix.size, so "clip"
-        # never clips
-        packed = np.empty((length, -(-count // 8)), dtype=np.uint8)
-        bits = np.empty(count, dtype=np.uint8)
-        for j, row in enumerate(packed):
-            row[:] = np.packbits(np.take(prefix[j:], starts, out=bits, mode="clip"))
-        return packed
+        for s, packed in _block_rows(count, length):
+            start = starts[s]
+            # step j's bits, gathered from prefix[start + j], are packed into row j:
+            # no (count, length) index array; start + j < prefix.size, so "clip"
+            # never clips
+            bits = np.empty(start.size, dtype=np.uint8)
+            for j, row in enumerate(packed):
+                row[:] = np.packbits(np.take(prefix[j:], start, out=bits, mode="clip"))
+            yield packed
 
     def table(self, nmax):
         if self.L < max(1, 4 * nmax):
@@ -630,41 +670,43 @@ class CoinSource(NameSource):
             raise ValueError("need 0 < p0 < 1")
         self.p0 = p0
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         # drawing name after name, whole or piece by piece, gives the stream of
-        # one (count, length) draw: a block of whole names fills its bytes of the
+        # one (count, length) draw: a draw of whole names fills its bytes of the
         # step rows, and a piece of a long name is ORed into its bit of them
-        packed = np.zeros((length, -(-count // 8)), dtype=np.uint8)
-        if 8 * length <= _COIN_DOUBLES:  # a block of names packs into whole bytes of each row
-            block = 8 * (_COIN_DOUBLES // (8 * max(length, 1)))
-            u = np.empty((min(count, block), length))
-            heads = np.empty(u.shape, dtype=bool)
-            for r0 in range(0, count, block):
-                n = min(block, count - r0)
-                np.greater_equal(rng.random(out=u[:n]), self.p0, out=heads[:n])
-                packed[:, r0 // 8:(r0 + n + 7) // 8] = _pack_columns(heads[:n]).T
-            return packed
-        u = np.empty(min(length, _COIN_DOUBLES))
-        heads = np.empty(u.size, dtype=bool)
-        bits = np.empty(u.size, dtype=np.uint8)
-        for i in range(count):
-            column = packed[:, i // 8]  # name i is bit 7 - i % 8 of this column
-            for lo in range(0, length, _COIN_DOUBLES):
-                piece = rng.random(out=u[:length - lo])
-                np.greater_equal(piece, self.p0, out=heads[:piece.size])
-                column[lo:lo + piece.size] |= np.left_shift(
-                    heads[:piece.size].view(np.uint8), 7 - i % 8, out=bits[:piece.size])
-        return packed
+        draw = 8 * (_COIN_DOUBLES // (8 * max(length, 1)))  # names a draw, while 8 fit
+        u = np.empty((min(count, draw), length) if draw else min(length, _COIN_DOUBLES))
+        heads = np.empty(u.shape, dtype=bool)
+        for s, packed in _block_rows(count, length):
+            n = s.stop - s.start
+            if draw:  # a draw packs into whole bytes of each row
+                for r0 in range(0, n, draw):
+                    k = min(draw, n - r0)
+                    np.greater_equal(rng.random(out=u[:k]), self.p0, out=heads[:k])
+                    packed[:, r0 // 8:(r0 + k + 7) // 8] = _pack_columns(heads[:k]).T
+            else:
+                packed.fill(0)
+                bits = np.empty(u.size, dtype=np.uint8)
+                for i in range(n):
+                    column = packed[:, i // 8]  # name i is bit 7 - i % 8 of this column
+                    for lo in range(0, length, _COIN_DOUBLES):
+                        piece = rng.random(out=u[:length - lo])
+                        np.greater_equal(piece, self.p0, out=heads[:piece.size])
+                        column[lo:lo + piece.size] |= np.left_shift(
+                            heads[:piece.size].view(np.uint8), 7 - i % 8, out=bits[:piece.size])
+            yield packed
 
 
 class ConstantSource(NameSource):
     """Degenerate fixture: each name is all-zeros or all-ones, equiprobably."""
 
-    def sample_names(self, count, length, seed):
+    def name_blocks(self, count, length, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         b = rng.integers(0, 2, size=count).astype(np.uint8)
-        return np.repeat(np.packbits(b)[None, :], length, axis=0)
+        for s, packed in _block_rows(count, length):
+            packed[:] = np.packbits(b[s])
+            yield packed
 
 
 # ---------------------------------------------------------------------------
@@ -674,19 +716,35 @@ class ConstantSource(NameSource):
 _NAMES_MAGIC = b"ATNB"
 
 
+def write_name_blocks(blocks, count: int, length: int, path) -> None:
+    """Write ``count`` names of ``length`` steps, given as consecutive blocks of
+    packed step rows (``NameSource.name_blocks``), as a batch: 2^15 // length
+    bytes of a block's step rows (256 KiB of bits, or 8 names) are unpacked at a
+    time and packed along the steps.  If anything raises once the file is open,
+    the partial file is removed."""
+    chunk = max(1, 2**15 // max(length, 1))  # bytes of a step row unpacked at a time
+    with open(path, "wb") as fh:
+        try:
+            fh.write(_NAMES_MAGIC)
+            fh.write(struct.pack("<QQ", count, length))
+            lo = 0
+            for rows in blocks:
+                n = min(8 * rows.shape[1], count - lo)
+                for c0 in range(0, rows.shape[1], chunk):
+                    bits = np.unpackbits(rows[:, c0:c0 + chunk], axis=1,
+                                         count=min(8 * chunk, n - 8 * c0))
+                    fh.write(_pack_columns(bits).T.tobytes())
+                lo += n
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
 def write_names(steps: np.ndarray, count: int, path) -> None:
     """Write the ``count`` names of packed step rows (``NameSource.sample_names``)
-    as a batch: each block of names is unpacked to its (length, block) bits and
-    packed along the steps, so at most 256 KiB (or 8 names) of bits is unpacked."""
-    length = steps.shape[0]
-    block = max(1, 2**15 // max(length, 1))  # bytes of a step row per block
-    with open(path, "wb") as fh:
-        fh.write(_NAMES_MAGIC)
-        fh.write(struct.pack("<QQ", count, length))
-        for b0 in range(0, steps.shape[1], block):
-            bits = np.unpackbits(steps[:, b0:b0 + block], axis=1,
-                                 count=min(8 * block, count - 8 * b0))
-            fh.write(_pack_columns(bits).T.tobytes())
+    as a batch, as one block of ``write_name_blocks``."""
+    write_name_blocks((steps,), count, steps.shape[0], path)
 
 
 def read_names(path) -> np.ndarray:

@@ -494,6 +494,34 @@ def test_system_names_batch_bytes_pinned(tmp_path, capsys, system):
     assert hashlib.sha256(out_bin.read_bytes()).hexdigest() == _NAMES_SHA256[system]
 
 
+def test_system_names_failing_mid_batch_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the batch is streamed before the CSV: a block producer that fails after its
+    # first block exits 2, and neither the partial batch nor the CSV is left
+    first_blocks = systems.NilRotationSource.name_blocks
+
+    def failing(self, count, length, seed):
+        yield next(first_blocks(self, count, length, seed))
+        raise MemoryError("block failed")
+
+    monkeypatch.setattr(systems.NilRotationSource, "name_blocks", failing)
+    names, out = tmp_path / "names.bin", tmp_path / "names.csv"
+    code, stdout, err = run(["system", "nil", "--names", "4100", "--length", "600", "--nmax", "4",
+                             "--names-out", str(names), "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and err == "error: block failed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_system_names_unwritable_out_leaves_no_batch(tmp_path, capsys):
+    names = tmp_path / "names.bin"
+    code, _, err = run(["system", "nil", "--names", "16", "--length", "32", "--nmax", "4",
+                        "--names-out", str(names), "--out", str(tmp_path / "missing" / "n.csv")],
+                       capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_system_bad_parameters_exit_2(capsys):
     code, _, err = run(["system", "nil", "--beta", "0.5"], capsys)
     assert code == 2

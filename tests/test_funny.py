@@ -213,8 +213,8 @@ class _TiedSource(systems.NameSource):
     """Name i is all (i mod 2): every index of an even training half is an
     exact majority tie, which goes to 0."""
 
-    def sample_names(self, count, length, seed):
-        return np.repeat(np.packbits(np.arange(count) % 2)[None, :], length, axis=0)
+    def name_blocks(self, count, length, seed):
+        yield np.repeat(np.packbits(np.arange(count) % 2)[None, :], length, axis=0)
 
 
 _SEARCH_SOURCES = {
@@ -304,10 +304,10 @@ def test_funny_word_search_ties_go_to_zero():
 
 
 def test_funny_word_search_peak_memory():
-    # the names stay packed, 1024 x 2500 bytes, and each candidate unpacks the
-    # held-out bits of 8 of its 64 rows at a time: about 3.1 MiB, against 5.2 MiB
-    # when all 64 rows were unpacked at once and 22 MiB when the search held the
-    # names as uint8
+    # the search reads one block of 2048 names at a time (256 KiB of step rows,
+    # which the coin sampler reuses) and unpacks the held-out bits of 8 of a
+    # candidate's 64 rows of that block at a time: about 1.0 MiB, against 3.1 MiB
+    # with the whole sample's rows and 22 MiB when the search held the names as uint8
     fam = funny.LambdaFamily(k=64, horizon=1024, n_random=32)
     tracemalloc.start()
     try:
@@ -315,7 +315,44 @@ def test_funny_word_search_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20
+    assert peak < 2 * 2**20
+
+
+def test_funny_word_search_peak_memory_does_not_grow_with_samples():
+    # 80000 names hold 10 MiB of step rows; the search holds one block of them
+    fam = funny.LambdaFamily(k=64, horizon=1024, n_random=32)
+    funny.funny_word_search(systems.CoinSource(), fam, epsilon=0.1, samples=16, seed=3)
+    peaks = []
+    for samples in (10000, 40000):
+        tracemalloc.start()
+        try:
+            funny.funny_word_search(systems.CoinSource(), fam, epsilon=0.1, samples=samples,
+                                    seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+_EDGE_SOURCES = {
+    "coin": systems.CoinSource(),
+    "nil": systems.NilRotationSource(),
+    "rudin-shapiro": systems.RudinShapiroSource(log2_length=12),
+}
+
+
+# with 600 steps a block holds 2048 names: the training half ends on a block edge
+# or 3 names past one, and the whole sample ends on, just past or short of one
+@pytest.mark.parametrize("source", sorted(_EDGE_SOURCES))
+@pytest.mark.parametrize("samples", [1024, 1027, 2043, 2048, 2051, 3072, 3075])
+def test_funny_word_search_matches_unpack_all_search_at_block_edges(source, samples):
+    src = _EDGE_SOURCES[source]
+    fam = funny.LambdaFamily(k=9, horizon=600, n_random=4)
+    assert next(systems._block_rows(2**40, fam.horizon))[0].stop == 2048
+    got = funny.funny_word_search(src, fam, 0.2, samples, seed=samples)
+    ref = search_unpack_all_reference(src, fam, 0.2, samples, seed=samples)
+    assert [r.to_json_obj() for r in got.rows] == [r.to_json_obj() for r in ref.rows]
+    assert got.best.to_json_obj() == ref.best.to_json_obj()
 
 
 def test_search_report_json_lines(capsys):

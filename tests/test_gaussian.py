@@ -205,12 +205,13 @@ def test_product_orthant_matches_float_products_at_block_edges(level, r, samples
 
 
 def test_product_orthant_peak_memory():
-    # the state (three packed bits a sample) plus the x0 and z block buffers
-    # (2^16 samples each): about 2.7 MiB at level 4 with 2^20 samples and 3.1 MiB
-    # at level 1 with 2^22; a full float64 array fails either bound, and the
-    # level-1 one fails a byte of state a sample (5.5 MiB) or a full bool temporary
+    # the x0 and z block buffers (2^16 samples each), plus at levels 2 and 4 the
+    # state (three packed bits a sample): about 1.9 MiB at level 4 with 2^20
+    # samples, and 1.5 MiB at level 1 with 2^22, which folds each block into the
+    # miss count; a full float64 array fails either bound, and the level-1 one
+    # fails the packed state (3.0 MiB) or a full bool temporary
     spec = gaussian.exponential_spec(0.5, 2)
-    for level, samples, bound_mib in [(4, 2**20, 4), (1, 2**22, 4)]:
+    for level, samples, bound_mib in [(4, 2**20, 4), (1, 2**22, 2)]:
         tracemalloc.start()
         try:
             gaussian.product_orthant_mc(spec, 1, level, samples, seed=0)

@@ -1221,3 +1221,86 @@ def test_write_names_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def constant_names_reference(src, count, length, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return np.repeat(rng.integers(0, 2, size=count).astype(np.uint8)[:, None], length, axis=1)
+
+
+def _names_per_block(length):
+    """Names in every block but the last of NameSource.name_blocks at this length."""
+    return next(systems._block_rows(2**40, length))[0].stop
+
+
+_BLOCK_SOURCES = {
+    "rotation": (systems.RotationCocycleSource(delta=0.3), rotation_names_reference),
+    "nil": (systems.NilRotationSource(), nil_names_reference),
+    "distal": (systems.DistalSource(), distal_names_reference),
+    "odometer": (systems.OdometerExtensionSource([1, 0, 1, 1]), odometer_names_reference),
+    "rudin-shapiro": (systems.RudinShapiroSource(log2_length=12), rudin_shapiro_names_reference),
+    "coin": (systems.CoinSource(p0=0.4), coin_names_reference),
+    "constant": (systems.ConstantSource(), constant_names_reference),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_BLOCK_SOURCES))
+@pytest.mark.parametrize("length", [600, 100])
+def test_name_blocks_join_to_the_whole_batch_at_block_edges(source, length):
+    # blocks of B names (2048 at 600 steps, 10480 at 100) hold the bits of one
+    # whole-batch draw: one block short of B, exactly B, one name past it, a short
+    # block after two full ones, and counts off a multiple of 8
+    src, reference = _BLOCK_SOURCES[source]
+    B = _names_per_block(length)
+    for count in (13, B - 1, B, B + 1, 2 * B + 3):
+        blocks = [rows.copy() for rows in src.name_blocks(count, length, seed=count)]
+        sizes = [B] * (len(blocks) - 1) + [count - B * (len(blocks) - 1)]
+        assert 0 < sizes[-1] <= B
+        for rows, n in zip(blocks, sizes):
+            assert_packed_layout(rows, n, length)
+        steps = np.concatenate(blocks, axis=1)
+        assert np.array_equal(steps, src.sample_names(count, length, seed=count))
+        assert_same_names(unpack(steps, count), reference(src, count, length, count))
+
+
+@pytest.mark.parametrize("source", sorted(_BLOCK_SOURCES))
+def test_write_name_blocks_matches_write_names_at_block_edges(tmp_path, source):
+    src, _ = _BLOCK_SOURCES[source]
+    length = 600
+    B = _names_per_block(length)
+    for count in (B - 1, B + 1, 2 * B + 3):
+        systems.write_name_blocks(src.name_blocks(count, length, seed=1), count, length,
+                                  tmp_path / "blocks.bin")
+        systems.write_names(src.sample_names(count, length, seed=1), count,
+                            tmp_path / "whole.bin")
+        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+def test_write_name_blocks_removes_a_partial_batch(tmp_path):
+    def failing_blocks():
+        yield from systems.NilRotationSource().name_blocks(16, 32, seed=1)
+        raise MemoryError
+    path = tmp_path / "names.bin"
+    with pytest.raises(MemoryError):
+        systems.write_name_blocks(failing_blocks(), 32, 32, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("log2_length", range(0, 17))
+def test_rudin_shapiro_prefix_bits_are_the_sign_bits(log2_length):
+    src = systems.RudinShapiroSource(log2_length=log2_length)
+    bits = src._prefix_bits
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, systems.rudin_shapiro_names(2**log2_length) < 0)
+
+
+def test_rudin_shapiro_prefix_bits_peak_memory():
+    # one uint8 a sign, doubled in place: 1 MiB at 2^20, where int8 doubling and
+    # a bool copy peaked at 2 MiB
+    tracemalloc.start()
+    try:
+        systems.RudinShapiroSource(log2_length=20)._prefix_bits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 2**20

@@ -30,35 +30,42 @@ ROWS = [
     # `import atlab.cli` loads the standard library alone, about 14.7 MiB of RSS;
     # a top-level numpy import in cli.py (27.7 MiB) fails this row
     (["-c", "import atlab.cli"], 0, 20, None),
-    # a Monte Carlo run holds three packed bits per sample and two 2^16-sample
-    # blocks, about 43 MiB of RSS at the 2^24 cap (52 MiB with one uint8 per sample,
-    # 180 MiB while it stored the x0 draw); a full-size float64 array coming back
-    # (+128 MiB) fails 96
+    # a level-4 Monte Carlo run holds three packed bits per sample and two
+    # 2^16-sample blocks, about 43 MiB of RSS at the 2^24 cap (52 MiB with one uint8
+    # per sample, 180 MiB while it stored the x0 draw); a full-size float64 array
+    # coming back (+128 MiB) fails 96
     ([*CLI, "gaussian", "product", "--level", "4", *MC], 0, 96, None),
-    ([*CLI, "gaussian", "orthant", *MC], 0, 96, None),
-    # at 2 * samples * horizon = MAX_NAME_BITS = 2^26 the search holds its names as
-    # packed step rows, 8 MiB, the coin sampler draws 64 names at a time, and the
-    # search unpacks the held-out bits of 8 of a candidate's 64 rows at a time:
-    # about 45 MiB of RSS (55 MiB with 256-name draws and all 64 rows unpacked at
-    # once, 111 MiB while it held one uint8 per name bit, which fails 80)
+    # level 1 folds each block straight into the miss count and holds no state
+    # plane: about 36.6 MiB of RSS (42.6 MiB with the three packed planes, which
+    # fails 40; the cap was 96)
+    ([*CLI, "gaussian", "orthant", *MC], 0, 40, None),
+    # at 2 * samples * horizon = MAX_NAME_BITS = 2^26 the search reads the names one
+    # block of 2048 at a time (256 KiB of packed step rows), the coin sampler draws
+    # 64 names at a time, and the search unpacks the held-out bits of 8 of a
+    # candidate's 64 rows of a block at a time: about 37.1 MiB of RSS (45 MiB with
+    # the whole sample's rows, 8 MiB, which fails 42; 55 MiB with 256-name draws and
+    # all 64 rows unpacked at once, 111 MiB while it held one uint8 per name bit;
+    # the cap was 80)
     ([*CLI, "funny", "--system", "coin", "--k", "64", "--horizon", "1024",
-      "--samples", "32768", "--seed", "1"], 0, 80, None),
+      "--samples", "32768", "--seed", "1"], 0, 42, None),
     # names of 2^23 steps are drawn one at a time, 2^16 doubles a piece, into the
     # 8 MiB of step rows: about 44 MiB of RSS (636 MiB while 8 whole names were
     # drawn at once as 512 MiB of doubles)
     ([*CLI, "funny", "--system", "coin", "--k", "4", "--horizon", "8388608",
       "--samples", "4", "--n-random", "0", "--seed", "1"], 0, 96, None),
-    # at names * length = MAX_NAME_BITS = 2^26 the nil sampler holds the packed step
-    # rows, 8 MiB, and write_names unpacks 256 KiB of names at a time: about 48 MiB of
-    # RSS, set by the sampler (115 MiB while the batch was unpacked to one uint8 per
-    # name bit and repacked)
+    # at names * length = MAX_NAME_BITS = 2^26 the nil sampler yields blocks of 2048
+    # names (256 KiB of packed step rows) from x, y and z of all names (1.5 MiB), and
+    # the writer unpacks 256 KiB of names at a time: about 38.8 MiB of RSS (48 MiB
+    # with the whole batch's rows, 8 MiB, which fails 44; 115 MiB while the batch was
+    # unpacked to one uint8 per name bit and repacked; the cap was 64)
     ([*CLI, "system", "nil", "--names", "65536", "--length", "1024", "--nmax", "4"],
-     0, 64, None),
-    # the 2^26-sign Rudin-Shapiro prefix is built by doubling (the last two prefixes,
-    # 96 MiB) and the sampler holds it with its bits (128 MiB): about 164 MiB of RSS
-    # (228 MiB while a substitution built letter and sign arrays of the full length)
+     0, 44, None),
+    # the 2^26-sign Rudin-Shapiro prefix is built as its sign bits in one uint8 array,
+    # doubled in place (64 MiB): about 100.5 MiB of RSS (164 MiB while int8 doubling
+    # held the last two prefixes and a bool copy, which fails 128; 228 MiB while a
+    # substitution built letter and sign arrays of the full length; the cap was 192)
     ([*CLI, "funny", "--system", "rudin-shapiro", "--log2-length", "26", "--samples", "16",
-      "--k", "4", "--horizon", "8"], 0, 192, None),
+      "--k", "4", "--horizon", "8"], 0, 128, None),
     # at the largest nmax, 2^22, the lag sums build P and Q (2^23 signs each) and run
     # one zero-padded 2^24-point correlation at a time: about 434 MiB of RSS (466 MiB
     # while _lag_sums cut its input into blocks and held two block spectra per step)
