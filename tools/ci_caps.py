@@ -36,13 +36,13 @@ ROWS = [
     # coming back (+128 MiB) fails 96
     ([*CLI, "gaussian", "product", "--level", "4", *MC], 0, 96, None),
     # level 1 folds each block straight into the miss count and holds no state
-    # plane: about 36.6 MiB of RSS (42.6 MiB with the three packed planes, which
+    # plane: about 36.5 MiB of RSS (42.5 MiB with the three packed planes, which
     # fails 40; the cap was 96)
     ([*CLI, "gaussian", "orthant", *MC], 0, 40, None),
     # at 2 * samples * horizon = MAX_NAME_BITS = 2^26 the search reads the names one
     # block of 2048 at a time (256 KiB of packed step rows), the coin sampler draws
     # 64 names at a time, and the search unpacks the held-out bits of 8 of a
-    # candidate's 64 rows of a block at a time: about 37.1 MiB of RSS (45 MiB with
+    # candidate's 64 rows of a block at a time: about 37.1 MiB of RSS (45.1 MiB with
     # the whole sample's rows, 8 MiB, which fails 42; 55 MiB with 256-name draws and
     # all 64 rows unpacked at once, 111 MiB while it held one uint8 per name bit;
     # the cap was 80)
@@ -55,7 +55,7 @@ ROWS = [
       "--samples", "4", "--n-random", "0", "--seed", "1"], 0, 96, None),
     # at names * length = MAX_NAME_BITS = 2^26 the nil sampler yields blocks of 2048
     # names (256 KiB of packed step rows) from x, y and z of all names (1.5 MiB), and
-    # the writer unpacks 256 KiB of names at a time: about 38.8 MiB of RSS (48 MiB
+    # the writer unpacks 256 KiB of names at a time: about 38.8 MiB of RSS (47.7 MiB
     # with the whole batch's rows, 8 MiB, which fails 44; 115 MiB while the batch was
     # unpacked to one uint8 per name bit and repacked; the cap was 64)
     ([*CLI, "system", "nil", "--names", "65536", "--length", "1024", "--nmax", "4"],
