@@ -51,6 +51,37 @@ def _alias_margin(z: float) -> int:
         lo, width = lo + width, 2 * width
 
 
+def _rotation_zero_lag(alpha: float, delta: float, nmax: int) -> int:
+    """The first lag n0 <= nmax + 1 of ``systems.rotation_ac_cocycle_correlations``
+    from which ``bessel_jv`` drops every Bessel value J_{-mn}(m delta |S_n|).
+
+    It drops an order when Kapteyn's bound F(|m| n, |m| delta |S_n|)
+    (``_log_kapteyn``) is below log s, s = _BESSEL_SLACK.  F(k, z) = k f(z / k)
+    rises with z, so the bound at order m n and argument m z is the m-th power
+    of the m = 1 bound.  With b = 2 pi alpha as rounded, the phase step of
+    ``systems._rotation_sums``, the computed |S_n| is at most
+    min(n, 1 / |sin(b / 2)|) + D, D = (|b| + 8) nmax^2 eps covering the rounding
+    of its phases, exponentials and cumsum.  G(n) = F(n, delta (min(n,
+    1 / |sin(b / 2)|) + D)) falls as n grows (F falls with k at a fixed z and at
+    a fixed z / k < 1, and rises with z / k), and n0 is the first lag with
+    G(n) < log s - 1: the margin 1 covers the rounding of m delta |S_n| and of
+    F, so no order of a later lag is kept.
+    """
+    b = 2.0 * math.pi * alpha
+    half_sin = abs(math.sin(b / 2.0))
+    cap = 1.0 / half_sin if half_sin else math.inf
+    drift = (abs(b) + 8.0) * float(nmax) ** 2 * float(np.finfo(float).eps)
+    lo, width = 1, 64
+    while lo <= nmax:
+        n = np.arange(lo, lo + width, dtype=float)
+        bound = _log_kapteyn(n, delta * (np.minimum(n, cap) + drift))
+        below = np.flatnonzero(bound < math.log(_BESSEL_SLACK) - 1.0)
+        if below.size:
+            return min(lo + int(below[0]), nmax + 1)
+        lo, width = lo + width, min(2 * width, 2**16)
+    return nmax + 1
+
+
 def _saddle(nu: np.ndarray, z: np.ndarray):
     """For 0 < z < nu: beta > 0 with cosh beta = nu / z, w = tanh beta and
     D = nu (beta - w), which is minus the log of Kapteyn's bound at order nu.

@@ -237,7 +237,9 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     from the Gaussian characteristic function.  Requires r >= 0, which forces
     Var(X_0^{(n)}) >= n and hence a summable, rapidly decaying table.  The
     tail bound covers the lags past n_max and the odd |m| > M that the stored
-    lags leave out.
+    lags leave out.  Var_n rises strictly, so once the largest term, m = +-1,
+    underflows to 0.0 at the last lag of a block of exponentials, every term of
+    every later lag is 0.0 too: the loop stops there and those lags stay 0.0.
     """
     if np.any(spec.autocov < 0.0):
         raise ValueError("cocycle correlation table requires r(k) >= 0 for all k")
@@ -245,10 +247,13 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     sw = square_wave_coeffs(M)
     w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2
     step = max(1, 2**16 // rate.size)  # lags per block: 2^16 exponentials, or one lag's
-    nn = np.empty(n_max + 1, dtype=complex)
+    nn = np.zeros(n_max + 1, dtype=complex)
     nn[0] = 1.0
     for lo in range(1, n_max + 1, step):
-        nn[lo:lo + step] = (w * np.exp(rate * var[lo:lo + step, None])).sum(axis=1)
+        terms = np.exp(rate * var[lo:lo + step, None])
+        nn[lo:lo + step] = (w * terms).sum(axis=1)
+        if not terms[-1].any():
+            break
     # beyond n_max: Var >= n, so |c(n)| <= e^{-2 pi^2 n}; geometric tail
     q = math.exp(-2.0 * math.pi**2)
     tail = 2.0 * q ** (n_max + 1) / (1.0 - q)

@@ -87,6 +87,13 @@ def _clears_eps0(t: FourierTable, indices, signs) -> bool:
                        k * _ULP)
 
 
+# sbh_sup_exhaustive's error when its pruned scan would still visit more than
+# _EXHAUSTIVE_BUDGET forms; certify catches it (a comment, not a docstring: every
+# funny job compiles this module, and its peak RSS follows the compiled bytes)
+class _BudgetExceeded(ValueError):
+    pass
+
+
 def _sign_matrix(k: int) -> np.ndarray:
     """All +-1 vectors of length k with first entry fixed to +1."""
     m = 2 ** (k - 1)
@@ -170,7 +177,7 @@ def sbh_sup_exhaustive(t: FourierTable, k: int, window: int):
         # once the first 2^19 forms are visited, count those left that could win
         if (lo + chunk) * len(S) == 2**19 and (np.count_nonzero(reach[lo + chunk:] >= best[0])
                                                * len(S) > _EXHAUSTIVE_BUDGET):
-            raise ValueError("exhaustive search budget exceeded")
+            raise _BudgetExceeded("exhaustive search budget exceeded")
     idx = tuple(int(x) for x in np.flatnonzero(masks[-best[2]] >> shifts & 1))
     eta = tuple(0 if x > 0 else 1 for x in S[-best[1]])
     return sbh_form(t, idx, eta), idx, eta
@@ -273,9 +280,14 @@ def certify(t: FourierTable, k: int = 4, window: int = 8,
     dens_cert = density_sup(t, max(4 * t.half_width + 4, 64)).certified_upper
     kk = min(k, 12)
     ww = min(max(window, kk), 24)
-    exh, idx, eta = sbh_sup_exhaustive(t, kk, ww)
-    exh_witness, params = {"indices": list(idx), "signs": list(eta)}, (kk, ww)
-    witnesses = [(idx, eta)]
+    try:
+        exh, idx, eta = sbh_sup_exhaustive(t, kk, ww)
+    except _BudgetExceeded:  # null exhaustive fields; the other certificates decide
+        exh = exh_witness = params = None
+        witnesses = []
+    else:
+        exh_witness, params = {"indices": list(idx), "signs": list(eta)}, (kk, ww)
+        witnesses = [(idx, eta)]
     heu = heu_witness = None
     if heuristic_budget > 0:
         heu, hidx, heta = sbh_sup_heuristic(t, kk, max(window, kk), budget=heuristic_budget,

@@ -39,16 +39,26 @@ MAX_LOG2_LENGTH = 26
 MAX_LENGTH = 2**62
 
 
+def _rudin_shapiro_bits(size: int) -> np.ndarray:
+    """The bits r < 0 of the first ``size`` (a power of 2) Rudin-Shapiro signs r, as
+    uint8, doubled in place: with r[:n] set, r[n + i] = r[i] and r[n + n/2 + i] =
+    -r[n/2 + i] for i < n/2 (n + n/2 + i has one more '11' than n/2 + i)."""
+    s = np.zeros(size, dtype=np.uint8)
+    n = 2
+    while n < size:
+        s[n:n + n // 2] = s[:n // 2]
+        np.bitwise_xor(s[n // 2:n], 1, out=s[n + n // 2:2 * n])
+        n *= 2
+    return s
+
+
 def rudin_shapiro_names(L: int) -> np.ndarray:
-    """First L signs (+-1) of the Rudin-Shapiro sequence, as int8, by doubling
-    the prefix with r(2i) = r(i), r(2i+1) = (-1)^i r(i) from r(0) = 1."""
+    """First L signs (+-1) of the Rudin-Shapiro sequence, as int8: 1 - 2b for the
+    first L bits b of ``_rudin_shapiro_bits``."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    s = np.ones(1, dtype=np.int8)
-    while s.size < L:
-        s = np.repeat(s, 2)
-        s[3::4] *= -1  # the odd positions 2i + 1 with i odd
-    return s if s.size == L else s[:L].copy()
+    signs = np.left_shift(_rudin_shapiro_bits(1 << (L - 1).bit_length())[:L], 1, dtype=np.int8)
+    return np.subtract(1, signs, out=signs)
 
 
 def _lag_sums(x: np.ndarray, y: np.ndarray, n_max: int) -> np.ndarray:
@@ -227,9 +237,10 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
     S = sum_{j<n} e^{2 pi i j alpha} = |S| e^{i psi}, g^(n)(x) = (delta/2pi)
     |S| sin(2 pi x + psi), so by Jacobi-Anger each integral is the Bessel term
     e^{2 pi i m c} J_{-mn}(m delta |S|) e^{-i m n psi}, c = n(n-1) alpha / 2.
-    S is carried from lag to lag, one term per lag (``_rotation_sums``).
+    S is carried from lag to lag, one term per lag (``_rotation_sums``), up to
+    ``bessel._rotation_zero_lag``; the lags from there on are +0.0.
     """
-    from .bessel import bessel_jv  # loads with this kernel, not with systems
+    from .bessel import _rotation_zero_lag, bessel_jv  # load with this kernel alone
     _require_finite(alpha=alpha)
     if not 0.0 < delta0 < 1.0:
         raise ValueError("need 0 < delta0 < 1")
@@ -237,9 +248,10 @@ def rotation_ac_cocycle_correlations(alpha: float, delta: float, delta0: float,
         raise ValueError("need 0 <= delta < 1 - delta0")
     sw = square_wave_coeffs(M)
     ms = sw.odd_ms
-    out = np.empty(nmax + 1, dtype=complex)
+    out = np.zeros(nmax + 1, dtype=complex)
     out[0] = 1.0
-    for n, S in enumerate(_rotation_sums(alpha, nmax), start=1):
+    for n, S in enumerate(_rotation_sums(alpha, _rotation_zero_lag(alpha, delta, nmax) - 1),
+                          start=1):
         const = n * (n - 1) * alpha / 2.0
         integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
                      * np.exp(-1j * ms * n * np.angle(S)))
@@ -627,17 +639,8 @@ class RudinShapiroSource(NameSource):
         self.L = L
 
     @functools.cached_property
-    def _prefix_bits(self) -> np.ndarray:
-        # the bits r < 0 of the prefix, built by the first block (table() never
-        # builds them) in place: with r[:n] set, r[n + i] = r[i] and
-        # r[n + n/2 + i] = -r[n/2 + i] for i < n/2 (n + n/2 + i has one more '11')
-        s = np.zeros(2 ** self.log2_length, dtype=np.uint8)
-        n = 2
-        while n < s.size:
-            s[n:n + n // 2] = s[:n // 2]
-            np.bitwise_xor(s[n // 2:n], 1, out=s[n + n // 2:2 * n])
-            n *= 2
-        return s
+    def _prefix_bits(self) -> np.ndarray:  # built by the first block, never by table()
+        return _rudin_shapiro_bits(2 ** self.log2_length)
 
     def name_blocks(self, count, length, seed):
         if length >= 2 ** self.log2_length:
@@ -739,12 +742,6 @@ def write_name_blocks(blocks, count: int, length: int, path) -> None:
             fh.close()
             os.remove(path)
             raise
-
-
-def write_names(steps: np.ndarray, count: int, path) -> None:
-    """Write the ``count`` names of packed step rows (``NameSource.sample_names``)
-    as a batch, as one block of ``write_name_blocks``."""
-    write_name_blocks((steps,), count, steps.shape[0], path)
 
 
 def read_names(path) -> np.ndarray:

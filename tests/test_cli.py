@@ -270,6 +270,20 @@ def test_certify_k10_window24(tmp_path, capsys):
     assert len(rep["exhaustive_witness"]["indices"]) == 10
 
 
+def test_certify_over_the_exhaustive_budget_decides_by_the_other_certificates(tmp_path, capsys):
+    # a Lebesgue table prunes nothing, so the exhaustive scan at k = 10, window 24
+    # exceeds its budget: the report leaves its fields null and l1 certifies SBH
+    mfile = tmp_path / "leb.json"
+    assert run(["measure", "lebesgue", "--N", "64", "--out", str(mfile)], capsys)[0] == 0
+    code, out, err = run(["certify", "--in", str(mfile), "--k", "10", "--window", "24"], capsys)
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1
+    rep = json.loads(out)
+    assert rep["verdict"] == "CERTIFIED_SBH" and rep["l1_certificate"] == 1.0
+    assert rep["exhaustive_sup"] is None and rep["exhaustive_params"] is None
+    assert rep["exhaustive_witness"] is None and rep["heuristic_sup"] is None
+
+
 _BAD_MEASURES = {
     "nan-tail": '{"half_width": 2, "tail_bound": NaN, "coeffs": [[0, 1.0, 0.0]]}',
     "huge-half-width": '{"half_width": 1e9, "tail_bound": 0.0, "coeffs": [[0, 1.0, 0.0]]}',
@@ -369,7 +383,8 @@ def test_certify_subsample_scan(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--subsample-scan", "0..2"],
-    # m = 2 subsamples to entries below the pruning slack: no pair bound prunes
+    # m = 2 subsamples to entries below the pruning slack: no pair bound prunes, the
+    # exhaustive search exceeds its budget and the other certificates decide
     ["--k", "12", "--window", "24", "--subsample-scan", "1..2"],
     ["--subsample-scan", "5..1"],
     ["--subsample-scan", "1-2"],
@@ -384,15 +399,20 @@ def test_certify_subsample_scan_arguments(tmp_path, capsys, argv):
     t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(16), 201, 16)
     fourier.write_measure(t, mfile)
     code, out, err = run(["certify", "--in", str(mfile), *argv], capsys)
-    if "--budget" not in argv:
+    if "--budget" not in argv and "--window" not in argv:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         return
-    # the scan runs the heuristic search with --budget, as a single certify does
     assert code == 0
     scan = json.loads(out)["scan"]
     assert [entry["m"] for entry in scan] == [1, 2]
+    if "--window" in argv:
+        assert scan[0]["report"]["exhaustive_params"] == [12, 24]
+        assert scan[1]["report"]["exhaustive_params"] is None
+        assert scan[1]["report"]["verdict"] == "CERTIFIED_SBH"
+        return
+    # the scan runs the heuristic search with --budget, as a single certify does
     assert all(entry["report"]["heuristic_sup"] is not None for entry in scan)
     _, single, _ = run(["certify", "--in", str(mfile), "--budget", "50"], capsys)
     assert scan[0]["report"] == json.loads(single)
@@ -478,7 +498,7 @@ def test_system_names_batch(tmp_path, capsys, argv):
 
 # sha256 of names.bin of `system SYSTEM --names 4096 --length 1024 --seed 11
 # --nmax 4`, the shape of the benchmark's name batches, as written by the
-# unpack-and-repack writer that write_names replaced
+# unpack-and-repack writer that the packed-row writer replaced
 _NAMES_SHA256 = {
     "nil": "6af61e1039b636ce163577cb4470054ae0d29adf9f87af83a0b2ab4a24d81b2d",
     "distal": "e09575260394f19ca8c2e0f78cdbe18549f2d5a1f5f0d4e284a68e501f7b8fa4",

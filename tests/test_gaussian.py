@@ -302,6 +302,55 @@ def test_cocycle_table_white_noise_equals_per_lag_loop(M, n_max):
     assert np.array_equal(got, cocycle_per_lag_reference(spec, M, n_max))
 
 
+def cocycle_every_lag_reference(spec, M, n_max):
+    """The loop of ``cocycle_correlation_table`` before it stopped at the
+    underflow: every lag's exponentials, 2^16 at a time."""
+    var = gaussian.cocycle_variances(spec, n_max)
+    sw = systems.square_wave_coeffs(M)
+    w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2
+    step = max(1, 2**16 // rate.size)
+    nn = np.empty(n_max + 1, dtype=complex)
+    nn[0] = 1.0
+    for lo in range(1, n_max + 1, step):
+        nn[lo:lo + step] = (w * np.exp(rate * var[lo:lo + step, None])).sum(axis=1)
+    return nn
+
+
+_UNDERFLOW_SPECS = {
+    "white": lambda N: gaussian.white_noise_spec(N),
+    "exponential": lambda N: gaussian.exponential_spec(0.5, N),
+    "sqrt": lambda N: gaussian.GaussianSpec.from_fourier_table(fourier.sqrt_template(0.3, N)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDERFLOW_SPECS))
+@pytest.mark.parametrize("M", [21, 201])
+def test_cocycle_table_stops_where_the_exponentials_underflow(name, M):
+    # from the first lag whose m = +-1 exponential is 0.0 every lag is +0.0, as the
+    # sum of its zero terms was: nmax below, at and past that lag, and past the first
+    # block of exponentials (324 lags at M = 201, 2978 at M = 21), each against the
+    # loop over every lag
+    spec = _UNDERFLOW_SPECS[name](7000)
+    var = gaussian.cocycle_variances(spec, 7000)
+    first = int(np.flatnonzero(np.exp(-2.0 * math.pi**2 * var) == 0.0)[0])
+    assert first == 38 if name == "white" else 2 < first < 38
+    for n_max in (first - 1, first, first + 1, 400, 7000):
+        got = gaussian.cocycle_correlation_table(spec, M, n_max).coeffs
+        want = cocycle_every_lag_reference(spec, M, n_max)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n_max
+        assert got[first - 1] != 0.0 and not np.any(got[first:])
+        zeros = got[got == 0]
+        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag)), n_max
+
+
+def test_cocycle_table_of_2_20_lags_is_fast():
+    # white noise's last nonzero lag is 37; evaluating every lag took about 1.26 s
+    t0 = time.perf_counter()
+    t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(2**20), 201, 2**20)
+    assert time.perf_counter() - t0 < 0.6
+    assert t.half_width == 2**20
+
+
 def test_cocycle_table_white_noise_65536_under_a_second():
     t0 = time.perf_counter()
     t = gaussian.cocycle_correlation_table(gaussian.white_noise_spec(65536), 201, 65536)

@@ -228,7 +228,7 @@ def test_names_round_trip(tmp_path_factory, data):
     bits = np.array(flat, dtype=np.uint8).reshape(count, length)
     path = tmp_path_factory.mktemp("names") / "batch.bin"
     # the packed step rows that NameSource.sample_names returns
-    systems.write_names(np.packbits(bits.T, axis=1), count, path)
+    systems.write_name_blocks((np.packbits(bits.T, axis=1),), count, length, path)
     back = systems.read_names(path)
     assert back.shape == (count, length)
     assert np.array_equal(back, bits)

@@ -344,6 +344,17 @@ def test_exhaustive_budget_counts_from_the_first_2_19_forms(monkeypatch, chunk):
         sbh.sbh_sup_exhaustive(fourier.lebesgue_table(4), 12, 24)
 
 
+def test_certify_over_the_exhaustive_budget_keeps_the_heuristic():
+    # where sbh_sup_exhaustive raises (above), certify reports no exhaustive witness
+    # and decides from l1, the density and the heuristic witness
+    t = fourier.lebesgue_table(4)
+    rep = sbh.certify(t, k=12, window=24, heuristic_budget=100, seed=1)
+    assert (rep.exhaustive_sup, rep.exhaustive_params, rep.exhaustive_witness) == (None,) * 3
+    assert rep.heuristic_sup == pytest.approx(1.0, abs=1e-12)
+    assert len(rep.heuristic_witness["indices"]) == 12
+    assert rep.verdict == "CERTIFIED_SBH"
+
+
 def test_heuristic_lebesgue():
     t = fourier.lebesgue_table(16)
     assert sbh.sbh_sup_heuristic(t, 5, 12, budget=200, seed=0)[0] == pytest.approx(

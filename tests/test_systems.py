@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from atlab import _rotation_tail, cli, fourier, systems
+from atlab import _rotation_tail, bessel, cli, fourier, systems
 from atlab.bessel import bessel_jv
 
 
@@ -383,7 +383,7 @@ def sample(src, count, length, seed):
 
 def packbits_batch(bits):
     """The name-batch bytes of a (count, length) 0/1 array, packed by np.packbits:
-    the layout that write_names must produce."""
+    the layout that write_name_blocks must produce."""
     count, length = bits.shape
     return (b"ATNB" + count.to_bytes(8, "little") + length.to_bytes(8, "little")
             + np.packbits(np.asarray(bits, dtype=np.uint8), axis=1).tobytes())
@@ -449,6 +449,66 @@ def test_rotation_table_matches_per_lag_sum(alpha, delta, M, nmax):
     assert vs.shape == (nmax + 1,)
     for n in range(nmax + 1):
         assert abs(vs[n] - rotation_per_lag_reference(alpha, delta, n, M)) <= 1e-15, n
+
+
+def rotation_every_lag_reference(alpha, delta, nmax, M):
+    """The loop of ``rotation_ac_cocycle_correlations`` before it stopped at
+    ``bessel._rotation_zero_lag``: S carried over every lag and each lag's Bessel sum."""
+    sw = systems.square_wave_coeffs(M)
+    ms = sw.odd_ms
+    out = np.empty(nmax + 1, dtype=complex)
+    out[0] = 1.0
+    for n, S in enumerate(systems._rotation_sums(alpha, nmax), start=1):
+        const = n * (n - 1) * alpha / 2.0
+        integrals = (np.exp(2j * np.pi * ms * const) * bessel_jv(-ms * n, ms * delta * abs(S))
+                     * np.exp(-1j * ms * n * np.angle(S)))
+        out[n] = np.sum(sw.weights * integrals)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [systems.SQRT2_M1, systems.GOLDEN_M1, 0.5, 1e-3, 3.0],
+                         ids=["sqrt2-1", "golden", "half", "1e-3", "integer"])
+@pytest.mark.parametrize("delta", [0.0, 0.1, 0.3, 0.49])
+@pytest.mark.parametrize("M", [21, 201])
+def test_rotation_zero_lag_leaves_the_every_lag_values(alpha, delta, M):
+    # the lags from bessel._rotation_zero_lag on are +0.0, as the sum of their zero Bessel
+    # terms was, and the lags before it are the same doubles: nmax below, at and
+    # past the cutoff, each against the loop over every lag
+    delta0 = 0.5 if delta < 0.49 else 0.01
+    n0 = bessel._rotation_zero_lag(alpha, delta, 300)
+    ref = rotation_every_lag_reference(alpha, delta, 300, M)
+    assert 1 <= n0 <= 91 and not np.any(ref[n0:])
+    # the cutoff is at most five lags past the last nonzero lag (at alpha = 10^-3,
+    # delta = 0.49 |S_n| stays about 1% below the bound n at the lags near it)
+    assert n0 - np.flatnonzero(ref)[-1] <= 5
+    for nmax in sorted({max(n0 - 2, 0), n0 - 1, n0, n0 + 1, 300}):
+        got = systems.rotation_ac_cocycle_correlations(alpha, delta, delta0, nmax, M)
+        want = ref[:nmax + 1] if nmax == 300 else rotation_every_lag_reference(
+            alpha, delta, nmax, M)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), nmax
+        zeros = got[got == 0]
+        assert not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag)), nmax
+
+
+def test_rotation_zero_lag_covers_near_integer_alpha():
+    # |S_n| grows like n where alpha is at or near an integer, so the cutoff comes
+    # from min(n, 1 / |sin(pi alpha)|) = n there: it is the cutoff of alpha = 0
+    # (S_n = n exactly), which zeroes no lag that is not 0
+    n0 = bessel._rotation_zero_lag(0.0, 0.3, 200)
+    for alpha in (0.0, 1.0, 3.0, 3.0 + 1e-12, -2.0 + 1e-9):
+        assert bessel._rotation_zero_lag(alpha, 0.3, 200) == n0, alpha
+        ref = rotation_every_lag_reference(alpha, 0.3, 200, 21)
+        assert not np.any(ref[n0:]) and ref[n0 - 3] != 0, alpha
+    assert bessel._rotation_zero_lag(systems.SQRT2_M1, 0.0, 7) == 1
+    assert bessel._rotation_zero_lag(systems.SQRT2_M1, 0.3, 5) == 6  # past nmax
+
+
+def test_rotation_table_of_2_16_lags_is_fast():
+    # every lag past 9 is 0 here; evaluating each took about 4.6 s
+    t0 = time.perf_counter()
+    vs = systems.rotation_ac_cocycle_correlations(systems.SQRT2_M1, 0.1, 0.5, 2**16, 201)
+    assert time.perf_counter() - t0 < 0.5
+    assert vs.shape == (2**16 + 1,) and vs[9] != 0 and not np.any(vs[10:])
 
 
 def _midpoint_rotation_correlation(alpha, delta, n, M, P=4096):
@@ -894,14 +954,14 @@ def test_rotation_source_delta_zero_correlations_vanish():
 
 
 def test_names_round_trip(tmp_path):
-    # counts and lengths off multiples of 8; write_names takes 8 * (2^15 // length)
+    # counts and lengths off multiples of 8; the writer takes 8 * (2^15 // length)
     # names at a time, so 150 names of 2^12 + 5 steps are blocks of 56, 56 and 38,
     # and 21 names of 2^15 + 3 steps blocks of 8, 8 and 5
     path = tmp_path / "names.bin"
     for count, length in [(13, 37), (1, 1), (8, 16), (150, 2**12 + 5), (21, 2**15 + 3),
                           (0, 5), (3, 0)]:
         steps = systems.CoinSource().sample_names(count, length, seed=2)
-        systems.write_names(steps, count, path)
+        systems.write_name_blocks((steps,), count, length, path)
         bits = unpack(steps, count)
         assert path.read_bytes() == packbits_batch(bits)
         assert np.array_equal(systems.read_names(path), bits)
@@ -1170,7 +1230,7 @@ def test_write_names_of_step_rows_matches_packbits(tmp_path, length):
                 systems.RudinShapiroSource(log2_length=10)):
         steps = src.sample_names(37, length, seed=3)
         path = tmp_path / "a.bin"
-        systems.write_names(steps, 37, path)
+        systems.write_name_blocks((steps,), 37, length, path)
         bits = unpack(steps, 37)
         assert path.read_bytes() == packbits_batch(bits)
         assert np.array_equal(systems.read_names(path), bits)
@@ -1211,12 +1271,12 @@ def test_coin_sampler_peak_memory_of_long_names():
 
 
 def test_write_names_peak_memory(tmp_path):
-    # write_names unpacks 2^15 // length bytes of each step row at a time, 256 KiB of
+    # the writer unpacks 2^15 // length bytes of each step row at a time, 256 KiB of
     # bits: about 0.5 MiB for 65536 names of 1024 steps, and 2 MiB with 1 MiB blocks
     steps = systems.CoinSource().sample_names(65536, 1024, seed=6)
     tracemalloc.start()
     try:
-        systems.write_names(steps, 65536, tmp_path / "names.bin")
+        systems.write_name_blocks((steps,), 65536, 1024, tmp_path / "names.bin")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1269,10 +1329,11 @@ def test_write_name_blocks_matches_write_names_at_block_edges(tmp_path, source):
     length = 600
     B = _names_per_block(length)
     for count in (B - 1, B + 1, 2 * B + 3):
+        # the blocks as they come, and the whole batch's step rows as one block
         systems.write_name_blocks(src.name_blocks(count, length, seed=1), count, length,
                                   tmp_path / "blocks.bin")
-        systems.write_names(src.sample_names(count, length, seed=1), count,
-                            tmp_path / "whole.bin")
+        systems.write_name_blocks((src.sample_names(count, length, seed=1),), count, length,
+                                  tmp_path / "whole.bin")
         assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
 
 
@@ -1286,12 +1347,37 @@ def test_write_name_blocks_removes_a_partial_batch(tmp_path):
     assert not path.exists()
 
 
+def repeat_doubling_names(L):
+    """The first L Rudin-Shapiro signs by the np.repeat doubling that the in-place
+    builder replaced: r(2i) = r(i), r(2i+1) = (-1)^i r(i) from r(0) = 1."""
+    s = np.ones(1, dtype=np.int8)
+    while s.size < L:
+        s = np.repeat(s, 2)
+        s[3::4] *= -1  # the odd positions 2i + 1 with i odd
+    return s[:L]
+
+
+_RS_SIGN_BITS = np.array([systems._rudin_shapiro_sign(j) < 0 for j in range(2**16)])
+
+
 @pytest.mark.parametrize("log2_length", range(0, 17))
 def test_rudin_shapiro_prefix_bits_are_the_sign_bits(log2_length):
     src = systems.RudinShapiroSource(log2_length=log2_length)
     bits = src._prefix_bits
     assert bits.dtype == np.uint8
-    assert np.array_equal(bits, systems.rudin_shapiro_names(2**log2_length) < 0)
+    assert np.array_equal(bits, _RS_SIGN_BITS[:2**log2_length])
+    assert np.array_equal(bits, repeat_doubling_names(2**log2_length) < 0)
+
+
+def test_rudin_shapiro_builder_matches_the_sign_and_the_repeat_doubling():
+    # one builder for every Rudin-Shapiro array: against r_j from the binary digits
+    # of j for every j < 2^16, and against the np.repeat doubling at every L <= 4096
+    assert np.array_equal(systems._rudin_shapiro_bits(2**16), _RS_SIGN_BITS)
+    assert np.array_equal(systems.rudin_shapiro_names(2**16), 1 - 2 * _RS_SIGN_BITS)
+    for L in range(1, 4097):
+        names = systems.rudin_shapiro_names(L)
+        assert names.dtype == np.int8 and names.base is None, L
+        assert np.array_equal(names, repeat_doubling_names(L)), L
 
 
 def test_rudin_shapiro_prefix_bits_peak_memory():

@@ -94,8 +94,12 @@ ROWS = [
     # (127 MiB with the index array, which fails 120; 191 MiB with a <U6 array of 24
     # bytes a lag)
     ([*CLI, "system", "nil", "--nmax", "4194304"], 0, 120, None),
+    # 2^20 rotation lags: every lag past 9 is +0.0 without a Bessel sum (the lags from
+    # bessel._rotation_zero_lag on), about 66 MiB of RSS, nearly all the table's columns and
+    # the CSV, in about 1.3 s; evaluating every lag took 77 s and 82 MiB, which fails 76
+    ([*CLI, "system", "rotation", "--nmax", "1048576"], 0, 76, None),
     # at names * length = MAX_NAME_BITS = 2^26 the odometer sampler packs the 2m = 8 step
-    # rows of one period and copies them forward in place, and write_names unpacks 8 names
+    # rows of one period and copies them forward in place, and write_name_blocks unpacks 8 names
     # at a time, 64 MiB: about 124 MiB of RSS (tiling the period through an index array
     # of every step reads 163 MiB and fails 144)
     ([*CLI, "system", "odometer", "--phi", "0,1,1,0", "--names", "8", "--length", "8388608",
