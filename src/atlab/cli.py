@@ -293,7 +293,6 @@ class _CommandParser(argparse.ArgumentParser):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--stdout", action="store_true")
     p.add_argument("--config", default=None)
@@ -335,6 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     c.add_argument("--window", type=int, default=8)
     c.add_argument("--budget", type=int, default=0)
     c.add_argument("--subsample-scan", default=None)
+    c.add_argument("--seed", type=int, default=0)
     _add_common(c)
     c.set_defaults(func=cmd_certify)
 
@@ -347,6 +347,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     s.add_argument("--names", type=int, default=0)
     s.add_argument("--length", type=int, default=256)
     s.add_argument("--names-out", default=None)
+    s.add_argument("--seed", type=int, default=0)
     _add_system_params(s, delta=0.1)
     _add_common(s)
     s.set_defaults(func=cmd_system)
@@ -360,6 +361,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     g.add_argument("--spec", default=None)
     g.add_argument("--M", type=int, default=201)
     g.add_argument("--nmax", type=int, default=8)
+    g.add_argument("--seed", type=int, default=0)
     _add_common(g)
     g.set_defaults(func=cmd_gaussian)
 
@@ -371,6 +373,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[_CommandParser]]:
     f.add_argument("--horizon", type=int, default=256)
     f.add_argument("--n-random", type=int, default=8)
     f.add_argument("--p0", type=float, default=0.5)
+    f.add_argument("--seed", type=int, default=0)
     _add_system_params(f, delta=0.0)
     _add_common(f)
     f.set_defaults(func=cmd_funny)

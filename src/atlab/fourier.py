@@ -264,9 +264,8 @@ def arcsine_fourth_transform(t: FourierTable) -> FourierTable:
 def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
     """Riesz product prod_j (1 + a_j cos(2 pi lambda_j x)) as a coefficient table.
 
-    Lacunarity lambda_{j+1} >= 3 lambda_j makes every frequency
-    n = sum eps_j lambda_j, eps_j in {-1,0,1}, uniquely representable, so the
-    coefficients below are exact.
+    Lacunarity lambda_{j+1} >= 3 lambda_j keeps each new factor's shifted copies
+    of the product so far apart, so the coefficients below are exact.
     """
     a = [float(x) for x in amplitudes]
     lam = [int(x) for x in frequencies]
@@ -279,22 +278,20 @@ def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
     for j in range(len(lam) - 1):
         if lam[j + 1] < 3 * lam[j]:
             raise ValueError("lacunarity violated: need lambda_{j+1} >= 3 lambda_j")
-    # walk all sign patterns, one level per frequency: each pattern is a
-    # frequency and the product of its a_j / 2.  Uniqueness of representations
-    # means each positive n is produced by at most one pattern.  A pattern whose
-    # top nonzero sign is at j has |n| >= lambda_j - sum_{i<j} lambda_i > lambda_j / 2
-    # by lacunarity, so the walk stops below the first lambda_j >= 2N
-    freq, coef = np.zeros(1, dtype=np.int64), np.ones(1)
-    for l, x in zip(lam, a):
-        if l >= 2 * N:
-            break
-        freq = np.concatenate([freq, freq + l, freq - l])
-        coef = np.concatenate([coef, coef * x / 2.0, coef * x / 2.0])
-    keep = (freq > 0) & (freq <= N)
+    # multiply the factors in by increasing frequency: the product below lambda lives
+    # on |n| <= S < lambda / 2 (lacunarity), so 1 + a cos(2 pi lambda x) adds
+    # (a / 2) c(|n - lambda|) on lambda - S <= n <= lambda + S, where c is still 0
+    # (so a -0.0 product lands as 0.0); once lambda - S > N no later factor lands
     nn = np.zeros(N + 1, dtype=complex)
-    nn[freq[keep]] += coef[keep]  # into zeros, so a -0.0 product lands as 0.0
-    del freq, coef, keep
     nn[0] = 1.0
+    c, S = nn.real, 0  # a view: the table is real
+    for l, x in zip(lam, a):
+        if l - S > N:
+            break
+        hi, lo = min(N, l + S), max(1, l - N)
+        c[l:hi + 1] += c[:max(0, hi + 1 - l)] * x / 2.0  # n >= l reads c(n - l)
+        c[l - S:l - lo + 1] += c[lo:S + 1][::-1] * x / 2.0  # n < l reads c(l - n)
+        S += l
     return FourierTable.from_nonneg(
         nn, tail_bound=0.0,
         label=f"riesz(a={a}, freq={lam})",
@@ -413,6 +410,15 @@ def _json_number(x) -> float:
     return float(x)
 
 
+def _coefficient_rows(rows):
+    # one row at a time; the caller's index checks raise outside this try
+    try:
+        for n, re, im in rows:
+            yield n, _json_number(re), _json_number(im)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantViolation(f"malformed coefficient row: {exc}") from exc
+
+
 def table_from_json_obj(obj: dict) -> FourierTable:
     try:
         N = obj["half_width"]
@@ -425,13 +431,9 @@ def table_from_json_obj(obj: dict) -> FourierTable:
     if type(N) is not int or not 0 <= N <= MAX_HALF_WIDTH:
         raise InvariantViolation(
             f"half_width must be an integer in [0, {MAX_HALF_WIDTH}], got {N!r}")
-    try:
-        entries = [(n, _json_number(re), _json_number(im)) for n, re, im in rows]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvariantViolation(f"malformed coefficient row: {exc}") from exc
     nn = np.zeros(N + 1, dtype=complex)
     last = -1
-    for n, re, im in entries:
+    for n, re, im in _coefficient_rows(rows):
         if type(n) is not int:
             raise InvariantViolation(f"coefficient index must be an integer, got {n!r}")
         if n < 0:

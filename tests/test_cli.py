@@ -980,17 +980,17 @@ def test_config_file_store_true_flag(tmp_path, capsys, flag):
     assert (out != "") == (flag == "true")
 
 
-_COMMON = {"seed", "out", "stdout", "config"}
+_COMMON = {"out", "stdout", "config"}
 _SYSTEM_PARAMS = {"alpha", "beta", "gamma", "delta", "delta0", "M", "phi", "log2_length"}
 # each subcommand's option dests: an option added or removed fails here first
 _OPTIONS = {
     "measure": _COMMON | {"N", "a", "freq", "c", "m", "infile", "density_csv", "density_grid"},
-    "certify": _COMMON | {"infile", "k", "window", "budget", "subsample_scan"},
+    "certify": _COMMON | {"infile", "k", "window", "budget", "subsample_scan", "seed"},
     "system": _COMMON | _SYSTEM_PARAMS | {"L", "nmax", "m_scale", "names", "length",
-                                          "names_out"},
-    "gaussian": _COMMON | {"r", "n", "level", "samples", "spec", "M", "nmax"},
+                                          "names_out", "seed"},
+    "gaussian": _COMMON | {"r", "n", "level", "samples", "spec", "M", "nmax", "seed"},
     "funny": _COMMON | _SYSTEM_PARAMS | {"system", "k", "eps", "samples", "horizon",
-                                         "n_random", "p0"},
+                                         "n_random", "p0", "seed"},
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for the circle-measure Fourier tables and their transforms."""
 
+import json
 import math
 import tracemalloc
 
@@ -286,9 +287,9 @@ def test_riesz_matches_quadrature():
         assert abs(approx - t.at(n)) < 1e-10, f"mismatch at n={n}"
 
 
-def test_riesz_walk_stops_below_2N():
-    # 9 first reaches the table at N = 5, as 9 - 3 - 1, where 2N = 10 > 9; at
-    # N = 14 every frequency is walked
+def test_riesz_factor_reaches_the_table_from_lambda_minus_S():
+    # the factor at 9 first reaches the table at N = 5, as 9 - 3 - 1, and below
+    # that the build stops before it; at N = 14 every factor lands in full
     full = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], 14).coeffs
     for N in range(15):
         t = fourier.riesz_product([0.9, 0.6, 0.3], [1, 3, 9], N)
@@ -403,6 +404,36 @@ def test_json_reader_rejects_non_numbers(tail, row):
     obj = {"half_width": 1, "tail_bound": tail, "coeffs": [[0, 1, 0], row]}
     with pytest.raises(fourier.InvariantViolation, match="JSON number"):
         fourier.table_from_json_obj(obj)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    (5, "malformed coefficient row: 'int' object is not iterable"),
+    ([[0, 1.0, 0.0], [1, 0.5]], "malformed coefficient row: not enough values to unpack"),
+    ([[0, 1.0, 0.0], [1.0, 0.5, 0.0]], "coefficient index must be an integer, got 1.0"),
+    # the first faulty row is reported, here an index before a malformed row
+    ([[0, 1.0, 0.0], [3, 0.5, 0.0], [1, 0.5]], "coefficient index exceeds half_width"),
+], ids=["scalar-coeffs", "short-row", "float-index", "first-fault"])
+def test_json_reader_row_messages(coeffs, message):
+    obj = {"half_width": 2, "tail_bound": 0.0, "coeffs": coeffs}
+    with pytest.raises(fourier.InvariantViolation) as info:
+        fourier.table_from_json_obj(obj)
+    assert str(info.value).startswith(message)
+
+
+def test_json_reader_peak_memory():
+    # rows are checked and filled one at a time: the table (1x), the FourierTable
+    # constructor's copy (1x) and its |c(n)| check (0.5x), about 2.56x; a list of
+    # one tuple per row read 6.98x
+    t = fourier.sqrt_template(0.3, 2**16 - 1)
+    obj = json.loads("".join(fourier.table_json_pieces(t)))
+    tracemalloc.start()
+    try:
+        back = fourier.table_from_json_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.coeffs, t.coeffs)
+    assert peak < 3 * back.coeffs.nbytes
 
 
 def test_json_reader_rejects_malformed(tmp_path):

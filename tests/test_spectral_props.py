@@ -367,37 +367,32 @@ def test_density_min_lower_memory_is_linear_in_n():
     assert peak < 8 * 2**20
 
 
-def _riesz_recursive(amplitudes, frequencies, N):
-    """The recursive sign-pattern walk that riesz_product's level-wise walk
-    replaced: c(0..N) of the product, c(0) = 1."""
+def _riesz_sign_patterns(amplitudes, frequencies, N):
+    """The walk over all 3^J sign patterns that riesz_product used before it
+    multiplied its factors into the table: c(0..N) of the product, c(0) = 1."""
     a, lam = [float(x) for x in amplitudes], [int(x) for x in frequencies]
+    freq, coef = np.zeros(1, dtype=np.int64), np.ones(1)
+    for l, x in zip(lam, a):
+        if l >= 2 * N:  # a pattern topped by lambda_j has |n| > lambda_j / 2
+            break
+        freq = np.concatenate([freq, freq + l, freq - l])
+        coef = np.concatenate([coef, coef * x / 2.0, coef * x / 2.0])
+    keep = (freq > 0) & (freq <= N)
     nn = np.zeros(N + 1, dtype=complex)
+    nn[freq[keep]] += coef[keep]  # each n > 0 from at most one pattern
     nn[0] = 1.0
-    nn_pos = np.zeros(N + 1, dtype=complex)
-    walked = sum(l < 2 * N for l in lam)
-
-    def expand_signed(j, freq, coeff):
-        if j == walked:
-            if 0 < freq <= N:
-                nn_pos[freq] += coeff
-            return
-        expand_signed(j + 1, freq, coeff)
-        expand_signed(j + 1, freq + lam[j], coeff * a[j] / 2.0)
-        expand_signed(j + 1, freq - lam[j], coeff * a[j] / 2.0)
-
-    expand_signed(0, 0, 1.0)
-    nn[1:] = nn_pos[1:]
     return nn
 
 
 @st.composite
 def lacunary_products(draw):
-    """Amplitudes in [-1, 1] (often +-0.0 or +-1) and frequencies with
-    lambda_{j+1} >= 3 lambda_j, some past 2N."""
-    N = draw(st.integers(0, 400))
-    freqs = [draw(st.integers(1, 5))]
-    for _ in range(draw(st.integers(0, 7))):
-        freqs.append(3 * freqs[-1] + draw(st.integers(0, 2 * freqs[-1])))
+    """Up to 9 amplitudes in [-1, 1] (often +-0.0 or +-1), frequencies with
+    lambda_{j+1} >= 3 lambda_j, and N from 0 to 3 lambda_J."""
+    freqs = [draw(st.integers(1, 3))]
+    for _ in range(draw(st.integers(0, 8))):
+        freqs.append(3 * freqs[-1] + draw(st.integers(0, freqs[-1])))
+    freqs = freqs[:draw(st.integers(0, len(freqs)))]
+    N = draw(st.integers(0, 3 * freqs[-1] if freqs else 400))
     amp = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
     return draw(st.lists(amp, min_size=len(freqs), max_size=len(freqs))), freqs, N
 
@@ -408,9 +403,23 @@ def lacunary_products(draw):
 @example(case=([0.5, -0.0], [2, 6], 8))
 @example(case=([1.0, -1.0, 0.25, -0.75], [1, 3, 9, 27], 40))
 @example(case=([], [], 5))
-def test_riesz_product_matches_recursive_walk(case):
+@example(case=([0.5] * 20, [3**j for j in range(20)], 8))  # the CLI's 20-factor table
+def test_riesz_product_matches_sign_pattern_walk(case):
     amps, freqs, N = case
-    want = _riesz_recursive(amps, freqs, N)
+    want = _riesz_sign_patterns(amps, freqs, N)
     got = fourier.riesz_product(amps, freqs, N).coeffs
     # bit for bit: a -0.0 product lands as 0.0 in both
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_riesz_product_peak_memory():
+    # the table (1x), the FourierTable constructor's copy (1x) and its |c(n)| check
+    # (0.5x): about 2.56x; the sign-pattern walk read 4.14x
+    N, J = 2**20, 13
+    tracemalloc.start()
+    try:
+        t = fourier.riesz_product([0.5] * J, [3**j for j in range(J)], N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * t.coeffs.nbytes

@@ -768,6 +768,29 @@ def nil_mpmath_value(alpha, beta, gamma, n, M=201):
         return complex(total)
 
 
+def nil_value_rounding(alpha, gamma, n, pieces, M=201):
+    """A bound on the rounding error of ``systems._nil_value`` at lag n >= 1.
+
+    Each float operation errs by at most u = 2^-53 times its result (np.pi too),
+    and exp(i t) by 2u plus the error in t.  Take one piece [a, b) with constant C
+    and one odd m.  The phase (alpha C mod 1) + (n g mod 1) < 2, g = gamma mod 1,
+    errs by u (2 |alpha C| + 2 n g + 2), mod being exact, so the angle 2 pi m phase
+    errs by 2 pi |m| u (2 |alpha C| + 2 n g + 8).  The angles r y, r = 2 pi m alpha n
+    and y = a, b, err by 5u |r| y, so seg = (e^{i r b} - e^{i r a}) / (i r), of size
+    at most s = min(b - a, 2 / |r|), errs by 5u (a + b) + 6u / |r| + 5u s.  The
+    phase's exp (2u s), the product, the weight and the sums (over the p pieces in
+    turn, then pairwise over m) add (p + 28) u s.  Each term is weighted by
+    |f-hat(m)|^2 = 4 / (pi^2 m^2).
+    """
+    a, b, C = pieces
+    ms = np.abs(systems.square_wave_coeffs(M).odd_ms.astype(float))[:, None]
+    r = 2 * math.pi * ms * abs(alpha) * n
+    s = np.minimum(b - a, 2.0 / r)
+    angle = 2 * math.pi * ms * (2 * abs(alpha) * np.abs(C) + 2 * n * (gamma % 1.0) + 8)
+    terms = angle * s + 5 * (a + b) + 6 / r + (5 + a.size + 28) * s
+    return 2.0**-53 * float(np.sum(4.0 / (math.pi * ms) ** 2 * terms))
+
+
 _NIL_BETAS = st.one_of(st.floats(0.3, 0.99), st.floats(0.02, 0.3), st.floats(0.008, 0.02))
 
 
@@ -780,6 +803,7 @@ _NIL_BETAS = st.one_of(st.floats(0.3, 0.99), st.floats(0.02, 0.3), st.floats(0.0
 @example(beta=0.0173, alpha=systems.SQRT2_M1, gamma=0.1)  # support 57; the loop's 112
 @example(beta=0.0095, alpha=systems.GOLDEN_M1, gamma=0.0)  # support of over 100 lags
 @example(beta=0.01459, alpha=0.123457, gamma=-1.0)  # integer n gamma: 2.2e-15 off unreduced
+@example(beta=0.0625, alpha=0.123457, gamma=-1e-08)  # lag 3: 1.1e-15 off 40 digits
 def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
     assume(not any(abs(beta - p / q) < 1e-12 for q in range(1, 5) for p in range(1, q)))
     vs = systems.nil_rotation_correlations(alpha, beta, gamma, 400)
@@ -788,11 +812,12 @@ def test_nil_rotation_table_matches_breakpoint_loop(beta, alpha, gamma):
     assert np.all(vs[:support + 1] != 0) and not np.any(vs[support + 1:])
     assert nil_lag_survives_exactly(beta, support)
     assert not nil_lag_survives_exactly(beta, support + 1)
-    for n in range(support + 1):
-        if abs(vs[n] - nil_breakpoint_reference(alpha, beta, gamma, n)) > 1e-15:
+    for n, pieces in zip(range(1, support + 1), systems._nil_pieces(beta)):
+        bound = nil_value_rounding(alpha, gamma, n, pieces)
+        if abs(vs[n] - nil_breakpoint_reference(alpha, beta, gamma, n)) > bound:
             # the loop's C sums n rounded fractional parts: over long supports it
-            # drifts past 1e-15, and 40 digits decide
-            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= 1e-15, n
+            # drifts past the bound, and 40 digits decide
+            assert abs(vs[n] - nil_mpmath_value(alpha, beta, gamma, n)) <= bound, n
     for n in range(support + 1, support + 4):
         # past the support the float loop can keep a sliver a few ulp wide, whose
         # value (up to 1.4e-15 seen) is a rounding artifact: in exact integers

@@ -78,10 +78,16 @@ ROWS = [
     # so under ulimit -v 1200000 an allocation fails: one error line and exit 2, no
     # file written (a 22-line traceback and exit 1 while main let MemoryError through)
     ([*CLI, "certify", "--in", "s.json", "--out", "c.json"], 2, None, 1200000),
-    # the widest Riesz table, 15 factors at 3^0..3^14: the level walk holds all 3^15 sign
-    # patterns, about 423 MiB of RSS (1193 MiB with the whole JSON string)
+    # read in process, that file peaks at about 995 MiB of RSS, nearly all json.load's
+    # rows, which the reader checks and fills one at a time (1284 MiB while it first
+    # copied every row into a list of tuples)
+    (["-c", "from atlab import fourier; fourier.read_measure('s.json')"], 0, 1100, None),
+    # the widest Riesz table, 15 factors at 3^0..3^14, multiplied into the table in place
+    # by two slice updates a factor: about 196 MiB of RSS, mostly the table and the
+    # FourierTable constructor's copy and checks (218 MiB with one index array a factor;
+    # 423 MiB while a walk held all 3^15 sign patterns, 1193 MiB with the whole JSON string)
     ([*CLI, "measure", "riesz", "--N", "4194304", "--a", ",".join(["0.5"] * 15),
-      "--freq", ",".join(str(3**j) for j in range(15))], 0, 480, None),
+      "--freq", ",".join(str(3**j) for j in range(15))], 0, 224, None),
     # 2^20 Rudin-Shapiro lags of L = 2^62 signs, formatted from the table's arrays 2^16
     # rows at a time: about 139 MiB of RSS, nearly all the lag sums (235 MiB with one
     # tuple per lag, which fails 176; 459 MiB with the whole CSV string)
