@@ -11,19 +11,13 @@ from .fourier import FourierTable, _density_min_lower, is_positive_definite, squ
 
 _JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
-# largest Monte Carlo run the CLI starts: it bounds the time and, at levels 2
-# and 4, the three bits of state a sample, 6 MiB; every level holds two
-# _MC_BLOCK-sample float64 blocks, and level 1 nothing else
+# largest Monte Carlo run the CLI starts; it bounds the time alone, as a run
+# holds two threads' chunk buffers, about 1.3 MiB, whatever its size
 MAX_MC_SAMPLES = 2**24
 
 # largest half width whose spec check falls back to eigvalsh of T_{N+1}: that
 # takes about 1 s and 163 MiB at 2048, and grows as N^3 in time and N^2 in memory
 MAX_EIGVALSH_HALF_WIDTH = 2048
-
-# samples per block of a Monte Carlo level's x0 and z draws; the two float64
-# buffers stay in cache, and a multiple of 8 makes each block whole bytes of the
-# packed state
-_MC_BLOCK = 2**16
 
 # terms per piece of a series summed by _pairwise_series: each piece's float64
 # terms and temporaries take a few 512 KiB arrays
@@ -166,49 +160,15 @@ def product_orthant_mc(spec: GaussianSpec, n: int, level: int,
     level=2: 1/4 + arcsin^2(r)/pi^2;
     level=4: 1/4 + 4 arcsin^4(r)/pi^4.
 
-    Each level's stream is two full draws, x0 then z.  A ziggurat normal takes a
-    varying number of words, so ``rng`` passes x0 only by drawing it; ``rng0``,
-    set to the level's start, replays it block by block beside the z blocks.
+    The samples are drawn in chunks of ``_orthant.CHUNK``, each from its own
+    generator keyed by the seed and the chunk's index, and counted on two
+    threads; the report does not depend on how the chunks are shared.
     """
     if level not in (1, 2, 4):
         raise ValueError("level must be 1, 2 or 4")
     r = _mc_lag(spec, n, samples)
-    seq = np.random.SeedSequence(seed)
-    rng, rng0 = np.random.default_rng(seq), np.random.default_rng(seq)
-    scale = math.sqrt(1.0 - r * r)
-    # a product is > 0 exactly when no factor is 0 and an even number are
-    # negative: per sample, the bits of a block are the parity of x0 < 0, that of
-    # xn < 0 and whether a factor is 0, packed 8 samples a byte, pad bits 0.  The
-    # levels before the last fold them into three planes of ceil(S/8) bytes
-    # (none at level 1); the last level folds each block into the miss count,
-    # a miss being a sample with any bit set
-    planes = [np.zeros(-(-samples // 8), dtype=np.uint8) for _ in range(3 * (level > 1))]
-    misses = 0
-    x0 = np.empty(min(samples, _MC_BLOCK))
-    xn = np.empty_like(x0)
-    for i in range(level):
-        # float64 normals carry no state between calls, so blocks keep the stream
-        rng0.bit_generator.state = rng.bit_generator.state
-        for lo in range(0, samples, _MC_BLOCK):
-            rng.standard_normal(out=x0[:samples - lo])
-        for lo in range(0, samples, _MC_BLOCK):
-            b0 = rng0.standard_normal(out=x0[:samples - lo])
-            bn = rng.standard_normal(out=xn[:b0.size])
-            bn *= scale
-            bn += r * b0  # r x0 + sqrt(1 - r^2) z
-            neg0, negn = np.packbits(b0 < 0), np.packbits(bn < 0)
-            zero = np.packbits((b0 == 0) | (bn == 0))
-            if planes:
-                s = slice(lo // 8, (lo + _MC_BLOCK) // 8)
-                neg0 ^= planes[0][s]
-                negn ^= planes[1][s]
-                zero |= planes[2][s]
-                if i < level - 1:
-                    planes[0][s], planes[1][s], planes[2][s] = neg0, negn, zero
-                    continue
-            neg0 |= negn
-            neg0 |= zero
-            misses += int(np.bitwise_count(neg0, out=neg0).sum())
+    from . import _orthant  # loads with the Monte Carlo run alone
+    misses = _orthant.misses(r, level, samples, seed)
     a = math.asin(r)
     if level == 1:
         formula = 0.25 + a / (2.0 * math.pi)

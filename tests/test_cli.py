@@ -690,6 +690,25 @@ def test_unwritable_output_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_gaussian_worker_memory_error_exit_2(monkeypatch, capsys):
+    # chunk 1 is the worker thread's first: its MemoryError reaches main as the
+    # caller's, one error line and exit 2
+    from atlab import _orthant
+    chunk_misses = _orthant._chunk_misses
+
+    def fail_on_chunk_1(r, level, seed, c, bufs):
+        if c == 1:
+            raise MemoryError
+        return chunk_misses(r, level, seed, c, bufs)
+
+    monkeypatch.setattr(_orthant, "_chunk_misses", fail_on_chunk_1)
+    code, out, err = run(["gaussian", "product", "--level", "4", "--samples",
+                          str(3 * _orthant.CHUNK)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("mode", ["orthant", "product"])
 @pytest.mark.parametrize("n", ["-1", "0"])
 def test_gaussian_nonpositive_lag_exit_2(capsys, mode, n):
@@ -726,7 +745,7 @@ _LOADED = ("import sys, atlab.cli; code = atlab.cli.main(sys.argv[1:]) if sys.ar
     (["system", "nil", "--nmax", "4", "--names", "2", "--length", "8",
       "--names-out", "{tmp}/n.bin"], ["fourier", "systems"]),
     (["system", "rotation", "--nmax", "4"], ["bessel", "fourier", "systems"]),
-    (["gaussian", "orthant", "--samples", "100"], ["fourier", "gaussian"]),
+    (["gaussian", "orthant", "--samples", "100"], ["_orthant", "fourier", "gaussian"]),
     (["gaussian", "constants"], ["fourier", "gaussian", "sbh"]),
     (["gaussian", "cocycle", "--nmax", "4"], ["fourier", "gaussian"]),
 ], ids=["import", "measure", "certify", "system", "system-rotation", "gaussian-orthant",
@@ -735,8 +754,9 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, loaded):
     """`import atlab.cli` loads no other atlab module; each subcommand adds the
     modules it runs: `measure` only `fourier`, `certify` `fourier` and `sbh`,
     `system` `fourier` and `systems`, plus `bessel` for the rotation cocycle's
-    correlations, `gaussian` `fourier` and `gaussian`, plus `sbh` for the
-    constants' epsilon0; the cocycle's square wave is `fourier`'s."""
+    correlations, `gaussian` `fourier` and `gaussian`, plus `_orthant` for a
+    Monte Carlo run and `sbh` for the constants' epsilon0; the cocycle's
+    square wave is `fourier`'s."""
     fourier.write_measure(fourier.sqrt_template(0.3, 16), tmp_path / "t.json")
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atlab import fourier, gaussian, sbh, systems
+from atlab import _orthant, fourier, gaussian, sbh, systems
 
 
 def test_spec_validation():
@@ -162,23 +162,30 @@ def test_product_orthant_sign_flip_symmetry():
 
 
 def orthant_float_product_reference(r, level, samples, seed):
-    """The float-product Monte Carlo that ``product_orthant_mc`` replaced: each
-    level draws z1, z2, forms the pair (z1, r z1 + sqrt(1 - r^2) z2) and
-    multiplies it into Y_0, Y_n."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    y0 = np.ones(samples)
-    yn = np.ones(samples)
-    for _ in range(level):
-        z1 = rng.standard_normal(samples)
-        z2 = rng.standard_normal(samples)
-        y0 *= z1
-        yn *= r * z1 + math.sqrt(1.0 - r * r) * z2
+    """The float-product Monte Carlo on the chunk streams: chunk c of
+    ``_orthant.CHUNK`` samples (the last one short) draws from
+    SeedSequence(seed, spawn_key=(c,)); each level draws its z1, then its z2,
+    forms the pair (z1, r z1 + sqrt(1 - r^2) z2) and multiplies it into Y_0, Y_n."""
+    hits = 0
+    for c, lo in enumerate(range(0, samples, _C)):
+        n = min(_C, samples - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        y0 = np.ones(n)
+        yn = np.ones(n)
+        for _ in range(level):
+            z1 = rng.standard_normal(n)
+            z2 = rng.standard_normal(n)
+            y0 *= z1
+            yn *= r * z1 + math.sqrt(1.0 - r * r) * z2
+        hits += int(np.count_nonzero((y0 > 0) & (yn > 0)))
     a = math.asin(r)
     formula = {1: 0.25 + a / (2.0 * math.pi),
                2: 0.25 + a * a / math.pi**2,
                4: 0.25 + 4.0 * a**4 / math.pi**4}[level]
-    return gaussian._mc_report(int(np.count_nonzero((y0 > 0) & (yn > 0))), formula,
-                               samples, seed)
+    return gaussian._mc_report(hits, formula, samples, seed)
+
+
+_C = _orthant.CHUNK
 
 
 @pytest.mark.parametrize("level", [1, 2, 4])
@@ -189,36 +196,54 @@ def test_product_orthant_matches_float_products(level, r):
     assert got == orthant_float_product_reference(r, level, 20000, 31 + level)
 
 
-_B = gaussian._MC_BLOCK
-
-
-@pytest.mark.parametrize("samples", [_B - 1, _B, _B + 1, 2 * _B + 3, 1, 3 * _B + 5])
+@pytest.mark.parametrize("samples", [_C - 1, _C, _C + 1, 2 * _C + 3, 1, 3 * _C + 5,
+                                     2 * _C - 1, 2 * _C, 2 * _C + 1, 4 * _C + 3, 6 * _C + 5])
 @pytest.mark.parametrize("level", [1, 2, 4])
 @pytest.mark.parametrize("r", [-0.6, 0.45])
 def test_product_orthant_matches_float_products_at_block_edges(level, r, samples):
-    # x0 and z are drawn in blocks: a partial block, one exact block, a one-sample
-    # last block, a short one after two full blocks, a one-sample run and a
-    # short block after three full ones all keep the stream
+    # one short chunk, one exact chunk, a one-sample second chunk (the worker's
+    # only one), a short third chunk back on the calling thread, a one-sample
+    # run and a short fourth chunk on the worker all keep the stream; so do the
+    # same edges of a round of the two stripes, one chunk a thread (2C - 1 to
+    # 6C + 5)
     spec = gaussian.GaussianSpec(np.array([1.0, 0.0, r]))
     got = gaussian.product_orthant_mc(spec, 2, level, samples, seed=31 + level)
     assert got == orthant_float_product_reference(r, level, samples, 31 + level)
 
 
+@pytest.mark.parametrize("level", [1, 4])
+def test_product_orthant_threads_match_a_serial_chunk_loop(level):
+    # chunks share no generator, so one thread folding them in order gives the
+    # miss count of the two striped threads; and repeats do not move it
+    r, samples, seed = 0.3, 5 * _C + 17, 8
+    spec = gaussian.GaussianSpec(np.array([1.0, r]))
+    misses = 0
+    for c, lo in enumerate(range(0, samples, _C)):
+        n = min(_C, samples - lo)
+        bufs = [np.empty(n) for _ in range(2)] + [np.empty(n, dtype=bool) for _ in range(4)]
+        misses += _orthant._chunk_misses(r, level, seed, c, bufs)
+    serial = gaussian._mc_report(samples - misses, 0.0, samples, seed)
+    reps = [gaussian.product_orthant_mc(spec, 1, level, samples, seed) for _ in range(3)]
+    assert reps[0] == reps[1] == reps[2]
+    assert (reps[0].estimate, reps[0].stderr) == (serial.estimate, serial.stderr)
+
+
 def test_product_orthant_peak_memory():
-    # the x0 and z block buffers (2^16 samples each), plus at levels 2 and 4 the
-    # state (three packed bits a sample): about 1.9 MiB at level 4 with 2^20
-    # samples, and 1.5 MiB at level 1 with 2^22, which folds each block into the
-    # miss count; a full float64 array fails either bound, and the level-1 one
-    # fails the packed state (3.0 MiB) or a full bool temporary
+    # each of the two threads holds a chunk's x0 and x_n (2^15 float64 each) and
+    # four bool planes of 2^15, about 1.26 MiB in all whatever the run's size; a
+    # third float64 block a thread, or one packed bit a sample of the 2^22-sample
+    # run (the old state planes held three), fails the bound.  A one-sample run
+    # first loads numpy.random, whose import is not the run's memory
     spec = gaussian.exponential_spec(0.5, 2)
-    for level, samples, bound_mib in [(4, 2**20, 4), (1, 2**22, 2)]:
+    gaussian.product_orthant_mc(spec, 1, 1, 1, seed=0)
+    for level, samples in [(4, 2**20), (1, 2**22)]:
         tracemalloc.start()
         try:
             gaussian.product_orthant_mc(spec, 1, level, samples, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mib * 2**20, (level, samples, peak)
+        assert peak < 1.5 * 2**20, (level, samples, peak)
 
 
 def test_empirical_sign_correlation_matches_arcsine_transform():

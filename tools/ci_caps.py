@@ -30,14 +30,15 @@ ROWS = [
     # `import atlab.cli` loads the standard library alone, about 14.7 MiB of RSS;
     # a top-level numpy import in cli.py (27.7 MiB) fails this row
     (["-c", "import atlab.cli"], 0, 20, None),
-    # a level-4 Monte Carlo run holds three packed bits per sample and two
-    # 2^16-sample blocks, about 43 MiB of RSS at the 2^24 cap (52 MiB with one uint8
-    # per sample, 180 MiB while it stored the x0 draw); a full-size float64 array
-    # coming back (+128 MiB) fails 96
-    ([*CLI, "gaussian", "product", "--level", "4", *MC], 0, 96, None),
-    # level 1 folds each block straight into the miss count and holds no state
-    # plane: about 36.5 MiB of RSS (42.5 MiB with the three packed planes, which
-    # fails 40; the cap was 96)
+    # a Monte Carlo run draws chunks of 2^15 samples on two threads, each thread
+    # holding two float64 blocks and four bool planes of a chunk: about 36.6 MiB of
+    # RSS at level 4 and the 2^24 cap (42.5 MiB while it held three packed bits per
+    # sample, which fails 40; 52 MiB with one uint8 per sample, 180 MiB while it
+    # stored the x0 draw; the cap was 96)
+    ([*CLI, "gaussian", "product", "--level", "4", *MC], 0, 40, None),
+    # level 1 holds the same chunk buffers, about 36.5 MiB of RSS; one bool or one
+    # float64 a sample of the whole run (16 or 128 MiB) fails 40, as did the three
+    # packed state planes of ceil(samples / 8) bytes (42.5 MiB)
     ([*CLI, "gaussian", "orthant", *MC], 0, 40, None),
     # at 2 * samples * horizon = MAX_NAME_BITS = 2^26 the search reads the names one
     # block of 2048 at a time (256 KiB of packed step rows), the coin sampler draws
