@@ -83,7 +83,7 @@ def misses(r: float, level: int, samples: int, seed: int) -> int:
 
     worker = None
     if samples > CHUNK:
-        worker = threading.Thread(target=stripe, args=(1,), name="orthant-mc")
+        worker = threading.Thread(target=stripe, args=(1,))
         worker.start()
     stripe(0)
     if worker is not None:

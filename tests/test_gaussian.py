@@ -1,6 +1,7 @@
 """Tests for Gaussian sampling, orthant laws, and cocycle correlation tables."""
 
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -161,6 +162,9 @@ def test_product_orthant_sign_flip_symmetry():
     assert abs(p_pos - p_neg) <= 5.0 / math.sqrt(samples)
 
 
+_C = _orthant.CHUNK
+
+
 def orthant_float_product_reference(r, level, samples, seed):
     """The float-product Monte Carlo on the chunk streams: chunk c of
     ``_orthant.CHUNK`` samples (the last one short) draws from
@@ -183,9 +187,6 @@ def orthant_float_product_reference(r, level, samples, seed):
                2: 0.25 + a * a / math.pi**2,
                4: 0.25 + 4.0 * a**4 / math.pi**4}[level]
     return gaussian._mc_report(hits, formula, samples, seed)
-
-
-_C = _orthant.CHUNK
 
 
 @pytest.mark.parametrize("level", [1, 2, 4])
@@ -222,10 +223,30 @@ def test_product_orthant_threads_match_a_serial_chunk_loop(level):
         n = min(_C, samples - lo)
         bufs = [np.empty(n) for _ in range(2)] + [np.empty(n, dtype=bool) for _ in range(4)]
         misses += _orthant._chunk_misses(r, level, seed, c, bufs)
-    serial = gaussian._mc_report(samples - misses, 0.0, samples, seed)
     reps = [gaussian.product_orthant_mc(spec, 1, level, samples, seed) for _ in range(3)]
     assert reps[0] == reps[1] == reps[2]
-    assert (reps[0].estimate, reps[0].stderr) == (serial.estimate, serial.stderr)
+    assert reps[0].estimate == (samples - misses) / samples
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_chunk_counts_a_zero_factor_as_a_miss(monkeypatch, level):
+    # a factor of exactly 0, of either sign, makes its product 0, a miss whatever
+    # the parity of the negative factors; every level draws these x0, then these
+    # z, and at r = 0 x_n is z: level 1 hits sample 2 alone, level 2 also sample 3
+    x0 = np.array([0.0, 1.0, 1.0, -1.0, 2.0])
+    z = np.array([1.0, 0.0, 1.0, 1.0, -0.0])
+
+    class Draws:
+        def __init__(self, seq):
+            self.draws = itertools.cycle([x0, z])
+
+        def standard_normal(self, out):
+            out[:] = next(self.draws)
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Draws)
+    bufs = [np.empty(5) for _ in range(2)] + [np.empty(5, dtype=bool) for _ in range(4)]
+    assert _orthant._chunk_misses(0.0, level, 0, 0, bufs) == 5 - level
 
 
 def test_product_orthant_peak_memory():
