@@ -81,13 +81,10 @@ def misses(r: float, level: int, samples: int, seed: int) -> int:
         except BaseException as exc:  # raised again in the caller
             errors.append(exc)
 
-    worker = None
-    if samples > CHUNK:
-        worker = threading.Thread(target=stripe, args=(1,))
-        worker.start()
+    worker = threading.Thread(target=stripe, args=(1,))  # finds no chunk if samples <= CHUNK
+    worker.start()
     stripe(0)
-    if worker is not None:
-        worker.join()
+    worker.join()
     if errors:
         raise errors[0]
     return counts[0] + counts[1]
