@@ -3,12 +3,12 @@
 A table stores c(0..N) together with ``tail_bound``, an upper bound on
 sum_n |c_true(n) - c_table(n)| over all n (both signs): the l1 mass of the
 dropped coefficients plus any error in the stored ones.  c(-n) = conj c(n)
-holds for every measure, so the negative side is never stored.  All
-transforms propagate that bound so every downstream certificate stays honest
-about truncation.
+holds for every measure, so the negative side is never stored, and a real
+table stores float64.  All transforms propagate that bound so every
+downstream certificate stays honest about truncation.
 
 The truncated density d(theta) = sum c(n) e^{2 pi i n theta} is read only on
-uniform grids j/G, by one zero-padded inverse FFT of length mG >= 2N + 1
+uniform grids j/G, by one inverse real FFT of length mG >= 2N + 1
 (:meth:`FourierTable.density`).  :func:`density_sup` adds the tail, a
 Bernstein derivative margin and a stated FFT rounding term to the grid maximum;
 ``_density_min_lower`` bounds min d_N, so the least Toeplitz eigenvalue, from
@@ -25,7 +25,6 @@ observable 2 chi_[0,1/2) - 1 that the circle-extension correlation tables of
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,9 +37,8 @@ PSD_TOL = -1e-8
 _TOL = 1e-12
 
 # largest half_width a measure file may declare, and the widest table a command
-# builds (`system` and `gaussian cocycle --nmax`).  The table then holds
-# 2^22 + 1 complex coefficients (64 MiB) and density_sup's grid of 4N + 4
-# = 2^24 + 4 points needs 256 MiB per complex array.
+# builds (`system` and `gaussian cocycle --nmax`): 32 MiB of real coefficients,
+# and density_sup's grid of 4N + 4 = 2^24 + 4 points 128 MiB of float64 values.
 MAX_HALF_WIDTH = 2**22
 
 
@@ -53,7 +51,8 @@ class FourierTable:
     """Finite table c(n), |n| <= half_width, of a circle probability measure.
 
     ``coeffs`` has length N+1; entry [n] holds c(n) for n >= 0, and
-    c(-n) = conj c(n).  ``tail_bound`` is an upper bound on
+    c(-n) = conj c(n); float64 when every imaginary part is +0.0, else complex128
+    (so a -0.0 imaginary part keeps a table complex).  ``tail_bound`` bounds
     sum_n |c_true(n) - c_table(n)| over all n, both signs, where c_table(n) = 0
     for |n| > N.  Instances are immutable; build them with
     :meth:`from_nonneg` or the module constructors.
@@ -65,7 +64,9 @@ class FourierTable:
 
     def __post_init__(self):
         # a copy, so that freezing it below leaves the caller's array writable
-        arr = np.array(self.coeffs, dtype=complex)
+        arr = np.asarray(self.coeffs)
+        real = arr.dtype.kind != "c" or not (arr.imag.any() or np.signbit(arr.imag).any())
+        arr = np.array(arr.real if real else arr, dtype=float if real else complex)
         object.__setattr__(self, "coeffs", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise InvariantViolation("coeffs must be a nonempty 1-d array")
@@ -97,21 +98,16 @@ class FourierTable:
         c = complex(self.coeffs[abs(n)])
         return c.conjugate() if n < 0 else c
 
-    @functools.cached_property
-    def _gram_coeffs(self) -> np.ndarray:
-        # real coefficients gather into float64 matrices; decided once per table
-        return self.coeffs.real if not np.any(self.coeffs.imag) else self.coeffs
-
     def gram(self, idx) -> np.ndarray:
         """Gram matrices [c(n_i - n_j)] of the rows of an integer array: (..., k) -> (..., k, k).
 
-        Entries with |n_i - n_j| > N are 0 (covered by tail_bound); float64 for a real table.
+        Entries with |n_i - n_j| > N are 0 (covered by tail_bound); of the dtype of ``coeffs``.
         """
         idx = np.asarray(idx)
         diffs = idx[..., :, None] - idx[..., None, :]
         lags = np.abs(diffs)
         inside = lags <= self.half_width
-        c = self._gram_coeffs
+        c = self.coeffs
         out = np.zeros(diffs.shape, dtype=c.dtype)
         out[inside] = c[lags[inside]]
         if c.dtype.kind == "c":
@@ -119,21 +115,19 @@ class FourierTable:
         return out
 
     def density(self, grid_size: int) -> np.ndarray:
-        """d(j / grid_size) for j < grid_size, where d(theta) = sum c(n) e^{2 pi i n theta}.
-
-        c(0..N) go to a[0..N] and conj c(n) to a[-n] of one zero array of
-        length L = m * grid_size >= 2N + 1, m = ceil((2N + 1) / grid_size), so
-        nothing folds; every m-th point of the real part of its unnormalised
-        inverse FFT L * ifft(a) is the grid density.  O(L log L).
-        """
+        """d(j / grid_size), j < grid_size, d = sum c(n) e(n .), by :func:`_grid_density`."""
         if grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-        c, N = self.coeffs, self.half_width
-        m = -(-(2 * N + 1) // grid_size)
-        a = np.zeros(m * grid_size, dtype=complex)
-        a[:N + 1] = c
-        a[a.size - N:] = c[:0:-1].conj()
-        return np.real(np.fft.ifft(a, norm="forward"))[::m]
+        return _grid_density(self.coeffs, grid_size)
+
+
+def _grid_density(c: np.ndarray, grid_size: int) -> np.ndarray:
+    """d(j / grid_size), j < grid_size, of real or complex c(0..N): the inverse real FFT
+    of length L = m * grid_size >= 2N + 1, m = ceil((2N + 1) / grid_size), reads c(0..N)
+    as the half spectrum of c(-N..N), so as c(0) is real and N < L/2 its value at k/L
+    is Re(c(0) + 2 sum c(n) e(nk/L)) = d(k/L); every m-th point is on the grid."""
+    m = -(-(2 * c.size - 1) // grid_size)
+    return np.fft.irfft(c, m * grid_size, norm="forward")[::m]
 
 
 @dataclass(frozen=True)
@@ -147,14 +141,14 @@ def lebesgue_table(N: int) -> FourierTable:
     """Lebesgue measure: c(0)=1, all other coefficients 0."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    nn = np.zeros(N + 1, dtype=complex)
+    nn = np.zeros(N + 1)
     nn[0] = 1.0
     return FourierTable.from_nonneg(nn, tail_bound=0.0, label="lebesgue")
 
 
 def dirac_table(N: int) -> FourierTable:
     """Point mass at 0: c(n) = 1 for all n.  Handy non-Rajchman witness."""
-    return FourierTable.from_nonneg(np.ones(N + 1, dtype=complex), label="dirac")
+    return FourierTable.from_nonneg(np.ones(N + 1), label="dirac")
 
 
 def power_subsample(t: FourierTable, m: int) -> FourierTable:
@@ -176,18 +170,30 @@ def l1_tail(t: FourierTable) -> float:
 def _fft_rounding(t: FourierTable, grid_size: int) -> float:
     """Bound on the max-norm rounding error of the grid density of ``t``.
 
-    Higham, Accuracy and Stability of Numerical Algorithms, Thm 24.2: a
-    computed length-G FFT of a has 2-norm error at most about
-    log2(G) eta sqrt(G) ||a||_2, with eta = mu + gamma_4 (sqrt(2) + mu), i.e.
-    about 5.7 u plus the twiddle-factor error mu.  We take eta = 8 eps = 16 u,
-    a generous constant, and the max-norm error is at most the 2-norm one.
-    ``grid_size`` is the FFT length mG of :meth:`FourierTable.density`.
-    Nothing folds on any grid, so ||a||_2 = ||c||_2, the norm of c(-N..N):
-    sqrt(|c(0)|^2 + 2 sum_{n>=1} |c(n)|^2).
+    ``grid_size`` is the length L of :func:`_grid_density`'s inverse real FFT, in
+    exact arithmetic the inverse DFT of the Hermitian array a of c(-N..N): nothing
+    folds, so ||a||_1 <= sqrt(L) ||c||_2, ||c||_2^2 = |c(0)|^2 + 2 sum_{n>=1} |c(n)|^2.
+    With eta = 8 eps = 16 u a level (Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 24.2: about 5.7 u plus the twiddle error) and l = ceil(log2 L),
+    pocketfft (numpy.fft) errs by less than the first bound if L is 5-smooth, else the larger:
+    - (l + g) eta sqrt(L) ||c||_2 by radix passes: an output sums each a_j along one
+      path of butterflies, a pass of p = 2..5 erring by less than log2(p) eta on it and
+      a generic pass of a prime p > 5 by less than (p + 8) u; g sums (p + 8) / 16 over
+      the prime factors p > 5 of L, with multiplicity;
+    - sqrt(2) (3 l + 8) eta sqrt(L) ||c||_2 by Bluestein's algorithm: a, chirped, is
+      convolved with a chirp b, ||b||_2 = sqrt(2L - 1), by two FFTs of a length
+      n2 <= 2^(l + 1) and a precomputed spectrum B of b.  Each error reaches an output
+      through a sum below ||B||_2 ||A||_2 <= sqrt(2L - 1) ||c||_2 (A the spectrum of
+      chirped a); the FFTs and B add 3 log2(n2) + 1 levels, the chirp products 4.
     """
     norm2 = math.hypot(abs(t.coeffs[0]), math.sqrt(2.0) * float(np.linalg.norm(t.coeffs[1:])))
-    log2g = math.ceil(math.log2(grid_size))
-    return log2g * 8.0 * float(np.finfo(float).eps) * math.sqrt(grid_size) * norm2
+    ell, rest, generic = math.ceil(math.log2(grid_size)), grid_size, 0.0
+    for p in range(2, math.isqrt(grid_size) + 1):  # the prime factors of L
+        while rest % p == 0:
+            rest, generic = rest // p, generic + (p > 5) * (p + 8) / 16
+    generic += (rest > 5) * (rest + 8) / 16
+    levels = max(ell + generic, math.sqrt(2.0) * (3 * ell + 8)) if generic else ell
+    return levels * 8.0 * float(np.finfo(float).eps) * math.sqrt(grid_size) * norm2
 
 
 def density_sup(t: FourierTable, grid_size: int) -> DensityBoundReport:
@@ -237,9 +243,7 @@ def _arcsine_map(t: FourierTable, fn, slope, name: str) -> FourierTable:
                              f"when tail_bound > 0, got {s!r}")
         # the factor covers the dozen roundings of slope(s) and the product
         tail = max(1.0, slope(s)) * t.tail_bound * (1.0 + 16.0 * math.ulp(1.0))
-    out = np.empty(t.half_width + 1, dtype=complex)
-    out[0] = 1.0
-    out[1:] = fn(np.arcsin(c.real))
+    out = np.concatenate([[1.0], fn(np.arcsin(c.real))])
     return FourierTable(out, tail_bound=tail, label=f"{name}({t.label})")
 
 
@@ -282,9 +286,8 @@ def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
     # on |n| <= S < lambda / 2 (lacunarity), so 1 + a cos(2 pi lambda x) adds
     # (a / 2) c(|n - lambda|) on lambda - S <= n <= lambda + S, where c is still 0
     # (so a -0.0 product lands as 0.0); once lambda - S > N no later factor lands
-    nn = np.zeros(N + 1, dtype=complex)
-    nn[0] = 1.0
-    c, S = nn.real, 0  # a view: the table is real
+    c, S = np.zeros(N + 1), 0
+    c[0] = 1.0
     for l, x in zip(lam, a):
         if l - S > N:
             break
@@ -293,7 +296,7 @@ def riesz_product(amplitudes, frequencies, N: int) -> FourierTable:
         c[l - S:l - lo + 1] += c[lo:S + 1][::-1] * x / 2.0  # n < l reads c(l - n)
         S += l
     return FourierTable.from_nonneg(
-        nn, tail_bound=0.0,
+        c, tail_bound=0.0,
         label=f"riesz(a={a}, freq={lam})",
     )
 
@@ -304,9 +307,8 @@ def sqrt_template(c: float, N: int) -> FourierTable:
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError("need 0 <= c <= 1")
-    ns = np.arange(N + 1, dtype=float)
-    nn = np.ones(N + 1, dtype=complex)
-    nn[1:] = c / np.sqrt(ns[1:])
+    nn = np.ones(N + 1)
+    nn[1:] = c / np.sqrt(np.arange(1, N + 1, dtype=float))
     return FourierTable.from_nonneg(
         nn, tail_bound=0.0,
         label=f"sqrt-template(c={c}) [coefficient template; PSD not certified]",
@@ -322,19 +324,18 @@ def _density_min_lower(t: FourierTable) -> float:
     point is within h/2 of a minimiser, where d_N' = 0, so min d_N >= grid min
     - h^2/8 ||d_N''||, and ||d_N''|| <= (2 pi N)^2 ||d_N|| (Bernstein) with
     ||d_N|| <= (max |grid value| + rounding) / (1 - pi N / G), sup norms.  The grid
-    is R = G/L >= 16 grids, L the power of two >= 2N + 1: c(n) e(nr/G) is d_N
-    translated by r/G, so its ``density(L)`` is d_N((qR + r)/G), q < L.  A phase
-    e(nr/G) needs no reduction (nr < NR < G/2) and errs by delta <= about 15 eps,
-    moving values by delta sum |c(n)| <= delta sqrt(L) ||c||_2; the FFT adds
-    log2(L) 8 eps sqrt(L) ||c||_2.  R >= 16 makes ``_fft_rounding(t, G)``
-    >= 32 (log2(L) + 4) eps sqrt(L) ||c||_2, covering both.  O(G log L) time,
-    O(N) memory.
+    is R = G/L >= 16 grids, L the power of two >= 2N + 1: the phased array c(n) e(nr/G)
+    is d_N translated by r/G, so its ``_grid_density`` on L points is d_N((qR + r)/G), q < L.
+    A phase e(nr/G) needs no reduction (nr < NR < G/2) and errs by delta <= about 15 eps,
+    moving values by delta sum |c(n)| <= delta sqrt(L) ||c||_2; the power-of-two FFT adds
+    log2(L) 8 eps sqrt(L) ||c||_2.  R >= 16 makes ``_fft_rounding(t, G)`` >= 32 (log2(L)
+    + 4) eps sqrt(L) ||c||_2, covering both.  O(G log L) time, O(N) memory.
     """
     N = t.half_width
     G = 1 << max(6, (64 * N - 1).bit_length())
     L, n, lo, hi = 1 << (2 * N).bit_length(), np.arange(N + 1), math.inf, 0.0
     for r in range(G // L):
-        vals = FourierTable(t.coeffs * np.exp((2j * math.pi / G) * (n * r))).density(L)
+        vals = _grid_density(t.coeffs * np.exp((2j * math.pi / G) * (n * r)), L)
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     rounding = _fft_rounding(t, G)
     sup = (max(hi, -lo) + rounding) / (1.0 - math.pi * N / G)
@@ -344,9 +345,8 @@ def _density_min_lower(t: FourierTable) -> float:
 def is_positive_definite(t: FourierTable, k: int) -> tuple[bool, float]:
     """PSD check of the k x k Toeplitz matrix [c(i-j)]; returns (pass, min eig).
 
-    A real table gives a real symmetric matrix (see :meth:`FourierTable.gram`),
-    whose eigenvalues come several times faster than those of the equal
-    complex Hermitian one.
+    A real table gives a float64 symmetric matrix (:meth:`FourierTable.gram`), whose
+    eigenvalues come several times faster than the equal complex Hermitian one's.
     """
     if k < 1 or k > t.half_width + 1:
         raise ValueError("need 1 <= k <= half_width + 1")

@@ -53,7 +53,7 @@ class GaussianSpec:
         return float(self.autocov[abs(n)])
 
     def to_fourier_table(self) -> FourierTable:
-        return FourierTable.from_nonneg(self.autocov.astype(complex), label="gaussian-spec")
+        return FourierTable.from_nonneg(self.autocov, label="gaussian-spec")
 
     @classmethod
     def from_fourier_table(cls, t: FourierTable) -> "GaussianSpec":
@@ -207,7 +207,7 @@ def cocycle_correlation_table(spec: GaussianSpec, M: int, n_max: int) -> Fourier
     sw = square_wave_coeffs(M)
     w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2
     step = max(1, 2**16 // rate.size)  # lags per block: 2^16 exponentials, or one lag's
-    nn = np.zeros(n_max + 1, dtype=complex)
+    nn = np.zeros(n_max + 1)
     nn[0] = 1.0
     for lo in range(1, n_max + 1, step):
         terms = np.exp(rate * var[lo:lo + step, None])

@@ -51,8 +51,9 @@ def test_invariant_hermitian_checks_c0_imaginary_part():
 
 
 def test_from_nonneg_peak_memory():
-    # the table's own copy of the coefficients (1x) plus the float64 |c(n)| of
-    # the modulus check (0.5x) and its bool masks: about 1.56x
+    # a complex input with +0.0 imaginary parts is stored as float64: the table's own
+    # copy (0.5x of the input's bytes) plus the float64 |c(n)| of the modulus check
+    # (0.5x) and its bool masks, about 1.06x; 1.56x while the copy was complex128
     nn = np.full(2**20 + 1, 0.25, dtype=complex)
     nn[0] = 1.0
     tracemalloc.start()
@@ -61,7 +62,35 @@ def test_from_nonneg_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * t.coeffs.nbytes
+    assert t.coeffs.dtype == np.float64
+    assert peak <= 1.1 * nn.nbytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fourier.lebesgue_table(5),
+    lambda: fourier.dirac_table(5),
+    lambda: fourier.riesz_product([0.5, -0.0], [1, 3], 8),
+    lambda: fourier.sqrt_template(0.3, 5),
+    lambda: fourier.arcsine_transform(fourier.sqrt_template(0.3, 5)),
+    lambda: fourier.arcsine_fourth_transform(fourier.sqrt_template(0.3, 5)),
+    lambda: fourier.power_subsample(fourier.sqrt_template(0.3, 5), 2),
+    lambda: fourier.FourierTable.from_nonneg(np.array([1.0, 0.5 + 0.0j])),
+], ids=["lebesgue", "dirac", "riesz", "sqrt", "arcsine", "arcsine4", "subsample",
+        "complex-with-zero-imaginary"])
+def test_real_tables_store_float64(build):
+    t = build()
+    assert t.coeffs.dtype == np.float64
+    assert t.gram(np.arange(3)).dtype == np.float64
+
+
+@pytest.mark.parametrize("nn", [[1.0, complex(0.5, -0.0)], [1.0, 0.5 + 1e-300j],
+                                [complex(1.0, -0.0), 0.5]],
+                         ids=["negative-zero", "tiny", "negative-zero-at-0"])
+def test_any_nonzero_or_negative_imaginary_part_keeps_complex128(nn):
+    t = fourier.FourierTable.from_nonneg(np.array(nn, dtype=complex))
+    assert t.coeffs.dtype == np.complex128
+    assert np.array_equal(np.signbit(t.coeffs.imag), np.signbit(np.array(nn).imag))
+    assert t.gram(np.arange(2)).dtype == np.complex128
 
 
 def test_from_nonneg_leaves_input_writable_and_unchanged():
@@ -421,9 +450,10 @@ def test_json_reader_row_messages(coeffs, message):
 
 
 def test_json_reader_peak_memory():
-    # rows are checked and filled one at a time: the table (1x), the FourierTable
-    # constructor's copy (1x) and its |c(n)| check (0.5x), about 2.56x; a list of
-    # one tuple per row read 6.98x
+    # rows are checked and filled one at a time into a complex128 array (1x), and the
+    # FourierTable constructor keeps a float64 copy (0.5x) and checks |c(n)| (0.5x):
+    # about 2.06x of the complex128 bytes (2.56x while the copy was complex128); a
+    # list of one tuple per row read 6.98x
     t = fourier.sqrt_template(0.3, 2**16 - 1)
     obj = json.loads("".join(fourier.table_json_pieces(t)))
     tracemalloc.start()
@@ -433,7 +463,7 @@ def test_json_reader_peak_memory():
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.coeffs, t.coeffs)
-    assert peak < 3 * back.coeffs.nbytes
+    assert peak < 2.2 * 16 * (t.half_width + 1)
 
 
 def test_json_reader_rejects_malformed(tmp_path):

@@ -348,6 +348,12 @@ def test_cocycle_table_white_noise_equals_per_lag_loop(M, n_max):
     assert np.array_equal(got, cocycle_per_lag_reference(spec, M, n_max))
 
 
+def test_spec_and_cocycle_tables_store_float64():
+    spec = gaussian.exponential_spec(0.5, 16)
+    assert spec.to_fourier_table().coeffs.dtype == np.float64
+    assert gaussian.cocycle_correlation_table(spec, 21, 16).coeffs.dtype == np.float64
+
+
 def cocycle_every_lag_reference(spec, M, n_max):
     """The loop of ``cocycle_correlation_table`` before it stopped at the
     underflow: every lag's exponentials, 2^16 at a time."""
@@ -355,7 +361,7 @@ def cocycle_every_lag_reference(spec, M, n_max):
     sw = systems.square_wave_coeffs(M)
     w, rate = sw.weights, -2.0 * math.pi**2 * sw.odd_ms.astype(float) ** 2
     step = max(1, 2**16 // rate.size)
-    nn = np.empty(n_max + 1, dtype=complex)
+    nn = np.empty(n_max + 1)
     nn[0] = 1.0
     for lo in range(1, n_max + 1, step):
         nn[lo:lo + step] = (w * np.exp(rate * var[lo:lo + step, None])).sum(axis=1)
@@ -383,6 +389,7 @@ def test_cocycle_table_stops_where_the_exponentials_underflow(name, M):
     for n_max in (first - 1, first, first + 1, 400, 7000):
         got = gaussian.cocycle_correlation_table(spec, M, n_max).coeffs
         want = cocycle_every_lag_reference(spec, M, n_max)
+        assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), n_max
         assert got[first - 1] != 0.0 and not np.any(got[first:])
         zeros = got[got == 0]

@@ -120,6 +120,50 @@ def test_write_measure_round_trip(tmp_path_factory, t):
     assert (d / "sub.json").read_bytes() == (d / "cli.json").read_bytes()
 
 
+@PROPS
+@given(t=edge_tables())
+@example(t=fourier.FourierTable.from_nonneg([1.0, complex(0.5, -0.0)], label="negative zero"))
+def test_write_read_write_keeps_bytes_and_dtype(tmp_path_factory, t):
+    """A file read back writes the same bytes, and its table is float64 exactly when
+    every imaginary part in it is +0.0: a -0.0 keeps the table complex128."""
+    d = tmp_path_factory.mktemp("bytes")
+    fourier.write_measure(t, d / "a.json")
+    back = fourier.read_measure(d / "a.json")
+    fourier.write_measure(back, d / "b.json")
+    assert (d / "b.json").read_bytes() == (d / "a.json").read_bytes()
+    im = np.array([row[2] for row in json.loads((d / "a.json").read_text())["coeffs"]])
+    real = not (np.any(im) or np.any(np.signbit(im)))
+    assert back.coeffs.dtype == (np.float64 if real else np.complex128)
+    assert t.coeffs.dtype == back.coeffs.dtype
+
+
+# arguments of each `measure` kind; the transforms read a sqrt table
+_MEASURE_ARGV = {
+    "lebesgue": ["--N", "9"],
+    "dirac": ["--N", "9"],
+    "riesz": ["--N", "40", "--a", "0.5,-0.25,-0.0", "--freq", "2,7,30"],
+    "sqrt": ["--N", "9", "--c", "0.3"],
+    "arcsine": ["--in", "sqrt.json"],
+    "arcsine4": ["--in", "sqrt.json"],
+    "subsample": ["--m", "3", "--in", "sqrt.json"],
+}
+
+
+def test_measure_argv_covers_every_kind():
+    assert set(_MEASURE_ARGV) == set(cli._MEASURES)
+
+
+@pytest.mark.parametrize("kind", sorted(_MEASURE_ARGV))
+def test_every_measure_kind_is_float64_and_keeps_its_bytes(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["measure", "sqrt", "--N", "9", "--c", "0.3", "--out", "sqrt.json"]) == 0
+    assert cli.main(["measure", kind, *_MEASURE_ARGV[kind], "--out", "t.json"]) == 0
+    t = fourier.read_measure("t.json")
+    assert t.coeffs.dtype == np.float64
+    fourier.write_measure(t, "back.json")
+    assert (tmp_path / "back.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+
+
 @st.composite
 def real_tables(draw):
     """Real tables with |c(n)| < 1 off the origin, the input the arcsine kinds

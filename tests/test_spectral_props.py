@@ -4,6 +4,7 @@ Every property runs under one deterministic hypothesis profile, so the suite
 draws the same examples on every run.
 """
 
+import math
 import tracemalloc
 
 import mpmath
@@ -159,7 +160,7 @@ def test_gram_matches_pointwise_loop(data):
     G = t.gram(idx)
     assert G.shape == shape + shape[-1:]
     assert np.array_equal(G.reshape(ref.shape), ref)
-    assert (G.dtype == np.float64) == (not np.any(t.coeffs.imag))
+    assert G.dtype == t.coeffs.dtype
 
 
 @PROPS
@@ -208,12 +209,13 @@ def _full_gram(t, idx):
 
 
 def _full_grid_density(t, G):
-    """The grid density with all of c(-N..N) folded to n mod G by bincount."""
+    """The grid density with all of c(-N..N) folded to n mod G by bincount: the
+    inverse real FFT of the first G // 2 + 1 bins of that Hermitian array."""
     full, N = _full(t), t.half_width
     idx = np.arange(-N, N + 1) % G
     a = (np.bincount(idx, weights=full.real, minlength=G)
          + 1j * np.bincount(idx, weights=full.imag, minlength=G))
-    return np.real(np.fft.ifft(a, norm="forward"))
+    return np.fft.irfft(a[:G // 2 + 1], G, norm="forward")
 
 
 def _full_l1_tail(t):
@@ -225,8 +227,8 @@ def _full_certified_upper(t, G):
     full, N = _full(t), t.half_width
     sup = float(np.max(_full_grid_density(t, G)))
     margin = 2.0 * np.pi * float(np.sum(np.abs(np.arange(-N, N + 1)) * np.abs(full))) / (2.0 * G)
-    rounding = (np.ceil(np.log2(G)) * 8.0 * _EPS * np.sqrt(G)
-                * float(np.linalg.norm(full)))
+    # the rounding of a unit-norm table on G points, times the norm of c(-N..N)
+    rounding = fourier._fft_rounding(fourier.lebesgue_table(0), G) * float(np.linalg.norm(full))
     return sup + t.tail_bound + margin + rounding
 
 
@@ -338,11 +340,11 @@ def test_rotated_grids_match_one_grid_bound(t):
 
 @pytest.mark.parametrize("t", FIXED_TABLES, ids=lambda t: t.label.split("(")[0])
 def test_rotated_grid_values_far_below_stated_bound(t, monkeypatch):
-    # the r-th density(L) call of _density_min_lower reads d_N((qR + r)/G), q < L
+    # the r-th _grid_density call of _density_min_lower reads d_N((qR + r)/G), q < L
     calls = []
-    density = fourier.FourierTable.density
-    monkeypatch.setattr(fourier.FourierTable, "density",
-                        lambda self, L: calls.append(density(self, L)) or calls[-1])
+    grid_density = fourier._grid_density
+    monkeypatch.setattr(fourier, "_grid_density",
+                        lambda c, L: calls.append(grid_density(c, L)) or calls[-1])
     fourier._density_min_lower(t)
     N, G, R = t.half_width, _min_lower_grid(t.half_width), len(calls)
     assert R >= 16 and G // R >= 2 * N + 1
@@ -352,6 +354,69 @@ def test_rotated_grid_values_far_below_stated_bound(t, monkeypatch):
             ref = _mp_density(t, G, range(r, G, R))
             err = max(abs(mpmath.mpf(float(v)) - x) for v, x in zip(calls[r], ref))
             assert float(err) <= fourier._fft_rounding(t, G) / 100
+
+
+_PI = 4 * np.arctan(np.longdouble(1))
+
+
+def _longdouble_density(c, G):
+    """d(j/G), j < G, of c(0..N), real or complex, summed in np.longdouble with each
+    phase reduced exactly as nj mod G: the O(N G) reference."""
+    n = np.arange(1, c.size, dtype=np.int64)
+    re, im = c[1:].real.astype(np.longdouble), c[1:].imag.astype(np.longdouble)
+    out = np.empty(G, dtype=np.longdouble)
+    for lo in range(0, G, 256):
+        j = np.arange(lo, min(G, lo + 256), dtype=np.int64)
+        x = (2 * _PI / G) * ((j[:, None] * n) % G)
+        out[lo:lo + j.size] = np.longdouble(c[0].real) + 2 * (np.cos(x) @ re - np.sin(x) @ im)
+    return out
+
+
+def _density_error_ratio(c, G):
+    """The max error of the grid density of c(0..N) against the np.longdouble sum, over
+    ``_fft_rounding`` of its FFT length."""
+    N = c.size - 1
+    m = -(-(2 * N + 1) // G)
+    err = float(np.max(np.abs(fourier._grid_density(c, G) - _longdouble_density(c, G))))
+    bound = fourier._fft_rounding(fourier.FourierTable(c), m * G)
+    return err / bound if bound else (math.inf if err else 0.0)  # a 1-point FFT is exact
+
+
+def _density_grids(N):
+    """A smooth grid (a power of two), an odd one and 4N + 4."""
+    return {"smooth": 1 << (2 * N).bit_length(), "odd": 2 * N + 1, "4N+4": 4 * N + 4}
+
+
+def test_density_within_fft_rounding_on_every_grid_kind(monkeypatch):
+    # real and complex tables on each grid kind, and the phased arrays of the rotated
+    # grids that _density_min_lower reads; the worst error/bound ratio is printed.  The
+    # sqrt and geometric tables have N + 1 = 257 and 101, primes, so 4N + 4 has a large
+    # prime factor
+    ratios = {}
+    for t in FIXED_TABLES:
+        for kind, G in _density_grids(t.half_width).items():
+            ratios[t.label.split("(")[0], t.coeffs.dtype.kind, kind] = _density_error_ratio(
+                t.coeffs, G)
+        calls = []
+        grid_density = fourier._grid_density
+        monkeypatch.setattr(fourier, "_grid_density",
+                            lambda c, L: calls.append((c, L)) or grid_density(c, L))
+        fourier._density_min_lower(t)
+        monkeypatch.undo()
+        for r in (1, len(calls) // 2, len(calls) - 1):
+            ratios[t.label.split("(")[0], t.coeffs.dtype.kind, f"rotated {r}"] = (
+                _density_error_ratio(*calls[r]))
+    worst = max(ratios, key=ratios.get)
+    print(f"worst density error / _fft_rounding: {ratios[worst]:.3g} at {worst}")
+    assert ratios[worst] <= 1.0, (worst, ratios[worst])
+
+
+@PROPS
+@given(data=st.data())
+def test_density_within_fft_rounding_property(data):
+    t = data.draw(st.one_of(tables(), real_tables()))
+    G = _density_grids(t.half_width)[data.draw(st.sampled_from(["smooth", "odd", "4N+4"]))]
+    assert _density_error_ratio(t.coeffs, G) <= 1.0
 
 
 def test_density_min_lower_memory_is_linear_in_n():
@@ -378,7 +443,7 @@ def _riesz_sign_patterns(amplitudes, frequencies, N):
         freq = np.concatenate([freq, freq + l, freq - l])
         coef = np.concatenate([coef, coef * x / 2.0, coef * x / 2.0])
     keep = (freq > 0) & (freq <= N)
-    nn = np.zeros(N + 1, dtype=complex)
+    nn = np.zeros(N + 1)
     nn[freq[keep]] += coef[keep]  # each n > 0 from at most one pattern
     nn[0] = 1.0
     return nn
@@ -408,13 +473,16 @@ def test_riesz_product_matches_sign_pattern_walk(case):
     amps, freqs, N = case
     want = _riesz_sign_patterns(amps, freqs, N)
     got = fourier.riesz_product(amps, freqs, N).coeffs
-    # bit for bit: a -0.0 product lands as 0.0 in both
+    # bit for bit, in float64: a -0.0 product lands as 0.0 in both
+    assert got.dtype == want.dtype == np.float64
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_riesz_product_peak_memory():
-    # the table (1x), the FourierTable constructor's copy (1x) and its |c(n)| check
-    # (0.5x): about 2.56x; the sign-pattern walk read 4.14x
+    # in units of the table's bytes as complex128: the float64 table (0.5x), the
+    # FourierTable constructor's float64 copy (0.5x) and its |c(n)| check (0.5x) with
+    # a bool mask, about 1.56x; 2.56x while both were complex128, and the sign-pattern
+    # walk read 4.14x
     N, J = 2**20, 13
     tracemalloc.start()
     try:
@@ -422,4 +490,4 @@ def test_riesz_product_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * t.coeffs.nbytes
+    assert peak < 1.6 * 16 * (N + 1)

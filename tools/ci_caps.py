@@ -72,23 +72,28 @@ ROWS = [
     # while _lag_sums cut its input into blocks and held two block spectra per step)
     (["-c", "from atlab import systems; systems.rudin_shapiro_lag_sums(2**62, 2**22)"],
      0, 512, None),
-    # the widest sqrt table is written 2^16 coefficients at a time: about 225 MiB of
-    # RSS (1212 MiB while the whole table was rendered to one JSON string)
-    ([*CLI, "measure", "sqrt", "--N", "4194304", "--out", "s.json"], 0, 256, None),
-    # reading that file back, json.load holds every row as Python objects, over 1 GiB,
-    # so under ulimit -v 1200000 an allocation fails: one error line and exit 2, no
-    # file written (a 22-line traceback and exit 1 while main let MemoryError through)
-    ([*CLI, "certify", "--in", "s.json", "--out", "c.json"], 2, None, 1200000),
-    # read in process, that file peaks at about 995 MiB of RSS, nearly all json.load's
-    # rows, which the reader checks and fills one at a time (1284 MiB while it first
-    # copied every row into a list of tuples)
+    # the widest sqrt table, float64, is written 2^16 coefficients at a time: about
+    # 129 MiB of RSS (225 MiB while the table and its copy were complex128; 1212 MiB
+    # while the whole table was rendered to one JSON string; the cap was 256)
+    ([*CLI, "measure", "sqrt", "--N", "4194304", "--out", "s.json"], 0, 160, None),
+    # reading that file back, json.load holds every row as Python objects, about
+    # 1 GiB, so under ulimit -v 1000000 json.load fails to allocate: one error line
+    # and exit 2, no file written (a 22-line traceback and exit 1 while main let
+    # MemoryError through).  Under the former ulimit -v 1200000 the read fits, and
+    # certify runs to exit 3 since the table and its density are float64; with
+    # complex128 ones it ran out in the density FFT, after json.load
+    ([*CLI, "certify", "--in", "s.json", "--out", "c.json"], 2, None, 1000000),
+    # read in process, that file peaks at about 987 MiB of RSS, nearly all json.load's
+    # rows, which the reader checks and fills one at a time (995 MiB while the table's
+    # copy was complex128, 1284 MiB while it first copied every row into a list of tuples)
     (["-c", "from atlab import fourier; fourier.read_measure('s.json')"], 0, 1100, None),
     # the widest Riesz table, 15 factors at 3^0..3^14, multiplied into the table in place
-    # by two slice updates a factor: about 196 MiB of RSS, mostly the table and the
-    # FourierTable constructor's copy and checks (218 MiB with one index array a factor;
-    # 423 MiB while a walk held all 3^15 sign patterns, 1193 MiB with the whole JSON string)
+    # by two slice updates a factor: about 132 MiB of RSS, mostly the float64 table and
+    # the FourierTable constructor's copy and checks (196 MiB while both were complex128,
+    # 218 MiB with one index array a factor; 423 MiB while a walk held all 3^15 sign
+    # patterns, 1193 MiB with the whole JSON string; the cap was 224)
     ([*CLI, "measure", "riesz", "--N", "4194304", "--a", ",".join(["0.5"] * 15),
-      "--freq", ",".join(str(3**j) for j in range(15))], 0, 224, None),
+      "--freq", ",".join(str(3**j) for j in range(15))], 0, 160, None),
     # 2^20 Rudin-Shapiro lags of L = 2^62 signs, formatted from the table's arrays 2^16
     # rows at a time: about 139 MiB of RSS, nearly all the lag sums (235 MiB with one
     # tuple per lag, which fails 176; 459 MiB with the whole CSV string)
@@ -126,16 +131,18 @@ ROWS = [
     # 31.5 MiB of RSS; the full-length expression it replaced peaked at 53
     ([*CLI, "gaussian", "constants"], 0, 45, None),
     # a spec check at N = 16384: the grid bound reads d_N on G = 64N = 2^20 points as
-    # 16 rotated grids of 2^16, about 40 MiB of RSS; a return to one 2^20-point grid
-    # reads 82-86 MiB, which 112 still passes, and the N = 131072 row below fails it
+    # 16 rotated grids of 2^16, each one inverse real FFT of the phased coefficients,
+    # about 34.5 MiB of RSS (37.9 MiB through a complex FFT and a table per grid; the
+    # cap was 112); one 2^20-point grid reads about 53 MiB, which fails 44
     ([*CLI, "measure", "riesz", "--N", "16384", "--a", "0.5,0.5,0.5", "--freq", "1,3,9",
       "--out", "riesz16384.json"], 0, None, None),
-    ([*CLI, "gaussian", "cocycle", "--spec", "riesz16384.json"], 0, 112, None),
-    # at N = 131072 the 2^23 grid points are read as 16 grids of 2^19, about 81 MiB of
-    # RSS; one 2^23-point grid holds two 128 MiB complex arrays, 429 MiB
+    ([*CLI, "gaussian", "cocycle", "--spec", "riesz16384.json"], 0, 44, None),
+    # at N = 131072 the 2^23 grid points are read as 16 grids of 2^19, about 58 MiB of
+    # RSS (79 MiB through complex FFTs; the cap was 128); one 2^23-point grid reads
+    # about 223 MiB, and 429 MiB as two 128 MiB complex arrays
     ([*CLI, "measure", "riesz", "--N", "131072", "--a", "0.5,0.5,0.5", "--freq", "1,3,9",
       "--out", "riesz131072.json"], 0, None, None),
-    ([*CLI, "gaussian", "cocycle", "--spec", "riesz131072.json"], 0, 128, None),
+    ([*CLI, "gaussian", "cocycle", "--spec", "riesz131072.json"], 0, 80, None),
     # the cocycle table takes 2^16 exponentials at a time, about 47 MiB of RSS at
     # nmax = 65536; all 65536 x 202 at once (M = 201) add over 100 MiB and pass 64
     ([*CLI, "gaussian", "cocycle", "--nmax", "65536"], 0, 64, None),
