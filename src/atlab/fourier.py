@@ -115,7 +115,7 @@ class FourierTable:
         return out
 
     def density(self, grid_size: int) -> np.ndarray:
-        """d(j / grid_size), j < grid_size, d = sum c(n) e(n .), by :func:`_grid_density`."""
+        """d(j / grid_size) for j < grid_size, by one inverse real FFT (:func:`_grid_density`)."""
         if grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {grid_size}")
         return _grid_density(self.coeffs, grid_size)
